@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import math
 import sys
@@ -38,16 +39,17 @@ def _grid_arg(text: str) -> GridSpec:
 
 
 def _cmd_verify(args) -> int:
+    """Run one bundle; --n/--N are passed only when given, and only to a
+    bundle that takes them (any other use is a usage error)."""
     fn = VERIFIERS[args.what]
-    kwargs = {}
-    if args.what in ("partition", "bernstein"):
-        kwargs = {"n": args.n, "N": args.N, "seed": args.seed}
-    elif args.what in ("apbound", "commutator", "mapping"):
-        kwargs = {"seed": args.seed}
-        if args.N is not None:
-            kwargs["N"] = args.N
-    else:
-        kwargs = {"seed": args.seed}
+    kwargs = {"seed": args.seed}
+    for flag in ("n", "N"):
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        if flag not in inspect.signature(fn).parameters:
+            raise ValueError(f"verify {args.what} does not take --{flag}")
+        kwargs[flag] = value
     report = fn(**kwargs)
     _emit(report, args.out)
     return 0 if report["passed"] else 1
@@ -67,20 +69,27 @@ def _cmd_exponents(args) -> int:
 
 
 def _read_sequence(path: str) -> DecaySequence:
+    """The last column of each row; only line 1 may be a non-numeric header."""
     values = []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row:
                 continue
             try:
                 values.append(float(row[-1]))
             except ValueError:
-                continue  # header line
+                if reader.line_num != 1:
+                    raise ValueError(f"{path} line {reader.line_num}: "
+                                     f"{row[-1]!r} is not a number") from None
     return DecaySequence(values)
 
 
 def _cmd_iterate(args) -> int:
     seq = _read_sequence(args.csv)
+    if args.S > len(seq) - 1:
+        raise ValueError(f"S={args.S} exceeds K={len(seq) - 1}, the last index "
+                         "of the sequence")
     params = IterationParams(eps=args.eps, delta=args.delta, S=args.S)
     holds, first_bad = hypothesis_holds(seq, params)
     out = {"holds": holds, "first_violation": first_bad,
@@ -129,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run one measured-estimate verification")
     v.add_argument("what", choices=sorted(VERIFIERS))
-    v.add_argument("--n", type=int, default=2)
+    v.add_argument("--n", type=int, default=None)
     v.add_argument("--N", type=int, default=None)
     v.add_argument("--seed", type=int, default=1)
     v.add_argument("--out", default=None)
@@ -176,17 +185,9 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _apply_verify_defaults(args) -> None:
-    if args.command == "verify" and args.what == "partition" and args.N is None:
-        args.N = 512
-    if args.command == "verify" and args.what == "bernstein" and args.N is None:
-        args.N = 512
-
-
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    _apply_verify_defaults(args)
     try:
         return args.fn(args)
     except ValueError as exc:

@@ -107,15 +107,20 @@ class GridSpec:
 
     @cached_property
     def center_distance(self) -> np.ndarray:
-        """Geodesic distance to the cell center pi*(1,..,1).
+        """center_distance at every grid point."""
+        return center_distance(*self.x_axes)
 
-        Spatial bumps are centered there so their supports never wrap.
-        """
-        out = np.zeros(self.shape)
-        for x in self.x_axes:
-            d = np.mod(x - np.pi + np.pi, 2.0 * np.pi) - np.pi
-            out = out + d * d
-        return np.sqrt(out)
+
+def center_distance(*xs) -> np.ndarray:
+    """Geodesic distance from the points `xs` to the cell center pi*(1,..,1).
+
+    Spatial bumps are centered there so their supports never wrap.
+    """
+    d2 = 0.0
+    for x in xs:
+        w = np.mod(np.asarray(x) - np.pi + np.pi, 2.0 * np.pi) - np.pi
+        d2 = d2 + w * w
+    return np.sqrt(d2)
 
 
 class SpectralField:
@@ -161,28 +166,16 @@ class SpectralField:
         return cls(grid, freq=np.zeros((ncomp,) + grid.shape, dtype=np.complex128))
 
     @property
-    def spatial_axes(self) -> tuple:
-        return tuple(range(1, self.grid.dim + 1))
-
-    @property
     def physical(self) -> np.ndarray:
         if self._phys is None:
-            self._phys = np.fft.ifftn(self._freq, axes=self.spatial_axes) * self.grid.npoints
+            self._phys = _inverse(self._freq)
         return self._phys
 
     @property
     def coefficients(self) -> np.ndarray:
         if self._freq is None:
-            self._freq = np.fft.fftn(self._phys, axes=self.spatial_axes) / self.grid.npoints
+            self._freq = _forward(self._phys)
         return self._freq
-
-    @property
-    def has_physical(self) -> bool:
-        return self._phys is not None
-
-    @property
-    def has_coefficients(self) -> bool:
-        return self._freq is not None
 
     def component(self, c: int) -> "SpectralField":
         return SpectralField(
@@ -248,13 +241,26 @@ class SpectralField:
         """Relative disagreement between the two representations, if both exist."""
         if self._phys is None or self._freq is None:
             return 0.0
-        back = np.fft.fftn(self._phys, axes=self.spatial_axes) / self.grid.npoints
+        back = _forward(self._phys)
         num = np.linalg.norm((back - self._freq).ravel())
         den = np.linalg.norm(self._freq.ravel())
         return float(num / den) if den > 0 else float(num)
 
 
 # -- transforms ---------------------------------------------------------
+#
+# Every transform in the package goes through _forward and _inverse.  Axis 0
+# is a batch (components, sample points); all later axes are transformed.
+
+
+def _forward(phys: np.ndarray) -> np.ndarray:
+    """Fourier coefficients: fftn over the spatial axes / their point count."""
+    return np.fft.fftn(phys, axes=tuple(range(1, phys.ndim))) / math.prod(phys.shape[1:])
+
+
+def _inverse(coeffs: np.ndarray) -> np.ndarray:
+    """Physical samples: ifftn over the spatial axes * their point count."""
+    return np.fft.ifftn(coeffs, axes=tuple(range(1, coeffs.ndim))) * math.prod(coeffs.shape[1:])
 
 
 def forward_transform(f: SpectralField) -> SpectralField:
@@ -322,30 +328,22 @@ def padded_physical(f: SpectralField, degree: int = 2) -> np.ndarray:
     """Physical samples of `f` on the dealiasing fine grid (M points/axis)."""
     N = f.grid.points_per_axis
     M = int(N * _pad_factor(degree))
-    spatial = tuple(range(1, f.grid.dim + 1))
-    big = _embed(f.coefficients, N, M, f.grid.dim)
-    return np.fft.ifftn(big, axes=spatial) * (M**f.grid.dim)
+    return _inverse(_embed(f.coefficients, N, M, f.grid.dim))
 
 
 def field_from_padded(grid: GridSpec, fine: np.ndarray, degree: int = 2) -> SpectralField:
     """Truncate fine-grid physical samples back to coefficients on `grid`."""
     N = grid.points_per_axis
     M = int(N * _pad_factor(degree))
-    spatial = tuple(range(1, grid.dim + 1))
-    ch = np.fft.fftn(fine, axes=spatial) / (M**grid.dim)
-    return SpectralField(grid, freq=_extract(ch, N, M, grid.dim))
+    return SpectralField(grid, freq=_extract(_forward(fine), N, M, grid.dim))
 
 
-def _broadcast_pair(f: SpectralField, g: SpectralField):
+def _check_pair(f: SpectralField, g: SpectralField) -> None:
+    """Raise unless f and g share a grid and their components broadcast."""
     if f.grid != g.grid:
         raise ValueError("grid mismatch")
-    if f.ncomp == g.ncomp:
-        return f, g
-    if f.ncomp == 1:
-        return f, g
-    if g.ncomp == 1:
-        return f, g
-    raise ValueError(f"cannot combine {f.ncomp} and {g.ncomp} components")
+    if f.ncomp != g.ncomp and 1 not in (f.ncomp, g.ncomp):
+        raise ValueError(f"cannot combine {f.ncomp} and {g.ncomp} components")
 
 
 def pointwise_product(f: SpectralField, g: SpectralField, degree: int = 2) -> SpectralField:
@@ -357,7 +355,7 @@ def pointwise_product(f: SpectralField, g: SpectralField, degree: int = 2) -> Sp
     convolution of the inputs, so the frequency support is contained in the
     Minkowski sum of the input supports within the resolvable band.
     """
-    f, g = _broadcast_pair(f, g)
+    _check_pair(f, g)
     pf = padded_physical(f, degree)
     pg = padded_physical(g, degree)
     return field_from_padded(f.grid, pf * pg, degree)
@@ -381,7 +379,7 @@ def grid_product(f: SpectralField, g: SpectralField) -> SpectralField:
     This is the exact action of multiplication by g on grid samples;
     localization cutoffs use it so that supports stay pointwise exact.
     """
-    f, g = _broadcast_pair(f, g)
+    _check_pair(f, g)
     return SpectralField(f.grid, phys=f.physical * g.physical)
 
 

@@ -60,10 +60,15 @@ def delta_cap(eps: float) -> float:
     return (1.0 - 2.0 ** (-eps)) / 2.0
 
 
+def two_sided_kernel(size: int, rate: float) -> np.ndarray:
+    """The matrix 2^(-rate |j-k|) over indices j, k in 0..size-1."""
+    k = np.arange(size, dtype=float)
+    return 2.0 ** (-rate * np.abs(k[:, None] - k[None, :]))
+
+
 def _rhs(a: np.ndarray, eps: float, delta: float) -> np.ndarray:
     k = np.arange(a.size, dtype=float)
-    kernel = 2.0 ** (-2.0 * eps * np.abs(k[:, None] - k[None, :]))
-    return 2.0 ** (-eps * k) + delta * (kernel @ a)
+    return 2.0 ** (-eps * k) + delta * (two_sided_kernel(a.size, 2.0 * eps) @ a)
 
 
 def hypothesis_holds(a: DecaySequence, params: IterationParams):
@@ -114,6 +119,5 @@ def convolution_majorant(a: DecaySequence, theta: float, C0delta: float,
     if theta <= 0:
         raise ValueError(f"theta must be positive, got {theta}")
     k = np.arange(len(a), dtype=float)
-    kernel = 2.0 ** (-theta * np.abs(k[:, None] - k[None, :]))
-    vals = C0delta * (kernel @ a.values) + Crho * 2.0 ** (-theta * k)
+    vals = C0delta * (two_sided_kernel(len(a), theta) @ a.values) + Crho * 2.0 ** (-theta * k)
     return DecaySequence(vals)

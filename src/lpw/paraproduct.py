@@ -23,7 +23,6 @@ import numpy as np
 
 from .exponents import RegularityParams
 from .grid import SpectralField, field_from_padded, lp_norm, padded_physical
-from .grid import dot_product, pointwise_product
 from .lp import LPPartition, dyadic_norm_sequence, project, project_window, sobolev_norm
 from .symbols import Symbol, apply
 
@@ -93,6 +92,14 @@ def _pair_product_fine(pv: np.ndarray, pw: np.ndarray) -> np.ndarray:
     return pv * pw
 
 
+def _pair_product(V: SpectralField, w: SpectralField, degree: int) -> SpectralField:
+    """Dealiased V w, contracted over components as in _pair_product_fine."""
+    if V.grid != w.grid:
+        raise ValueError("grid mismatch")
+    fine = _pair_product_fine(padded_physical(V, degree), padded_physical(w, degree))
+    return field_from_padded(V.grid, fine, degree)
+
+
 def split(V: SpectralField, w: SpectralField, k: int, part: LPPartition,
           degree: int = 2) -> ZoneSplit:
     """Zone-wise sums of P_k(P_i V P_j w) with dealiased products.
@@ -149,11 +156,7 @@ def split(V: SpectralField, w: SpectralField, k: int, part: LPPartition,
 def product_shell(V: SpectralField, w: SpectralField, k: int, part: LPPartition,
                   degree: int = 2) -> SpectralField:
     """Direct P_k(V w) (dealiased), the fast reference for the exact cover."""
-    if V.ncomp == w.ncomp and V.ncomp > 1:
-        prod = dot_product(V, w, degree)
-    else:
-        prod = pointwise_product(V, w, degree)
-    return project(part, prod, k)
+    return project(part, _pair_product(V, w, degree), k)
 
 
 def all_pairs_shell(V: SpectralField, w: SpectralField, k: int, part: LPPartition,
@@ -166,12 +169,7 @@ def all_pairs_shell(V: SpectralField, w: SpectralField, k: int, part: LPPartitio
     for i in range(part.jmax + 1):
         Pi = project(part, V, i)
         for j in range(part.jmax + 1):
-            Pj = project(part, w, j)
-            if Pi.ncomp == Pj.ncomp and Pi.ncomp > 1:
-                prod = dot_product(Pi, Pj, degree)
-            else:
-                prod = pointwise_product(Pi, Pj, degree)
-            term = project(part, prod, k)
+            term = project(part, _pair_product(Pi, project(part, w, j), degree), k)
             total = term if total is None else total + term
     return total
 

@@ -24,7 +24,7 @@ from .exponents import GainReport, RegularityParams, check_params, compute_gains
 from .grid import (GridSpec, SpectralField, dot_product, grid_product, lp_norm,
                    pointwise_product, random_field)
 from .iteration import (DecaySequence, IterationParams, convolution_majorant,
-                        decay_bound, delta_cap, hypothesis_holds)
+                        decay_bound, delta_cap, hypothesis_holds, two_sided_kernel)
 from .lp import LPPartition, build_partition, dyadic_norm_sequence, sobolev_norm
 from .paraproduct import zone_estimate_report
 from .psido import fit_log2_slope, parametrix, split_elliptic
@@ -34,14 +34,6 @@ from .symbols import Symbol, apply
 
 
 # -- equations ---------------------------------------------------------------
-
-
-def _grad_vector(n: int) -> Symbol:
-    def matrix_func(grid: GridSpec):
-        cols = [np.broadcast_to(1j * a, grid.shape) for a in grid.xi_axes]
-        return np.stack(cols)[:, np.newaxis, ...]  # (n, 1, *shape)
-
-    return sym.matrix_multiplier(1.0, matrix_func, "grad_vector")
 
 
 @dataclass
@@ -70,7 +62,7 @@ def _ns_spec(n: int, s: float, p: float, amplitude: float) -> EquationSpec:
     L = sym.multiplier(2.0, lambda *xis: sum(np.asarray(a) ** 2 for a in xis),
                        "neg_laplacian")
     P = sym.leray_projector()
-    gradv = _grad_vector(n)
+    gradv = sym.gradient_symbol()
 
     def nonlinearity(V: SpectralField, u: SpectralField) -> SpectralField:
         comps = [dot_product(V, apply(gradv, u.component(c))).coefficients[0]
@@ -119,7 +111,7 @@ def _gjms_spec(n: int, s: float, p: float, amplitude: float) -> EquationSpec:
     L = sym.multiplier(float(n), lambda *xis: sum(np.asarray(a) ** 2 for a in xis) ** (n / 2.0),
                        "halfpower_laplacian")
     P = sym.divergence_symbol()
-    gradv = _grad_vector(n)
+    gradv = sym.gradient_symbol()
     lam3 = sym.fractional_laplacian_symbol(1.5)
 
     def nonlinearity(V: SpectralField, u: SpectralField) -> SpectralField:
@@ -486,10 +478,8 @@ def run_probe(eq: EquationSpec, grid: GridSpec, rho: float = 0.75,
               for z in zone_reports for zn in ("I+II", "III", "IV")]
     consts = [c for c in consts if c is not None and math.isfinite(c)]
     C0delta = delta * (max(consts) if consts else 1.0)
-    ks = np.arange(len(a), dtype=float)
-    kernel = 2.0 ** (-theta * np.abs(ks[:, None] - ks[None, :]))
-    conv0 = kernel @ a.values
-    tail = 2.0 ** (-theta * ks)
+    conv0 = two_sided_kernel(len(a), theta) @ a.values
+    tail = 2.0 ** (-theta * np.arange(len(a), dtype=float))
     lo, hi = window
     crho_fit = float(np.max((a.values - C0delta * conv0)[lo:hi + 1] / tail[lo:hi + 1]))
     crho_fit = max(crho_fit, 1e-300)

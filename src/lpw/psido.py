@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, SpectralField, grid_product, lp_norm
+from .grid import (GridSpec, SpectralField, _forward, _inverse, center_distance,
+                   grid_product, lp_norm)
 from .lp import LPPartition, profile_value, project, project_window
 from .smooth import ramp_down, ramp_up
 from . import symbols as sym_mod
@@ -82,29 +83,17 @@ def _x_sample_points(grid: GridSpec, per_axis: int = 16, mask=None):
     return tuple(pts)
 
 
-def _center_distance_of(*xs):
-    d2 = None
-    for x in xs:
-        w = np.mod(np.asarray(x) - np.pi + np.pi, 2.0 * np.pi) - np.pi
-        d2 = w * w if d2 is None else d2 + w * w
-    return np.sqrt(d2)
+def _symbol_floor(sym: Symbol, grid: GridSpec, r_min: float, shift: float,
+                  x_per_axis: int = 16, x_mask=None) -> float:
+    """inf |a(x, xi)| / (shift + |xi|)^m over lattice |xi| >= r_min, sampled x.
 
-
-def ellipticity_margin(sym: Symbol, grid: GridSpec, C2: float = 4.0,
-                       x_per_axis: int = 16, x_mask=None) -> float:
-    """inf of |a(x, xi)| / |xi|^m over the lattice with |xi| >= max(C2, 1).
-
-    A positive return certifies ellipticity on the sampled set; 0 means the
-    symbol vanishes there.  x is scanned on a coarse subgrid for x-dependent
-    symbols.
+    x is scanned on a coarse subgrid (optionally masked), in chunks that
+    bound the evaluated block to about 4M entries; multipliers skip the scan.
     """
-    m = sym.order
-    if m <= 0:
-        raise ValueError(f"ellipticity needs positive order, got {m}")
     r = grid.xi_abs
-    keep = r >= max(C2, 1.0)
+    keep = r >= r_min
     xi_use = tuple(np.broadcast_to(a, grid.shape)[keep] for a in grid.xi_axes)
-    scale = r[keep] ** m
+    scale = (shift + r[keep]) ** sym.order
 
     if sym.kind == "multiplier":
         vals = np.abs(np.asarray(sym.xi_func(*xi_use)))
@@ -120,7 +109,21 @@ def ellipticity_margin(sym: Symbol, grid: GridSpec, C2: float = 4.0,
         xis = tuple(x[None, :] for x in xi_use)
         vals = np.abs(sym.eval_xy(xs, xis))
         best = min(best, float(np.min(vals / scale[None, :])))
-    return max(best, 0.0)
+    return best
+
+
+def ellipticity_margin(sym: Symbol, grid: GridSpec, C2: float = 4.0,
+                       x_per_axis: int = 16, x_mask=None) -> float:
+    """inf of |a(x, xi)| / |xi|^m over the lattice with |xi| >= max(C2, 1).
+
+    A positive return certifies ellipticity on the sampled set; 0 means the
+    symbol vanishes there.  x is scanned on a coarse subgrid for x-dependent
+    symbols.
+    """
+    m = sym.order
+    if m <= 0:
+        raise ValueError(f"ellipticity needs positive order, got {m}")
+    return _symbol_floor(sym, grid, max(C2, 1.0), 0.0, x_per_axis, x_mask)
 
 
 # -- elliptic splitting and parametrix -------------------------------------
@@ -141,29 +144,9 @@ def _split_window(radius: float):
     r_out = radius * 1.5
 
     def w(*xs):
-        return ramp_down(_center_distance_of(*xs), radius, r_out)
+        return ramp_down(center_distance(*xs), radius, r_out)
 
     return w
-
-
-def _global_floor(sym: Symbol, grid: GridSpec, C2: float) -> float:
-    """inf |e| / (1+|xi|)^order over all x samples and lattice |xi| >= C2."""
-    r = grid.xi_abs
-    keep = r >= max(C2, 0.0)
-    xi_use = tuple(np.broadcast_to(a, grid.shape)[keep] for a in grid.xi_axes)
-    scale = (1.0 + r[keep]) ** sym.order
-    if sym.kind == "multiplier":
-        vals = np.abs(np.asarray(sym.xi_func(*xi_use)))
-        return float(np.min(vals / scale))
-    pts = _x_sample_points(grid, 16)
-    best = math.inf
-    chunk = max(1, (1 << 22) // max(1, xi_use[0].size))
-    for start in range(0, pts[0].size, chunk):
-        xs = tuple(p[start:start + chunk, None] for p in pts)
-        xis = tuple(x[None, :] for x in xi_use)
-        vals = np.abs(sym.eval_xy(xs, xis))
-        best = min(best, float(np.min(vals / scale[None, :])))
-    return best
 
 
 def split_elliptic(L: Symbol, grid: GridSpec, C2: float = 4.0,
@@ -176,7 +159,7 @@ def split_elliptic(L: Symbol, grid: GridSpec, C2: float = 4.0,
     """
     ball = ellipticity_margin(
         L, grid, C2,
-        x_mask=(lambda *xs: _center_distance_of(*xs) <= ball_radius)
+        x_mask=(lambda *xs: center_distance(*xs) <= ball_radius)
         if L.kind != "multiplier" else None,
     )
     if ball <= 0.0:
@@ -210,7 +193,7 @@ def split_elliptic(L: Symbol, grid: GridSpec, C2: float = 4.0,
         E = sym_mod.separable(L.order, e_terms, name=f"{L.name}:invertible")
         M = sym_mod.separable(L.order, m_terms, name=f"{L.name}:remainder")
 
-    margin = _global_floor(E, grid, C2)
+    margin = _symbol_floor(E, grid, max(C2, 0.0), 1.0)
     if margin <= 0.0:
         raise ValueError("splitting failed: glued symbol not bounded below at high frequency")
     return EllipticSplit(E=E, M=M, ball_radius=ball_radius, cutoff=C2, margin=margin)
@@ -230,29 +213,22 @@ def parametrix(E: Symbol, grid: GridSpec, C2: float = 4.0) -> Symbol:
     exactly; for x-dependent E the defect gains one order per shell.  The
     full asymptotic series is deliberately not built.
     """
-    floor = _global_floor(E, grid, max(C2, 1.0))
+    floor = _symbol_floor(E, grid, max(C2, 1.0), 1.0)
     if floor <= 0.0:
         raise ValueError("parametrix needs a positive lower bound on the symbol")
     chi = low_cutoff(C2)
 
-    if E.kind == "multiplier":
-        def inv(*xis, _f=E.xi_func):
-            r = np.sqrt(sum(np.asarray(a, dtype=float) ** 2 for a in xis))
-            e = np.asarray(_f(*xis))
-            mask = chi(r)
-            safe = np.where(e == 0, 1.0, e)
-            return np.where(mask != 0.0, mask / safe, 0.0)
-
-        return sym_mod.multiplier(-E.order, inv, name=f"{E.name}:parametrix")
-
-    def eval_func(xs, xis, _E=E):
-        r = np.sqrt(sum(np.asarray(a, dtype=float) ** 2 for a in xis))
-        e = _E.eval_xy(xs, xis)
-        mask = chi(r)
+    def masked_inverse(e, xis):
+        mask = chi(np.sqrt(sum(np.asarray(a, dtype=float) ** 2 for a in xis)))
         safe = np.where(e == 0, 1.0, e)
         return np.where(mask != 0.0, mask / safe, 0.0)
 
-    return sym_mod.general(-E.order, eval_func, name=f"{E.name}:parametrix")
+    name = f"{E.name}:parametrix"
+    if E.kind == "multiplier":
+        return sym_mod.multiplier(
+            -E.order, lambda *xis: masked_inverse(np.asarray(E.xi_func(*xis)), xis), name)
+    return sym_mod.general(
+        -E.order, lambda xs, xis: masked_inverse(E.eval_xy(xs, xis), xis), name)
 
 
 def parametrix_defect_shells(E: Symbol, B: Symbol, part: LPPartition,
@@ -343,7 +319,6 @@ class SymbolRemainderReport:
 def _remainder_max(A: Symbol, grid: GridSpec, k: int, ts: np.ndarray,
                    normalize: bool) -> float:
     """max over sampled xi = t*e1 and grid x of |rho_k| (optionally normalized)."""
-    spatial = tuple(range(1, grid.dim + 1))
     xs = tuple(a[np.newaxis, ...] for a in grid.x_axes)
     best = 0.0
     chunk = max(1, (1 << 23) // max(1, grid.npoints * 16))
@@ -353,12 +328,12 @@ def _remainder_max(A: Symbol, grid: GridSpec, k: int, ts: np.ndarray,
         xis = (tcol,) + tuple(np.zeros_like(tcol) for _ in range(grid.dim - 1))
         a_vals = np.asarray(A.eval_xy(xs, xis), dtype=np.complex128)
         a_vals = np.broadcast_to(a_vals, (t.size,) + grid.shape)
-        ahat = np.fft.fftn(a_vals, axes=spatial) / grid.npoints
+        ahat = _forward(a_vals)
         shift2 = (tcol + grid.xi_axes[0]) ** 2
         for a in grid.xi_axes[1:]:
             shift2 = shift2 + a * a
         phi = profile_value(k, np.sqrt(shift2)) - profile_value(k, np.abs(tcol))
-        rho = np.fft.ifftn(phi * ahat, axes=spatial) * grid.npoints
+        rho = _inverse(phi * ahat)
         mags = np.abs(rho).reshape(t.size, -1).max(axis=1)
         if normalize:
             mags = mags / (1.0 + np.abs(t)) ** (A.order - 1.0)
@@ -403,7 +378,7 @@ def cutoff_commutator_order(A: Symbol, eta: SpectralField, f: SpectralField,
     Multiplication by a smooth cutoff commutes with an order-m operator up to
     one order less; on a flat dyadic profile the fitted slope is ~ m-1.
     """
-    g = grid_product(eta, apply(A, f)) - apply(A, grid_product(eta, f))
+    g = cutoff_commutator_field(A, eta, f)
     k_hi = part.jmax - 1 if k_hi is None else k_hi
     ks = range(k_lo, k_hi + 1)
     vals = [lp_norm(project(part, g, k), p) for k in ks]

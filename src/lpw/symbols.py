@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, SpectralField
+from .grid import GridSpec, SpectralField, _inverse, center_distance
 from .smooth import ramp_down
 
 _LOG_DOUBLE_MAX = 700.0  # ln(1.8e308), overflow guard for |xi|^m
@@ -77,19 +77,6 @@ def multiplication(x_func, name: str = "") -> Symbol:
     return Symbol(order=0.0, kind="multiplication", name=name, x_func=x_func)
 
 
-def multiplication_by_field(b: SpectralField, name: str = "") -> Symbol:
-    if b.ncomp != 1:
-        raise ValueError("multiplication symbol needs a scalar field")
-    samples = b.physical[0]
-
-    def x_func(*xs):
-        if xs and np.shape(xs[0]) == samples.shape:
-            return samples
-        raise ValueError("field-backed multiplication only evaluates on its own grid")
-
-    return Symbol(order=0.0, kind="multiplication", name=name, x_func=x_func)
-
-
 def separable(order: float, terms, name: str = "") -> Symbol:
     terms = tuple(terms)
     if not 1 <= len(terms) <= 8:
@@ -140,11 +127,10 @@ def apply(sym: Symbol, f: SpectralField) -> SpectralField:
 
     if sym.kind == "separable":
         c = f.coefficients
-        spatial = tuple(range(1, grid.dim + 1))
         out = np.zeros_like(c)
         for bx, cxi in sym.terms:
             cv = _check_finite(np.asarray(cxi(*grid.xi_axes)), sym.name)
-            part = np.fft.ifftn(c * cv, axes=spatial) * grid.npoints
+            part = _inverse(c * cv)
             bv = np.broadcast_to(np.asarray(bx(*grid.x_axes)), grid.shape)
             out += part * bv
         return SpectralField(grid, phys=out)
@@ -221,12 +207,19 @@ def grad_symbol(axis: int) -> Symbol:
     return multiplier(1.0, lambda *xis: 1j * xis[axis], f"grad:{axis}")
 
 
-def divergence_symbol() -> Symbol:
-    def matrix_func(grid: GridSpec):
-        rows = [np.broadcast_to(1j * a, grid.shape) for a in grid.xi_axes]
-        return np.stack(rows)[np.newaxis, ...]  # (1, n, *shape)
+def _ixi_stack(grid: GridSpec) -> np.ndarray:
+    """The frequency vector i*xi, shape (n, *shape)."""
+    return np.stack([np.broadcast_to(1j * a, grid.shape) for a in grid.xi_axes])
 
-    return matrix_multiplier(1.0, matrix_func, "div")
+
+def divergence_symbol() -> Symbol:
+    """Vector field to scalar: the (1, n) row i*xi^T."""
+    return matrix_multiplier(1.0, lambda grid: _ixi_stack(grid)[np.newaxis], "div")
+
+
+def gradient_symbol() -> Symbol:
+    """Scalar field to vector: the (n, 1) column i*xi, divergence transposed."""
+    return matrix_multiplier(1.0, lambda grid: _ixi_stack(grid)[:, np.newaxis], "grad_vector")
 
 
 def leray_projector(grid: GridSpec = None) -> Symbol:
@@ -264,11 +257,7 @@ _SEP_X = {
 
 
 def _center_bump(radius, *xs):
-    d2 = None
-    for x in xs:
-        w = np.mod(np.asarray(x) - np.pi + np.pi, 2.0 * np.pi) - np.pi
-        d2 = w * w if d2 is None else d2 + w * w
-    return ramp_down(np.sqrt(d2), radius, 2.0 * radius)
+    return ramp_down(center_distance(*xs), radius, 2.0 * radius)
 
 
 def _sep_xi(spec: str):

@@ -8,8 +8,6 @@ calls these directly, so thresholds live here, pinned once.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -22,23 +20,6 @@ from .psido import (commutator_shell, commutator_symbol_remainder, fit_log2_slop
                     mapping_constant)
 from .symbols import multiplication, resolve_symbol
 from . import symbols as sym
-
-
-def worker_count() -> int:
-    cap = os.environ.get("LPW_THREADS")
-    workers = min(4, os.cpu_count() or 1)
-    if cap:
-        workers = max(1, min(workers, int(cap)))
-    return workers
-
-
-def _map(fn, items):
-    items = list(items)
-    w = worker_count()
-    if w <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=w) as ex:
-        return list(ex.map(fn, items))
 
 
 def verify_partition(n: int = 2, N: int = 512, seed: int = 1) -> dict:
@@ -111,7 +92,7 @@ def verify_apbound(N: int = 8192, seed: int = 3) -> dict:
     ok = True
     for name in _APBOUND_SYMBOLS:
         A = resolve_symbol(name)
-        vals = _map(lambda k, _A=A: ap_shell_ratio(_A, part, f, k, 2), ks)
+        vals = [ap_shell_ratio(A, part, f, k, 2) for k in ks]
         spread = max(vals) / min(vals)
         results[name] = {"ratios": vals, "spread": spread}
         ok = ok and spread <= 10.0
@@ -145,7 +126,7 @@ def verify_commutator(N: int = 65536, seed: int = 4) -> dict:
     ok = True
     slopes = {}
     for label, A, m in _commutator_test_symbols():
-        vals = _map(lambda k, _A=A: commutator_shell(_A, part, f, k, 2), ks)
+        vals = [commutator_shell(A, part, f, k, 2) for k in ks]
         fit = fit_log2_slope(ks, vals)
         limit = m - 1.0 + 0.2
         slopes[label] = {"values": vals, "slope": fit.slope, "limit": limit}
@@ -261,9 +242,18 @@ def _zone_params_r_lt_q() -> RegularityParams:
 
 
 def _zone_estimate_stability(seed: int, N: int = 1 << 19) -> dict:
-    """Constant stability across k for dyadic-profile inputs, both branches."""
+    """Constant stability across k for dyadic-profile inputs, both branches.
+
+    Zone IV at shell k needs shells above k+5, so the grid must reach
+    jmax >= max(ks) + 6; on a smaller grid zone IV is empty and its
+    constants vanish.
+    """
+    ks = (9, 10, 11)
     grid = GridSpec(1, N)
     part = build_partition(grid)
+    if max(ks) + 6 > part.jmax:
+        raise ValueError(f"N={N} gives jmax={part.jmax}; zone estimate stability "
+                         f"needs jmax >= max(ks) + 6 = {max(ks) + 6}")
     ok = True
     out = {}
     for params in (_zone_params_r_ge_q(), _zone_params_r_lt_q()):
@@ -274,8 +264,7 @@ def _zone_estimate_stability(seed: int, N: int = 1 << 19) -> dict:
         V = flat_dyadic_field(part, seed + 23)
         Q = sym.multiplier(params.gamma, lambda *xis: (1.0 + sum(
             np.asarray(a) ** 2 for a in xis)) ** (params.gamma / 2.0), "qref")
-        reports = [zone_estimate_report(V, u, Q, k, params, part)
-                   for k in (9, 10, 11)]
+        reports = [zone_estimate_report(V, u, Q, k, params, part) for k in ks]
         per_zone = {}
         for zone in ("I+II", "III", "IV"):
             consts = [rep.as_dict()["zone"][zone]["constant"] for rep in reports]
@@ -287,7 +276,7 @@ def _zone_estimate_stability(seed: int, N: int = 1 << 19) -> dict:
         out[key] = {"branches": {"III": reports[0].branch_iii,
                                  "IV": reports[0].branch_iv},
                     "zones": per_zone}
-    return {"N": N, "ks": [9, 10, 11], "cases": out, "passed": bool(ok)}
+    return {"N": N, "ks": list(ks), "cases": out, "passed": bool(ok)}
 
 
 def _branch_selection_checks() -> dict:

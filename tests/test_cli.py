@@ -69,6 +69,23 @@ class TestIterateCommand:
                             "--eps", "1.0", "--delta", "0.4")
         assert code == 2
 
+    def test_non_numeric_row_after_header_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "seq.csv"
+        path.write_text("0,1.0\n1,0.4\n2,oops\n3,0.05\n")
+        code, out = run_cli(capsys, "iterate", "--csv", str(path),
+                            "--eps", "1.0", "--delta", "0.2")
+        assert code == 2
+        assert "line 3" in json.loads(out)["error"]
+
+    def test_S_beyond_K_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "seq.csv"
+        path.write_text("k,a\n0,1.0\n1,0.4\n2,0.1\n3,0.05\n")
+        code, out = run_cli(capsys, "iterate", "--csv", str(path),
+                            "--eps", "1.0", "--delta", "0.2", "--S", "9")
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert "S=9" in err and "K=3" in err
+
 
 class TestVerifyCommand:
     def test_partition_small_grid(self, capsys):
@@ -101,23 +118,19 @@ class TestVerifyCommand:
         assert data["passed"] is True
         assert all(v["spread"] <= 10.0 for v in data["symbols"].values())
 
+    @pytest.mark.parametrize("what, flag, value", [("paraproduct", "--N", "64"),
+                                                     ("apbound", "--n", "3")])
+    def test_flag_the_bundle_does_not_take_exits_2(self, capsys, what, flag, value):
+        code, out = run_cli(capsys, "verify", what, flag, value)
+        assert code == 2
+        assert flag in json.loads(out)["error"]
+
     def test_deterministic_output(self, capsys):
         _, out1 = run_cli(capsys, "verify", "partition", "--n", "1", "--N", "64",
                           "--seed", "5")
         _, out2 = run_cli(capsys, "verify", "partition", "--n", "1", "--N", "64",
                           "--seed", "5")
         assert out1 == out2
-
-
-class TestWorkerCap:
-    def test_threads_env_honored(self, monkeypatch):
-        from lpw.verify import worker_count
-        monkeypatch.setenv("LPW_THREADS", "1")
-        assert worker_count() == 1
-        monkeypatch.setenv("LPW_THREADS", "64")
-        assert 1 <= worker_count() <= 4
-        monkeypatch.delenv("LPW_THREADS")
-        assert worker_count() >= 1
 
 
 class TestProbeCommand:

@@ -1,4 +1,6 @@
 import math
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,6 +8,9 @@ import pytest
 from lpw.grid import (GridSpec, SpectralField, dot_product, forward_transform,
                       grid_product, inverse_transform, lp_norm, pointwise_product,
                       random_field, read_field, write_field)
+from lpw.paraproduct import split
+from lpw.psido import commutator_symbol_remainder
+from lpw.symbols import apply, resolve_symbol
 
 
 def mode(grid, xi, ncomp=1):
@@ -65,6 +70,37 @@ class TestTransforms:
         f = random_field(grid2, 12)
         both = inverse_transform(forward_transform(f))
         assert both.representation_error() <= 1e-12
+
+
+class TestTransformCounts:
+    """Transforms of small fixed workloads, pinned so an extra pass fails.
+
+    Each call is keyed by (transform, calling function): every transform
+    goes through grid._forward or grid._inverse.
+    """
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = Counter()
+        for name in ("fftn", "ifftn"):
+            def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+                seen[_name, sys._getframe(1).f_code.co_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        return seen
+
+    def test_split(self, calls, grid2, part2):
+        split(random_field(grid2, 1), random_field(grid2, 2), 3, part2)
+        assert calls == {("fftn", "_forward"): 1, ("ifftn", "_inverse"): 4}
+
+    def test_separable_apply(self, calls):
+        sym = resolve_symbol("sep:one*pow:2+twoplussin:0*ixi:1")
+        apply(sym, random_field(GridSpec(2, 16), 3))
+        assert calls == {("ifftn", "_inverse"): 2}
+
+    def test_symbol_remainder(self, calls):
+        commutator_symbol_remainder(resolve_symbol("sep:cos:0*pow:1"), GridSpec(1, 64), 3)
+        assert calls == {("fftn", "_forward"): 4, ("ifftn", "_inverse"): 4}
 
 
 class TestNorms:

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from lpw.exponents import RegularityParams
 from lpw.grid import GridSpec, SpectralField, lp_norm, random_field
@@ -8,6 +9,7 @@ from lpw.lp import build_partition, flat_dyadic_field, shell_packet, shell_sum_f
 from lpw.paraproduct import (all_pairs_shell, product_shell, shell_transfer_ratio,
                              split, zone_estimate_report, zones)
 from lpw.symbols import multiplier
+from lpw.verify import _zone_estimate_stability
 
 
 class TestZoneSets:
@@ -164,3 +166,8 @@ class TestZoneEstimates:
         assert set(d["zone"]) == {"I+II", "III", "IV"}
         for entry in d["zone"].values():
             assert set(entry) == {"lhs", "rhs", "constant"}
+
+    def test_stability_grid_must_hold_zone_iv(self):
+        # on 2^16 (jmax 15) zone IV is empty at k = 10, 11
+        with pytest.raises(ValueError, match=r"jmax >= max\(ks\) \+ 6 = 17"):
+            _zone_estimate_stability(5, N=1 << 16)
