@@ -7,7 +7,7 @@ exponent bookkeeping for critical-regularity estimates, and an end-to-end
 of model elliptic equations.
 """
 
-from .grid import GridSpec, SpectralField, forward_transform, inverse_transform
+from .grid import GridSpec, SpectralField
 from .grid import lp_norm, pointwise_product, dot_product
 from .lp import LPPartition, build_partition, project, project_range, project_window
 from .lp import bernstein_ratio, sobolev_norm, dyadic_norm_sequence, DyadicNormSequence
@@ -20,7 +20,7 @@ from .iteration import convolution_majorant
 __version__ = "0.1.0"
 
 __all__ = [
-    "GridSpec", "SpectralField", "forward_transform", "inverse_transform",
+    "GridSpec", "SpectralField",
     "lp_norm", "pointwise_product", "dot_product",
     "LPPartition", "build_partition", "project", "project_range", "project_window",
     "bernstein_ratio", "sobolev_norm", "dyadic_norm_sequence", "DyadicNormSequence",

@@ -263,19 +263,6 @@ def _inverse(coeffs: np.ndarray) -> np.ndarray:
     return np.fft.ifftn(coeffs, axes=tuple(range(1, coeffs.ndim))) * math.prod(coeffs.shape[1:])
 
 
-def forward_transform(f: SpectralField) -> SpectralField:
-    """Return a field carrying the frequency representation of `f`.
-
-    Parseval-exact: the l^2 norm of the coefficients equals lp_norm(f, 2).
-    """
-    return SpectralField(f.grid, phys=f._phys, freq=f.coefficients)
-
-
-def inverse_transform(f: SpectralField) -> SpectralField:
-    """Return a field carrying the physical representation of `f`."""
-    return SpectralField(f.grid, phys=f.physical, freq=f._freq)
-
-
 # -- norms --------------------------------------------------------------
 
 
@@ -338,6 +325,14 @@ def field_from_padded(grid: GridSpec, fine: np.ndarray, degree: int = 2) -> Spec
     return SpectralField(grid, freq=_extract(_forward(fine), N, M, grid.dim))
 
 
+def _pair_product_fine(pv: np.ndarray, pw: np.ndarray) -> np.ndarray:
+    # matching multi-component inputs contract over components (dot); a
+    # scalar against anything broadcasts
+    if pv.shape[0] == pw.shape[0] and pv.shape[0] > 1:
+        return np.sum(pv * pw, axis=0, keepdims=True)
+    return pv * pw
+
+
 def _check_pair(f: SpectralField, g: SpectralField) -> None:
     """Raise unless f and g share a grid and their components broadcast."""
     if f.grid != g.grid:
@@ -361,16 +356,19 @@ def pointwise_product(f: SpectralField, g: SpectralField, degree: int = 2) -> Sp
     return field_from_padded(f.grid, pf * pg, degree)
 
 
+def _pair_product(V: SpectralField, w: SpectralField, degree: int = 2) -> SpectralField:
+    """Dealiased V w, contracted over components as in _pair_product_fine."""
+    if V.grid != w.grid:
+        raise ValueError("grid mismatch")
+    fine = _pair_product_fine(padded_physical(V, degree), padded_physical(w, degree))
+    return field_from_padded(V.grid, fine, degree)
+
+
 def dot_product(f: SpectralField, g: SpectralField, degree: int = 2) -> SpectralField:
     """Dealiased pointwise dot product sum_c f_c * g_c (scalar output)."""
-    if f.grid != g.grid:
-        raise ValueError("grid mismatch")
     if f.ncomp != g.ncomp:
         raise ValueError("component mismatch for dot product")
-    pf = padded_physical(f, degree)
-    pg = padded_physical(g, degree)
-    fine = np.sum(pf * pg, axis=0, keepdims=True)
-    return field_from_padded(f.grid, fine, degree)
+    return _pair_product(f, g, degree)
 
 
 def grid_product(f: SpectralField, g: SpectralField) -> SpectralField:
@@ -448,15 +446,30 @@ def write_field(path, f: SpectralField) -> None:
 
 
 def read_field(path) -> SpectralField:
+    """Read a write_field file; a malformed one raises ValueError naming why."""
     raw = Path(path).read_bytes()
     if raw[:8] != _FILE_MAGIC:
         raise ValueError("not a field file (bad magic)")
-    (version,) = struct.unpack("<I", raw[8:12])
+    if len(raw) < 28:
+        raise ValueError(f"truncated field file header ({len(raw)} of 28 bytes)")
+    version, pad, dim, N, ncomp = struct.unpack("<I4sIII", raw[8:28])
     if version != _FILE_VERSION:
         raise ValueError(f"unsupported field file version {version}")
-    dim, N, ncomp = struct.unpack("<III", raw[16:28])
+    if pad != bytes(4):
+        raise ValueError("nonzero pad bytes 12-15 in field file header")
     grid = GridSpec(dim, N)
+    if ncomp < 1:
+        raise ValueError(f"field file has {ncomp} components; need at least 1")
     count = ncomp * grid.npoints
+    if len(raw) != 28 + 16 * count:
+        raise ValueError(f"field file is {len(raw)} bytes; its header "
+                         f"(dim {dim}, N {N}, {ncomp} components) needs {28 + 16 * count}")
+    sidecar = Path(str(path) + ".json")
+    if sidecar.exists():
+        meta = json.loads(sidecar.read_text())
+        header = {"dim": dim, "points_per_axis": N, "components": ncomp}
+        if not isinstance(meta, dict) or any(meta.get(k) != v for k, v in header.items()):
+            raise ValueError(f"sidecar {sidecar.name} disagrees with the header {header}")
     flat = np.frombuffer(raw, dtype="<f8", offset=28, count=2 * count)
     vals = flat[0::2] + 1j * flat[1::2]
     return SpectralField(grid, phys=vals.reshape((ncomp,) + grid.shape))

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exponents import RegularityParams
-from .grid import SpectralField, field_from_padded, lp_norm, padded_physical
+from .grid import (SpectralField, _pair_product, _pair_product_fine, field_from_padded,
+                   lp_norm, padded_physical)
 from .lp import LPPartition, dyadic_norm_sequence, project, project_window, sobolev_norm
 from .symbols import Symbol, apply
 
@@ -82,22 +83,6 @@ class ZoneSplit:
     @property
     def total(self) -> SpectralField:
         return self.I + self.II + self.III + self.IV
-
-
-def _pair_product_fine(pv: np.ndarray, pw: np.ndarray) -> np.ndarray:
-    # matching multi-component inputs contract over components (dot); a
-    # scalar against anything broadcasts
-    if pv.shape[0] == pw.shape[0] and pv.shape[0] > 1:
-        return np.sum(pv * pw, axis=0, keepdims=True)
-    return pv * pw
-
-
-def _pair_product(V: SpectralField, w: SpectralField, degree: int) -> SpectralField:
-    """Dealiased V w, contracted over components as in _pair_product_fine."""
-    if V.grid != w.grid:
-        raise ValueError("grid mismatch")
-    fine = _pair_product_fine(padded_physical(V, degree), padded_physical(w, degree))
-    return field_from_padded(V.grid, fine, degree)
 
 
 def split(V: SpectralField, w: SpectralField, k: int, part: LPPartition,

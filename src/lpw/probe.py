@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .exponents import GainReport, RegularityParams, check_params, compute_gains
-from .grid import (GridSpec, SpectralField, dot_product, grid_product, lp_norm,
-                   pointwise_product, random_field)
+from .grid import (GridSpec, SpectralField, _pair_product_fine, field_from_padded,
+                   grid_product, lp_norm, padded_physical, random_field)
 from .iteration import (DecaySequence, IterationParams, convolution_majorant,
                         decay_bound, delta_cap, hypothesis_holds, two_sided_kernel)
 from .lp import LPPartition, build_partition, dyadic_norm_sequence, sobolev_norm
@@ -41,8 +41,7 @@ class EquationSpec:
     """A model equation with its exponent data and nonlinearity structure.
 
     `nonlinearity(V, u)` evaluates P(V Q u); `coefficient(u)` produces the
-    field V(u) occupying the rough-coefficient slot.  `zone_cases` lists the
-    (V, scalar u, Q) triples the paraproduct analysis runs on.
+    field V(u) occupying the rough-coefficient slot.
     """
 
     kind: str
@@ -54,8 +53,27 @@ class EquationSpec:
     Q: Symbol
     coefficient: object
     nonlinearity: object
-    zone_cases: object
     forcing_projector: object = None
+
+
+def _quadratic_term(P: Symbol, Q: Symbol):
+    """Dealiased (V, u) -> P(V Q u), with Q applied to each component of u.
+
+    V contracts against each component's Q-output when the counts match
+    ((V.grad) u) and broadcasts otherwise.
+    """
+
+    def nonlinearity(V: SpectralField, u: SpectralField) -> SpectralField:
+        qu = np.concatenate([apply(Q, u.component(c)).coefficients
+                             for c in range(u.ncomp)])
+        pv = padded_physical(V)
+        pq = padded_physical(SpectralField(u.grid, freq=qu))
+        pq = pq.reshape((u.ncomp, -1) + pq.shape[1:])
+        fine = np.concatenate([_pair_product_fine(pv, w) for w in pq])
+        del pv, pq  # free the padded factors before the transform back
+        return apply(P, field_from_padded(u.grid, fine))
+
+    return nonlinearity
 
 
 def _ns_spec(n: int, s: float, p: float, amplitude: float) -> EquationSpec:
@@ -63,23 +81,12 @@ def _ns_spec(n: int, s: float, p: float, amplitude: float) -> EquationSpec:
                        "neg_laplacian")
     P = sym.leray_projector()
     gradv = sym.gradient_symbol()
-
-    def nonlinearity(V: SpectralField, u: SpectralField) -> SpectralField:
-        comps = [dot_product(V, apply(gradv, u.component(c))).coefficients[0]
-                 for c in range(u.ncomp)]
-        adv = SpectralField(u.grid, freq=np.stack(comps))
-        return apply(P, adv)
-
-    def zone_cases(V: SpectralField, u: SpectralField):
-        return [("advection:0", V, u.component(0), gradv)]
-
     return EquationSpec(
         kind="stationary-navier-stokes",
         params=RegularityParams(n=n, alpha=2.0, beta=0.0, gamma=1.0, s=s, p=p),
         ncomp=n, amplitude=amplitude, L=L, P=P, Q=gradv,
         coefficient=lambda u: u,
-        nonlinearity=nonlinearity,
-        zone_cases=zone_cases,
+        nonlinearity=_quadratic_term(P, gradv),
         forcing_projector=lambda f: apply(P, f),
     )
 
@@ -88,20 +95,12 @@ def _biharmonic_spec(n: int, s: float, p: float, amplitude: float) -> EquationSp
     L = sym.bilaplacian_symbol()
     P = sym.multiplier(2.0, lambda *xis: (1j * xis[0]) ** 2, "d11")
     Q = sym.grad_symbol(0)
-
-    def nonlinearity(V: SpectralField, u: SpectralField) -> SpectralField:
-        return apply(P, pointwise_product(V, apply(Q, u)))
-
-    def zone_cases(V: SpectralField, u: SpectralField):
-        return [("gradient-square", V, u, Q)]
-
     return EquationSpec(
         kind="biharmonic4d-toy",
         params=RegularityParams(n=n, alpha=4.0, beta=2.0, gamma=1.0, s=s, p=p),
         ncomp=1, amplitude=amplitude, L=L, P=P, Q=Q,
         coefficient=lambda u: apply(Q, u),
-        nonlinearity=nonlinearity,
-        zone_cases=zone_cases,
+        nonlinearity=_quadratic_term(P, Q),
     )
 
 
@@ -113,20 +112,12 @@ def _gjms_spec(n: int, s: float, p: float, amplitude: float) -> EquationSpec:
     P = sym.divergence_symbol()
     gradv = sym.gradient_symbol()
     lam3 = sym.fractional_laplacian_symbol(1.5)
-
-    def nonlinearity(V: SpectralField, u: SpectralField) -> SpectralField:
-        return apply(P, pointwise_product(V, apply(gradv, u)))
-
-    def zone_cases(V: SpectralField, u: SpectralField):
-        return [("conformal", V, u, gradv)]
-
     return EquationSpec(
         kind="gjms-toy",
         params=RegularityParams(n=n, alpha=float(n), beta=1.0, gamma=1.0, s=s, p=p),
         ncomp=1, amplitude=amplitude, L=L, P=P, Q=gradv,
         coefficient=lambda u: apply(lam3, u),
-        nonlinearity=nonlinearity,
-        zone_cases=zone_cases,
+        nonlinearity=_quadratic_term(P, gradv),
     )
 
 
@@ -176,18 +167,11 @@ def custom_equation(n: int, L_name: str, P_name: str, Q_name: str,
     L = sym.resolve_symbol(L_name)
     P = sym.resolve_symbol(P_name)
     Q = sym.resolve_symbol(Q_name)
-
-    def nonlinearity(V: SpectralField, u: SpectralField) -> SpectralField:
-        return apply(P, pointwise_product(V, apply(Q, u)))
-
-    def zone_cases(V: SpectralField, u: SpectralField):
-        return [("custom", V, u, Q)]
-
     eq = EquationSpec(
         kind="custom",
         params=RegularityParams(n=n, alpha=alpha, beta=beta, gamma=gamma, s=s, p=p),
         ncomp=1, amplitude=amplitude, L=L, P=P, Q=Q,
-        coefficient=lambda u: u, nonlinearity=nonlinearity, zone_cases=zone_cases,
+        coefficient=lambda u: u, nonlinearity=_quadratic_term(P, Q),
     )
     rep = check_params(eq.params)
     if not rep.ok:
@@ -244,16 +228,20 @@ class ManufacturedSolution:
     update_norms: tuple
 
 
+def _residual(eq: EquationSpec, u: SpectralField, nl: SpectralField,
+              forcing: SpectralField) -> float:
+    """||L u + nl - f||_2 / ||f||_2, given nl = P(V(u) Q u)."""
+    den = lp_norm(forcing, 2)
+    return lp_norm(apply(eq.L, u) + nl - forcing, 2) / (den if den > 0 else 1.0)
+
+
 def equation_residual(eq: EquationSpec, u: SpectralField,
                       forcing: SpectralField) -> float:
     """Fresh relative residual ||L u + P(V(u) Q u) - f||_2 / ||f||_2.
 
     Absolute for an identically-zero forcing.
     """
-    V = eq.coefficient(u)
-    lhs = apply(eq.L, u) + eq.nonlinearity(V, u) - forcing
-    den = lp_norm(forcing, 2)
-    return lp_norm(lhs, 2) / (den if den > 0 else 1.0)
+    return _residual(eq, u, eq.nonlinearity(eq.coefficient(u), u), forcing)
 
 
 def manufactured_solution(eq: EquationSpec, grid: GridSpec, seed: int = 7,
@@ -263,23 +251,24 @@ def manufactured_solution(eq: EquationSpec, grid: GridSpec, seed: int = 7,
 
     Plain iteration u <- L^{-1}(f - P(V(u) Q u)) on mean-zero fields; raises
     if the residual grows over five successive iterates (non-contraction).
+    Each iterate's nonlinearity serves both its residual and the next update.
     """
     if forcing is None:
         forcing = smooth_forcing(eq, grid, seed)
     Linv = _inverse_multiplier(eq.L)
     u = apply(Linv, forcing)
+    nl = eq.nonlinearity(eq.coefficient(u), u)
     updates = []
     res_prev = math.inf
     growth = 0
     for it in range(1, max_iter + 1):
-        V = eq.coefficient(u)
-        rhs = forcing - eq.nonlinearity(V, u)
-        u_next = apply(Linv, rhs)
+        u_next = apply(Linv, forcing - nl)
         if eq.forcing_projector is not None:
             u_next = eq.forcing_projector(u_next)
         updates.append(lp_norm(u_next - u, 2))
         u = u_next
-        res = equation_residual(eq, u, forcing)
+        nl = eq.nonlinearity(eq.coefficient(u), u)
+        res = _residual(eq, u, nl, forcing)
         if res <= tol:
             return ManufacturedSolution(u, forcing, res, it, tuple(updates))
         growth = growth + 1 if res > res_prev else 0
@@ -340,14 +329,20 @@ class DecayReport:
         }
 
 
-def dyadic_decay_report(u: SpectralField, sigma: float, r, window: tuple,
-                        part: LPPartition, epsilon_theory: float,
-                        tolerance: float = 0.1) -> DecayReport:
+def _check_window(window: tuple, part: LPPartition) -> None:
+    """Raise unless the fit window sits inside [2, jmax-2] and spans 4 shells."""
     lo, hi = window
     if not (2 <= lo and hi <= part.jmax - 2):
         raise ValueError(f"window {window} must sit inside [2, {part.jmax - 2}]")
     if hi - lo + 1 < 4:
         raise ValueError(f"window {window} shorter than 4 shells")
+
+
+def dyadic_decay_report(u: SpectralField, sigma: float, r, window: tuple,
+                        part: LPPartition, epsilon_theory: float,
+                        tolerance: float = 0.1) -> DecayReport:
+    _check_window(window, part)
+    lo, hi = window
     seq = dyadic_norm_sequence(part, u, r).values
     ks = np.arange(part.jmax + 1, dtype=float)
     a = (2.0 ** (sigma * ks)) * seq
@@ -428,6 +423,8 @@ def run_probe(eq: EquationSpec, grid: GridSpec, rho: float = 0.75,
     gains = compute_gains(eq.params)
     part = build_partition(grid)
     sigma, r, theta = gains.params.sigma, gains.params.r, gains.theta
+    window = (2, part.jmax - 2) if fit_window is None else tuple(fit_window)
+    _check_window(window, part)
 
     sol = manufactured_solution(eq, grid, seed)
     u_loc = localize(sol.u, rho)
@@ -443,8 +440,10 @@ def run_probe(eq: EquationSpec, grid: GridSpec, rho: float = 0.75,
 
     # pieces of the inverted localized equation:
     # u_loc = B(F_loc) - B P(V_loc Q u_loc) - B M u_loc + (I - B E) u_loc
-    F_loc = apply(eq.L, u_loc) + eq.nonlinearity(V_loc, u_loc)
-    main_term = apply(B, eq.nonlinearity(V_loc, u_loc))
+    Lu = apply(eq.L, u_loc)  # first: caches u_loc's coefficients for the nonlinearity
+    nl = eq.nonlinearity(V_loc, u_loc)
+    F_loc, main_term = Lu + nl, apply(B, nl)
+    del Lu, nl  # not used again; lowers the peak memory of the stages below
     bf = apply(B, F_loc)
     bm = apply(B, apply(es.M, u_loc))
     defect = u_loc.without_nyquist() - apply(B, apply(es.E, u_loc))
@@ -460,16 +459,11 @@ def run_probe(eq: EquationSpec, grid: GridSpec, rho: float = 0.75,
     }
 
     zone_ks = list(range(max(5, part.jmax - 4), part.jmax))[:4]
-    c_rho = None
-    zone_reports = []
-    for _label, Vz, uz, Qz in eq.zone_cases(V_loc, u_loc):
-        if c_rho is None:
-            c_rho = sobolev_norm(part, uz, sigma, r)
-        for k in zone_ks:
-            zr = zone_estimate_report(Vz, uz, Qz, k, gains.params, part, c_rho=c_rho)
-            zone_reports.append(zr)
+    u_zone = u_loc if eq.ncomp == 1 else u_loc.component(0)
+    c_rho = sobolev_norm(part, u_zone, sigma, r)
+    zone_reports = [zone_estimate_report(V_loc, u_zone, eq.Q, k, gains.params, part,
+                                         c_rho=c_rho) for k in zone_ks]
 
-    window = (2, part.jmax - 2) if fit_window is None else tuple(fit_window)
     decay = dyadic_decay_report(u_loc, sigma, r, window, part, gains.epsilon,
                                 tolerance)
     a = DecaySequence(np.asarray(decay.a_k))

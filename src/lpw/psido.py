@@ -316,11 +316,10 @@ class SymbolRemainderReport:
         }
 
 
-def _remainder_max(A: Symbol, grid: GridSpec, k: int, ts: np.ndarray,
-                   normalize: bool) -> float:
-    """max over sampled xi = t*e1 and grid x of |rho_k| (optionally normalized)."""
+def _remainder_max(A: Symbol, grid: GridSpec, k: int, ts: np.ndarray) -> tuple:
+    """Max of |rho_k| over sampled xi = t*e1 and grid x: raw, and / (1+|t|)^(order-1)."""
     xs = tuple(a[np.newaxis, ...] for a in grid.x_axes)
-    best = 0.0
+    best = best_n = 0.0
     chunk = max(1, (1 << 23) // max(1, grid.npoints * 16))
     for start in range(0, ts.size, chunk):
         t = ts[start:start + chunk]
@@ -335,11 +334,10 @@ def _remainder_max(A: Symbol, grid: GridSpec, k: int, ts: np.ndarray,
         phi = profile_value(k, np.sqrt(shift2)) - profile_value(k, np.abs(tcol))
         rho = _inverse(phi * ahat)
         mags = np.abs(rho).reshape(t.size, -1).max(axis=1)
-        if normalize:
-            mags = mags / (1.0 + np.abs(t)) ** (A.order - 1.0)
         if mags.size:
             best = max(best, float(mags.max()))
-    return best
+            best_n = max(best_n, float((mags / (1.0 + np.abs(t)) ** (A.order - 1.0)).max()))
+    return best, best_n
 
 
 def commutator_symbol_remainder(A: Symbol, grid: GridSpec, k: int,
@@ -357,10 +355,9 @@ def commutator_symbol_remainder(A: Symbol, grid: GridSpec, k: int,
     r2 = base * np.geomspace(8.0, 16.0, samples // 2)
     r3 = base * np.linspace(0.0, 1.0 / 8.0, samples)
     both = lambda t: np.concatenate([t, -t])
-    reg1 = _remainder_max(A, grid, k, both(r1), normalize=False)
-    reg1n = _remainder_max(A, grid, k, both(r1), normalize=True)
-    reg2 = _remainder_max(A, grid, k, both(r2), normalize=False)
-    reg3 = _remainder_max(A, grid, k, both(r3), normalize=False)
+    reg1, reg1n = _remainder_max(A, grid, k, both(r1))
+    reg2, _ = _remainder_max(A, grid, k, both(r2))
+    reg3, _ = _remainder_max(A, grid, k, both(r3))
     return SymbolRemainderReport(
         k=k, order=A.order, regime1_max=reg1, regime1_normalized=reg1n,
         regime2_max=reg2, regime3_max=reg3,

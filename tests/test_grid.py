@@ -1,14 +1,15 @@
 import math
+import struct
 import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from lpw.grid import (GridSpec, SpectralField, dot_product, forward_transform,
-                      grid_product, inverse_transform, lp_norm, pointwise_product,
-                      random_field, read_field, write_field)
+from lpw.grid import (GridSpec, SpectralField, dot_product, grid_product, lp_norm,
+                      pointwise_product, random_field, read_field, write_field)
 from lpw.paraproduct import split
+from lpw.probe import equation_spec
 from lpw.psido import commutator_symbol_remainder
 from lpw.symbols import apply, resolve_symbol
 
@@ -46,7 +47,7 @@ class TestGridSpec:
 class TestTransforms:
     def test_constant_field_is_dc(self, grid2):
         f = SpectralField(grid2, phys=np.ones(grid2.shape))
-        c = forward_transform(f).coefficients[0]
+        c = f.coefficients[0]
         assert abs(c[0, 0] - 1.0) < 1e-14
         c[0, 0] = 0.0
         assert np.abs(c).max() < 1e-14
@@ -61,14 +62,13 @@ class TestTransforms:
 
     def test_roundtrip_identity(self, grid2):
         f = random_field(grid2, 11)
-        g = inverse_transform(forward_transform(f))
-        back = SpectralField(grid2, phys=g.physical)
+        back = SpectralField(grid2, phys=f.physical)
         num = np.linalg.norm((back.coefficients - f.coefficients).ravel())
         assert num / np.linalg.norm(f.coefficients.ravel()) <= 1e-12
 
     def test_representation_consistency(self, grid2):
         f = random_field(grid2, 12)
-        both = inverse_transform(forward_transform(f))
+        both = SpectralField(grid2, phys=f.physical, freq=f.coefficients)
         assert both.representation_error() <= 1e-12
 
 
@@ -98,9 +98,16 @@ class TestTransformCounts:
         apply(sym, random_field(GridSpec(2, 16), 3))
         assert calls == {("ifftn", "_inverse"): 2}
 
+    def test_ns_nonlinearity(self, calls):
+        g = GridSpec(2, 64)
+        u = random_field(g, 4, ncomp=2)
+        eq = equation_spec("ns", n=2)
+        eq.nonlinearity(u, u)
+        assert calls == {("fftn", "_forward"): 1, ("ifftn", "_inverse"): 2}
+
     def test_symbol_remainder(self, calls):
         commutator_symbol_remainder(resolve_symbol("sep:cos:0*pow:1"), GridSpec(1, 64), 3)
-        assert calls == {("fftn", "_forward"): 4, ("ifftn", "_inverse"): 4}
+        assert calls == {("fftn", "_forward"): 3, ("ifftn", "_inverse"): 3}
 
 
 class TestNorms:
@@ -203,3 +210,50 @@ class TestFieldIO:
         p.write_bytes(b"NOTAFIELD" + b"\x00" * 64)
         with pytest.raises(ValueError):
             read_field(p)
+
+    def _write(self, tmp_path, raw: bytes):
+        p = tmp_path / "f.lpw"
+        p.write_bytes(raw)
+        return p
+
+    def _valid(self, ncomp=1) -> bytes:
+        """A well-formed all-zero file on the 1,16 grid (284 bytes at ncomp=1)."""
+        return (b"LPWFIELD" + struct.pack("<I", 1) + b"\x00" * 4
+                + struct.pack("<III", 1, 16, ncomp) + b"\x00" * (16 * ncomp * 16))
+
+    def test_short_header(self, tmp_path):
+        with pytest.raises(ValueError, match="truncated field file header"):
+            read_field(self._write(tmp_path, self._valid()[:20]))
+
+    def test_trailing_byte(self, tmp_path):
+        with pytest.raises(ValueError, match="needs 284"):
+            read_field(self._write(tmp_path, self._valid() + b"\x00"))
+
+    def test_nonzero_pad(self, tmp_path):
+        raw = bytearray(self._valid())
+        raw[14] = 1
+        with pytest.raises(ValueError, match="pad bytes"):
+            read_field(self._write(tmp_path, bytes(raw)))
+
+    def test_zero_components(self, tmp_path):
+        with pytest.raises(ValueError, match="0 components"):
+            read_field(self._write(tmp_path, self._valid(ncomp=0)))
+
+    def test_sidecar_disagrees(self, tmp_path, grid2):
+        f = random_field(grid2, 22, ncomp=2)
+        path = tmp_path / "f.lpw"
+        write_field(path, f)
+        side = tmp_path / "f.lpw.json"
+        side.write_text(side.read_text().replace('"components": 2', '"components": 3'))
+        with pytest.raises(ValueError, match="sidecar"):
+            read_field(path)
+
+    def test_every_truncation_rejected(self, tmp_path):
+        f = random_field(GridSpec(1, 16), 23)
+        path = tmp_path / "f.lpw"
+        write_field(path, f)
+        raw = path.read_bytes()
+        for n in range(len(raw)):
+            path.write_bytes(raw[:n])
+            with pytest.raises(ValueError):
+                read_field(path)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -52,8 +53,7 @@ class TestManufacture:
             kind="linear", params=base.params, ncomp=1, amplitude=base.amplitude,
             L=base.L, P=base.P, Q=base.Q,
             coefficient=lambda u: SpectralField.zeros(g),
-            nonlinearity=lambda V, u: SpectralField.zeros(g),
-            zone_cases=base.zone_cases)
+            nonlinearity=lambda V, u: SpectralField.zeros(g))
         sol = manufactured_solution(zero_nl, g, seed=3)
         assert sol.iterations == 1
         assert sol.residual <= 1e-12
@@ -74,6 +74,19 @@ class TestManufacture:
         sol = manufactured_solution(eq, g, seed=6)
         fresh = equation_residual(eq, sol.u, sol.forcing)
         assert fresh <= 1e-10
+
+    def test_one_nonlinearity_per_iterate(self):
+        g = GridSpec(2, 64)
+        eq = equation_spec("ns", n=2)
+        seen = []
+
+        def counted(V, u):
+            seen.append(1)
+            return eq.nonlinearity(V, u)
+
+        sol = manufactured_solution(dataclasses.replace(eq, nonlinearity=counted), g, seed=6)
+        assert sol.iterations == 3
+        assert len(seen) == sol.iterations + 1
 
     def test_gjms_manufacture(self):
         g = GridSpec(3, 32)
@@ -197,9 +210,17 @@ class TestRunProbe:
         bad = EquationSpec(kind="bad", params=eq.params.__class__(
             n=2, alpha=2, beta=1, gamma=1, s=1.2, p=2), ncomp=1,
             amplitude=1e-2, L=eq.L, P=eq.P, Q=eq.Q, coefficient=eq.coefficient,
-            nonlinearity=eq.nonlinearity, zone_cases=eq.zone_cases)
+            nonlinearity=eq.nonlinearity)
         with pytest.raises(ValueError, match="order-gap"):
             run_probe(bad, GridSpec(2, 256))
+
+    def test_short_window_rejected_before_compute(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("manufacture ran before the window check")
+
+        monkeypatch.setattr("lpw.probe.manufactured_solution", unreachable)
+        with pytest.raises(ValueError, match="window"):
+            run_probe(equation_spec("ns", n=2), GridSpec(2, 128))
 
     def test_full_pipeline_ns(self):
         rep = run_probe(equation_spec("ns", n=2), GridSpec(2, 256), seed=7)
