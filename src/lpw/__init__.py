@@ -9,8 +9,9 @@ of model elliptic equations.
 
 from .grid import GridSpec, SpectralField
 from .grid import lp_norm, pointwise_product, dot_product
-from .lp import LPPartition, build_partition, project, project_range, project_window
-from .lp import bernstein_ratio, sobolev_norm, dyadic_norm_sequence, DyadicNormSequence
+from .lp import LPPartition, build_partition, project, project_window, shell_moduli
+from .lp import bernstein_ratio, sobolev_norm, sobolev_norms, dyadic_norm_sequence
+from .lp import DyadicNormSequence
 from .symbols import Symbol, apply, quantize_direct, resolve_symbol, leray_projector
 from .exponents import RegularityParams, GainReport, check_hypotheses, critical_exponent
 from .exponents import lift_parameters, bootstrap_exponents, epsilon_gain, theta_exponent
@@ -22,8 +23,9 @@ __version__ = "0.1.0"
 __all__ = [
     "GridSpec", "SpectralField",
     "lp_norm", "pointwise_product", "dot_product",
-    "LPPartition", "build_partition", "project", "project_range", "project_window",
-    "bernstein_ratio", "sobolev_norm", "dyadic_norm_sequence", "DyadicNormSequence",
+    "LPPartition", "build_partition", "project", "project_window", "shell_moduli",
+    "bernstein_ratio", "sobolev_norm", "sobolev_norms", "dyadic_norm_sequence",
+    "DyadicNormSequence",
     "Symbol", "apply", "quantize_direct", "resolve_symbol", "leray_projector",
     "RegularityParams", "GainReport", "check_hypotheses", "critical_exponent",
     "lift_parameters", "bootstrap_exponents", "epsilon_gain", "theta_exponent",

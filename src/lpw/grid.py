@@ -15,6 +15,7 @@ Conventions (used consistently by every module):
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import struct
@@ -154,14 +155,6 @@ class SpectralField:
         return arr
 
     @classmethod
-    def from_physical(cls, grid: GridSpec, values) -> "SpectralField":
-        return cls(grid, phys=values)
-
-    @classmethod
-    def from_coefficients(cls, grid: GridSpec, coeffs) -> "SpectralField":
-        return cls(grid, freq=coeffs)
-
-    @classmethod
     def zeros(cls, grid: GridSpec, ncomp: int = 1) -> "SpectralField":
         return cls(grid, freq=np.zeros((ncomp,) + grid.shape, dtype=np.complex128))
 
@@ -255,12 +248,16 @@ class SpectralField:
 
 def _forward(phys: np.ndarray) -> np.ndarray:
     """Fourier coefficients: fftn over the spatial axes / their point count."""
-    return np.fft.fftn(phys, axes=tuple(range(1, phys.ndim))) / math.prod(phys.shape[1:])
+    out = np.fft.fftn(phys, axes=tuple(range(1, phys.ndim)))
+    out /= math.prod(phys.shape[1:])
+    return out
 
 
 def _inverse(coeffs: np.ndarray) -> np.ndarray:
     """Physical samples: ifftn over the spatial axes * their point count."""
-    return np.fft.ifftn(coeffs, axes=tuple(range(1, coeffs.ndim))) * math.prod(coeffs.shape[1:])
+    out = np.fft.ifftn(coeffs, axes=tuple(range(1, coeffs.ndim)))
+    out *= math.prod(coeffs.shape[1:])
+    return out
 
 
 # -- norms --------------------------------------------------------------
@@ -271,9 +268,13 @@ def lp_norm(f: SpectralField, p) -> float:
 
     p < 1 is rejected.
     """
+    return _modulus_norm(f.modulus(), p)
+
+
+def _modulus_norm(mod: np.ndarray, p) -> float:
+    """L^p norm, with normalized measure, of a pointwise modulus array."""
     if p != math.inf and p < 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
-    mod = f.modulus()
     if p == math.inf:
         return float(np.max(mod))
     if p == 2:
@@ -294,35 +295,30 @@ def _pad_factor(degree: int) -> float:
     raise ValueError(f"degree must be 2 or 3, got {degree}")
 
 
-def _embed(coeffs: np.ndarray, N: int, M: int, dim: int) -> np.ndarray:
-    spatial = tuple(range(1, dim + 1))
-    shifted = np.fft.fftshift(coeffs, axes=spatial)
-    out = np.zeros((coeffs.shape[0],) + (M,) * dim, dtype=np.complex128)
-    lo, hi = M // 2 - N // 2, M // 2 + N // 2
-    out[(slice(None),) + (slice(lo, hi),) * dim] = shifted
-    return np.fft.ifftshift(out, axes=spatial)
+def _relattice(coeffs: np.ndarray, n_out: int) -> np.ndarray:
+    """Coefficients moved to the n_out-point lattice, exactly.
 
-
-def _extract(coeffs: np.ndarray, N: int, M: int, dim: int) -> np.ndarray:
-    spatial = tuple(range(1, dim + 1))
-    shifted = np.fft.fftshift(coeffs, axes=spatial)
-    lo, hi = M // 2 - N // 2, M // 2 + N // 2
-    inner = shifted[(slice(None),) + (slice(lo, hi),) * dim]
-    return np.fft.ifftshift(inner, axes=spatial)
+    Per axis, frequencies 0..h-1 sit first and -h..-1 last in both layouts,
+    so the frequencies both lattices hold are 2^dim block copies; the rest
+    are zero.
+    """
+    h = min(coeffs.shape[1], n_out) // 2
+    out = np.zeros((coeffs.shape[0],) + (n_out,) * (coeffs.ndim - 1), dtype=np.complex128)
+    for block in itertools.product((slice(0, h), slice(-h, None)), repeat=coeffs.ndim - 1):
+        out[(slice(None),) + block] = coeffs[(slice(None),) + block]
+    return out
 
 
 def padded_physical(f: SpectralField, degree: int = 2) -> np.ndarray:
     """Physical samples of `f` on the dealiasing fine grid (M points/axis)."""
     N = f.grid.points_per_axis
     M = int(N * _pad_factor(degree))
-    return _inverse(_embed(f.coefficients, N, M, f.grid.dim))
+    return _inverse(_relattice(f.coefficients, M))
 
 
-def field_from_padded(grid: GridSpec, fine: np.ndarray, degree: int = 2) -> SpectralField:
+def field_from_padded(grid: GridSpec, fine: np.ndarray) -> SpectralField:
     """Truncate fine-grid physical samples back to coefficients on `grid`."""
-    N = grid.points_per_axis
-    M = int(N * _pad_factor(degree))
-    return SpectralField(grid, freq=_extract(_forward(fine), N, M, grid.dim))
+    return SpectralField(grid, freq=_relattice(_forward(fine), grid.points_per_axis))
 
 
 def _pair_product_fine(pv: np.ndarray, pw: np.ndarray) -> np.ndarray:
@@ -353,7 +349,7 @@ def pointwise_product(f: SpectralField, g: SpectralField, degree: int = 2) -> Sp
     _check_pair(f, g)
     pf = padded_physical(f, degree)
     pg = padded_physical(g, degree)
-    return field_from_padded(f.grid, pf * pg, degree)
+    return field_from_padded(f.grid, pf * pg)
 
 
 def _pair_product(V: SpectralField, w: SpectralField, degree: int = 2) -> SpectralField:
@@ -361,7 +357,7 @@ def _pair_product(V: SpectralField, w: SpectralField, degree: int = 2) -> Spectr
     if V.grid != w.grid:
         raise ValueError("grid mismatch")
     fine = _pair_product_fine(padded_physical(V, degree), padded_physical(w, degree))
-    return field_from_padded(V.grid, fine, degree)
+    return field_from_padded(V.grid, fine)
 
 
 def dot_product(f: SpectralField, g: SpectralField, degree: int = 2) -> SpectralField:

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng
-from .grid import GridSpec, SpectralField, lp_norm
+from .grid import GridSpec, SpectralField, _modulus_norm, lp_norm
 from .smooth import ramp_down
 
 RING_LO = 3.0 / 5.0
@@ -61,7 +61,6 @@ class LPPartition:
     grid: GridSpec
     jmax: int
     profiles: tuple          # index 0 = low cap, 1..jmax = shells
-    ring_bounds: tuple       # per index: (inner, outer) support radii
 
     def profile(self, j: int) -> np.ndarray:
         if not 0 <= j <= self.jmax:
@@ -70,10 +69,7 @@ class LPPartition:
 
     def partition_deviation(self) -> float:
         """Max pointwise deviation of the profile sum from 1 on the lattice."""
-        total = np.zeros(self.grid.shape)
-        for p in self.profiles:
-            total = total + p
-        return float(np.max(np.abs(total - 1.0)))
+        return float(np.max(np.abs(sum(self.profiles) - 1.0)))
 
 
 def build_partition(grid: GridSpec) -> LPPartition:
@@ -82,16 +78,9 @@ def build_partition(grid: GridSpec) -> LPPartition:
     if J < 3:
         raise ValueError(f"grid too small: only {J} dyadic shells, need >= 3")
     r = grid.xi_abs
-    profiles = [psi(r)]
-    for j in range(1, J):
-        profiles.append(psi(r / 2.0**j) - psi(r / 2.0 ** (j - 1)))
+    profiles = [profile_value(j, r) for j in range(J)]
     profiles.append(1.0 - psi(r / 2.0 ** (J - 1)))
-    corner = grid.xi_abs.max()
-    bounds = [(0.0, _PSI_ZERO)]
-    for j in range(1, J):
-        bounds.append((RING_LO * 2.0**j, RING_HI * 2.0**j))
-    bounds.append((RING_LO * 2.0**J, max(RING_HI * 2.0**J, corner)))
-    return LPPartition(grid, J, tuple(profiles), tuple(bounds))
+    return LPPartition(grid, J, tuple(profiles))
 
 
 def project(part: LPPartition, f: SpectralField, j: int) -> SpectralField:
@@ -106,15 +95,7 @@ def project_window(part: LPPartition, f: SpectralField, lo: int, hi: int) -> Spe
     hi = min(hi, part.jmax)
     if hi < lo:
         return SpectralField.zeros(f.grid, f.ncomp)
-    prof = np.zeros(f.grid.shape)
-    for j in range(lo, hi + 1):
-        prof = prof + part.profiles[j]
-    return SpectralField(f.grid, freq=f.coefficients * prof)
-
-
-def project_range(part: LPPartition, f: SpectralField, a: int, b: int) -> SpectralField:
-    """Open-window sum over a < j < b (empty window gives the zero field)."""
-    return project_window(part, f, a + 1, b - 1)
+    return SpectralField(f.grid, freq=f.coefficients * sum(part.profiles[lo:hi + 1]))
 
 
 def bernstein_ratio(f: SpectralField, j: int, p, q) -> float:
@@ -139,51 +120,84 @@ def bernstein_ratio(f: SpectralField, j: int, p, q) -> float:
     return lp_norm(f, q) / (scale * lp_norm(f, p))
 
 
-def sobolev_norm(part: LPPartition, f: SpectralField, s: float, p: float) -> float:
-    """Inhomogeneous smoothness norm from the dyadic square function.
+def shell_moduli(part: LPPartition, f: SpectralField, lo: int = 0, hi: int | None = None):
+    """Yield |P_j f| for j = lo..hi (every shell by default).
 
-    (||P_cap f||_p^p + || (sum_j 2^(2js) |P_j f|^2)^(1/2) ||_p^p)^(1/p);
-    s may be any real, p must lie in (1, inf).
+    The one split of a field into shells: one inverse transform per shell,
+    made when the next is asked for, so a caller that reduces each shell as
+    it comes never holds them all.
     """
-    if not (1.0 < p < math.inf):
-        raise ValueError(f"p must be in (1, inf), got {p}")
-    cap = lp_norm(project(part, f, 0), p)
-    sq = np.zeros(f.grid.shape)
-    for j in range(1, part.jmax + 1):
-        mod = project(part, f, j).modulus()
-        sq = sq + (4.0 ** (j * s)) * mod * mod
-    sf = np.sqrt(sq)
-    sf_norm = float(np.mean(sf**p) ** (1.0 / p))
-    return float((cap**p + sf_norm**p) ** (1.0 / p))
+    coeffs = f.coefficients
+    for j in range(lo, (part.jmax if hi is None else hi) + 1):
+        yield SpectralField(f.grid, freq=coeffs * part.profile(j)).modulus()
+
+
+def _reduce_shells(part: LPPartition, f: SpectralField, r=None, pairs=(),
+                   lo: int = 0, hi: int | None = None) -> tuple:
+    """From one streamed split of f: the L^r norm of each shell lo..hi (if r
+    is given) and the smoothness norm ||f||_{s,p} for each (s, p) in pairs,
+
+        (||P_cap f||_p^p + || (sum_j 2^(2js) |P_j f|^2)^(1/2) ||_p^p)^(1/p).
+    """
+    for _, p in pairs:
+        if not 1.0 < p < math.inf:
+            raise ValueError(f"p must be in (1, inf), got {p}")
+    if pairs and (lo, hi) not in ((0, None), (0, part.jmax)):
+        raise ValueError("a smoothness norm needs every shell")
+    norms, caps, squares = [], [0.0] * len(pairs), [0.0] * len(pairs)
+    for j, mod in enumerate(shell_moduli(part, f, lo, hi), lo):
+        if r is not None:
+            norms.append(_modulus_norm(mod, r))
+        for i, (s, p) in enumerate(pairs):
+            if j == 0:
+                caps[i] = _modulus_norm(mod, p)
+            else:
+                squares[i] = squares[i] + (4.0 ** (j * s)) * mod * mod
+    smoothness = []
+    for cap, sq, (_, p) in zip(caps, squares, pairs):
+        sf_norm = float(np.mean(np.sqrt(sq) ** p) ** (1.0 / p))
+        smoothness.append(float((cap**p + sf_norm**p) ** (1.0 / p)))
+    return norms, smoothness
+
+
+def sobolev_norms(part: LPPartition, f: SpectralField, pairs) -> list:
+    """Smoothness norms ||f||_{s,p} (s real, 1 < p < inf), one per pair, from one split."""
+    return _reduce_shells(part, f, pairs=list(pairs))[1]
+
+
+def sobolev_norm(part: LPPartition, f: SpectralField, s: float, p: float) -> float:
+    """Inhomogeneous smoothness norm ||f||_{s,p} from the dyadic square function."""
+    return sobolev_norms(part, f, [(s, p)])[0]
 
 
 @dataclass
 class DyadicNormSequence:
-    """Per-shell L^r norms of a field, j = 0..jmax."""
+    """Per-shell L^r norms of a field: values[i] belongs to shell lo + i.
+
+    `smoothness` is ||f||_{sigma,r} when the sequence was taken with sigma.
+    """
 
     r: float
     values: np.ndarray
-
-    @property
-    def sup_norm(self) -> float:
-        return float(np.max(self.values)) if len(self.values) else 0.0
-
-    def log2(self, floor: float = 0.0) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return np.log2(np.maximum(self.values, floor))
+    lo: int = 0
+    smoothness: float | None = None
 
     def to_csv(self, path) -> None:
-        with open(Path(path), "w", newline="") as fh:
+        with open(Path(path), "w", newline="") as fh, np.errstate(divide="ignore"):
             w = csv.writer(fh)
             w.writerow(["j", "norm", "log2norm"])
-            logs = self.log2()
-            for j, (v, lv) in enumerate(zip(self.values, logs)):
+            logs = np.log2(self.values)
+            for j, (v, lv) in enumerate(zip(self.values, logs), self.lo):
                 w.writerow([j, repr(float(v)), repr(float(lv))])
 
 
-def dyadic_norm_sequence(part: LPPartition, f: SpectralField, r) -> DyadicNormSequence:
-    vals = np.array([lp_norm(project(part, f, j), r) for j in range(part.jmax + 1)])
-    return DyadicNormSequence(r=r, values=vals)
+def dyadic_norm_sequence(part: LPPartition, f: SpectralField, r, lo: int = 0,
+                         hi: int | None = None, sigma: float | None = None
+                         ) -> DyadicNormSequence:
+    """L^r norms of the shells lo..hi of f; with sigma (every shell), also ||f||_{sigma,r}."""
+    pairs = () if sigma is None else ((sigma, r),)
+    norms, smoothness = _reduce_shells(part, f, r, pairs, lo, hi)
+    return DyadicNormSequence(r, np.array(norms), lo, smoothness[0] if pairs else None)
 
 
 # -- seeded synthetic fields ---------------------------------------------

@@ -24,7 +24,7 @@ import numpy as np
 from .exponents import RegularityParams
 from .grid import (SpectralField, _pair_product, _pair_product_fine, field_from_padded,
                    lp_norm, padded_physical)
-from .lp import LPPartition, dyadic_norm_sequence, project, project_window, sobolev_norm
+from .lp import LPPartition, dyadic_norm_sequence, project, project_window
 from .symbols import Symbol, apply
 
 
@@ -106,7 +106,7 @@ def split(V: SpectralField, w: SpectralField, k: int, part: LPPartition,
     def finish(fine):
         if fine is None:
             return SpectralField.zeros(grid, out_ncomp)
-        return project(part, field_from_padded(grid, fine, degree), k)
+        return project(part, field_from_padded(grid, fine), k)
 
     # LL = [k-5, k+7]^2 minus the corner [k+6, k+7]^2
     fine = _pair_product_fine(wpad(V, k - 5, k + 7), wpad(w, k - 5, k + 7))
@@ -171,7 +171,7 @@ def shell_transfer_ratio(u: SpectralField, Q: Symbol, j: int, r,
     num = lp_norm(project(part, apply(Q, u), j), r)
     lo, hi = max(0, j - 10), min(part.jmax, j + 10)
     den = 2.0 ** (Q.order * j) * sum(
-        lp_norm(project(part, u, i), r) for i in range(lo, hi + 1)
+        dyadic_norm_sequence(part, u, r, lo, hi).values.tolist()
     ) + 2.0 ** (-decay * j)
     return num / den
 
@@ -239,17 +239,15 @@ def _weighted_sum(du: np.ndarray, sigma: float, j_lo: int, j_hi: int,
 
 
 def zone_estimate_report(V: SpectralField, u: SpectralField, Q: Symbol, k: int,
-                         params: RegularityParams, part: LPPartition,
-                         c_rho: float | None = None) -> ZoneEstimateReport:
+                         params: RegularityParams, part: LPPartition) -> ZoneEstimateReport:
     params = params.lifted()
     n, alpha, beta, gamma = params.n, params.alpha, params.beta, params.gamma
     sigma, r, q = params.sigma, params.r, params.q
     w = apply(Q, u)
     zs = split(V, w, k, part)
     delta = lp_norm(V, q)
-    du = dyadic_norm_sequence(part, u, r).values
-    if c_rho is None:
-        c_rho = sobolev_norm(part, u, sigma, r)
+    seq = dyadic_norm_sequence(part, u, r, sigma=sigma)  # one split for du and c_rho
+    du, c_rho = seq.values, seq.smoothness
     scale = 2.0 ** ((-alpha + beta + sigma) * k)
     tiny_tail = c_rho * 2.0 ** (-min(100.0 * k, 960.0))
 

@@ -25,7 +25,7 @@ from .grid import (GridSpec, SpectralField, _pair_product_fine, field_from_padde
                    grid_product, lp_norm, padded_physical, random_field)
 from .iteration import (DecaySequence, IterationParams, convolution_majorant,
                         decay_bound, delta_cap, hypothesis_holds, two_sided_kernel)
-from .lp import LPPartition, build_partition, dyadic_norm_sequence, sobolev_norm
+from .lp import DyadicNormSequence, LPPartition, build_partition, dyadic_norm_sequence
 from .paraproduct import zone_estimate_report
 from .psido import fit_log2_slope, parametrix, split_elliptic
 from .smooth import ramp_down
@@ -338,14 +338,15 @@ def _check_window(window: tuple, part: LPPartition) -> None:
         raise ValueError(f"window {window} shorter than 4 shells")
 
 
-def dyadic_decay_report(u: SpectralField, sigma: float, r, window: tuple,
+def dyadic_decay_report(seq: DyadicNormSequence, sigma: float, window: tuple,
                         part: LPPartition, epsilon_theory: float,
                         tolerance: float = 0.1) -> DecayReport:
+    """Fit the decay of a_k = 2^(sigma k) seq_k over the window (seq: every shell)."""
     _check_window(window, part)
     lo, hi = window
-    seq = dyadic_norm_sequence(part, u, r).values
+    r = seq.r
     ks = np.arange(part.jmax + 1, dtype=float)
-    a = (2.0 ** (sigma * ks)) * seq
+    a = (2.0 ** (sigma * ks)) * seq.values
     fit = fit_log2_slope(range(lo, hi + 1), a[lo:hi + 1], floor=1e-14)
     eps_meas = -fit.slope
     return DecayReport(
@@ -401,10 +402,6 @@ class ProbeReport:
                               + "\n")
 
 
-def _sequence_of(fld: SpectralField, part: LPPartition, r) -> list:
-    return [float(v) for v in dyadic_norm_sequence(part, fld, r).values]
-
-
 def run_probe(eq: EquationSpec, grid: GridSpec, rho: float = 0.75,
               seed: int = 7, tolerance: float = 0.1,
               fit_window: tuple | None = None,
@@ -449,23 +446,19 @@ def run_probe(eq: EquationSpec, grid: GridSpec, rho: float = 0.75,
     defect = u_loc.without_nyquist() - apply(B, apply(es.E, u_loc))
     recon = bf - main_term - bm + defect
     identity_err = lp_norm(recon - u_loc.without_nyquist(), 2) / lp_norm(u_loc, 2)
-    mainline = {
-        "u_loc": _sequence_of(u_loc, part, r),
-        "main_term": _sequence_of(main_term, part, r),
-        "forcing_side": _sequence_of(bf, part, r),
-        "ball_remainder": _sequence_of(bm, part, r),
-        "parametrix_defect": _sequence_of(defect, part, r),
-        "identity_error": identity_err,
-    }
+    u_seq = dyadic_norm_sequence(part, u_loc, r)  # serves the mainline and the fit
+    mainline = {name: dyadic_norm_sequence(part, fld, r).values.tolist()
+                for name, fld in (("main_term", main_term), ("forcing_side", bf),
+                                  ("ball_remainder", bm), ("parametrix_defect", defect))}
+    mainline["u_loc"] = u_seq.values.tolist()
+    mainline["identity_error"] = identity_err
 
     zone_ks = list(range(max(5, part.jmax - 4), part.jmax))[:4]
     u_zone = u_loc if eq.ncomp == 1 else u_loc.component(0)
-    c_rho = sobolev_norm(part, u_zone, sigma, r)
-    zone_reports = [zone_estimate_report(V_loc, u_zone, eq.Q, k, gains.params, part,
-                                         c_rho=c_rho) for k in zone_ks]
+    zone_reports = [zone_estimate_report(V_loc, u_zone, eq.Q, k, gains.params, part)
+                    for k in zone_ks]
 
-    decay = dyadic_decay_report(u_loc, sigma, r, window, part, gains.epsilon,
-                                tolerance)
+    decay = dyadic_decay_report(u_seq, sigma, window, part, gains.epsilon, tolerance)
     a = DecaySequence(np.asarray(decay.a_k))
 
     consts = [z.as_dict()["zone"][zn]["constant"]
@@ -504,8 +497,9 @@ def run_probe(eq: EquationSpec, grid: GridSpec, rho: float = 0.75,
         rep2 = check_params(better)
         if rep2.ok:
             g2 = compute_gains(better)
-            recheck = dyadic_decay_report(u_loc, g2.params.sigma, g2.params.r,
-                                          window, part, g2.epsilon, tolerance)
+            recheck = dyadic_decay_report(dyadic_norm_sequence(part, u_loc, g2.params.r),
+                                          g2.params.sigma, window, part, g2.epsilon,
+                                          tolerance)
 
     passed = bool(decay.passed and sol.residual <= 1e-10)
     return ProbeReport(

@@ -14,7 +14,8 @@ import numpy as np
 
 from .grid import (GridSpec, SpectralField, _forward, _inverse, center_distance,
                    grid_product, lp_norm)
-from .lp import LPPartition, profile_value, project, project_window
+from .lp import (LPPartition, dyadic_norm_sequence, profile_value, project, project_window,
+                 sobolev_norms)
 from .smooth import ramp_down, ramp_up
 from . import symbols as sym_mod
 from .symbols import Symbol, apply
@@ -236,7 +237,7 @@ def parametrix_defect_shells(E: Symbol, B: Symbol, part: LPPartition,
     """Per-shell norms of (B о E - I) f, normalized by ||f||_p."""
     defect = apply(B, apply(E, f)) - f.without_nyquist()
     base = lp_norm(f, p)
-    return [lp_norm(project(part, defect, k), p) / base for k in range(part.jmax + 1)]
+    return [v / base for v in dyadic_norm_sequence(part, defect, p).values.tolist()]
 
 
 # -- shell estimates --------------------------------------------------------
@@ -251,21 +252,19 @@ def ap_shell_ratio(A: Symbol, part: LPPartition, f: SpectralField, k: int, p) ->
     return num / den
 
 
-def commutator_shell(A: Symbol, part: LPPartition, f: SpectralField, k: int, p) -> float:
-    """||(P_k A - A P_k) f||_p for k >= 10.
+def commutator_shell(A: Symbol, part: LPPartition, f: SpectralField, ks, p) -> list:
+    """||(P_k A - A P_k) f||_p for each shell k >= 10 in ks, applying A to f once.
 
     Frequency multipliers commute with ring projections identically, so the
     multiplier fast path returns exactly 0.0 without touching the field.
     """
-    if k < 10:
-        raise ValueError(f"shell commutator is defined for k >= 10, got {k}")
-    if k > part.jmax:
-        raise ValueError(f"shell {k} beyond jmax={part.jmax}")
+    bad = [k for k in ks if not 10 <= k <= part.jmax]
+    if bad:
+        raise ValueError(f"shell commutator needs 10 <= k <= jmax={part.jmax}, got {bad}")
     if A.is_multiplier:
-        return 0.0
-    left = project(part, apply(A, f), k)
-    right = apply(A, project(part, f, k))
-    return lp_norm(left - right, p)
+        return [0.0 for _ in ks]
+    Af = apply(A, f)
+    return [lp_norm(project(part, Af, k) - apply(A, project(part, f, k)), p) for k in ks]
 
 
 def commutator_window_bound(A: Symbol, part: LPPartition, f: SpectralField,
@@ -277,9 +276,8 @@ def commutator_window_bound(A: Symbol, part: LPPartition, f: SpectralField,
     """
     N = 8.0
     main = 2.0 ** (k * (A.order - 1.0)) * lp_norm(project_window(part, f, k - 4, k + 4), p)
-    tail = lp_norm(project(part, f, 0), p)
-    for j in range(1, part.jmax + 1):
-        tail += 2.0 ** (-N * j) * lp_norm(project(part, f, j), p)
+    norms = dyadic_norm_sequence(part, f, p).values.tolist()
+    tail = sum((2.0 ** (-N * j) * v for j, v in enumerate(norms[1:], 1)), norms[0])
     return main + 2.0 ** (-N * k) * tail
 
 
@@ -377,9 +375,8 @@ def cutoff_commutator_order(A: Symbol, eta: SpectralField, f: SpectralField,
     """
     g = cutoff_commutator_field(A, eta, f)
     k_hi = part.jmax - 1 if k_hi is None else k_hi
-    ks = range(k_lo, k_hi + 1)
-    vals = [lp_norm(project(part, g, k), p) for k in ks]
-    return fit_log2_slope(ks, vals)
+    vals = dyadic_norm_sequence(part, g, p, k_lo, k_hi).values
+    return fit_log2_slope(range(k_lo, k_hi + 1), vals)
 
 
 def cutoff_commutator_field(A: Symbol, eta: SpectralField, f: SpectralField) -> SpectralField:
@@ -390,12 +387,11 @@ def cutoff_commutator_field(A: Symbol, eta: SpectralField, f: SpectralField) -> 
 # -- mapping constants --------------------------------------------------------
 
 
-def mapping_constant(A: Symbol, part: LPPartition, f: SpectralField,
-                     s: float, p: float) -> float:
-    """Ratio ||A f||_{s-m,p} / ||f||_{s,p} of the dyadic smoothness norms."""
-    from .lp import sobolev_norm
-
-    den = sobolev_norm(part, f, s, p)
-    if den == 0.0:
-        return math.nan
-    return sobolev_norm(part, apply(A, f), s - A.order, p) / den
+def mapping_constant(A: Symbol, part: LPPartition, f: SpectralField, pairs) -> list:
+    """Ratios ||A f||_{s-m,p} / ||f||_{s,p} of the dyadic smoothness norms,
+    one per (s, p) pair (NaN where ||f||_{s,p} = 0); f and A f are split once.
+    """
+    pairs = list(pairs)
+    den = sobolev_norms(part, f, pairs)
+    num = sobolev_norms(part, apply(A, f), [(s - A.order, p) for s, p in pairs])
+    return [math.nan if d == 0.0 else n / d for n, d in zip(num, den)]

@@ -16,8 +16,8 @@ from .grid import GridSpec, lp_norm, random_field
 from .lp import (build_partition, bernstein_ratio, flat_dyadic_field, project,
                  shell_packet, shell_sum_field)
 from .paraproduct import all_pairs_shell, product_shell, split, zone_estimate_report
-from .psido import (commutator_shell, commutator_symbol_remainder, fit_log2_slope,
-                    mapping_constant)
+from .psido import (ap_shell_ratio, commutator_shell, commutator_symbol_remainder,
+                    fit_log2_slope, mapping_constant)
 from .symbols import multiplication, resolve_symbol
 from . import symbols as sym
 
@@ -82,8 +82,6 @@ _APBOUND_SYMBOLS = (
 
 def verify_apbound(N: int = 8192, seed: int = 3) -> dict:
     """Uniformity in k of ||A P_k f|| / (2^{km} ||window f||) per symbol."""
-    from .psido import ap_shell_ratio
-
     grid = GridSpec(1, N)
     part = build_partition(grid)
     f = random_field(grid, seed)
@@ -126,13 +124,13 @@ def verify_commutator(N: int = 65536, seed: int = 4) -> dict:
     ok = True
     slopes = {}
     for label, A, m in _commutator_test_symbols():
-        vals = [commutator_shell(A, part, f, k, 2) for k in ks]
+        vals = commutator_shell(A, part, f, ks, 2)
         fit = fit_log2_slope(ks, vals)
         limit = m - 1.0 + 0.2
         slopes[label] = {"values": vals, "slope": fit.slope, "limit": limit}
         ok = ok and fit.slope <= limit
     zero = commutator_shell(resolve_symbol("fractional_laplacian:0.75"),
-                            part, f, ks[0], 2)
+                            part, f, ks[:1], 2)[0]
     ok = ok and zero == 0.0
 
     remainder = _remainder_regimes(seed)
@@ -320,7 +318,7 @@ def verify_mapping(N: int = 4096, seed: int = 6) -> dict:
     ok = True
     for name in _MAPPING_SYMBOLS:
         A = resolve_symbol(name)
-        consts = [mapping_constant(A, part, f, s, p) for s, p in pairs]
+        consts = mapping_constant(A, part, f, pairs)
         spread = max(consts) / min(consts)
         results[name] = {"constants": consts, "spread": spread}
         ok = ok and spread <= 10.0 and all(math.isfinite(c) for c in consts)

@@ -8,10 +8,12 @@ import pytest
 
 from lpw.grid import (GridSpec, SpectralField, dot_product, grid_product, lp_norm,
                       pointwise_product, random_field, read_field, write_field)
-from lpw.paraproduct import split
+from lpw.exponents import RegularityParams
+from lpw.lp import build_partition, flat_dyadic_field
+from lpw.paraproduct import split, zone_estimate_report
 from lpw.probe import equation_spec
-from lpw.psido import commutator_symbol_remainder
-from lpw.symbols import apply, resolve_symbol
+from lpw.psido import commutator_shell, commutator_symbol_remainder, mapping_constant
+from lpw.symbols import apply, multiplier, resolve_symbol
 
 
 def mode(grid, xi, ncomp=1):
@@ -108,6 +110,33 @@ class TestTransformCounts:
     def test_symbol_remainder(self, calls):
         commutator_symbol_remainder(resolve_symbol("sep:cos:0*pow:1"), GridSpec(1, 64), 3)
         assert calls == {("fftn", "_forward"): 3, ("ifftn", "_inverse"): 3}
+
+    def test_zone_report_splits_u_once(self, calls, part1):
+        # one split of u (jmax + 1 inverses) serves both du and c_rho
+        params = RegularityParams(n=1, alpha=2.0, beta=0.5, gamma=1.0, s=1.1, p=2.0,
+                                  sigma=1.25, r=1.0 / 0.65)
+        Q = multiplier(1.0, lambda *xis: (1.0 + xis[0] ** 2) ** 0.5, "qref")
+        V, u = random_field(part1.grid, 5), random_field(part1.grid, 6)
+        zone_estimate_report(V, u, Q, 3, params, part1)
+        # split at k=3 pads 4 windows and transforms 1 product back; ||V||_q and
+        # the norms of the four zone fields take 1 inverse each
+        assert calls == {("fftn", "_forward"): 1,
+                         ("ifftn", "_inverse"): 4 + 1 + 4 + part1.jmax + 1}
+
+    def test_mapping_splits_each_field_once(self, calls, part1):
+        f = random_field(part1.grid, 7)
+        pairs = [(s, p) for s in (0.0, 1.0) for p in (1.5, 3.0)]
+        assert len(mapping_constant(resolve_symbol("laplacian"), part1, f, pairs)) == 4
+        assert calls == {("ifftn", "_inverse"): 2 * (part1.jmax + 1)}  # f and A f
+
+    def test_commutator_applies_once(self, calls):
+        part = build_partition(GridSpec(1, 4096))
+        f = flat_dyadic_field(part, 8)
+        calls.clear()
+        commutator_shell(resolve_symbol("sep:cos:0*pow:1"), part, f, [10, 11], 2)
+        # A f once (1 inverse, 1 forward); per shell A P_k f (1 inverse, 1
+        # forward for the difference) and the norm (1 inverse)
+        assert calls == {("ifftn", "_inverse"): 1 + 2 * 2, ("fftn", "_forward"): 1 + 2}
 
 
 class TestNorms:
@@ -247,6 +276,16 @@ class TestFieldIO:
         side.write_text(side.read_text().replace('"components": 2', '"components": 3'))
         with pytest.raises(ValueError, match="sidecar"):
             read_field(path)
+
+    def test_every_header_bit_flip_rejected(self, tmp_path):
+        raw = self._valid()
+        path = self._write(tmp_path, raw)
+        for bit in range(28 * 8):
+            flipped = bytearray(raw)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            path.write_bytes(bytes(flipped))
+            with pytest.raises(ValueError):
+                read_field(path)
 
     def test_every_truncation_rejected(self, tmp_path):
         f = random_field(GridSpec(1, 16), 23)

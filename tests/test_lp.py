@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from lpw.grid import GridSpec, SpectralField, lp_norm, random_field
 from lpw.lp import (RING_HI, RING_LO, bernstein_ratio, build_partition,
                     dyadic_norm_sequence, flat_dyadic_field, profile_value,
-                    project, project_range, psi, shell_packet, shell_sum_field,
+                    project, project_window, psi, shell_packet, shell_sum_field,
                     sobolev_norm)
 from lpw.psido import fit_log2_slope
 
@@ -75,19 +75,19 @@ class TestProjection:
 
     def test_range_empty_window(self, part2):
         f = random_field(part2.grid, 32)
-        z = project_range(part2, f, 4, 5)  # b <= a+1
+        z = project_window(part2, f, 5, 4)  # hi < lo
         assert lp_norm(z, 2) == 0.0
 
     def test_range_full(self, part2):
         f = random_field(part2.grid, 33, mean_zero=False)
-        inner = project_range(part2, f, 0, part2.jmax + 1)
+        inner = project_window(part2, f, 1, part2.jmax)
         expect = f - project(part2, f, 0)
         assert lp_norm(inner - expect, 2) <= 1e-12 * lp_norm(f, 2)
 
     def test_window_reprojection(self, part2):
         f = random_field(part2.grid, 34)
         k = 4
-        wide = project_range(part2, f, k - 2, k + 2)
+        wide = project_window(part2, f, k - 1, k + 1)
         a = project(part2, wide, k)
         b = project(part2, f, k)
         assert lp_norm(a - b, 2) <= 1e-12 * max(lp_norm(b, 2), 1e-300)

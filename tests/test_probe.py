@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lpw.grid import GridSpec, SpectralField, lp_norm, random_field
-from lpw.lp import build_partition
+from lpw.lp import build_partition, dyadic_norm_sequence
 from lpw.probe import (EquationSpec, cutoff_field, custom_equation,
                        dyadic_decay_report, equation_residual, equation_spec,
                        localize, manufactured_solution, run_probe)
@@ -153,8 +153,8 @@ class TestDecayReport:
         for j in range(1, part.jmax):
             c[2**j] = 2.0 ** (-(sigma + eps) * j)
         f = SpectralField(g, freq=c)
-        rep = dyadic_decay_report(f, sigma, 2.0, (2, part.jmax - 2), part,
-                                  epsilon_theory=eps)
+        rep = dyadic_decay_report(dyadic_norm_sequence(part, f, 2.0), sigma,
+                                  (2, part.jmax - 2), part, epsilon_theory=eps)
         assert abs(rep.epsilon_measured - eps) <= 1e-6
         assert rep.fit_residual <= 1e-9
         assert rep.passed
@@ -163,7 +163,8 @@ class TestDecayReport:
         g = GridSpec(1, 256)
         part = build_partition(g)
         f = random_field(g, 11, radial_profile=lambda r: np.exp(-r))
-        rep = dyadic_decay_report(f, 1.0, 2.0, (2, 5), part, epsilon_theory=3.0)
+        seq = dyadic_norm_sequence(part, f, 2.0)
+        rep = dyadic_decay_report(seq, 1.0, (2, 5), part, epsilon_theory=3.0)
         assert rep.epsilon_measured > 3.0
         assert rep.passed
 
@@ -174,20 +175,21 @@ class TestDecayReport:
         for j in range(1, part.jmax):
             c[2**j] = 2.0 ** (-1.5 * j)  # a_k flat at sigma = 1.5
         f = SpectralField(g, freq=c)
-        rep = dyadic_decay_report(f, 1.5, 2.0, (2, 5), part, epsilon_theory=0.5)
+        seq = dyadic_norm_sequence(part, f, 2.0)
+        rep = dyadic_decay_report(seq, 1.5, (2, 5), part, epsilon_theory=0.5)
         assert abs(rep.epsilon_measured) <= 1e-6
         assert not rep.passed
 
     def test_window_validation(self):
         g = GridSpec(1, 256)
         part = build_partition(g)
-        f = random_field(g, 12)
+        seq = dyadic_norm_sequence(part, random_field(g, 12), 2.0)
         with pytest.raises(ValueError):
-            dyadic_decay_report(f, 1.0, 2.0, (1, 5), part, 0.1)
+            dyadic_decay_report(seq, 1.0, (1, 5), part, 0.1)
         with pytest.raises(ValueError):
-            dyadic_decay_report(f, 1.0, 2.0, (2, part.jmax - 1), part, 0.1)
+            dyadic_decay_report(seq, 1.0, (2, part.jmax - 1), part, 0.1)
         with pytest.raises(ValueError):
-            dyadic_decay_report(f, 1.0, 2.0, (3, 5), part, 0.1)  # 3 shells
+            dyadic_decay_report(seq, 1.0, (3, 5), part, 0.1)  # 3 shells
 
     def test_tiny_shells_dropped_and_flagged(self):
         g = GridSpec(1, 256)
@@ -196,7 +198,8 @@ class TestDecayReport:
         for j in range(1, part.jmax):
             c[2**j] = 2.0 ** (-2.0 * j) if j <= 4 else 1e-18
         f = SpectralField(g, freq=c)
-        rep = dyadic_decay_report(f, 1.0, 2.0, (2, 5), part, epsilon_theory=0.5)
+        seq = dyadic_norm_sequence(part, f, 2.0)
+        rep = dyadic_decay_report(seq, 1.0, (2, 5), part, epsilon_theory=0.5)
         assert 5 in rep.dropped
 
 
