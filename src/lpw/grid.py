@@ -309,11 +309,14 @@ def _relattice(coeffs: np.ndarray, n_out: int) -> np.ndarray:
     return out
 
 
+def _physical_at(f: SpectralField, M: int) -> np.ndarray:
+    """Physical samples of `f` on the M-point lattice; exact when f's band is below M/2."""
+    return _inverse(_relattice(f.coefficients, M))
+
+
 def padded_physical(f: SpectralField, degree: int = 2) -> np.ndarray:
     """Physical samples of `f` on the dealiasing fine grid (M points/axis)."""
-    N = f.grid.points_per_axis
-    M = int(N * _pad_factor(degree))
-    return _inverse(_relattice(f.coefficients, M))
+    return _physical_at(f, int(f.grid.points_per_axis * _pad_factor(degree)))
 
 
 def field_from_padded(grid: GridSpec, fine: np.ndarray) -> SpectralField:

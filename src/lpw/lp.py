@@ -217,12 +217,18 @@ def shell_packet(
     """
     grid = part.grid
     M = grid.npoints
-    raw = rng.complex_samples(seed, ncomp * M).reshape((ncomp,) + grid.shape)
+    prof = part.profile(j).ravel()
+    sites = np.flatnonzero((prof != 0.0) & ~grid.nyquist_mask.ravel())
+    # the counters of a whole-lattice draw (rng's layout), taken at the ring's sites only
+    ctr = 2 * (np.arange(ncomp)[:, None] * M + sites)
+    re = 2.0 * rng.unit_doubles_at(seed, ctr) - 1.0
     if coherent:
-        raw = 1.0 + 0.5 * raw.real  # amplitudes in [0.5, 1.5], zero phase
-    c = raw * part.profile(j)
-    c[:, grid.nyquist_mask] = 0.0
-    return SpectralField(grid, freq=c)
+        raw = 1.0 + 0.5 * re  # amplitudes in [0.5, 1.5], zero phase
+    else:
+        raw = re + 1j * (2.0 * rng.unit_doubles_at(seed, ctr + 1) - 1.0)
+    c = np.zeros((ncomp, M), dtype=np.complex128)
+    c[:, sites] = raw * prof[sites]
+    return SpectralField(grid, freq=c.reshape((ncomp,) + grid.shape))
 
 
 def shell_sum_field(

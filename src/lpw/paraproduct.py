@@ -12,6 +12,14 @@ P_k(P_i V P_j w) are split into the four interaction zones
 exact-cover test verifies numerically rather than re-deriving).  The zone
 estimates compare both sides of the displayed transfer inequalities and
 report the implied constants.
+
+Each zone product runs on the smallest grid that is alias-free for its bands
+(the padding rule of Orszag, J. Atmos. Sci. 28 (1971) 1074, for banded
+factors): factors band-limited per axis to |xi_a| <= B1 and B2, read only on
+ring k (|xi_a| <= K), need M > max(B1 + B2 + K, 2 max(B1, B2)) points per
+axis, and none needs more than the 3/2 grid.  The references `product_shell`
+and `all_pairs_shell` keep the fixed 3/2 grid, so the exact cover compares
+independent computations.
 """
 
 from __future__ import annotations
@@ -22,9 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exponents import RegularityParams
-from .grid import (SpectralField, _pair_product, _pair_product_fine, field_from_padded,
-                   lp_norm, padded_physical)
-from .lp import LPPartition, dyadic_norm_sequence, project, project_window
+from .grid import (SpectralField, _pair_product, _pair_product_fine, _physical_at,
+                   field_from_padded, lp_norm, padded_physical)
+from .lp import RING_HI, LPPartition, dyadic_norm_sequence, project, project_window
 from .symbols import Symbol, apply
 
 
@@ -85,62 +93,109 @@ class ZoneSplit:
         return self.I + self.II + self.III + self.IV
 
 
-def split(V: SpectralField, w: SpectralField, k: int, part: LPPartition,
-          degree: int = 2) -> ZoneSplit:
+def _window_band(part: LPPartition, hi: int) -> float:
+    """Per-axis frequency bound of shells up to hi: min(2^hi RING_HI, N/2).
+
+    The top shell absorbs the tail, so any window reaching jmax fills the
+    lattice band N/2.
+    """
+    return min(2.0**hi * RING_HI, part.grid.points_per_axis / 2)
+
+
+def _alias_free_size(b1: float, b2: float, K: float) -> int:
+    """Smallest M of the form 2^a, 3*2^a or 5*2^a with M > max(b1 + b2 + K, 2 max(b1, b2)).
+
+    On M points per axis the product of factors band-limited to |xi_a| <= b1
+    and b2 is exact at every |xi_a| <= K (Orszag 1971).
+    """
+    need = max(b1 + b2 + K, 2.0 * max(b1, b2))
+    return min(base << max(0, math.floor(math.log2(need / base)) + 1) for base in (1, 3, 5))
+
+
+def _zone_grid(part: LPPartition, hi_v: int, hi_w: int, k: int) -> int:
+    """Points per axis for the product of windows ending at hi_v and hi_w, read on ring k.
+
+    The alias-free size for the windows' bands, capped at the 3/2 grid: the
+    band N/2 of a window reaching the top shell overstates the lattice, which
+    holds frequency -N/2 but not +N/2, so at k = jmax the rule asks for 2N
+    where the 3/2 grid is already exact for any two lattice fields.
+    """
+    bands = _window_band(part, hi_v), _window_band(part, hi_w), _window_band(part, k)
+    return min(_alias_free_size(*bands), 3 * part.grid.points_per_axis // 2)
+
+
+def split(V: SpectralField, w: SpectralField, k: int, part: LPPartition) -> ZoneSplit:
     """Zone-wise sums of P_k(P_i V P_j w) with dealiased products.
 
     By bilinearity the rectangular zones collapse to single window products
     (LL is a rectangle minus its high corner, LH/HL are rectangles, HH a
     short diagonal band), so the cost per zone is a few padded transforms
     instead of one per index pair.
+
+    Each product runs on the smallest grid alias-free on ring k for its
+    windows (Orszag 1971): M > max(B1 + B2 + K, 2 max(B1, B2)) points per
+    axis, of the form 2^a, 3*2^a or 5*2^a, where a window [lo, hi] has band
+    B = min(2^hi RING_HI, N/2) and K = min(2^k RING_HI, N/2); never more than
+    the 3/2 grid, which is exact for any two lattice fields.  The LL corner
+    shares LL's grid, so their difference stays on the fine grid; HH terms
+    sharing a grid are summed there, one forward transform per grid.  Empty
+    windows get no transform.
     """
     if V.grid != w.grid:
         raise ValueError("grid mismatch")
     grid = V.grid
-    zp = zones(k, part.jmax)
+    jmax = part.jmax
+    zp = zones(k, jmax)
     out_ncomp = 1 if (V.ncomp == w.ncomp and V.ncomp > 1) else max(V.ncomp, w.ncomp)
 
-    def wpad(f, lo, hi):
-        return padded_physical(project_window(part, f, lo, hi), degree)
+    def product(lo_v, hi_v, lo_w, hi_w, M):
+        return _pair_product_fine(_physical_at(project_window(part, V, lo_v, hi_v), M),
+                                  _physical_at(project_window(part, w, lo_w, hi_w), M))
 
-    def finish(fine):
-        if fine is None:
+    def finish(fines):
+        # P_k of the sum of the fine-grid products in `fines` (grid size ->
+        # product); each is popped, so none outlives its forward transform
+        coeffs = None
+        while fines:
+            c = field_from_padded(grid, fines.popitem()[1]).coefficients
+            coeffs = c if coeffs is None else coeffs + c
+        if coeffs is None:
             return SpectralField.zeros(grid, out_ncomp)
-        return project(part, field_from_padded(grid, fine), k)
+        return project(part, SpectralField(grid, freq=coeffs), k)
 
-    # LL = [k-5, k+7]^2 minus the corner [k+6, k+7]^2
-    fine = _pair_product_fine(wpad(V, k - 5, k + 7), wpad(w, k - 5, k + 7))
-    fine -= _pair_product_fine(wpad(V, k + 6, k + 7), wpad(w, k + 6, k + 7))
-    zone_I = finish(fine)
+    # LL = [k-5, k+7]^2 minus the corner [k+6, k+7]^2, both on LL's grid
+    M = _zone_grid(part, k + 7, k + 7, k)
+    fines = {M: product(k - 5, k + 7, k - 5, k + 7, M)}
+    if k + 6 <= jmax:
+        fines[M] -= product(k + 6, k + 7, k + 6, k + 7, M)
+    zone_I = finish(fines)
 
-    # LH = {i <= k-6} x [k-3, k+3]
-    zone_II = finish(
-        _pair_product_fine(wpad(V, 0, k - 6), wpad(w, k - 3, k + 3))
-        if k - 6 >= 0 else None)
+    # LH = {i <= k-6} x [k-3, k+3] and HL = [k-3, k+3] x {j <= k-6}: mirror
+    # images, so one grid serves both
+    low = k - 6 >= 0
+    M = _zone_grid(part, k - 6, k + 3, k)
+    zone_II = finish({M: product(0, k - 6, k - 3, k + 3, M)} if low else {})
+    zone_III = finish({M: product(k - 3, k + 3, 0, k - 6, M)} if low else {})
 
-    # HL = [k-3, k+3] x {j <= k-6}
-    zone_III = finish(
-        _pair_product_fine(wpad(V, k - 3, k + 3), wpad(w, 0, k - 6))
-        if k - 6 >= 0 else None)
-
-    # HH = {i, j > k+5, |i-j| <= 3}: band over j with per-j i-windows
-    fine = None
-    for j in range(k + 6, part.jmax + 1):
-        lo_i = max(k + 6, j - 3)
-        hi_i = min(part.jmax, j + 3)
-        if hi_i < lo_i:
-            continue
-        term = _pair_product_fine(wpad(V, lo_i, hi_i),
-                                  padded_physical(project(part, w, j), degree))
-        fine = term if fine is None else fine + term
-    zone_IV = finish(fine)
+    # HH = {i, j > k+5, |i-j| <= 3}: band over j with per-j i-windows,
+    # summed per grid size
+    for j in range(k + 6, jmax + 1):
+        lo_i, hi_i = max(k + 6, j - 3), min(jmax, j + 3)
+        M = _zone_grid(part, hi_i, j, k)
+        term = product(lo_i, hi_i, j, j, M)
+        if M in fines:
+            fines[M] += term
+        else:
+            fines[M] = term
+        del term  # no product outlives its sum
+    zone_IV = finish(fines)
 
     return ZoneSplit(zones=zp, I=zone_I, II=zone_II, III=zone_III, IV=zone_IV)
 
 
 def product_shell(V: SpectralField, w: SpectralField, k: int, part: LPPartition,
                   degree: int = 2) -> SpectralField:
-    """Direct P_k(V w) (dealiased), the fast reference for the exact cover."""
+    """Direct P_k(V w) (dealiased on the 3/2 grid), the fast reference for the exact cover."""
     return project(part, _pair_product(V, w, degree), k)
 
 
@@ -148,13 +203,19 @@ def all_pairs_shell(V: SpectralField, w: SpectralField, k: int, part: LPPartitio
                     degree: int = 2) -> SpectralField:
     """Brute-force oracle: sum over every index pair of P_k(P_i V P_j w).
 
-    One dealiased product per pair; affordable only at small jmax.
+    One dealiased product on the 3/2 grid and one forward transform per
+    pair; each P_j w is padded once and each P_i V once per i.  Affordable
+    only at small jmax.
     """
+    if V.grid != w.grid:
+        raise ValueError("grid mismatch")
+    shells = range(part.jmax + 1)
+    w_fine = [padded_physical(project(part, w, j), degree) for j in shells]
     total = None
-    for i in range(part.jmax + 1):
-        Pi = project(part, V, i)
-        for j in range(part.jmax + 1):
-            term = project(part, _pair_product(Pi, project(part, w, j), degree), k)
+    for i in shells:
+        v_fine = padded_physical(project(part, V, i), degree)
+        for wj in w_fine:
+            term = project(part, field_from_padded(V.grid, _pair_product_fine(v_fine, wj)), k)
             total = term if total is None else total + term
     return total
 
@@ -240,48 +301,63 @@ def _weighted_sum(du: np.ndarray, sigma: float, j_lo: int, j_hi: int,
 
 def zone_estimate_report(V: SpectralField, u: SpectralField, Q: Symbol, k: int,
                          params: RegularityParams, part: LPPartition) -> ZoneEstimateReport:
+    """The zone estimate report at one shell k (`zone_estimate_reports` for [k])."""
+    return zone_estimate_reports(V, u, Q, [k], params, part)[0]
+
+
+def zone_estimate_reports(V: SpectralField, u: SpectralField, Q: Symbol, ks,
+                          params: RegularityParams, part: LPPartition) -> list:
+    """One ZoneEstimateReport per shell k in ks.
+
+    w = Q u, delta = ||V||_q and the one split of u that gives du and c_rho
+    are made once and serve every k.
+    """
     params = params.lifted()
     n, alpha, beta, gamma = params.n, params.alpha, params.beta, params.gamma
     sigma, r, q = params.sigma, params.r, params.q
     w = apply(Q, u)
-    zs = split(V, w, k, part)
     delta = lp_norm(V, q)
     seq = dyadic_norm_sequence(part, u, r, sigma=sigma)  # one split for du and c_rho
     du, c_rho = seq.values, seq.smoothness
-    scale = 2.0 ** ((-alpha + beta + sigma) * k)
-    tiny_tail = c_rho * 2.0 ** (-min(100.0 * k, 960.0))
 
-    lhs_low = scale * (lp_norm(zs.I, r) + lp_norm(zs.II, r))
-    rhs_low = delta * _weighted_sum(du, sigma, k - 20, k + 20, k, 0.0) + tiny_tail
+    def report(k):  # a function, so each split's zone fields go before the next split
+        zs = split(V, w, k, part)
+        scale = 2.0 ** ((-alpha + beta + sigma) * k)
+        tiny_tail = c_rho * 2.0 ** (-min(100.0 * k, 960.0))
 
-    if r >= q:
-        branch_iii = "r>=q"
-        transfer = sigma - gamma - n / r
-        rhs_iii = delta * _weighted_sum(du, sigma, 1, k + 10, k, transfer) \
-            + c_rho * 2.0 ** (transfer * k)
-    else:
-        branch_iii = "r<q"
-        transfer = sigma - alpha + beta
-        rhs_iii = delta * _weighted_sum(du, sigma, 1, k + 10, k, transfer) \
-            + c_rho * 2.0 ** ((-alpha + beta + sigma) * k)
-    lhs_iii = scale * lp_norm(zs.III, r)
+        lhs_low = scale * (lp_norm(zs.I, r) + lp_norm(zs.II, r))
+        rhs_low = delta * _weighted_sum(du, sigma, k - 20, k + 20, k, 0.0) + tiny_tail
 
-    if 1.0 / r + 1.0 / q <= 1.0:
-        branch_iv = "r>=q'"
-        transfer = sigma - gamma
-    else:
-        branch_iv = "r<q'"
-        transfer = -alpha + beta + sigma + n * (1.0 - 1.0 / r)
-    rhs_iv = delta * _weighted_sum(du, sigma, k - 20, part.jmax, k, transfer) + tiny_tail
-    lhs_iv = scale * lp_norm(zs.IV, r)
+        if r >= q:
+            branch_iii = "r>=q"
+            transfer = sigma - gamma - n / r
+            rhs_iii = delta * _weighted_sum(du, sigma, 1, k + 10, k, transfer) \
+                + c_rho * 2.0 ** (transfer * k)
+        else:
+            branch_iii = "r<q"
+            transfer = sigma - alpha + beta
+            rhs_iii = delta * _weighted_sum(du, sigma, 1, k + 10, k, transfer) \
+                + c_rho * 2.0 ** ((-alpha + beta + sigma) * k)
+        lhs_iii = scale * lp_norm(zs.III, r)
 
-    return ZoneEstimateReport(
-        k=k,
-        delta=delta,
-        branch_iii=branch_iii,
-        branch_iv=branch_iv,
-        low_zones=ZoneEstimate(lhs_low, rhs_low),
-        high_low=ZoneEstimate(lhs_iii, rhs_iii),
-        high_high=ZoneEstimate(lhs_iv, rhs_iv),
-        truncated=zs.zones.truncated,
-    )
+        if 1.0 / r + 1.0 / q <= 1.0:
+            branch_iv = "r>=q'"
+            transfer = sigma - gamma
+        else:
+            branch_iv = "r<q'"
+            transfer = -alpha + beta + sigma + n * (1.0 - 1.0 / r)
+        rhs_iv = delta * _weighted_sum(du, sigma, k - 20, part.jmax, k, transfer) + tiny_tail
+        lhs_iv = scale * lp_norm(zs.IV, r)
+
+        return ZoneEstimateReport(
+            k=k,
+            delta=delta,
+            branch_iii=branch_iii,
+            branch_iv=branch_iv,
+            low_zones=ZoneEstimate(lhs_low, rhs_low),
+            high_low=ZoneEstimate(lhs_iii, rhs_iii),
+            high_high=ZoneEstimate(lhs_iv, rhs_iv),
+            truncated=zs.zones.truncated,
+        )
+
+    return [report(k) for k in ks]

@@ -26,7 +26,7 @@ from .grid import (GridSpec, SpectralField, _pair_product_fine, field_from_padde
 from .iteration import (DecaySequence, IterationParams, convolution_majorant,
                         decay_bound, delta_cap, hypothesis_holds, two_sided_kernel)
 from .lp import DyadicNormSequence, LPPartition, build_partition, dyadic_norm_sequence
-from .paraproduct import zone_estimate_report
+from .paraproduct import zone_estimate_reports
 from .psido import fit_log2_slope, parametrix, split_elliptic
 from .smooth import ramp_down
 from . import symbols as sym
@@ -455,8 +455,7 @@ def run_probe(eq: EquationSpec, grid: GridSpec, rho: float = 0.75,
 
     zone_ks = list(range(max(5, part.jmax - 4), part.jmax))[:4]
     u_zone = u_loc if eq.ncomp == 1 else u_loc.component(0)
-    zone_reports = [zone_estimate_report(V_loc, u_zone, eq.Q, k, gains.params, part)
-                    for k in zone_ks]
+    zone_reports = zone_estimate_reports(V_loc, u_zone, eq.Q, zone_ks, gains.params, part)
 
     decay = dyadic_decay_report(u_seq, sigma, window, part, gains.epsilon, tolerance)
     a = DecaySequence(np.asarray(decay.a_k))

@@ -255,6 +255,7 @@ def ap_shell_ratio(A: Symbol, part: LPPartition, f: SpectralField, k: int, p) ->
 def commutator_shell(A: Symbol, part: LPPartition, f: SpectralField, ks, p) -> list:
     """||(P_k A - A P_k) f||_p for each shell k >= 10 in ks, applying A to f once.
 
+    The difference is taken in physical space, where the norm reads it.
     Frequency multipliers commute with ring projections identically, so the
     multiplier fast path returns exactly 0.0 without touching the field.
     """
@@ -264,7 +265,9 @@ def commutator_shell(A: Symbol, part: LPPartition, f: SpectralField, ks, p) -> l
     if A.is_multiplier:
         return [0.0 for _ in ks]
     Af = apply(A, f)
-    return [lp_norm(project(part, Af, k) - apply(A, project(part, f, k)), p) for k in ks]
+    return [lp_norm(SpectralField(f.grid, phys=project(part, Af, k).physical
+                                  - apply(A, project(part, f, k)).physical), p)
+            for k in ks]
 
 
 def commutator_window_bound(A: Symbol, part: LPPartition, f: SpectralField,

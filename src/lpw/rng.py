@@ -39,7 +39,12 @@ def splitmix64(x):
 
 def unit_doubles(seed: int, start: int, count: int) -> np.ndarray:
     """`count` uniform doubles in [0, 1) for counters start..start+count-1."""
-    ctr = np.arange(start, start + count, dtype=np.int64).astype(_U64)
+    return unit_doubles_at(seed, np.arange(start, start + count, dtype=np.int64))
+
+
+def unit_doubles_at(seed: int, counters) -> np.ndarray:
+    """Uniform doubles in [0, 1) at the given counters (any integer array)."""
+    ctr = np.asarray(counters, dtype=np.int64).astype(_U64)
     with np.errstate(over="ignore"):
         z = splitmix64(_U64(seed % (1 << 64)) + ctr)
     return (z >> _U64(11)).astype(np.float64) * 2.0**-53

@@ -15,7 +15,7 @@ from .exponents import RegularityParams
 from .grid import GridSpec, lp_norm, random_field
 from .lp import (build_partition, bernstein_ratio, flat_dyadic_field, project,
                  shell_packet, shell_sum_field)
-from .paraproduct import all_pairs_shell, product_shell, split, zone_estimate_report
+from .paraproduct import all_pairs_shell, product_shell, split, zone_estimate_reports
 from .psido import (ap_shell_ratio, commutator_shell, commutator_symbol_remainder,
                     fit_log2_slope, mapping_constant)
 from .symbols import multiplication, resolve_symbol
@@ -252,17 +252,19 @@ def _zone_estimate_stability(seed: int, N: int = 1 << 19) -> dict:
     if max(ks) + 6 > part.jmax:
         raise ValueError(f"N={N} gives jmax={part.jmax}; zone estimate stability "
                          f"needs jmax >= max(ks) + 6 = {max(ks) + 6}")
+    cases = (_zone_params_r_ge_q(), _zone_params_r_lt_q())
+    gamma = cases[0].gamma  # shared by both cases, so one V and one Q serve them
+    V = flat_dyadic_field(part, seed + 23)
+    Q = sym.multiplier(gamma, lambda *xis: (1.0 + sum(
+        np.asarray(a) ** 2 for a in xis)) ** (gamma / 2.0), "qref")
     ok = True
     out = {}
-    for params in (_zone_params_r_ge_q(), _zone_params_r_lt_q()):
+    for params in cases:
         sigma, r = params.sigma, params.r
         u = shell_sum_field(
             part, {j: 2.0 ** (-(sigma + 0.3) * j) for j in range(1, part.jmax + 1)},
             seed + 11, norm_p=r)
-        V = flat_dyadic_field(part, seed + 23)
-        Q = sym.multiplier(params.gamma, lambda *xis: (1.0 + sum(
-            np.asarray(a) ** 2 for a in xis)) ** (params.gamma / 2.0), "qref")
-        reports = [zone_estimate_report(V, u, Q, k, params, part) for k in ks]
+        reports = zone_estimate_reports(V, u, Q, ks, params, part)
         per_zone = {}
         for zone in ("I+II", "III", "IV"):
             consts = [rep.as_dict()["zone"][zone]["constant"] for rep in reports]

@@ -10,7 +10,8 @@ from lpw.grid import (GridSpec, SpectralField, dot_product, grid_product, lp_nor
                       pointwise_product, random_field, read_field, write_field)
 from lpw.exponents import RegularityParams
 from lpw.lp import build_partition, flat_dyadic_field
-from lpw.paraproduct import split, zone_estimate_report
+from lpw.paraproduct import (all_pairs_shell, product_shell, split, zone_estimate_report,
+                             zone_estimate_reports)
 from lpw.probe import equation_spec
 from lpw.psido import commutator_shell, commutator_symbol_remainder, mapping_constant
 from lpw.symbols import apply, multiplier, resolve_symbol
@@ -91,9 +92,49 @@ class TestTransformCounts:
             monkeypatch.setattr(np.fft, name, counted)
         return seen
 
+    @pytest.fixture
+    def shapes(self, monkeypatch):
+        seen = Counter()
+        for name in ("fftn", "ifftn"):
+            def counted(a, *args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+                seen[_name, a.shape[1:]] += 1
+                return _fn(a, *args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        return seen
+
     def test_split(self, calls, grid2, part2):
+        # LL only (k+6 > jmax leaves the corner and HH empty, k < 6 leaves LH/HL empty)
         split(random_field(grid2, 1), random_field(grid2, 2), 3, part2)
-        assert calls == {("fftn", "_forward"): 1, ("ifftn", "_inverse"): 4}
+        assert calls == {("fftn", "_forward"): 1, ("ifftn", "_inverse"): 2}
+
+    def test_split_zone_grids(self, shapes):
+        # N = 2^18, k = 10: LL, its corner and both HH terms reach the top
+        # shell (band N/2), so they need M > N + K: 5 * 2^16.  LH and HL pair
+        # shells <= 4 with shells 7..13: M > 2 * 2^13 * 5/3, so 2^15.
+        part = build_partition(GridSpec(1, 1 << 18))
+        V, w = random_field(part.grid, 1), random_field(part.grid, 2)
+        shapes.clear()
+        split(V, w, 10, part)
+        big, small = (5 << 16,), (1 << 15,)
+        assert shapes == {("ifftn", big): 4 + 4, ("fftn", big): 1 + 1,
+                          ("ifftn", small): 2 + 2, ("fftn", small): 1 + 1}
+
+    def test_split_top_shell_keeps_three_halves_grid(self, shapes, grid2, part2):
+        # at k = jmax the band rule asks for 2N; the 3/2 grid is already exact
+        V, w = random_field(grid2, 1), random_field(grid2, 2)
+        split(V, w, part2.jmax, part2)
+        assert shapes == {("ifftn", (96, 96)): 2, ("fftn", (96, 96)): 1}
+
+    def test_oracles_keep_three_halves_grid(self, shapes, grid2, part2):
+        V, w = random_field(grid2, 1), random_field(grid2, 2)
+        fine = (96, 96)
+        product_shell(V, w, 3, part2)
+        assert shapes == {("ifftn", fine): 2, ("fftn", fine): 1}
+        shapes.clear()
+        all_pairs_shell(V, w, 3, part2)
+        # each shell of w and of V padded once, one forward per pair
+        n = part2.jmax + 1
+        assert shapes == {("ifftn", fine): 2 * n, ("fftn", fine): n * n}
 
     def test_separable_apply(self, calls):
         sym = resolve_symbol("sep:one*pow:2+twoplussin:0*ixi:1")
@@ -118,10 +159,22 @@ class TestTransformCounts:
         Q = multiplier(1.0, lambda *xis: (1.0 + xis[0] ** 2) ** 0.5, "qref")
         V, u = random_field(part1.grid, 5), random_field(part1.grid, 6)
         zone_estimate_report(V, u, Q, 3, params, part1)
-        # split at k=3 pads 4 windows and transforms 1 product back; ||V||_q and
-        # the norms of the four zone fields take 1 inverse each
+        # split at k=3 pads the 2 LL windows and transforms 1 product back;
+        # ||V||_q and the norms of the four zone fields take 1 inverse each
         assert calls == {("fftn", "_forward"): 1,
-                         ("ifftn", "_inverse"): 4 + 1 + 4 + part1.jmax + 1}
+                         ("ifftn", "_inverse"): 2 + 1 + 4 + part1.jmax + 1}
+
+    def test_zone_reports_share_one_pass(self, calls, part1):
+        # w = Q u, ||V||_q and the split of u serve both shells
+        params = RegularityParams(n=1, alpha=2.0, beta=0.5, gamma=1.0, s=1.1, p=2.0,
+                                  sigma=1.25, r=1.0 / 0.65)
+        Q = multiplier(1.0, lambda *xis: (1.0 + xis[0] ** 2) ** 0.5, "qref")
+        V, u = random_field(part1.grid, 5), random_field(part1.grid, 6)
+        assert len(zone_estimate_reports(V, u, Q, [3, 6], params, part1)) == 2
+        # split at k=3: LL only (2 inverse, 1 forward); at k=6: LL, LH and HL
+        # (6 inverse, 3 forward); 4 zone norms per k, ||V||_q, u's split
+        assert calls == {("fftn", "_forward"): 1 + 3,
+                         ("ifftn", "_inverse"): 2 + 6 + 2 * 4 + 1 + part1.jmax + 1}
 
     def test_mapping_splits_each_field_once(self, calls, part1):
         f = random_field(part1.grid, 7)
@@ -134,9 +187,9 @@ class TestTransformCounts:
         f = flat_dyadic_field(part, 8)
         calls.clear()
         commutator_shell(resolve_symbol("sep:cos:0*pow:1"), part, f, [10, 11], 2)
-        # A f once (1 inverse, 1 forward); per shell A P_k f (1 inverse, 1
-        # forward for the difference) and the norm (1 inverse)
-        assert calls == {("ifftn", "_inverse"): 1 + 2 * 2, ("fftn", "_forward"): 1 + 2}
+        # A f once (1 inverse, 1 forward); per shell A P_k f and P_k A f (1
+        # inverse each), whose difference the norm reads in physical space
+        assert calls == {("ifftn", "_inverse"): 1 + 2 * 2, ("fftn", "_forward"): 1}
 
 
 class TestNorms:

@@ -11,6 +11,7 @@ from lpw.lp import (RING_HI, RING_LO, bernstein_ratio, build_partition,
                     project, project_window, psi, shell_packet, shell_sum_field,
                     sobolev_norm)
 from lpw.psido import fit_log2_slope
+from lpw.rng import complex_samples
 
 from test_grid import mode
 
@@ -91,6 +92,21 @@ class TestProjection:
         a = project(part2, wide, k)
         b = project(part2, f, k)
         assert lp_norm(a - b, 2) <= 1e-12 * max(lp_norm(b, 2), 1e-300)
+
+
+class TestShellPacket:
+    @pytest.mark.parametrize("dim,N,ncomp", [(1, 256, 1), (2, 64, 2), (3, 16, 1)])
+    def test_equals_whole_lattice_draw(self, dim, N, ncomp):
+        # the ring-site draw gives the coefficients of the whole-lattice one
+        part = build_partition(GridSpec(dim, N))
+        grid = part.grid
+        raw = complex_samples(9, ncomp * grid.npoints).reshape((ncomp,) + grid.shape)
+        for j in range(part.jmax + 1):
+            for coherent in (True, False):
+                c = (1.0 + 0.5 * raw.real if coherent else raw) * part.profile(j)
+                c[:, grid.nyquist_mask] = 0.0
+                got = shell_packet(part, j, 9, coherent=coherent, ncomp=ncomp)
+                assert np.array_equal(got.coefficients, c), (j, coherent)
 
 
 class TestBernstein:

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lpw.exponents import RegularityParams
-from lpw.grid import GridSpec, SpectralField, lp_norm, random_field
-from lpw.lp import build_partition, flat_dyadic_field, shell_packet, shell_sum_field
-from lpw.paraproduct import (all_pairs_shell, product_shell, shell_transfer_ratio,
-                             split, zone_estimate_report, zones)
+from lpw.grid import (GridSpec, SpectralField, _pair_product, _pair_product_fine, _physical_at,
+                      field_from_padded, lp_norm, random_field)
+from lpw.lp import (build_partition, flat_dyadic_field, project, project_window, shell_packet,
+                    shell_sum_field)
+from lpw.paraproduct import (_alias_free_size, _window_band, _zone_grid, all_pairs_shell,
+                             product_shell, shell_transfer_ratio, split, zone_estimate_report,
+                             zone_estimate_reports, zones)
 from lpw.symbols import multiplier
 from lpw.verify import _zone_estimate_stability
 
@@ -82,6 +86,44 @@ class TestSplit:
         assert lp_norm(zs.total - direct, 2) <= 1e-10 * lp_norm(V, 2) * lp_norm(w, math.inf)
 
 
+_SIZES = sorted(base << a for base in (1, 3, 5) for a in range(48))
+
+
+class TestAliasFreeGrid:
+    """The per-zone grid rule: M > max(B1 + B2 + K, 2 max(B1, B2))."""
+
+    @given(st.floats(0.5, 1e6), st.floats(0.5, 1e6), st.floats(0.5, 1e6))
+    @settings(max_examples=300, deadline=None)
+    def test_smallest_admissible_size(self, b1, b2, K):
+        need = max(b1 + b2 + K, 2.0 * max(b1, b2))
+        assert _alias_free_size(b1, b2, K) == next(m for m in _SIZES if m > need)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_ring_product_matches_three_halves_grid(self, data):
+        dim = data.draw(st.sampled_from((1, 2)))
+        N = data.draw(st.sampled_from((32, 64, 256) if dim == 1 else (16, 32, 64)))
+        part = build_partition(GridSpec(dim, N))
+        shell = st.integers(0, part.jmax)
+        lo_v, hi_v = sorted(data.draw(st.tuples(shell, shell)))
+        lo_w, hi_w = sorted(data.draw(st.tuples(shell, shell)))
+        k = data.draw(shell)
+        nc_v, nc_w = data.draw(st.sampled_from(((1, 1), (2, 2), (1, 2), (2, 1))))
+        seed = data.draw(st.integers(0, 1000))
+        V = project_window(part, random_field(part.grid, seed, ncomp=nc_v), lo_v, hi_v)
+        w = project_window(part, random_field(part.grid, seed + 1, ncomp=nc_w), lo_w, hi_w)
+        M = _zone_grid(part, hi_v, hi_w, k)
+        rule = _alias_free_size(_window_band(part, hi_v), _window_band(part, hi_w),
+                                _window_band(part, k))
+        assert M == rule or (k == part.jmax and M == 3 * N // 2 < rule)
+        fine = _pair_product_fine(_physical_at(V, M), _physical_at(w, M))
+        got = project(part, field_from_padded(part.grid, fine), k)
+        full = _pair_product(V, w)  # on the fixed 3/2 grid
+        ref = project(part, full, k)
+        err = np.linalg.norm((got.coefficients - ref.coefficients).ravel())
+        assert err <= 1e-13 * np.linalg.norm(full.coefficients.ravel())
+
+
 class TestShellTransfer:
     def test_uniform_in_j(self, part1):
         u = flat_dyadic_field(part1, 10)
@@ -153,6 +195,19 @@ class TestZoneEstimates:
             # the sign conditions behind the branch choices
             assert params.sigma - params.gamma - params.n / params.r < 0.0
             assert -params.alpha + params.beta + params.sigma < 0.0
+
+    def test_reports_equal_one_shell_calls(self):
+        g = GridSpec(1, 1 << 12)
+        part = build_partition(g)
+        u = flat_dyadic_field(part, 18)
+        V = flat_dyadic_field(part, 19)
+        Q = multiplier(1.0, lambda *xis: (1.0 + np.asarray(xis[0]) ** 2) ** 0.5)
+        for params in (_params_r_ge_q(), RegularityParams(
+                n=1, alpha=2.0, beta=0.5, gamma=1.0, s=1.1, p=2.0, sigma=1.25, r=1.0 / 0.65)):
+            ks = [4, 6, 8]
+            many = [rep.as_dict() for rep in zone_estimate_reports(V, u, Q, ks, params, part)]
+            assert many == [zone_estimate_report(V, u, Q, k, params, part).as_dict()
+                            for k in ks]
 
     def test_report_schema(self):
         g = GridSpec(1, 1 << 13)

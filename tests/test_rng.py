@@ -1,7 +1,7 @@
 import numpy as np
 
 from lpw.grid import GridSpec, random_field
-from lpw.rng import complex_samples, splitmix64, unit_doubles
+from lpw.rng import complex_samples, splitmix64, unit_doubles, unit_doubles_at
 
 
 def test_splitmix64_known_outputs():
@@ -14,6 +14,12 @@ def test_counter_chunk_independence():
     a = unit_doubles(99, 0, 64)
     b = np.concatenate([unit_doubles(99, 0, 10), unit_doubles(99, 10, 54)])
     assert np.array_equal(a, b)
+
+
+def test_counter_array_matches_range():
+    full = unit_doubles(31, 0, 200)
+    ctr = np.array([[3, 150, 7], [199, 0, 64]])
+    assert np.array_equal(unit_doubles_at(31, ctr), full[ctr])
 
 
 def test_unit_range():
