@@ -102,23 +102,19 @@ def _cmd_iterate(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    try:
-        if args.equation == "custom":
-            needed = (args.L, args.P, args.Q, args.alpha, args.beta, args.gamma,
-                      args.s, args.p)
-            if any(v is None for v in needed):
-                raise ValueError("custom equations need --L --P --Q --alpha "
-                                 "--beta --gamma --s --p")
-            eq = custom_equation(args.grid.dim, args.L, args.P, args.Q,
-                                 alpha=args.alpha, beta=args.beta,
-                                 gamma=args.gamma, s=args.s, p=args.p,
-                                 amplitude=args.amplitude)
-        else:
-            eq = equation_spec(args.equation, n=args.grid.dim, s=args.s, p=args.p,
-                               amplitude=args.amplitude)
-    except (KeyError, ValueError) as exc:
-        print(json.dumps({"error": str(exc)}, sort_keys=True))
-        return 2
+    if args.equation == "custom":
+        needed = (args.L, args.P, args.Q, args.alpha, args.beta, args.gamma,
+                  args.s, args.p)
+        if any(v is None for v in needed):
+            raise ValueError("custom equations need --L --P --Q --alpha "
+                             "--beta --gamma --s --p")
+        eq = custom_equation(args.grid.dim, args.L, args.P, args.Q,
+                             alpha=args.alpha, beta=args.beta,
+                             gamma=args.gamma, s=args.s, p=args.p,
+                             amplitude=args.amplitude)
+    else:
+        eq = equation_spec(args.equation, n=args.grid.dim, s=args.s, p=args.p,
+                           amplitude=args.amplitude)
     report = run_probe(eq, args.grid, rho=args.rho, seed=args.seed)
     payload = report.as_dict()
     _emit(payload, args.out)
@@ -190,7 +186,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:
+    except (KeyError, ValueError) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True))
         return 2
 

@@ -156,7 +156,9 @@ class SpectralField:
 
     @classmethod
     def zeros(cls, grid: GridSpec, ncomp: int = 1) -> "SpectralField":
-        return cls(grid, freq=np.zeros((ncomp,) + grid.shape, dtype=np.complex128))
+        # both representations, in two arrays, so reading either transforms nothing
+        shape = (ncomp,) + grid.shape
+        return cls(grid, phys=np.zeros(shape, complex), freq=np.zeros(shape, complex))
 
     @property
     def physical(self) -> np.ndarray:
@@ -285,14 +287,17 @@ def _modulus_norm(mod: np.ndarray, p) -> float:
 # -- products -----------------------------------------------------------
 
 
-def _pad_factor(degree: int) -> float:
-    # 3/2 zero padding is exact for quadratic products on the retained
-    # lattice; degree-3 products need padding to 2N.
-    if degree == 2:
-        return 1.5
-    if degree == 3:
-        return 2.0
-    raise ValueError(f"degree must be 2 or 3, got {degree}")
+def alias_free_size(N: int, b1: float, b2: float, K: float) -> int:
+    """The one dealiasing rule: points per axis for a product on the N-point lattice.
+
+    Factors band-limited per axis to b1 and b2, read at |xi_a| <= K, are
+    multiplied exactly on the smallest M = 2^a, 3*2^a or 5*2^a with
+    M > max(b1 + b2 + K, 2 max(b1, b2)) (Orszag, J. Atmos. Sci. 28 (1971)
+    1074), capped at the 3/2 grid, which is exact for any two lattice fields.
+    """
+    need = max(b1 + b2 + K, 2.0 * max(b1, b2))
+    smallest = min(base << max(0, math.floor(math.log2(need / base)) + 1) for base in (1, 3, 5))
+    return min(smallest, 3 * N // 2)
 
 
 def _relattice(coeffs: np.ndarray, n_out: int) -> np.ndarray:
@@ -314,9 +319,10 @@ def _physical_at(f: SpectralField, M: int) -> np.ndarray:
     return _inverse(_relattice(f.coefficients, M))
 
 
-def padded_physical(f: SpectralField, degree: int = 2) -> np.ndarray:
-    """Physical samples of `f` on the dealiasing fine grid (M points/axis)."""
-    return _physical_at(f, int(f.grid.points_per_axis * _pad_factor(degree)))
+def padded_physical(f: SpectralField) -> np.ndarray:
+    """Physical samples of `f` on the 3/2 grid, the rule's size for full-band factors."""
+    N = f.grid.points_per_axis
+    return _physical_at(f, alias_free_size(N, N / 2, N / 2, N / 2))
 
 
 def field_from_padded(grid: GridSpec, fine: np.ndarray) -> SpectralField:
@@ -340,34 +346,33 @@ def _check_pair(f: SpectralField, g: SpectralField) -> None:
         raise ValueError(f"cannot combine {f.ncomp} and {g.ncomp} components")
 
 
-def pointwise_product(f: SpectralField, g: SpectralField, degree: int = 2) -> SpectralField:
+def pointwise_product(f: SpectralField, g: SpectralField) -> SpectralField:
     """Dealiased pointwise product (componentwise, scalars broadcast).
 
-    `degree` is the total polynomial degree of the expression the product
-    participates in: 2 selects 3/2-padding (exact quadratics), 3 selects
-    2x padding (exact cubics).  Every retained coefficient equals the true
-    convolution of the inputs, so the frequency support is contained in the
-    Minkowski sum of the input supports within the resolvable band.
+    Both factors are padded to the 3/2 grid, so every retained coefficient
+    equals the true convolution of the inputs and the frequency support is
+    contained in the Minkowski sum of the input supports within the
+    resolvable band.
     """
     _check_pair(f, g)
-    pf = padded_physical(f, degree)
-    pg = padded_physical(g, degree)
+    pf = padded_physical(f)
+    pg = padded_physical(g)
     return field_from_padded(f.grid, pf * pg)
 
 
-def _pair_product(V: SpectralField, w: SpectralField, degree: int = 2) -> SpectralField:
+def _pair_product(V: SpectralField, w: SpectralField) -> SpectralField:
     """Dealiased V w, contracted over components as in _pair_product_fine."""
     if V.grid != w.grid:
         raise ValueError("grid mismatch")
-    fine = _pair_product_fine(padded_physical(V, degree), padded_physical(w, degree))
+    fine = _pair_product_fine(padded_physical(V), padded_physical(w))
     return field_from_padded(V.grid, fine)
 
 
-def dot_product(f: SpectralField, g: SpectralField, degree: int = 2) -> SpectralField:
+def dot_product(f: SpectralField, g: SpectralField) -> SpectralField:
     """Dealiased pointwise dot product sum_c f_c * g_c (scalar output)."""
     if f.ncomp != g.ncomp:
         raise ValueError("component mismatch for dot product")
-    return _pair_product(f, g, degree)
+    return _pair_product(f, g)
 
 
 def grid_product(f: SpectralField, g: SpectralField) -> SpectralField:

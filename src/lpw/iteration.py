@@ -99,10 +99,10 @@ def decay_bound(a: DecaySequence, params: IterationParams, start: int = 0) -> fl
     return float(np.max(a.values[start:] * 2.0 ** (params.eps * k)) / sup)
 
 
-def iterate_map(a: DecaySequence, params: IterationParams, max_rounds: int = 200) -> DecaySequence:
-    """Fixed point of b -> min(b, RHS(b)) starting from a (monotone decreasing)."""
+def iterate_map(a: DecaySequence, params: IterationParams) -> DecaySequence:
+    """Fixed point of b -> min(b, RHS(b)) from a (monotone decreasing), within 200 rounds."""
     b = a.values.copy()
-    for _ in range(max_rounds):
+    for _ in range(200):
         nb = np.minimum(b, _rhs(b, params.eps, params.delta))
         if np.array_equal(nb, b):
             break

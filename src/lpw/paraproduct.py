@@ -13,13 +13,10 @@ exact-cover test verifies numerically rather than re-deriving).  The zone
 estimates compare both sides of the displayed transfer inequalities and
 report the implied constants.
 
-Each zone product runs on the smallest grid that is alias-free for its bands
-(the padding rule of Orszag, J. Atmos. Sci. 28 (1971) 1074, for banded
-factors): factors band-limited per axis to |xi_a| <= B1 and B2, read only on
-ring k (|xi_a| <= K), need M > max(B1 + B2 + K, 2 max(B1, B2)) points per
-axis, and none needs more than the 3/2 grid.  The references `product_shell`
-and `all_pairs_shell` keep the fixed 3/2 grid, so the exact cover compares
-independent computations.
+Each zone product runs on the smallest grid that is alias-free on ring k for
+its bands, as `grid.alias_free_size` gives it.  The references
+`product_shell` and `all_pairs_shell` keep the fixed 3/2 grid, so the exact
+cover compares independent computations.
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ import numpy as np
 
 from .exponents import RegularityParams
 from .grid import (SpectralField, _pair_product, _pair_product_fine, _physical_at,
-                   field_from_padded, lp_norm, padded_physical)
+                   alias_free_size, field_from_padded, lp_norm, padded_physical)
 from .lp import RING_HI, LPPartition, dyadic_norm_sequence, project, project_window
 from .symbols import Symbol, apply
 
@@ -102,26 +99,10 @@ def _window_band(part: LPPartition, hi: int) -> float:
     return min(2.0**hi * RING_HI, part.grid.points_per_axis / 2)
 
 
-def _alias_free_size(b1: float, b2: float, K: float) -> int:
-    """Smallest M of the form 2^a, 3*2^a or 5*2^a with M > max(b1 + b2 + K, 2 max(b1, b2)).
-
-    On M points per axis the product of factors band-limited to |xi_a| <= b1
-    and b2 is exact at every |xi_a| <= K (Orszag 1971).
-    """
-    need = max(b1 + b2 + K, 2.0 * max(b1, b2))
-    return min(base << max(0, math.floor(math.log2(need / base)) + 1) for base in (1, 3, 5))
-
-
 def _zone_grid(part: LPPartition, hi_v: int, hi_w: int, k: int) -> int:
-    """Points per axis for the product of windows ending at hi_v and hi_w, read on ring k.
-
-    The alias-free size for the windows' bands, capped at the 3/2 grid: the
-    band N/2 of a window reaching the top shell overstates the lattice, which
-    holds frequency -N/2 but not +N/2, so at k = jmax the rule asks for 2N
-    where the 3/2 grid is already exact for any two lattice fields.
-    """
-    bands = _window_band(part, hi_v), _window_band(part, hi_w), _window_band(part, k)
-    return min(_alias_free_size(*bands), 3 * part.grid.points_per_axis // 2)
+    """Points per axis for the product of windows ending at hi_v and hi_w, read on ring k."""
+    return alias_free_size(part.grid.points_per_axis, _window_band(part, hi_v),
+                           _window_band(part, hi_w), _window_band(part, k))
 
 
 def split(V: SpectralField, w: SpectralField, k: int, part: LPPartition) -> ZoneSplit:
@@ -132,11 +113,9 @@ def split(V: SpectralField, w: SpectralField, k: int, part: LPPartition) -> Zone
     short diagonal band), so the cost per zone is a few padded transforms
     instead of one per index pair.
 
-    Each product runs on the smallest grid alias-free on ring k for its
-    windows (Orszag 1971): M > max(B1 + B2 + K, 2 max(B1, B2)) points per
-    axis, of the form 2^a, 3*2^a or 5*2^a, where a window [lo, hi] has band
-    B = min(2^hi RING_HI, N/2) and K = min(2^k RING_HI, N/2); never more than
-    the 3/2 grid, which is exact for any two lattice fields.  The LL corner
+    Each product runs on the grid `alias_free_size` gives for its windows
+    read on ring k, where a window [lo, hi] has band B = min(2^hi RING_HI,
+    N/2) and ring k has K = min(2^k RING_HI, N/2).  The LL corner
     shares LL's grid, so their difference stays on the fine grid; HH terms
     sharing a grid are summed there, one forward transform per grid.  Empty
     windows get no transform.
@@ -193,14 +172,12 @@ def split(V: SpectralField, w: SpectralField, k: int, part: LPPartition) -> Zone
     return ZoneSplit(zones=zp, I=zone_I, II=zone_II, III=zone_III, IV=zone_IV)
 
 
-def product_shell(V: SpectralField, w: SpectralField, k: int, part: LPPartition,
-                  degree: int = 2) -> SpectralField:
+def product_shell(V: SpectralField, w: SpectralField, k: int, part: LPPartition) -> SpectralField:
     """Direct P_k(V w) (dealiased on the 3/2 grid), the fast reference for the exact cover."""
-    return project(part, _pair_product(V, w, degree), k)
+    return project(part, _pair_product(V, w), k)
 
 
-def all_pairs_shell(V: SpectralField, w: SpectralField, k: int, part: LPPartition,
-                    degree: int = 2) -> SpectralField:
+def all_pairs_shell(V: SpectralField, w: SpectralField, k: int, part: LPPartition) -> SpectralField:
     """Brute-force oracle: sum over every index pair of P_k(P_i V P_j w).
 
     One dealiased product on the 3/2 grid and one forward transform per
@@ -210,10 +187,10 @@ def all_pairs_shell(V: SpectralField, w: SpectralField, k: int, part: LPPartitio
     if V.grid != w.grid:
         raise ValueError("grid mismatch")
     shells = range(part.jmax + 1)
-    w_fine = [padded_physical(project(part, w, j), degree) for j in shells]
+    w_fine = [padded_physical(project(part, w, j)) for j in shells]
     total = None
     for i in shells:
-        v_fine = padded_physical(project(part, V, i), degree)
+        v_fine = padded_physical(project(part, V, i))
         for wj in w_fine:
             term = project(part, field_from_padded(V.grid, _pair_product_fine(v_fine, wj)), k)
             total = term if total is None else total + term
@@ -224,16 +201,16 @@ def all_pairs_shell(V: SpectralField, w: SpectralField, k: int, part: LPPartitio
 
 
 def shell_transfer_ratio(u: SpectralField, Q: Symbol, j: int, r,
-                         part: LPPartition, decay: float = 8.0) -> float:
+                         part: LPPartition) -> float:
     """||P_j(Q u)||_r over its dominating window bound.
 
-    Bound: 2^(gamma j) sum_{i=j-10}^{j+10} ||P_i u||_r + 2^(-decay*j).
+    Bound: 2^(gamma j) sum_{i=j-10}^{j+10} ||P_i u||_r + 2^(-8j).
     """
     num = lp_norm(project(part, apply(Q, u), j), r)
     lo, hi = max(0, j - 10), min(part.jmax, j + 10)
     den = 2.0 ** (Q.order * j) * sum(
         dyadic_norm_sequence(part, u, r, lo, hi).values.tolist()
-    ) + 2.0 ** (-decay * j)
+    ) + 2.0 ** (-8.0 * j)
     return num / den
 
 

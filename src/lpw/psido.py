@@ -46,8 +46,9 @@ class SlopeReport:
         }
 
 
-def fit_log2_slope(ks, values, floor: float = 1e-14) -> SlopeReport:
-    """Fit log2(values) ~ intercept + slope*k, dropping entries below floor."""
+def fit_log2_slope(ks, values) -> SlopeReport:
+    """Fit log2(values) ~ intercept + slope*k, dropping entries at or below 1e-14."""
+    floor = 1e-14
     ks = list(ks)
     values = [float(v) for v in values]
     kept = [(k, v) for k, v in zip(ks, values) if v > floor]
@@ -71,9 +72,9 @@ def fit_log2_slope(ks, values, floor: float = 1e-14) -> SlopeReport:
 # -- ellipticity ----------------------------------------------------------
 
 
-def _x_sample_points(grid: GridSpec, per_axis: int = 16, mask=None):
-    """Coarse spatial sample for symbol scans; returns tuple of 1-d arrays."""
-    stride = max(1, grid.points_per_axis // per_axis)
+def _x_sample_points(grid: GridSpec, mask=None):
+    """Coarse spatial sample for symbol scans (16 points per axis); tuple of 1-d arrays."""
+    stride = max(1, grid.points_per_axis // 16)
     idx_axes = [np.arange(0, grid.points_per_axis, stride) for _ in range(grid.dim)]
     mesh = np.meshgrid(*[2.0 * np.pi * ia / grid.points_per_axis for ia in idx_axes],
                        indexing="ij")
@@ -85,7 +86,7 @@ def _x_sample_points(grid: GridSpec, per_axis: int = 16, mask=None):
 
 
 def _symbol_floor(sym: Symbol, grid: GridSpec, r_min: float, shift: float,
-                  x_per_axis: int = 16, x_mask=None) -> float:
+                  x_mask=None) -> float:
     """inf |a(x, xi)| / (shift + |xi|)^m over lattice |xi| >= r_min, sampled x.
 
     x is scanned on a coarse subgrid (optionally masked), in chunks that
@@ -100,7 +101,7 @@ def _symbol_floor(sym: Symbol, grid: GridSpec, r_min: float, shift: float,
         vals = np.abs(np.asarray(sym.xi_func(*xi_use)))
         return float(np.min(vals / scale)) if vals.size else 0.0
 
-    pts = _x_sample_points(grid, x_per_axis, x_mask)
+    pts = _x_sample_points(grid, x_mask)
     if pts[0].size == 0:
         raise ValueError("empty x sample")
     best = math.inf
@@ -114,7 +115,7 @@ def _symbol_floor(sym: Symbol, grid: GridSpec, r_min: float, shift: float,
 
 
 def ellipticity_margin(sym: Symbol, grid: GridSpec, C2: float = 4.0,
-                       x_per_axis: int = 16, x_mask=None) -> float:
+                       x_mask=None) -> float:
     """inf of |a(x, xi)| / |xi|^m over the lattice with |xi| >= max(C2, 1).
 
     A positive return certifies ellipticity on the sampled set; 0 means the
@@ -124,7 +125,7 @@ def ellipticity_margin(sym: Symbol, grid: GridSpec, C2: float = 4.0,
     m = sym.order
     if m <= 0:
         raise ValueError(f"ellipticity needs positive order, got {m}")
-    return _symbol_floor(sym, grid, max(C2, 1.0), 0.0, x_per_axis, x_mask)
+    return _symbol_floor(sym, grid, max(C2, 1.0), 0.0, x_mask)
 
 
 # -- elliptic splitting and parametrix -------------------------------------
@@ -136,31 +137,25 @@ class EllipticSplit:
 
     E: Symbol
     M: Symbol
-    ball_radius: float
     cutoff: float
     margin: float  # measured inf |e| / (1+|xi|)^alpha over |xi| >= cutoff
 
 
-def _split_window(radius: float):
-    r_out = radius * 1.5
-
-    def w(*xs):
-        return ramp_down(center_distance(*xs), radius, r_out)
-
-    return w
+def _ball_window(*xs):
+    """1 on the unit ball about the cell center, 0 beyond radius 1.5."""
+    return ramp_down(center_distance(*xs), 1.0, 1.5)
 
 
-def split_elliptic(L: Symbol, grid: GridSpec, C2: float = 4.0,
-                   ball_radius: float = 1.0) -> EllipticSplit:
+def split_elliptic(L: Symbol, grid: GridSpec, C2: float = 4.0) -> EllipticSplit:
     """Split L into a globally invertible part E and a remainder M.
 
-    E agrees with L on the ball (so M vanishes there) and is glued to the
-    frozen-center symbol l(x_c, xi) outside; for x-independent L this gives
-    E = L, M = 0 exactly.  Raises if L fails the sampled ellipticity bound.
+    E agrees with L on the unit ball (so M vanishes there) and is glued to
+    the frozen-center symbol l(x_c, xi) outside (E = L, M = 0 exactly for
+    x-independent L).  Raises if L fails the sampled ellipticity bound.
     """
     ball = ellipticity_margin(
         L, grid, C2,
-        x_mask=(lambda *xs: center_distance(*xs) <= ball_radius)
+        x_mask=(lambda *xs: center_distance(*xs) <= 1.0)
         if L.kind != "multiplier" else None,
     )
     if ball <= 0.0:
@@ -169,25 +164,19 @@ def split_elliptic(L: Symbol, grid: GridSpec, C2: float = 4.0,
     if L.kind == "multiplier":
         E, M = L, sym_mod.zero_symbol(L.order, name=f"{L.name}:remainder")
     else:
-        if L.kind == "multiplication":
-            terms = ((L.x_func, lambda *xis: np.ones(
-                np.broadcast_shapes(*(np.shape(a) for a in xis)))),)
-        elif L.kind == "separable":
-            terms = L.terms
-        else:
+        if L.kind != "separable":
             raise ValueError(f"cannot split symbols of kind {L.kind!r}")
-        w = _split_window(ball_radius)
         center = (np.pi,) * grid.dim
         e_terms, m_terms = [], []
-        for bx, cxi in terms:
+        for bx, cxi in L.terms:
             b_c = complex(np.asarray(bx(*center)))
 
             def b_glued(*xs, _bx=bx, _bc=b_c):
-                ww = w(*xs)
+                ww = _ball_window(*xs)
                 return ww * np.asarray(_bx(*xs)) + (1.0 - ww) * _bc
 
             def b_rest(*xs, _bx=bx, _bc=b_c):
-                return (1.0 - w(*xs)) * (np.asarray(_bx(*xs)) - _bc)
+                return (1.0 - _ball_window(*xs)) * (np.asarray(_bx(*xs)) - _bc)
 
             e_terms.append((b_glued, cxi))
             m_terms.append((b_rest, cxi))
@@ -197,7 +186,7 @@ def split_elliptic(L: Symbol, grid: GridSpec, C2: float = 4.0,
     margin = _symbol_floor(E, grid, max(C2, 0.0), 1.0)
     if margin <= 0.0:
         raise ValueError("splitting failed: glued symbol not bounded below at high frequency")
-    return EllipticSplit(E=E, M=M, ball_radius=ball_radius, cutoff=C2, margin=margin)
+    return EllipticSplit(E=E, M=M, cutoff=C2, margin=margin)
 
 
 def low_cutoff(C2: float):
@@ -341,8 +330,7 @@ def _remainder_max(A: Symbol, grid: GridSpec, k: int, ts: np.ndarray) -> tuple:
     return best, best_n
 
 
-def commutator_symbol_remainder(A: Symbol, grid: GridSpec, k: int,
-                                samples: int = 64) -> SymbolRemainderReport:
+def commutator_symbol_remainder(A: Symbol, grid: GridSpec, k: int) -> SymbolRemainderReport:
     """Measure the three-regime remainder maxima for shell k.
 
     Sample positions scale with 2^k so that regime-1 maxima are comparable
@@ -352,9 +340,9 @@ def commutator_symbol_remainder(A: Symbol, grid: GridSpec, k: int,
     if k < 3:
         raise ValueError("remainder regimes need k >= 3")
     base = 2.0**k
-    r1 = base * np.geomspace(1.0 / 8.0, 8.0, samples)
-    r2 = base * np.geomspace(8.0, 16.0, samples // 2)
-    r3 = base * np.linspace(0.0, 1.0 / 8.0, samples)
+    r1 = base * np.geomspace(1.0 / 8.0, 8.0, 64)
+    r2 = base * np.geomspace(8.0, 16.0, 32)
+    r3 = base * np.linspace(0.0, 1.0 / 8.0, 64)
     both = lambda t: np.concatenate([t, -t])
     reg1, reg1n = _remainder_max(A, grid, k, both(r1))
     reg2, _ = _remainder_max(A, grid, k, both(r2))

@@ -4,11 +4,12 @@ A symbol acts on a field through
 
     (A f)(x) = sum_xi a(x, xi) fhat(xi) exp(i x.xi).
 
-Pure frequency multipliers and pure multiplication operators get exact fast
-paths; separable symbols sum_t b_t(x) c_t(xi) cost one transform per term;
-arbitrary symbols fall back to the direct quantization sum, which is kept as
-the correctness oracle at small N.  Nyquist modes of the input are cleared on
-every application (the asymmetric mode breaks reality symmetry under
+Frequency multipliers get an exact fast path; separable symbols
+sum_t b_t(x) c_t(xi) cost one transform per term, and a multiplication
+operator b(x) is the one-term separable symbol b(x) * 1; arbitrary symbols
+fall back to the direct quantization sum, which is kept as the correctness
+oracle at small N.  Nyquist modes of the input are cleared on every
+application (the asymmetric mode breaks reality symmetry under
 differentiation).
 """
 
@@ -31,8 +32,8 @@ class Symbol:
 
     kind:
       multiplier        a = c(xi),   xi_func(*xi_components)
-      multiplication    a = b(x),    x_func(*x_components)
-      separable         a = sum_t b_t(x) c_t(xi), terms = ((b, c), ...)
+      separable         a = sum_t b_t(x) c_t(xi), terms = ((b, c), ...); a
+                        multiplication operator b(x) is the term (b, 1)
       matrix_multiplier matrix-valued c(xi), matrix_func(grid) -> (out, in, *shape)
       general           arbitrary a(x, xi), eval via eval_func(xs, xis)
     """
@@ -41,7 +42,6 @@ class Symbol:
     kind: str
     name: str = ""
     xi_func: object = None
-    x_func: object = None
     terms: tuple = ()
     matrix_func: object = None
     eval_func: object = None
@@ -50,9 +50,6 @@ class Symbol:
         """Evaluate a(x, xi) on mutually broadcastable coordinate arrays."""
         if self.kind == "multiplier":
             return np.asarray(self.xi_func(*xis)) + np.zeros(np.broadcast_shapes(
-                *(np.shape(a) for a in xs + xis)))
-        if self.kind == "multiplication":
-            return np.asarray(self.x_func(*xs)) + np.zeros(np.broadcast_shapes(
                 *(np.shape(a) for a in xs + xis)))
         if self.kind == "separable":
             out = None
@@ -73,14 +70,20 @@ def multiplier(order: float, xi_func, name: str = "") -> Symbol:
     return Symbol(order=order, kind="multiplier", name=name, xi_func=xi_func)
 
 
-def multiplication(x_func, name: str = "") -> Symbol:
-    return Symbol(order=0.0, kind="multiplication", name=name, x_func=x_func)
+def _ones(*axes) -> np.ndarray:
+    """Ones of the broadcast shape of the coordinate arrays `axes`."""
+    return np.ones(np.broadcast_shapes(*(np.shape(a) for a in axes)))
+
+
+def multiplication(b, name: str = "") -> Symbol:
+    """The multiplication operator by b(*xs): the one-term separable symbol b(x) * 1."""
+    return separable(0.0, [(b, _ones)], name)
 
 
 def separable(order: float, terms, name: str = "") -> Symbol:
     terms = tuple(terms)
     if not 1 <= len(terms) <= 8:
-        raise ValueError("separable symbols carry 1..8 terms")
+        raise ValueError(f"separable symbol {name!r} has {len(terms)} terms; 1..8 allowed")
     return Symbol(order=order, kind="separable", name=name, terms=terms)
 
 
@@ -121,10 +124,6 @@ def apply(sym: Symbol, f: SpectralField) -> SpectralField:
         vals = np.broadcast_to(vals, grid.shape)
         return SpectralField(grid, freq=f.coefficients * vals)
 
-    if sym.kind == "multiplication":
-        b = np.broadcast_to(np.asarray(sym.x_func(*grid.x_axes)), grid.shape)
-        return SpectralField(grid, phys=f.physical * b)
-
     if sym.kind == "separable":
         c = f.coefficients
         out = np.zeros_like(c)
@@ -150,7 +149,7 @@ def apply(sym: Symbol, f: SpectralField) -> SpectralField:
     raise ValueError(f"unknown symbol kind {sym.kind!r}")
 
 
-def quantize_direct(sym: Symbol, f: SpectralField, target_bytes: int = 1 << 27) -> SpectralField:
+def quantize_direct(sym: Symbol, f: SpectralField) -> SpectralField:
     """Direct quantization sum over the lattice: the O(N^2n) oracle path.
 
     Produces the same result as any fast path (same math, different
@@ -166,7 +165,7 @@ def quantize_direct(sym: Symbol, f: SpectralField, target_bytes: int = 1 << 27) 
     x_flat = [np.broadcast_to(a, grid.shape).ravel() for a in grid.x_axes]
     chat = f.coefficients.reshape(f.ncomp, M)
 
-    chunk = max(1, min(M, target_bytes // (16 * M)))
+    chunk = max(1, min(M, (1 << 27) // (16 * M)))  # kernel blocks of about 128 MiB
     out = np.zeros((f.ncomp, M), dtype=np.complex128)
     xs = tuple(x[:, None] for x in x_flat)
     for start in range(0, M, chunk):
@@ -222,7 +221,7 @@ def gradient_symbol() -> Symbol:
     return matrix_multiplier(1.0, lambda grid: _ixi_stack(grid)[:, np.newaxis], "grad_vector")
 
 
-def leray_projector(grid: GridSpec = None) -> Symbol:
+def leray_projector() -> Symbol:
     """Order-0 matrix multiplier projecting onto divergence-free fields.
 
     I - xi xi^T / |xi|^2 away from the origin, identity at xi = 0 (the mean
@@ -247,59 +246,92 @@ def leray_projector(grid: GridSpec = None) -> Symbol:
 
 # -- registry -------------------------------------------------------------
 
-_SEP_X = {
-    "one": lambda _arg: (lambda *xs: np.ones(np.broadcast_shapes(*(np.shape(a) for a in xs)))),
-    "cos": lambda arg: (lambda *xs: np.cos(xs[int(arg)])),
-    "sin": lambda arg: (lambda *xs: np.sin(xs[int(arg)])),
-    "twoplussin": lambda arg: (lambda *xs: 2.0 + np.sin(xs[int(arg)])),
-    "bump": lambda arg: (lambda *xs: _center_bump(float(arg), *xs)),
-}
+
+def _axis(spec: str, text: str, dim: int) -> int:
+    """The axis `text` names, which must be an integer in [0, dim)."""
+    if text not in [str(a) for a in range(dim)]:
+        raise ValueError(f"symbol {spec!r}: axis {text!r} is not an integer in [0, {dim})")
+    return int(text)
+
+
+def _finite(spec: str, text: str, what: str) -> float:
+    """The number `text`; it and its double (orders 2s, bump supports 2r) must be finite."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(2.0 * value):
+        raise ValueError(f"symbol {spec!r}: {what} {text!r} is not a finite number")
+    return value
 
 
 def _center_bump(radius, *xs):
     return ramp_down(center_distance(*xs), radius, 2.0 * radius)
 
 
-def _sep_xi(spec: str):
-    if spec == "one":
-        return 0.0, lambda *xis: np.ones(np.broadcast_shapes(*(np.shape(a) for a in xis)))
-    head, _, arg = spec.partition(":")
+_SEP_X_OF_AXIS = {"cos": np.cos, "sin": np.sin, "twoplussin": lambda t: 2.0 + np.sin(t)}
+
+
+def _sep_x(spec: str, xpart: str, dim: int):
+    head, _, arg = xpart.partition(":")
+    if xpart == "one":
+        return _ones
+    if head in _SEP_X_OF_AXIS:
+        fn, a = _SEP_X_OF_AXIS[head], _axis(spec, arg, dim)
+        return lambda *xs: fn(xs[a])
+    if head == "bump":
+        radius = _finite(spec, arg, "bump radius")
+        if radius <= 0.0:
+            raise ValueError(f"symbol {spec!r}: bump radius {arg!r} is not positive")
+        return lambda *xs: _center_bump(radius, *xs)
+    raise ValueError(f"symbol {spec!r}: unknown spatial part {xpart!r}")
+
+
+def _sep_xi(spec: str, xipart: str, dim: int):
+    head, _, arg = xipart.partition(":")
+    if xipart == "one":
+        return 0.0, _ones
     if head == "pow":
-        m = float(arg)
+        m = _finite(spec, arg, "order")
         return m, lambda *xis: (1.0 + _abs_xi(*xis) ** 2) ** (m / 2.0)
     if head == "abspow":
-        m = float(arg)
+        m = _finite(spec, arg, "order")
         return m, lambda *xis: _abs_xi(*xis) ** m
     if head == "ixi":
-        return 1.0, lambda *xis, _a=int(arg): 1j * xis[_a]
-    raise ValueError(f"unknown frequency part {spec!r} in separable symbol")
+        a = _axis(spec, arg, dim)
+        return 1.0, lambda *xis: 1j * xis[a]
+    raise ValueError(f"symbol {spec!r}: unknown frequency part {xipart!r}")
 
 
-def _parse_separable(body: str) -> Symbol:
+def _parse_separable(body: str, dim: int) -> Symbol:
     """Grammar: term(+term)*, term = <xpart>*<xipart>.
 
     xpart:  one | cos:<axis> | sin:<axis> | twoplussin:<axis> | bump:<radius>
     xipart: one | pow:<m> | abspow:<m> | ixi:<axis>
     Example: "sep:twoplussin:0*pow:2" is (2+sin x_0)(1+|xi|^2).
     """
+    spec = f"sep:{body}"
     terms = []
     order = 0.0
     for raw in body.split("+"):
         xpart, _, xipart = raw.partition("*")
         if not xipart:
-            raise ValueError(f"separable term {raw!r} needs <xpart>*<xipart>")
-        xhead, _, xarg = xpart.partition(":")
-        if xhead not in _SEP_X:
-            raise ValueError(f"unknown spatial part {xpart!r} in separable symbol")
-        bx = _SEP_X[xhead](xarg)
-        m, cxi = _sep_xi(xipart)
+            raise ValueError(f"symbol {spec!r}: term {raw!r} needs <xpart>*<xipart>")
+        bx = _sep_x(spec, xpart, dim)
+        m, cxi = _sep_xi(spec, xipart, dim)
         order = max(order, m)
         terms.append((bx, cxi))
-    return separable(order, terms, name=f"sep:{body}")
+    return separable(order, terms, name=spec)
 
 
-def resolve_symbol(name: str) -> Symbol:
-    """Look up a registry symbol by CLI name."""
+def resolve_symbol(name: str, dim: int = 4) -> Symbol:
+    """Look up a registry symbol by CLI name, for fields on dim-dimensional
+    grids (by default the largest dimension a GridSpec takes).
+
+    Every number in the name is parsed here: axes must be integers in
+    [0, dim), orders finite, and bump radii finite and positive.  A malformed
+    name raises ValueError naming it; an unknown one raises KeyError.
+    """
     if name == "laplacian":
         return laplacian_symbol()
     if name == "bilaplacian":
@@ -310,9 +342,9 @@ def resolve_symbol(name: str) -> Symbol:
         return leray_projector()
     head, _, arg = name.partition(":")
     if head == "fractional_laplacian":
-        return fractional_laplacian_symbol(float(arg))
+        return fractional_laplacian_symbol(_finite(name, arg, "exponent"))
     if head == "grad":
-        return grad_symbol(int(arg))
+        return grad_symbol(_axis(name, arg, dim))
     if head == "sep":
-        return _parse_separable(arg)
+        return _parse_separable(arg, dim)
     raise KeyError(f"unknown symbol name {name!r}")

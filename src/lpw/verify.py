@@ -179,7 +179,7 @@ def _remainder_regimes(seed: int, N: int = 256, ks=(8, 9, 10, 11, 12)) -> dict:
     }
 
 
-def verify_paraproduct(seed: int = 5, big: bool = True) -> dict:
+def verify_paraproduct(seed: int = 5) -> dict:
     """Zone exact cover (oracle + full-zone grids) and estimate stability."""
     grid = GridSpec(2, 256)
     part = build_partition(grid)
@@ -200,18 +200,17 @@ def verify_paraproduct(seed: int = 5, big: bool = True) -> dict:
         ok = ok and err_direct <= 1e-10 and err_brute <= 1e-10 and zp.disjoint()
 
     full = {}
-    if big:
-        grid1 = GridSpec(1, 1 << 20)
-        part1 = build_partition(grid1)
-        V1 = random_field(grid1, seed + 2)
-        w1 = random_field(grid1, seed + 3)
-        scale1 = lp_norm(V1, 2) * lp_norm(w1, math.inf)
-        for k in range(10, part1.jmax - 7):
-            zs = split(V1, w1, k, part1)
-            direct = product_shell(V1, w1, k, part1)
-            err = lp_norm(zs.total - direct, 2) / scale1
-            full[k] = {"vs_direct": err, "truncated": zs.zones.truncated}
-            ok = ok and err <= 1e-10 and not zs.zones.truncated
+    grid1 = GridSpec(1, 1 << 20)
+    part1 = build_partition(grid1)
+    V1 = random_field(grid1, seed + 2)
+    w1 = random_field(grid1, seed + 3)
+    scale1 = lp_norm(V1, 2) * lp_norm(w1, math.inf)
+    for k in range(10, part1.jmax - 7):
+        zs = split(V1, w1, k, part1)
+        direct = product_shell(V1, w1, k, part1)
+        err = lp_norm(zs.total - direct, 2) / scale1
+        full[k] = {"vs_direct": err, "truncated": zs.zones.truncated}
+        ok = ok and err <= 1e-10 and not zs.zones.truncated
 
     est = _zone_estimate_stability(seed)
     ok = ok and est["passed"]
@@ -220,7 +219,7 @@ def verify_paraproduct(seed: int = 5, big: bool = True) -> dict:
     return {
         "name": "paraproduct zones: exact cover / estimates",
         "oracle_grid": {"n": 2, "N": 256, "cases": oracle},
-        "full_zone_grid": {"n": 1, "N": 1 << 20, "cases": full} if big else None,
+        "full_zone_grid": {"n": 1, "N": 1 << 20, "cases": full},
         "estimates": est,
         "branch_selection": branches,
         "passed": bool(ok),

@@ -1,8 +1,12 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lpw.cli import main
+from lpw import cli
+from lpw.cli import _read_sequence, main
 
 
 def run_cli(capsys, *argv):
@@ -76,6 +80,23 @@ class TestIterateCommand:
                             "--eps", "1.0", "--delta", "0.2")
         assert code == 2
         assert "line 3" in json.loads(out)["error"]
+
+    @given(st.lists(st.floats(0.0, 1e300), min_size=1, max_size=20), st.booleans(),
+           st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_read_sequence_round_trips(self, values, header, data):
+        lines = ["k,a_k"] * header + [f"{k},{v!r}" for k, v in enumerate(values)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "seq.csv"
+            path.write_text("\n".join(lines) + "\n")
+            assert _read_sequence(str(path)).values.tolist() == values
+            if len(lines) > 1:
+                # a word no float() reads, on any line after the first, is named by its line
+                bad = data.draw(st.integers(1, len(lines) - 1))
+                lines[bad] = "0," + data.draw(st.text("abcdxyz", min_size=1))
+                path.write_text("\n".join(lines) + "\n")
+                with pytest.raises(ValueError, match=f"line {bad + 1}:"):
+                    _read_sequence(str(path))
 
     def test_S_beyond_K_exits_2(self, capsys, tmp_path):
         path = tmp_path / "seq.csv"
@@ -162,6 +183,30 @@ class TestProbeCommand:
         code2, out2 = run_cli(capsys, *args)
         assert code1 == 0 and code2 == 0
         assert out1 == out2
+
+    def test_unknown_equation_exits_2(self, capsys):
+        code, out = run_cli(capsys, "probe", "--equation", "nosuch", "--grid", "2,256")
+        assert code == 2
+        assert out == json.dumps({"error": str(KeyError("unknown equation kind 'nosuch'"))}) \
+            + "\n"
+
+    @pytest.mark.parametrize("flag, spec", [
+        ("--Q", "grad:-1"), ("--Q", "grad:7"), ("--Q", "sep:cos:-1*pow:1"),
+        ("--P", "sep:cos:1.5*one"), ("--P", "sep:bump:-0.5*one"),
+        ("--L", "fractional_laplacian:nan"), ("--L", "fractional_laplacian:inf"),
+        ("--P", "sep:one*abspow:nan")])
+    def test_malformed_symbol_spec_exits_2(self, capsys, monkeypatch, flag, spec):
+        def no_field_work(*args, **kwargs):
+            raise AssertionError("the probe started on a malformed symbol spec")
+
+        monkeypatch.setattr(cli, "run_probe", no_field_work)
+        argv = ["probe", "--equation", "custom", "--grid", "2,256", "--L", "bilaplacian",
+                "--P", "sep:one*pow:2", "--Q", "grad:0", "--alpha", "4", "--beta", "2",
+                "--gamma", "1", "--s", "2", "--p", "1.5"]
+        argv[argv.index(flag) + 1] = spec
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        assert repr(spec) in json.loads(out)["error"]
 
     def test_bad_grid_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,10 +1,13 @@
 import math
 import struct
 import sys
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lpw.grid import (GridSpec, SpectralField, dot_product, grid_product, lp_norm,
                       pointwise_product, random_field, read_field, write_field)
@@ -160,9 +163,10 @@ class TestTransformCounts:
         V, u = random_field(part1.grid, 5), random_field(part1.grid, 6)
         zone_estimate_report(V, u, Q, 3, params, part1)
         # split at k=3 pads the 2 LL windows and transforms 1 product back;
-        # ||V||_q and the norms of the four zone fields take 1 inverse each
+        # ||V||_q and the norm of zone I take 1 inverse each, and the three
+        # empty zones (II, III and IV) none
         assert calls == {("fftn", "_forward"): 1,
-                         ("ifftn", "_inverse"): 2 + 1 + 4 + part1.jmax + 1}
+                         ("ifftn", "_inverse"): 2 + 1 + 1 + part1.jmax + 1}
 
     def test_zone_reports_share_one_pass(self, calls, part1):
         # w = Q u, ||V||_q and the split of u serve both shells
@@ -172,9 +176,10 @@ class TestTransformCounts:
         V, u = random_field(part1.grid, 5), random_field(part1.grid, 6)
         assert len(zone_estimate_reports(V, u, Q, [3, 6], params, part1)) == 2
         # split at k=3: LL only (2 inverse, 1 forward); at k=6: LL, LH and HL
-        # (6 inverse, 3 forward); 4 zone norms per k, ||V||_q, u's split
+        # (6 inverse, 3 forward); the norms of the 1 + 3 nonempty zones,
+        # ||V||_q, u's split
         assert calls == {("fftn", "_forward"): 1 + 3,
-                         ("ifftn", "_inverse"): 2 + 6 + 2 * 4 + 1 + part1.jmax + 1}
+                         ("ifftn", "_inverse"): 2 + 6 + 1 + 3 + 1 + part1.jmax + 1}
 
     def test_mapping_splits_each_field_once(self, calls, part1):
         f = random_field(part1.grid, 7)
@@ -250,11 +255,12 @@ class TestProducts:
         assert leak <= 1e-12 * lp_norm(a, 2) * lp_norm(b, 2)
 
     def test_cubic_rule_exact(self):
-        # triple product of modes at the band edge resolves with degree=3
+        # a triple product of modes near the band edge, as two binary
+        # products, each exact on the 3/2 grid
         g = GridSpec(1, 32)
         m = mode(g, (5,))
-        sq = pointwise_product(m, m, degree=3)
-        cube = pointwise_product(sq, m, degree=3)
+        sq = pointwise_product(m, m)
+        cube = pointwise_product(sq, m)
         assert lp_norm(cube - mode(g, (15,)), 2) <= 1e-12
 
     def test_grid_mismatch(self):
@@ -339,6 +345,27 @@ class TestFieldIO:
             path.write_bytes(bytes(flipped))
             with pytest.raises(ValueError):
                 read_field(path)
+
+    @given(st.dictionaries(st.integers(0, 27), st.integers(0, 255), max_size=6),
+           st.one_of(st.none(), st.integers(0, 283)), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_changed_or_truncated_header_loads_or_raises_value_error(self, changes, cut,
+                                                                     sidecar):
+        f = random_field(GridSpec(1, 16), 24)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "f.lpw"
+            write_field(path, f)
+            if not sidecar:
+                Path(str(path) + ".json").unlink()
+            raw = bytearray(path.read_bytes())
+            for at, byte in changes.items():
+                raw[at] = byte
+            path.write_bytes(bytes(raw[:cut]))
+            try:
+                g = read_field(path)
+            except ValueError:
+                return
+            assert g.grid == f.grid and np.array_equal(g.physical, f.physical)
 
     def test_every_truncation_rejected(self, tmp_path):
         f = random_field(GridSpec(1, 16), 23)

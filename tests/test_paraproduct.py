@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from lpw.exponents import RegularityParams
 from lpw.grid import (GridSpec, SpectralField, _pair_product, _pair_product_fine, _physical_at,
-                      field_from_padded, lp_norm, random_field)
+                      alias_free_size, field_from_padded, lp_norm, random_field)
 from lpw.lp import (build_partition, flat_dyadic_field, project, project_window, shell_packet,
                     shell_sum_field)
-from lpw.paraproduct import (_alias_free_size, _window_band, _zone_grid, all_pairs_shell,
+from lpw.paraproduct import (_window_band, _zone_grid, all_pairs_shell,
                              product_shell, shell_transfer_ratio, split, zone_estimate_report,
                              zone_estimate_reports, zones)
 from lpw.symbols import multiplier
@@ -87,16 +87,17 @@ class TestSplit:
 
 
 _SIZES = sorted(base << a for base in (1, 3, 5) for a in range(48))
+_UNCAPPED = 1 << 40  # a lattice whose 3/2 grid caps none of the sizes below
 
 
 class TestAliasFreeGrid:
-    """The per-zone grid rule: M > max(B1 + B2 + K, 2 max(B1, B2))."""
+    """The dealiasing rule: M > max(B1 + B2 + K, 2 max(B1, B2)), capped at 3N/2."""
 
     @given(st.floats(0.5, 1e6), st.floats(0.5, 1e6), st.floats(0.5, 1e6))
     @settings(max_examples=300, deadline=None)
     def test_smallest_admissible_size(self, b1, b2, K):
         need = max(b1 + b2 + K, 2.0 * max(b1, b2))
-        assert _alias_free_size(b1, b2, K) == next(m for m in _SIZES if m > need)
+        assert alias_free_size(_UNCAPPED, b1, b2, K) == next(m for m in _SIZES if m > need)
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -113,8 +114,8 @@ class TestAliasFreeGrid:
         V = project_window(part, random_field(part.grid, seed, ncomp=nc_v), lo_v, hi_v)
         w = project_window(part, random_field(part.grid, seed + 1, ncomp=nc_w), lo_w, hi_w)
         M = _zone_grid(part, hi_v, hi_w, k)
-        rule = _alias_free_size(_window_band(part, hi_v), _window_band(part, hi_w),
-                                _window_band(part, k))
+        rule = alias_free_size(_UNCAPPED, _window_band(part, hi_v), _window_band(part, hi_w),
+                               _window_band(part, k))
         assert M == rule or (k == part.jmax and M == 3 * N // 2 < rule)
         fine = _pair_product_fine(_physical_at(V, M), _physical_at(w, M))
         got = project(part, field_from_padded(part.grid, fine), k)

@@ -1,5 +1,8 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lpw.grid import GridSpec, SpectralField, lp_norm, random_field
 from lpw.symbols import (apply, divergence_symbol, grad_symbol, leray_projector,
@@ -139,3 +142,61 @@ class TestRegistry:
                   lambda *xis: np.ones(np.shape(xis[0])))] * 9
         with pytest.raises(ValueError):
             separable(0.0, terms)
+
+
+# valid registry specs for fields on a 2-D grid, numbers written as a user might
+_AXIS = st.sampled_from(("0", "1"))
+_ORDER = st.one_of(st.integers(0, 4).map(str), st.floats(0.0, 4.0).map(repr))
+_XPART = st.one_of(st.just("one"), st.builds("{}:{}".format,
+                                             st.sampled_from(("cos", "sin", "twoplussin")), _AXIS),
+                   st.floats(0.05, 3.0).map(lambda r: f"bump:{r!r}"))
+_XIPART = st.one_of(st.just("one"), st.builds("pow:{}".format, _ORDER),
+                    st.floats(-4.0, 0.0).map(lambda m: f"pow:{m!r}"),
+                    st.builds("abspow:{}".format, _ORDER), st.builds("ixi:{}".format, _AXIS))
+_TERM = st.builds("{}*{}".format, _XPART, _XIPART)
+_SPEC = st.one_of(
+    st.sampled_from(("laplacian", "bilaplacian", "div", "leray")),
+    st.builds("fractional_laplacian:{}".format, st.floats(0.0, 2.0).map(repr)),
+    st.builds("grad:{}".format, _AXIS),
+    st.lists(_TERM, min_size=1, max_size=3).map(lambda ts: "sep:" + "+".join(ts)))
+_GRID16 = GridSpec(2, 16)
+
+
+def _field_for(A):
+    return random_field(_GRID16, 5, ncomp=2 if A.name in ("div", "leray") else 1)
+
+
+class TestRegistryProperties:
+    @given(_SPEC)
+    @settings(max_examples=150, deadline=None)
+    def test_name_re_resolves(self, spec):
+        A = resolve_symbol(spec, 2)
+        B = resolve_symbol(A.name, 2)
+        assert B.name == A.name and B.order == A.order
+        f = _field_for(A)
+        assert np.array_equal(apply(A, f).physical, apply(B, f).physical)
+
+    @given(_SPEC, st.lists(st.tuples(st.sampled_from(("insert", "delete", "replace")),
+                                     st.integers(0, 60), st.sampled_from(":*+-.e019_ axnf")),
+                           min_size=1, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_spec_raises_only_value_or_key_error(self, spec, edits):
+        for op, at, ch in edits:
+            at = at % (len(spec) + 1)
+            if op == "insert":
+                spec = spec[:at] + ch + spec[at:]
+            else:
+                spec = spec[:at] + (ch if op == "replace" else "") + spec[at + 1:]
+        try:
+            resolve_symbol(spec, 2)
+        except (ValueError, KeyError):
+            pass
+
+    def test_rejects_what_a_lattice_cannot_take(self):
+        for spec in ("grad:-1", "grad:2", "grad:1.0", "sep:cos:-1*pow:1", "sep:cos:1.5*one",
+                     "sep:one*ixi:2", "sep:bump:-0.5*one", "sep:bump:0*one",
+                     "sep:bump:inf*one", "fractional_laplacian:nan",
+                     "fractional_laplacian:inf", "fractional_laplacian:1e308",
+                     "sep:one*abspow:nan", "sep:one*pow:x", "sep:" + "+".join(["one*one"] * 9)):
+            with pytest.raises(ValueError, match=re.escape(repr(spec))):
+                resolve_symbol(spec, 2)
