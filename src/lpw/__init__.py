@@ -8,7 +8,7 @@ of model elliptic equations.
 """
 
 from .grid import GridSpec, SpectralField
-from .grid import lp_norm, pointwise_product, dot_product
+from .grid import lp_norm, dealiased_product
 from .lp import LPPartition, build_partition, project, project_window, shell_moduli
 from .lp import bernstein_ratio, sobolev_norm, sobolev_norms, dyadic_norm_sequence
 from .lp import DyadicNormSequence
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GridSpec", "SpectralField",
-    "lp_norm", "pointwise_product", "dot_product",
+    "lp_norm", "dealiased_product",
     "LPPartition", "build_partition", "project", "project_window", "shell_moduli",
     "bernstein_ratio", "sobolev_norm", "sobolev_norms", "dyadic_norm_sequence",
     "DyadicNormSequence",

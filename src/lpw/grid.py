@@ -186,9 +186,6 @@ class SpectralField:
             return np.abs(p[0])
         return np.sqrt(np.sum(np.abs(p) ** 2, axis=0))
 
-    def mean(self) -> np.ndarray:
-        return self.coefficients[(slice(None),) + (0,) * self.grid.dim].copy()
-
     def without_mean(self) -> "SpectralField":
         c = self.coefficients.copy()
         c[(slice(None),) + (0,) * self.grid.dim] = 0.0
@@ -222,7 +219,7 @@ class SpectralField:
 
     def __mul__(self, scalar):
         if isinstance(scalar, SpectralField):
-            raise TypeError("use pointwise_product / grid_product for field products")
+            raise TypeError("use dealiased_product / grid_product for field products")
         if self._freq is not None:
             return SpectralField(self.grid, freq=self._freq * scalar)
         return SpectralField(self.grid, phys=self._phys * scalar)
@@ -346,8 +343,9 @@ def _check_pair(f: SpectralField, g: SpectralField) -> None:
         raise ValueError(f"cannot combine {f.ncomp} and {g.ncomp} components")
 
 
-def pointwise_product(f: SpectralField, g: SpectralField) -> SpectralField:
-    """Dealiased pointwise product (componentwise, scalars broadcast).
+def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:
+    """Dealiased pointwise product: matching multi-component factors contract
+    to the scalar sum_c f_c g_c, and a scalar factor broadcasts.
 
     Both factors are padded to the 3/2 grid, so every retained coefficient
     equals the true convolution of the inputs and the frequency support is
@@ -355,24 +353,7 @@ def pointwise_product(f: SpectralField, g: SpectralField) -> SpectralField:
     resolvable band.
     """
     _check_pair(f, g)
-    pf = padded_physical(f)
-    pg = padded_physical(g)
-    return field_from_padded(f.grid, pf * pg)
-
-
-def _pair_product(V: SpectralField, w: SpectralField) -> SpectralField:
-    """Dealiased V w, contracted over components as in _pair_product_fine."""
-    if V.grid != w.grid:
-        raise ValueError("grid mismatch")
-    fine = _pair_product_fine(padded_physical(V), padded_physical(w))
-    return field_from_padded(V.grid, fine)
-
-
-def dot_product(f: SpectralField, g: SpectralField) -> SpectralField:
-    """Dealiased pointwise dot product sum_c f_c * g_c (scalar output)."""
-    if f.ncomp != g.ncomp:
-        raise ValueError("component mismatch for dot product")
-    return _pair_product(f, g)
+    return field_from_padded(f.grid, _pair_product_fine(padded_physical(f), padded_physical(g)))
 
 
 def grid_product(f: SpectralField, g: SpectralField) -> SpectralField:

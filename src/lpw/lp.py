@@ -125,11 +125,15 @@ def shell_moduli(part: LPPartition, f: SpectralField, lo: int = 0, hi: int | Non
 
     The one split of a field into shells: one inverse transform per shell,
     made when the next is asked for, so a caller that reduces each shell as
-    it comes never holds them all.
+    it comes never holds them all.  A shell with no nonzero coefficient
+    yields zeros without a transform.
     """
     coeffs = f.coefficients
     for j in range(lo, (part.jmax if hi is None else hi) + 1):
-        yield SpectralField(f.grid, freq=coeffs * part.profile(j)).modulus()
+        c = coeffs * part.profile(j)
+        mod = SpectralField(f.grid, freq=c).modulus() if c.any() else np.zeros(f.grid.shape)
+        del c  # not held while the caller reduces the shell
+        yield mod
 
 
 def _reduce_shells(part: LPPartition, f: SpectralField, r=None, pairs=(),
@@ -172,15 +176,11 @@ def sobolev_norm(part: LPPartition, f: SpectralField, s: float, p: float) -> flo
 
 @dataclass
 class DyadicNormSequence:
-    """Per-shell L^r norms of a field: values[i] belongs to shell lo + i.
-
-    `smoothness` is ||f||_{sigma,r} when the sequence was taken with sigma.
-    """
+    """Per-shell L^r norms of a field: values[i] belongs to shell lo + i."""
 
     r: float
     values: np.ndarray
     lo: int = 0
-    smoothness: float | None = None
 
     def to_csv(self, path) -> None:
         with open(Path(path), "w", newline="") as fh, np.errstate(divide="ignore"):
@@ -192,12 +192,9 @@ class DyadicNormSequence:
 
 
 def dyadic_norm_sequence(part: LPPartition, f: SpectralField, r, lo: int = 0,
-                         hi: int | None = None, sigma: float | None = None
-                         ) -> DyadicNormSequence:
-    """L^r norms of the shells lo..hi of f; with sigma (every shell), also ||f||_{sigma,r}."""
-    pairs = () if sigma is None else ((sigma, r),)
-    norms, smoothness = _reduce_shells(part, f, r, pairs, lo, hi)
-    return DyadicNormSequence(r, np.array(norms), lo, smoothness[0] if pairs else None)
+                         hi: int | None = None) -> DyadicNormSequence:
+    """L^r norms of the shells lo..hi of f."""
+    return DyadicNormSequence(r, np.array(_reduce_shells(part, f, r, (), lo, hi)[0]), lo)
 
 
 # -- seeded synthetic fields ---------------------------------------------

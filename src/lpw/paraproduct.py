@@ -27,9 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exponents import RegularityParams
-from .grid import (SpectralField, _pair_product, _pair_product_fine, _physical_at,
-                   alias_free_size, field_from_padded, lp_norm, padded_physical)
-from .lp import RING_HI, LPPartition, dyadic_norm_sequence, project, project_window
+from .grid import (SpectralField, _pair_product_fine, _physical_at, alias_free_size,
+                   dealiased_product, field_from_padded, lp_norm, padded_physical)
+from .lp import (RING_HI, LPPartition, _reduce_shells, dyadic_norm_sequence, project,
+                 project_window)
 from .symbols import Symbol, apply
 
 
@@ -105,76 +106,66 @@ def _zone_grid(part: LPPartition, hi_v: int, hi_w: int, k: int) -> int:
                            _window_band(part, hi_w), _window_band(part, k))
 
 
+def _zone_windows(k: int, jmax: int) -> tuple:
+    """The zones LL, LH, HL, HH of `zones(k, jmax)` as signed window pairs.
+
+    Each zone is a list of (sign, lo_v, hi_v, lo_w, hi_w): the signed sum of
+    the rectangles [lo_v, hi_v] x [lo_w, hi_w], clipped to [0, jmax], is the
+    zone's index set.  LL is [k-5, k+7]^2 minus its corner [k+6, k+7]^2, LH
+    and HL are rectangles, and HH has one window per column j.  Each zone's
+    first window on any grid is an added one.
+    """
+    LL = [(1, k - 5, k + 7, k - 5, k + 7)]
+    if k + 6 <= jmax:
+        LL.append((-1, k + 6, k + 7, k + 6, k + 7))
+    LH = [(1, 0, k - 6, k - 3, k + 3)] if k >= 6 else []
+    HL = [(1, k - 3, k + 3, 0, k - 6)] if k >= 6 else []
+    HH = [(1, max(k + 6, j - 3), min(jmax, j + 3), j, j) for j in range(k + 6, jmax + 1)]
+    return LL, LH, HL, HH
+
+
 def split(V: SpectralField, w: SpectralField, k: int, part: LPPartition) -> ZoneSplit:
     """Zone-wise sums of P_k(P_i V P_j w) with dealiased products.
 
-    By bilinearity the rectangular zones collapse to single window products
-    (LL is a rectangle minus its high corner, LH/HL are rectangles, HH a
-    short diagonal band), so the cost per zone is a few padded transforms
-    instead of one per index pair.
+    By bilinearity each zone is a signed sum of window products, as
+    `_zone_windows` lists them, so the cost per zone is a few padded
+    transforms instead of one per index pair.
 
     Each product runs on the grid `alias_free_size` gives for its windows
     read on ring k, where a window [lo, hi] has band B = min(2^hi RING_HI,
-    N/2) and ring k has K = min(2^k RING_HI, N/2).  The LL corner
-    shares LL's grid, so their difference stays on the fine grid; HH terms
-    sharing a grid are summed there, one forward transform per grid.  Empty
-    windows get no transform.
+    N/2) and ring k has K = min(2^k RING_HI, N/2).  A zone's products that
+    share a grid are summed there, one forward transform per grid.
     """
     if V.grid != w.grid:
         raise ValueError("grid mismatch")
     grid = V.grid
-    jmax = part.jmax
-    zp = zones(k, jmax)
     out_ncomp = 1 if (V.ncomp == w.ncomp and V.ncomp > 1) else max(V.ncomp, w.ncomp)
-
-    def product(lo_v, hi_v, lo_w, hi_w, M):
-        return _pair_product_fine(_physical_at(project_window(part, V, lo_v, hi_v), M),
-                                  _physical_at(project_window(part, w, lo_w, hi_w), M))
-
-    def finish(fines):
-        # P_k of the sum of the fine-grid products in `fines` (grid size ->
-        # product); each is popped, so none outlives its forward transform
-        coeffs = None
-        while fines:
+    fields = []
+    for windows in _zone_windows(k, part.jmax):
+        fines, coeffs = {}, None  # fines: grid size -> sum of the zone's products on it
+        for sign, lo_v, hi_v, lo_w, hi_w in windows:
+            M = _zone_grid(part, hi_v, hi_w, k)
+            term = _pair_product_fine(_physical_at(project_window(part, V, lo_v, hi_v), M),
+                                      _physical_at(project_window(part, w, lo_w, hi_w), M))
+            if M not in fines:
+                fines[M] = term
+            elif sign > 0:
+                fines[M] += term
+            else:
+                fines[M] -= term
+            del term  # no product outlives its sum
+        while fines:  # popped, so no sum outlives its forward transform
             c = field_from_padded(grid, fines.popitem()[1]).coefficients
             coeffs = c if coeffs is None else coeffs + c
-        if coeffs is None:
-            return SpectralField.zeros(grid, out_ncomp)
-        return project(part, SpectralField(grid, freq=coeffs), k)
-
-    # LL = [k-5, k+7]^2 minus the corner [k+6, k+7]^2, both on LL's grid
-    M = _zone_grid(part, k + 7, k + 7, k)
-    fines = {M: product(k - 5, k + 7, k - 5, k + 7, M)}
-    if k + 6 <= jmax:
-        fines[M] -= product(k + 6, k + 7, k + 6, k + 7, M)
-    zone_I = finish(fines)
-
-    # LH = {i <= k-6} x [k-3, k+3] and HL = [k-3, k+3] x {j <= k-6}: mirror
-    # images, so one grid serves both
-    low = k - 6 >= 0
-    M = _zone_grid(part, k - 6, k + 3, k)
-    zone_II = finish({M: product(0, k - 6, k - 3, k + 3, M)} if low else {})
-    zone_III = finish({M: product(k - 3, k + 3, 0, k - 6, M)} if low else {})
-
-    # HH = {i, j > k+5, |i-j| <= 3}: band over j with per-j i-windows,
-    # summed per grid size
-    for j in range(k + 6, jmax + 1):
-        lo_i, hi_i = max(k + 6, j - 3), min(jmax, j + 3)
-        M = _zone_grid(part, hi_i, j, k)
-        term = product(lo_i, hi_i, j, j, M)
-        if M in fines:
-            fines[M] += term
-        else:
-            fines[M] = term
-        del term  # no product outlives its sum
-    zone_IV = finish(fines)
-
-    return ZoneSplit(zones=zp, I=zone_I, II=zone_II, III=zone_III, IV=zone_IV)
+            del c
+        fields.append(SpectralField.zeros(grid, out_ncomp) if coeffs is None
+                      else project(part, SpectralField(grid, freq=coeffs), k))
+    return ZoneSplit(zones(k, part.jmax), *fields)
 
 
 def product_shell(V: SpectralField, w: SpectralField, k: int, part: LPPartition) -> SpectralField:
     """Direct P_k(V w) (dealiased on the 3/2 grid), the fast reference for the exact cover."""
-    return project(part, _pair_product(V, w), k)
+    return project(part, dealiased_product(V, w), k)
 
 
 def all_pairs_shell(V: SpectralField, w: SpectralField, k: int, part: LPPartition) -> SpectralField:
@@ -294,8 +285,8 @@ def zone_estimate_reports(V: SpectralField, u: SpectralField, Q: Symbol, ks,
     sigma, r, q = params.sigma, params.r, params.q
     w = apply(Q, u)
     delta = lp_norm(V, q)
-    seq = dyadic_norm_sequence(part, u, r, sigma=sigma)  # one split for du and c_rho
-    du, c_rho = seq.values, seq.smoothness
+    norms, (c_rho,) = _reduce_shells(part, u, r, [(sigma, r)])  # one split for both
+    du = np.array(norms)
 
     def report(k):  # a function, so each split's zone fields go before the next split
         zs = split(V, w, k, part)

@@ -121,41 +121,34 @@ def _gjms_spec(n: int, s: float, p: float, amplitude: float) -> EquationSpec:
     )
 
 
-_DEFAULT_DATA = {
-    # kind -> {n: (s, p)}
-    "stationary-navier-stokes": {2: (1.0, 4.0), 4: (1.0, 2.0)},
-    "biharmonic4d-toy": {2: (2.0, 1.5), 4: (2.0, 2.0)},
-    "gjms-toy": {3: (1.5, 2.0)},
+_EQUATIONS = {
+    # kind -> (builder, {n: default (s, p)})
+    "stationary-navier-stokes": (_ns_spec, {2: (1.0, 4.0), 4: (1.0, 2.0)}),
+    "biharmonic4d-toy": (_biharmonic_spec, {2: (2.0, 1.5), 4: (2.0, 2.0)}),
+    "gjms-toy": (_gjms_spec, {3: (1.5, 2.0)}),
 }
+_ALIASES = {"ns": "stationary-navier-stokes", "biharmonic": "biharmonic4d-toy",
+            "gjms": "gjms-toy"}
 
 
 def equation_spec(kind: str, n: int | None = None, s: float | None = None,
                   p: float | None = None, amplitude: float = 1e-2) -> EquationSpec:
     """Build a model equation; defaults re-derive passing data per dimension."""
-    aliases = {"ns": "stationary-navier-stokes", "stationary-navier-stokes":
-               "stationary-navier-stokes", "biharmonic": "biharmonic4d-toy",
-               "biharmonic4d-toy": "biharmonic4d-toy", "gjms": "gjms-toy",
-               "gjms-toy": "gjms-toy"}
-    if kind not in aliases:
+    name = _ALIASES.get(kind, kind)
+    if name not in _EQUATIONS:
         raise KeyError(f"unknown equation kind {kind!r}")
-    kind = aliases[kind]
-    table = _DEFAULT_DATA[kind]
+    build, table = _EQUATIONS[name]
     if n is None:
         n = min(table)
     if n not in table and (s is None or p is None):
-        raise ValueError(f"{kind} has no default data for n={n}; pass s and p")
+        raise ValueError(f"{name} has no default data for n={n}; pass s and p")
     s0, p0 = table.get(n, (None, None))
     s = s0 if s is None else s
     p = p0 if p is None else p
-    if kind == "stationary-navier-stokes":
-        eq = _ns_spec(n, s, p, amplitude)
-    elif kind == "biharmonic4d-toy":
-        eq = _biharmonic_spec(n, s, p, amplitude)
-    else:
-        eq = _gjms_spec(n, s, p, amplitude)
+    eq = build(n, s, p, amplitude)
     rep = check_params(eq.params)
     if not rep.ok:
-        raise ValueError(f"{kind} data (n={n}, s={s}, p={p}) violates: "
+        raise ValueError(f"{name} data (n={n}, s={s}, p={p}) violates: "
                          + ", ".join(rep.violations))
     return eq
 

@@ -35,16 +35,6 @@ class SlopeReport:
     max_residual: float
     dropped: tuple = ()
 
-    def as_dict(self) -> dict:
-        return {
-            "ks": list(self.ks),
-            "values": [float(v) for v in self.values],
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "max_residual": self.max_residual,
-            "dropped": list(self.dropped),
-        }
-
 
 def fit_log2_slope(ks, values) -> SlopeReport:
     """Fit log2(values) ~ intercept + slope*k, dropping entries at or below 1e-14."""
@@ -294,16 +284,6 @@ class SymbolRemainderReport:
     regime1_normalized: float
     regime2_max: float
     regime3_max: float
-
-    def as_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "order": self.order,
-            "regime1_max": self.regime1_max,
-            "regime1_normalized": self.regime1_normalized,
-            "regime2_max": self.regime2_max,
-            "regime3_max": self.regime3_max,
-        }
 
 
 def _remainder_max(A: Symbol, grid: GridSpec, k: int, ts: np.ndarray) -> tuple:

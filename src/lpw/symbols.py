@@ -265,6 +265,16 @@ def _finite(spec: str, text: str, what: str) -> float:
     return value
 
 
+def _power_of_abs_xi(spec: str, text: str, what: str) -> float:
+    """The finite number `text` as a power of |xi|; a negative power, infinite
+    at xi = 0, is rejected."""
+    value = _finite(spec, text, what)
+    if value < 0.0:
+        raise ValueError(f"symbol {spec!r}: {what} {text!r} is negative, "
+                         "so the symbol is infinite at xi = 0")
+    return value
+
+
 def _center_bump(radius, *xs):
     return ramp_down(center_distance(*xs), radius, 2.0 * radius)
 
@@ -295,7 +305,7 @@ def _sep_xi(spec: str, xipart: str, dim: int):
         m = _finite(spec, arg, "order")
         return m, lambda *xis: (1.0 + _abs_xi(*xis) ** 2) ** (m / 2.0)
     if head == "abspow":
-        m = _finite(spec, arg, "order")
+        m = _power_of_abs_xi(spec, arg, "order")
         return m, lambda *xis: _abs_xi(*xis) ** m
     if head == "ixi":
         a = _axis(spec, arg, dim)
@@ -311,17 +321,16 @@ def _parse_separable(body: str, dim: int) -> Symbol:
     Example: "sep:twoplussin:0*pow:2" is (2+sin x_0)(1+|xi|^2).
     """
     spec = f"sep:{body}"
-    terms = []
-    order = 0.0
+    orders, terms = [], []
     for raw in body.split("+"):
         xpart, _, xipart = raw.partition("*")
         if not xipart:
             raise ValueError(f"symbol {spec!r}: term {raw!r} needs <xpart>*<xipart>")
         bx = _sep_x(spec, xpart, dim)
         m, cxi = _sep_xi(spec, xipart, dim)
-        order = max(order, m)
+        orders.append(m)
         terms.append((bx, cxi))
-    return separable(order, terms, name=spec)
+    return separable(max(orders), terms, name=spec)
 
 
 def resolve_symbol(name: str, dim: int = 4) -> Symbol:
@@ -342,7 +351,7 @@ def resolve_symbol(name: str, dim: int = 4) -> Symbol:
         return leray_projector()
     head, _, arg = name.partition(":")
     if head == "fractional_laplacian":
-        return fractional_laplacian_symbol(_finite(name, arg, "exponent"))
+        return fractional_laplacian_symbol(_power_of_abs_xi(name, arg, "exponent"))
     if head == "grad":
         return grad_symbol(_axis(name, arg, dim))
     if head == "sep":

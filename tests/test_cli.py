@@ -194,7 +194,8 @@ class TestProbeCommand:
         ("--Q", "grad:-1"), ("--Q", "grad:7"), ("--Q", "sep:cos:-1*pow:1"),
         ("--P", "sep:cos:1.5*one"), ("--P", "sep:bump:-0.5*one"),
         ("--L", "fractional_laplacian:nan"), ("--L", "fractional_laplacian:inf"),
-        ("--P", "sep:one*abspow:nan")])
+        ("--P", "sep:one*abspow:nan"), ("--P", "sep:one*abspow:-1"),
+        ("--Q", "fractional_laplacian:-0.5")])
     def test_malformed_symbol_spec_exits_2(self, capsys, monkeypatch, flag, spec):
         def no_field_work(*args, **kwargs):
             raise AssertionError("the probe started on a malformed symbol spec")

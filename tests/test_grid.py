@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lpw.grid import (GridSpec, SpectralField, dot_product, grid_product, lp_norm,
-                      pointwise_product, random_field, read_field, write_field)
+from lpw.grid import (GridSpec, SpectralField, dealiased_product, grid_product, lp_norm,
+                      random_field, read_field, write_field)
 from lpw.exponents import RegularityParams
 from lpw.lp import build_partition, flat_dyadic_field
 from lpw.paraproduct import (all_pairs_shell, product_shell, split, zone_estimate_report,
                              zone_estimate_reports)
-from lpw.probe import equation_spec
+from lpw.probe import equation_spec, run_probe
 from lpw.psido import commutator_shell, commutator_symbol_remainder, mapping_constant
 from lpw.symbols import apply, multiplier, resolve_symbol
 
@@ -151,6 +151,13 @@ class TestTransformCounts:
         eq.nonlinearity(u, u)
         assert calls == {("fftn", "_forward"): 1, ("ifftn", "_inverse"): 2}
 
+    def test_probe_skips_empty_shells(self, calls):
+        # B M u_loc is zero (M = 0 for a multiplier L) and the parametrix's
+        # low cutoff zeroes shell 0 of main_term and of forcing_side: those
+        # 8 + 2 shells make no transform (85 inverses when they did)
+        run_probe(equation_spec("biharmonic"), GridSpec(2, 256), seed=9)
+        assert calls == {("fftn", "_forward"): 10, ("ifftn", "_inverse"): 75}
+
     def test_symbol_remainder(self, calls):
         commutator_symbol_remainder(resolve_symbol("sep:cos:0*pow:1"), GridSpec(1, 64), 3)
         assert calls == {("fftn", "_forward"): 3, ("ifftn", "_inverse"): 3}
@@ -222,11 +229,11 @@ class TestProducts:
     def test_identity(self, grid2):
         f = random_field(grid2, 14, band=20)
         one = SpectralField(grid2, phys=np.ones(grid2.shape))
-        g = pointwise_product(f, one)
+        g = dealiased_product(f, one)
         assert lp_norm(g - f, 2) <= 1e-12 * lp_norm(f, 2)
 
     def test_mode_addition(self, grid2):
-        f = pointwise_product(mode(grid2, (3, 1)), mode(grid2, (-1, 4)))
+        f = dealiased_product(mode(grid2, (3, 1)), mode(grid2, (-1, 4)))
         expect = mode(grid2, (2, 5))
         assert lp_norm(f - expect, 2) <= 1e-12
 
@@ -234,7 +241,7 @@ class TestProducts:
         g = GridSpec(1, 32)
         a = random_field(g, 5, band=10)
         b = random_field(g, 6, band=10)
-        prod = pointwise_product(a, b)
+        prod = dealiased_product(a, b)
         xi = np.asarray(g.xi_axes[0]).ravel().astype(int)
         idx = {k: i for i, k in enumerate(xi)}
         oracle = np.zeros(32, dtype=complex)
@@ -249,7 +256,7 @@ class TestProducts:
     def test_minkowski_support(self, grid2):
         a = random_field(grid2, 7, band=5)
         b = random_field(grid2, 8, band=7)
-        prod = pointwise_product(a, b)
+        prod = dealiased_product(a, b)
         outside = grid2.xi_abs > 12.0 + 1e-9
         leak = np.abs(prod.coefficients[0, outside]).max()
         assert leak <= 1e-12 * lp_norm(a, 2) * lp_norm(b, 2)
@@ -259,21 +266,21 @@ class TestProducts:
         # products, each exact on the 3/2 grid
         g = GridSpec(1, 32)
         m = mode(g, (5,))
-        sq = pointwise_product(m, m)
-        cube = pointwise_product(sq, m)
+        sq = dealiased_product(m, m)
+        cube = dealiased_product(sq, m)
         assert lp_norm(cube - mode(g, (15,)), 2) <= 1e-12
 
     def test_grid_mismatch(self):
         with pytest.raises(ValueError):
-            pointwise_product(random_field(GridSpec(1, 32), 1),
+            dealiased_product(random_field(GridSpec(1, 32), 1),
                               random_field(GridSpec(1, 64), 1))
 
     def test_dot_product(self, grid2):
         u = random_field(grid2, 9, ncomp=2, band=12)
         v = random_field(grid2, 10, ncomp=2, band=12)
-        d = dot_product(u, v)
-        manual = pointwise_product(u.component(0), v.component(0)) + \
-            pointwise_product(u.component(1), v.component(1))
+        d = dealiased_product(u, v)
+        manual = dealiased_product(u.component(0), v.component(0)) + \
+            dealiased_product(u.component(1), v.component(1))
         assert lp_norm(d - manual, 2) <= 1e-12 * lp_norm(d, 2)
 
     def test_grid_product_exact_support(self, grid2):

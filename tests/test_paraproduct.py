@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lpw.exponents import RegularityParams
-from lpw.grid import (GridSpec, SpectralField, _pair_product, _pair_product_fine, _physical_at,
-                      alias_free_size, field_from_padded, lp_norm, random_field)
+from lpw.grid import (GridSpec, SpectralField, _pair_product_fine, _physical_at,
+                      alias_free_size, dealiased_product, field_from_padded, lp_norm,
+                      random_field)
 from lpw.lp import (build_partition, flat_dyadic_field, project, project_window, shell_packet,
                     shell_sum_field)
-from lpw.paraproduct import (_window_band, _zone_grid, all_pairs_shell,
+from lpw.paraproduct import (_window_band, _zone_grid, _zone_windows, all_pairs_shell,
                              product_shell, shell_transfer_ratio, split, zone_estimate_report,
                              zone_estimate_reports, zones)
 from lpw.symbols import multiplier
@@ -39,6 +40,20 @@ class TestZoneSets:
         zp = zones(12, 20)
         assert (0, 12) in zp.LH
         assert (12, 0) in zp.HL
+
+    def test_window_table_is_the_zone_sets(self):
+        # the signed rectangles split sums, clipped to [0, jmax], count each
+        # pair of a zone once and every other pair not at all
+        for jmax in range(3, 25):
+            for k in range(jmax + 1):
+                zp = zones(k, jmax)
+                for windows, expect in zip(_zone_windows(k, jmax), (zp.LL, zp.LH, zp.HL, zp.HH)):
+                    count = np.zeros((jmax + 1, jmax + 1), dtype=int)
+                    for sign, lo_v, hi_v, lo_w, hi_w in windows:
+                        count[max(lo_v, 0):hi_v + 1, max(lo_w, 0):hi_w + 1] += sign
+                    assert set(np.unique(count)) <= {0, 1}, (k, jmax)
+                    assert {tuple(map(int, ij)) for ij in np.argwhere(count == 1)} == expect, \
+                        (k, jmax)
 
 
 class TestSplit:
@@ -119,7 +134,7 @@ class TestAliasFreeGrid:
         assert M == rule or (k == part.jmax and M == 3 * N // 2 < rule)
         fine = _pair_product_fine(_physical_at(V, M), _physical_at(w, M))
         got = project(part, field_from_padded(part.grid, fine), k)
-        full = _pair_product(V, w)  # on the fixed 3/2 grid
+        full = dealiased_product(V, w)  # on the fixed 3/2 grid
         ref = project(part, full, k)
         err = np.linalg.norm((got.coefficients - ref.coefficients).ravel())
         assert err <= 1e-13 * np.linalg.norm(full.coefficients.ravel())

@@ -128,6 +128,8 @@ class TestRegistry:
         assert resolve_symbol("bilaplacian").order == 4.0
         assert resolve_symbol("fractional_laplacian:1.5").order == 3.0
         assert resolve_symbol("sep:one*pow:2+one*abspow:1").order == 2.0
+        assert resolve_symbol("sep:one*pow:-2").order == -2.0
+        assert resolve_symbol("sep:one*pow:-2+cos:0*pow:-1").order == -1.0
 
     def test_unknown_rejected(self):
         with pytest.raises(KeyError):
@@ -197,6 +199,7 @@ class TestRegistryProperties:
                      "sep:one*ixi:2", "sep:bump:-0.5*one", "sep:bump:0*one",
                      "sep:bump:inf*one", "fractional_laplacian:nan",
                      "fractional_laplacian:inf", "fractional_laplacian:1e308",
-                     "sep:one*abspow:nan", "sep:one*pow:x", "sep:" + "+".join(["one*one"] * 9)):
+                     "sep:one*abspow:nan", "sep:one*abspow:-1", "fractional_laplacian:-0.5",
+                     "sep:one*pow:x", "sep:" + "+".join(["one*one"] * 9)):
             with pytest.raises(ValueError, match=re.escape(repr(spec))):
                 resolve_symbol(spec, 2)
