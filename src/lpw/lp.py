@@ -16,10 +16,8 @@ for dim <= 2 and is clipped at the corner otherwise.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -182,14 +180,6 @@ class DyadicNormSequence:
     values: np.ndarray
     lo: int = 0
 
-    def to_csv(self, path) -> None:
-        with open(Path(path), "w", newline="") as fh, np.errstate(divide="ignore"):
-            w = csv.writer(fh)
-            w.writerow(["j", "norm", "log2norm"])
-            logs = np.log2(self.values)
-            for j, (v, lv) in enumerate(zip(self.values, logs), self.lo):
-                w.writerow([j, repr(float(v)), repr(float(lv))])
-
 
 def dyadic_norm_sequence(part: LPPartition, f: SpectralField, r, lo: int = 0,
                          hi: int | None = None) -> DyadicNormSequence:
@@ -228,33 +218,25 @@ def shell_packet(
     return SpectralField(grid, freq=c.reshape((ncomp,) + grid.shape))
 
 
-def shell_sum_field(
-    part: LPPartition,
-    scales,
-    seed: int,
-    norm_p: float = 2.0,
-    ncomp: int = 1,
-) -> SpectralField:
-    """Sum over shells of unit-L^p-normalized random packets times scales[j].
+def shell_sum_field(part: LPPartition, scales, seed: int, norm_p: float = 2.0) -> SpectralField:
+    """Scalar sum over shells of unit-L^p-normalized random packets times scales[j].
 
     scales maps shell index (0..jmax) to the target per-shell magnitude;
     missing indices contribute nothing.  Adjacent-ring overlap perturbs the
     realized per-shell norms by a bounded factor only.
     """
     grid = part.grid
-    total = np.zeros((ncomp,) + grid.shape, dtype=np.complex128)
+    total = np.zeros((1,) + grid.shape, dtype=np.complex128)
     for j, scale in dict(scales).items():
         if scale == 0.0:
             continue
-        pkt = shell_packet(part, j, seed + 101 * j, coherent=False, ncomp=ncomp)
+        pkt = shell_packet(part, j, seed + 101 * j, coherent=False)
         nrm = lp_norm(pkt, norm_p)
         if nrm > 0:
             total += (scale / nrm) * pkt.coefficients
     return SpectralField(grid, freq=total)
 
 
-def flat_dyadic_field(part: LPPartition, seed: int, ncomp: int = 1) -> SpectralField:
-    """Random field with roughly unit L^2 mass in every shell 1..jmax."""
-    return shell_sum_field(
-        part, {j: 1.0 for j in range(1, part.jmax + 1)}, seed, ncomp=ncomp
-    )
+def flat_dyadic_field(part: LPPartition, seed: int) -> SpectralField:
+    """Random scalar field with roughly unit L^2 mass in every shell 1..jmax."""
+    return shell_sum_field(part, {j: 1.0 for j in range(1, part.jmax + 1)}, seed)

@@ -21,7 +21,6 @@ cover compares independent computations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,15 +213,12 @@ class ZoneEstimate:
     rhs: float
 
     @property
-    def constant(self) -> float:
-        if self.rhs == 0.0:
-            return math.nan
-        return self.lhs / self.rhs
+    def constant(self) -> float | None:
+        """lhs / rhs, or None where the right side is 0."""
+        return None if self.rhs == 0.0 else self.lhs / self.rhs
 
     def as_dict(self) -> dict:
-        c = self.constant
-        return {"lhs": self.lhs, "rhs": self.rhs,
-                "constant": None if math.isnan(c) else c}
+        return {"lhs": self.lhs, "rhs": self.rhs, "constant": self.constant}
 
 
 @dataclass
@@ -231,7 +227,7 @@ class ZoneEstimateReport:
 
     Left sides come from the actual zone fields; right sides from delta =
     ||V||_q, the dyadic sequence of u, and the displayed exponents.  Branches
-    are picked automatically from the sign conditions r >= q and r >= q'.
+    are picked by `zone_branches`.
     """
 
     k: int
@@ -242,6 +238,11 @@ class ZoneEstimateReport:
     high_low: ZoneEstimate    # III
     high_high: ZoneEstimate   # IV
     truncated: bool
+
+    @property
+    def constants(self) -> tuple:
+        """The I+II, III and IV constants (None where the right side is 0)."""
+        return (self.low_zones.constant, self.high_low.constant, self.high_high.constant)
 
     def as_dict(self) -> dict:
         return {
@@ -255,6 +256,13 @@ class ZoneEstimateReport:
             },
             "truncated": self.truncated,
         }
+
+
+def zone_branches(params: RegularityParams) -> tuple:
+    """The zone III and IV branches: ("r>=q" | "r<q", "r>=q'" | "r<q'")."""
+    r, q = params.lifted().r, params.q
+    return ("r>=q" if r >= q else "r<q",
+            "r>=q'" if 1.0 / r + 1.0 / q <= 1.0 else "r<q'")
 
 
 def _weighted_sum(du: np.ndarray, sigma: float, j_lo: int, j_hi: int,
@@ -287,44 +295,34 @@ def zone_estimate_reports(V: SpectralField, u: SpectralField, Q: Symbol, ks,
     delta = lp_norm(V, q)
     norms, (c_rho,) = _reduce_shells(part, u, r, [(sigma, r)])  # one split for both
     du = np.array(norms)
+    branch_iii, branch_iv = zone_branches(params)
+    lift = -alpha + beta + sigma  # the exponent of each left side's scale 2^(lift k)
+    if branch_iii == "r>=q":
+        transfer_iii = tail_iii = sigma - gamma - n / r
+    else:
+        transfer_iii, tail_iii = sigma - alpha + beta, lift
+    transfer_iv = sigma - gamma if branch_iv == "r>=q'" else lift + n * (1.0 - 1.0 / r)
 
     def report(k):  # a function, so each split's zone fields go before the next split
         zs = split(V, w, k, part)
-        scale = 2.0 ** ((-alpha + beta + sigma) * k)
+        scale = 2.0 ** (lift * k)
         tiny_tail = c_rho * 2.0 ** (-min(100.0 * k, 960.0))
-
-        lhs_low = scale * (lp_norm(zs.I, r) + lp_norm(zs.II, r))
-        rhs_low = delta * _weighted_sum(du, sigma, k - 20, k + 20, k, 0.0) + tiny_tail
-
-        if r >= q:
-            branch_iii = "r>=q"
-            transfer = sigma - gamma - n / r
-            rhs_iii = delta * _weighted_sum(du, sigma, 1, k + 10, k, transfer) \
-                + c_rho * 2.0 ** (transfer * k)
-        else:
-            branch_iii = "r<q"
-            transfer = sigma - alpha + beta
-            rhs_iii = delta * _weighted_sum(du, sigma, 1, k + 10, k, transfer) \
-                + c_rho * 2.0 ** ((-alpha + beta + sigma) * k)
-        lhs_iii = scale * lp_norm(zs.III, r)
-
-        if 1.0 / r + 1.0 / q <= 1.0:
-            branch_iv = "r>=q'"
-            transfer = sigma - gamma
-        else:
-            branch_iv = "r<q'"
-            transfer = -alpha + beta + sigma + n * (1.0 - 1.0 / r)
-        rhs_iv = delta * _weighted_sum(du, sigma, k - 20, part.jmax, k, transfer) + tiny_tail
-        lhs_iv = scale * lp_norm(zs.IV, r)
-
         return ZoneEstimateReport(
             k=k,
             delta=delta,
             branch_iii=branch_iii,
             branch_iv=branch_iv,
-            low_zones=ZoneEstimate(lhs_low, rhs_low),
-            high_low=ZoneEstimate(lhs_iii, rhs_iii),
-            high_high=ZoneEstimate(lhs_iv, rhs_iv),
+            low_zones=ZoneEstimate(
+                scale * (lp_norm(zs.I, r) + lp_norm(zs.II, r)),
+                delta * _weighted_sum(du, sigma, k - 20, k + 20, k, 0.0) + tiny_tail),
+            high_low=ZoneEstimate(
+                scale * lp_norm(zs.III, r),
+                delta * _weighted_sum(du, sigma, 1, k + 10, k, transfer_iii)
+                + c_rho * 2.0 ** (tail_iii * k)),
+            high_high=ZoneEstimate(
+                scale * lp_norm(zs.IV, r),
+                delta * _weighted_sum(du, sigma, k - 20, part.jmax, k, transfer_iv)
+                + tiny_tail),
             truncated=zs.zones.truncated,
         )
 

@@ -13,10 +13,8 @@ rough-data statement (no rough exact solutions exist at desk scale).
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,8 +38,8 @@ from .symbols import Symbol, apply
 class EquationSpec:
     """A model equation with its exponent data and nonlinearity structure.
 
-    `nonlinearity(V, u)` evaluates P(V Q u); `coefficient(u)` produces the
-    field V(u) occupying the rough-coefficient slot.
+    `coefficient(u)` produces the field V(u) occupying the rough-coefficient
+    slot; `nonlinearity(V, u)` evaluates P(V Q u) and is built from P and Q.
     """
 
     kind: str
@@ -52,8 +50,11 @@ class EquationSpec:
     P: Symbol
     Q: Symbol
     coefficient: object
-    nonlinearity: object
     forcing_projector: object = None
+    nonlinearity: object = field(init=False)
+
+    def __post_init__(self):
+        self.nonlinearity = _quadratic_term(self.P, self.Q)
 
 
 def _quadratic_term(P: Symbol, Q: Symbol):
@@ -86,7 +87,6 @@ def _ns_spec(n: int, s: float, p: float, amplitude: float) -> EquationSpec:
         params=RegularityParams(n=n, alpha=2.0, beta=0.0, gamma=1.0, s=s, p=p),
         ncomp=n, amplitude=amplitude, L=L, P=P, Q=gradv,
         coefficient=lambda u: u,
-        nonlinearity=_quadratic_term(P, gradv),
         forcing_projector=lambda f: apply(P, f),
     )
 
@@ -100,7 +100,6 @@ def _biharmonic_spec(n: int, s: float, p: float, amplitude: float) -> EquationSp
         params=RegularityParams(n=n, alpha=4.0, beta=2.0, gamma=1.0, s=s, p=p),
         ncomp=1, amplitude=amplitude, L=L, P=P, Q=Q,
         coefficient=lambda u: apply(Q, u),
-        nonlinearity=_quadratic_term(P, Q),
     )
 
 
@@ -117,7 +116,6 @@ def _gjms_spec(n: int, s: float, p: float, amplitude: float) -> EquationSpec:
         params=RegularityParams(n=n, alpha=float(n), beta=1.0, gamma=1.0, s=s, p=p),
         ncomp=1, amplitude=amplitude, L=L, P=P, Q=gradv,
         coefficient=lambda u: apply(lam3, u),
-        nonlinearity=_quadratic_term(P, gradv),
     )
 
 
@@ -165,7 +163,7 @@ def custom_equation(n: int, L_name: str, P_name: str, Q_name: str,
         kind="custom",
         params=RegularityParams(n=n, alpha=alpha, beta=beta, gamma=gamma, s=s, p=p),
         ncomp=1, amplitude=amplitude, L=L, P=P, Q=Q,
-        coefficient=lambda u: u, nonlinearity=_quadratic_term(P, Q),
+        coefficient=lambda u: u,
     )
     rep = check_params(eq.params)
     if not rep.ok:
@@ -238,17 +236,17 @@ def equation_residual(eq: EquationSpec, u: SpectralField,
     return _residual(eq, u, eq.nonlinearity(eq.coefficient(u), u), forcing)
 
 
-def manufactured_solution(eq: EquationSpec, grid: GridSpec, seed: int = 7,
-                          max_iter: int = 300,
-                          forcing: SpectralField | None = None) -> ManufacturedSolution:
+def manufactured_solution(eq: EquationSpec, grid: GridSpec,
+                          seed: int = 7) -> ManufacturedSolution:
     """Small-data fixed-point solve of L u + P(V(u) Q u) = f to residual 1e-11.
 
-    Plain iteration u <- L^{-1}(f - P(V(u) Q u)) on mean-zero fields; raises
-    if the residual grows over five successive iterates (non-contraction).
+    Plain iteration u <- L^{-1}(f - P(V(u) Q u)) on mean-zero fields.  Data
+    too large for the small-data solve raise ValueError: a residual that grows
+    over five successive iterates, or no contraction within 300 iterates.
     Each iterate's nonlinearity serves both its residual and the next update.
     """
-    if forcing is None:
-        forcing = smooth_forcing(eq, grid, seed)
+    max_iter = 300
+    forcing = smooth_forcing(eq, grid, seed)
     Linv = _inverse_multiplier(eq.L)
     u = apply(Linv, forcing)
     nl = eq.nonlinearity(eq.coefficient(u), u)
@@ -267,12 +265,12 @@ def manufactured_solution(eq: EquationSpec, grid: GridSpec, seed: int = 7,
             return ManufacturedSolution(u, forcing, res, it, tuple(updates))
         growth = growth + 1 if res > res_prev else 0
         if growth >= 5:
-            raise RuntimeError(
+            raise ValueError(
                 f"fixed-point iteration diverging (residual {res:.3e} after {it} its); "
                 "reduce the amplitude")
         res_prev = res
-    raise RuntimeError(f"no contraction to 1e-11 within {max_iter} iterations "
-                       f"(residual {res:.3e})")
+    raise ValueError(f"no contraction to 1e-11 within {max_iter} iterations "
+                     f"(residual {res:.3e})")
 
 
 # -- localization ----------------------------------------------------------------
@@ -391,17 +389,14 @@ class ProbeReport:
             "pass": self.passed,
         }
 
-    def write_json(self, path) -> None:
-        Path(path).write_text(json.dumps(self.as_dict(), sort_keys=True, indent=1)
-                              + "\n")
-
 
 def run_probe(eq: EquationSpec, grid: GridSpec, rho: float = 0.75,
-              seed: int = 7, with_bootstrap_recheck: bool = True) -> ProbeReport:
+              seed: int = 7) -> ProbeReport:
     """Execute the full probe and assemble the report.
 
-    Raises ValueError (named violations) if the equation data fails the
-    structural hypotheses before any field work starts.  The default
+    Raises ValueError before any field work starts if the equation data
+    fails the structural hypotheses (named violations), the decay window is
+    too short, or L is not elliptic.  The default
     cutoff uses the widest admissible transition: at desk resolutions a
     narrow transition under-resolves and the decay fit then measures the
     cutoff's spectral tail instead of the solution (narrow cutoffs need
@@ -414,18 +409,15 @@ def run_probe(eq: EquationSpec, grid: GridSpec, rho: float = 0.75,
     sigma, r, theta = gains.params.sigma, gains.params.r, gains.theta
     window = (2, part.jmax - 2)
     _check_window(window, part)
+    es = split_elliptic(eq.L, grid, C2=4.0)  # symbols only: no field work yet
+    B = parametrix(es.E, grid, C2=4.0)
 
     sol = manufactured_solution(eq, grid, seed)
     u_loc = localize(sol.u, rho)
-    V_full = eq.coefficient(sol.u)
     # the coefficient is cut with the doubled-plateau window, clamped to the
     # admissible parameter range when 2*rho exceeds it
-    eta2 = cutoff_field(grid, min(2.0 * rho, math.pi / 4.0 * 0.999))
-    V_loc = grid_product(eta2, V_full)
+    V_loc = localize(eq.coefficient(sol.u), min(2.0 * rho, math.pi / 4.0 * 0.999))
     delta = lp_norm(V_loc, gains.q)
-
-    es = split_elliptic(eq.L, grid, C2=4.0)
-    B = parametrix(es.E, grid, C2=4.0)
 
     # pieces of the inverted localized equation:
     # u_loc = B(F_loc) - B P(V_loc Q u_loc) - B M u_loc + (I - B E) u_loc
@@ -452,9 +444,8 @@ def run_probe(eq: EquationSpec, grid: GridSpec, rho: float = 0.75,
     decay = dyadic_decay_report(u_seq, sigma, window, part, gains.epsilon)
     a = DecaySequence(np.asarray(decay.a_k))
 
-    consts = [z.as_dict()["zone"][zn]["constant"]
-              for z in zone_reports for zn in ("I+II", "III", "IV")]
-    consts = [c for c in consts if c is not None and math.isfinite(c)]
+    consts = [c for z in zone_reports for c in z.constants
+              if c is not None and math.isfinite(c)]
     C0delta = delta * (max(consts) if consts else 1.0)
     conv0 = two_sided_kernel(len(a), theta) @ a.values
     tail = 2.0 ** (-theta * np.arange(len(a), dtype=float))
@@ -480,16 +471,14 @@ def run_probe(eq: EquationSpec, grid: GridSpec, rho: float = 0.75,
             iteration["M"] = decay_bound(scaled, ip)
 
     recheck = None
-    if with_bootstrap_recheck:
-        better = RegularityParams(
-            n=eq.params.n, alpha=eq.params.alpha, beta=eq.params.beta,
-            gamma=eq.params.gamma, s=gains.params.s,
-            p=gains.params.p + gains.epsilon)
-        rep2 = check_params(better)
-        if rep2.ok:
-            g2 = compute_gains(better)
-            recheck = dyadic_decay_report(dyadic_norm_sequence(part, u_loc, g2.params.r),
-                                          g2.params.sigma, window, part, g2.epsilon)
+    better = RegularityParams(
+        n=eq.params.n, alpha=eq.params.alpha, beta=eq.params.beta,
+        gamma=eq.params.gamma, s=gains.params.s,
+        p=gains.params.p + gains.epsilon)
+    if check_params(better).ok:
+        g2 = compute_gains(better)
+        recheck = dyadic_decay_report(dyadic_norm_sequence(part, u_loc, g2.params.r),
+                                      g2.params.sigma, window, part, g2.epsilon)
 
     passed = bool(decay.passed and sol.residual <= 1e-10)
     return ProbeReport(

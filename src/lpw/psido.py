@@ -211,12 +211,11 @@ def parametrix(E: Symbol, grid: GridSpec, C2: float = 4.0) -> Symbol:
         -E.order, lambda xs, xis: masked_inverse(E.eval_xy(xs, xis), xis), name)
 
 
-def parametrix_defect_shells(E: Symbol, B: Symbol, part: LPPartition,
-                             f: SpectralField, p: float = 2.0):
-    """Per-shell norms of (B о E - I) f, normalized by ||f||_p."""
+def parametrix_defect_shells(E: Symbol, B: Symbol, part: LPPartition, f: SpectralField):
+    """Per-shell L^2 norms of (B о E - I) f, normalized by ||f||_2."""
     defect = apply(B, apply(E, f)) - f.without_nyquist()
-    base = lp_norm(f, p)
-    return [v / base for v in dyadic_norm_sequence(part, defect, p).values.tolist()]
+    base = lp_norm(f, 2.0)
+    return [v / base for v in dyadic_norm_sequence(part, defect, 2.0).values.tolist()]
 
 
 # -- shell estimates --------------------------------------------------------
@@ -337,16 +336,15 @@ def commutator_symbol_remainder(A: Symbol, grid: GridSpec, k: int) -> SymbolRema
 
 
 def cutoff_commutator_order(A: Symbol, eta: SpectralField, f: SpectralField,
-                            part: LPPartition, p: float = 2.0,
-                            k_lo: int = 2, k_hi: int | None = None) -> SlopeReport:
-    """Decay slope of the shells of eta*(A f) - A(eta*f).
+                            part: LPPartition, k_lo: int = 2) -> SlopeReport:
+    """Decay slope of the L^2 shells k_lo..jmax-1 of eta*(A f) - A(eta*f).
 
     Multiplication by a smooth cutoff commutes with an order-m operator up to
     one order less; on a flat dyadic profile the fitted slope is ~ m-1.
     """
     g = cutoff_commutator_field(A, eta, f)
-    k_hi = part.jmax - 1 if k_hi is None else k_hi
-    vals = dyadic_norm_sequence(part, g, p, k_lo, k_hi).values
+    k_hi = part.jmax - 1
+    vals = dyadic_norm_sequence(part, g, 2.0, k_lo, k_hi).values
     return fit_log2_slope(range(k_lo, k_hi + 1), vals)
 
 

@@ -15,7 +15,8 @@ from .exponents import RegularityParams
 from .grid import GridSpec, lp_norm, random_field
 from .lp import (build_partition, bernstein_ratio, flat_dyadic_field, project,
                  shell_packet, shell_sum_field)
-from .paraproduct import all_pairs_shell, product_shell, split, zone_estimate_reports
+from .paraproduct import (all_pairs_shell, product_shell, split, zone_branches,
+                          zone_estimate_reports)
 from .psido import (ap_shell_ratio, commutator_shell, commutator_symbol_remainder,
                     fit_log2_slope, mapping_constant)
 from .symbols import multiplication, resolve_symbol
@@ -144,14 +145,15 @@ def verify_commutator(N: int = 65536, seed: int = 4) -> dict:
     }
 
 
-def _remainder_regimes(seed: int, N: int = 256, ks=(8, 9, 10, 11, 12)) -> dict:
-    """Regime maxima of the composed-symbol remainder across shells.
+def _remainder_regimes(seed: int) -> dict:
+    """Regime maxima of the composed-symbol remainder across shells 8..12 at N = 256.
 
     Regime 2/3 maxima must fall by >= 2^8 per unit shell; values at or below
     the absolute floor count as fully decayed (on a finite lattice the high
     regimes become exactly zero once no lattice frequency bridges the ring).
     Regime-1 normalized maxima must stay within factor 10.
     """
+    N, ks = 256, (8, 9, 10, 11, 12)
     grid = GridSpec(1, N)
     A = resolve_symbol("sep:cos:0*pow:1")
     reports = [commutator_symbol_remainder(A, grid, k) for k in ks]
@@ -238,19 +240,15 @@ def _zone_params_r_lt_q() -> RegularityParams:
                             sigma=1.25, r=1.0 / 0.65)
 
 
-def _zone_estimate_stability(seed: int, N: int = 1 << 19) -> dict:
+def _zone_estimate_stability(seed: int) -> dict:
     """Constant stability across k for dyadic-profile inputs, both branches.
 
-    Zone IV at shell k needs shells above k+5, so the grid must reach
-    jmax >= max(ks) + 6; on a smaller grid zone IV is empty and its
-    constants vanish.
+    Zone IV at shell k needs shells above k+5; N = 2^19 gives jmax = 18,
+    which holds them for every k in 9..11.
     """
-    ks = (9, 10, 11)
+    N, ks = 1 << 19, (9, 10, 11)
     grid = GridSpec(1, N)
     part = build_partition(grid)
-    if max(ks) + 6 > part.jmax:
-        raise ValueError(f"N={N} gives jmax={part.jmax}; zone estimate stability "
-                         f"needs jmax >= max(ks) + 6 = {max(ks) + 6}")
     cases = (_zone_params_r_ge_q(), _zone_params_r_lt_q())
     gamma = cases[0].gamma  # shared by both cases, so one V and one Q serve them
     V = flat_dyadic_field(part, seed + 23)
@@ -265,21 +263,21 @@ def _zone_estimate_stability(seed: int, N: int = 1 << 19) -> dict:
             seed + 11, norm_p=r)
         reports = zone_estimate_reports(V, u, Q, ks, params, part)
         per_zone = {}
-        for zone in ("I+II", "III", "IV"):
-            consts = [rep.as_dict()["zone"][zone]["constant"] for rep in reports]
+        by_zone = zip(*(rep.constants for rep in reports))  # each zone's constants over ks
+        for zone, consts in zip(("I+II", "III", "IV"), by_zone):
             consts = [c for c in consts if c is not None]
             spread = max(consts) / min(consts) if consts else math.inf
             per_zone[zone] = {"constants": consts, "spread": spread}
             ok = ok and spread <= 10.0
-        key = f"r{'>=' if 1.0 / params.r <= 1.0 / params.q else '<'}q"
-        out[key] = {"branches": {"III": reports[0].branch_iii,
-                                 "IV": reports[0].branch_iv},
-                    "zones": per_zone}
+        first = reports[0]
+        out[first.branch_iii] = {"branches": {"III": first.branch_iii, "IV": first.branch_iv},
+                                 "zones": per_zone}
     return {"N": N, "ks": list(ks), "cases": out, "passed": bool(ok)}
 
 
 def _branch_selection_checks() -> dict:
-    """Branch flags must match the sign conditions exactly (arithmetic only)."""
+    """The branch flags `zone_branches` picks, and the sign conditions behind
+    them, which must hold (arithmetic only)."""
     cases = []
     ok = True
     for params in (_zone_params_r_ge_q(), _zone_params_r_lt_q(),
@@ -287,13 +285,11 @@ def _branch_selection_checks() -> dict:
                                     sigma=1.5, r=1.6),
                    RegularityParams(n=2, alpha=2, beta=0, gamma=1, s=1, p=4,
                                     sigma=1.5, r=2.0)):
-        q = params.q
-        want_iii = "r>=q" if params.r >= q else "r<q"
-        want_iv = "r>=q'" if 1.0 / params.r + 1.0 / q <= 1.0 else "r<q'"
+        want_iii, want_iv = zone_branches(params)
         sign_iii = params.sigma - params.gamma - params.n / params.r
         sign_lift = -params.alpha + params.beta + params.sigma
         cases.append({
-            "n": params.n, "r": params.r, "q": q,
+            "n": params.n, "r": params.r, "q": params.q,
             "III": want_iii, "IV": want_iv,
             "sigma-gamma-n/r": sign_iii, "-alpha+beta+sigma": sign_lift,
         })

@@ -209,6 +209,24 @@ class TestProbeCommand:
         assert code == 2
         assert repr(spec) in json.loads(out)["error"]
 
+    def test_non_elliptic_L_exits_2_before_manufacture(self, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("manufacture ran on a non-elliptic L")
+
+        monkeypatch.setattr("lpw.probe.manufactured_solution", unreachable)
+        code, out = run_cli(capsys, "probe", "--equation", "custom", "--grid", "2,256",
+                            "--L", "grad:0", "--P", "sep:one*pow:2", "--Q", "grad:0",
+                            "--alpha", "4", "--beta", "2", "--gamma", "1", "--s", "2",
+                            "--p", "1.5", "--seed", "9")
+        assert code == 2
+        assert "non-elliptic" in json.loads(out)["error"]
+
+    def test_diverging_manufacture_exits_2(self, capsys):
+        code, out = run_cli(capsys, "probe", "--equation", "ns", "--grid", "2,256",
+                            "--amplitude", "50", "--seed", "9")
+        assert code == 2
+        assert "diverging" in json.loads(out)["error"]
+
     def test_bad_grid_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["probe", "--equation", "ns", "--grid", "2x256"])

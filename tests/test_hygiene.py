@@ -1,11 +1,13 @@
 """Static checks on the package source, by `ast` alone (nothing is imported):
 every name in `lpw.__all__` resolves, no module imports a name it never
-uses, and every module-level private function is referenced somewhere."""
+uses, every module-level private function is referenced somewhere, and
+every defaulted parameter of a module-level function is passed by some call."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "lpw"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "lpw"
 MODULES = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
 
 
@@ -78,3 +80,35 @@ def test_every_private_function_is_referenced():
                     if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
                     and not node.name.startswith("__") and node.name not in refs]
     assert unreferenced == []
+
+
+def test_every_default_is_passed_somewhere():
+    # the `verify_*` bundles are exempt: the CLI passes their flags by name
+    defaults = {}  # function name -> {defaulted parameter: its position or None}
+    for tree in MODULES.values():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("verify_"):
+                a = node.args
+                positional = a.posonlyargs + a.args
+                slots = {p.arg: i for i, p in enumerate(positional)
+                         if i >= len(positional) - len(a.defaults)}
+                slots.update({p.arg: None for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                              if d is not None})
+                if slots:
+                    defaults[node.name] = slots
+    passed = {name: set() for name in defaults}
+    files = [p for d in ("src", "tests", "lpwbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name not in defaults:
+                continue
+            n_pos = sum(not isinstance(a, ast.Starred) for a in node.args)
+            passed[name].update(k.arg for k in node.keywords)
+            passed[name].update(p for p, i in defaults[name].items()
+                                if i is not None and i < n_pos)
+    unpassed = [f"{name}({p})" for name, slots in defaults.items()
+                for p in slots if p not in passed[name]]
+    assert unpassed == []

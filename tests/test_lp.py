@@ -1,4 +1,3 @@
-import csv
 import math
 
 import numpy as np
@@ -209,17 +208,6 @@ class TestDyadicSequence:
             base = lp_norm(f, 2)
             seq = dyadic_norm_sequence(part1, f, 2.0)
             assert seq.values.max() <= 3.0 * base
-
-    def test_csv_export(self, tmp_path, part2):
-        f = random_field(part2.grid, 64)
-        seq = dyadic_norm_sequence(part2, f, 2.0)
-        path = tmp_path / "seq.csv"
-        seq.to_csv(path)
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["j", "norm", "log2norm"]
-        assert len(rows) == part2.jmax + 2
-        assert float(rows[1][1]) == seq.values[0]
 
 
 @given(st.floats(min_value=-3.0, max_value=4.0, allow_nan=False))

@@ -1,7 +1,6 @@
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from lpw.exponents import RegularityParams
@@ -11,10 +10,9 @@ from lpw.grid import (GridSpec, SpectralField, _pair_product_fine, _physical_at,
 from lpw.lp import (build_partition, flat_dyadic_field, project, project_window, shell_packet,
                     shell_sum_field)
 from lpw.paraproduct import (_window_band, _zone_grid, _zone_windows, all_pairs_shell,
-                             product_shell, shell_transfer_ratio, split, zone_estimate_report,
-                             zone_estimate_reports, zones)
+                             product_shell, shell_transfer_ratio, split, zone_branches,
+                             zone_estimate_report, zone_estimate_reports, zones)
 from lpw.symbols import multiplier
-from lpw.verify import _zone_estimate_stability
 
 
 class TestZoneSets:
@@ -208,6 +206,7 @@ class TestZoneEstimates:
             rep = zone_estimate_report(V, u, Q, 10, params, part)
             assert rep.branch_iii == b3
             assert rep.branch_iv == b4
+            assert zone_branches(params) == (b3, b4)
             # the sign conditions behind the branch choices
             assert params.sigma - params.gamma - params.n / params.r < 0.0
             assert -params.alpha + params.beta + params.sigma < 0.0
@@ -232,13 +231,10 @@ class TestZoneEstimates:
         u = flat_dyadic_field(part, 16)
         V = flat_dyadic_field(part, 17)
         Q = multiplier(1.0, lambda *xis: (1.0 + np.asarray(xis[0]) ** 2) ** 0.5)
-        d = zone_estimate_report(V, u, Q, 11, params, part).as_dict()
+        rep = zone_estimate_report(V, u, Q, 11, params, part)
+        d = rep.as_dict()
         assert set(d) == {"k", "delta", "branch_flags", "zone", "truncated"}
         assert set(d["zone"]) == {"I+II", "III", "IV"}
         for entry in d["zone"].values():
             assert set(entry) == {"lhs", "rhs", "constant"}
-
-    def test_stability_grid_must_hold_zone_iv(self):
-        # on 2^16 (jmax 15) zone IV is empty at k = 10, 11
-        with pytest.raises(ValueError, match=r"jmax >= max\(ks\) \+ 6 = 17"):
-            _zone_estimate_stability(5, N=1 << 16)
+        assert rep.constants == tuple(d["zone"][z]["constant"] for z in ("I+II", "III", "IV"))
