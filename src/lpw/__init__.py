@@ -11,7 +11,6 @@ from .grid import GridSpec, SpectralField
 from .grid import lp_norm, dealiased_product
 from .lp import LPPartition, build_partition, project, project_window, shell_moduli
 from .lp import bernstein_ratio, sobolev_norm, sobolev_norms, dyadic_norm_sequence
-from .lp import DyadicNormSequence
 from .symbols import Symbol, apply, quantize_direct, resolve_symbol, leray_projector
 from .exponents import RegularityParams, GainReport, check_hypotheses, critical_exponent
 from .exponents import lift_parameters, bootstrap_exponents, epsilon_gain, theta_exponent
@@ -25,7 +24,6 @@ __all__ = [
     "lp_norm", "dealiased_product",
     "LPPartition", "build_partition", "project", "project_window", "shell_moduli",
     "bernstein_ratio", "sobolev_norm", "sobolev_norms", "dyadic_norm_sequence",
-    "DyadicNormSequence",
     "Symbol", "apply", "quantize_direct", "resolve_symbol", "leray_projector",
     "RegularityParams", "GainReport", "check_hypotheses", "critical_exponent",
     "lift_parameters", "bootstrap_exponents", "epsilon_gain", "theta_exponent",

@@ -103,14 +103,9 @@ def _cmd_iterate(args) -> int:
 
 def _cmd_probe(args) -> int:
     if args.equation == "custom":
-        needed = (args.L, args.P, args.Q, args.alpha, args.beta, args.gamma,
-                  args.s, args.p)
-        if any(v is None for v in needed):
-            raise ValueError("custom equations need --L --P --Q --alpha "
-                             "--beta --gamma --s --p")
-        eq = custom_equation(args.grid.dim, args.L, args.P, args.Q,
-                             alpha=args.alpha, beta=args.beta,
-                             gamma=args.gamma, s=args.s, p=args.p,
+        if any(v is None for v in (args.L, args.P, args.Q, args.s, args.p)):
+            raise ValueError("custom equations need --L --P --Q --s --p")
+        eq = custom_equation(args.grid.dim, args.L, args.P, args.Q, s=args.s, p=args.p,
                              amplitude=args.amplitude)
     else:
         eq = equation_spec(args.equation, n=args.grid.dim, s=args.s, p=args.p,
@@ -169,12 +164,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--amplitude", type=float, default=1e-2)
     p.add_argument("--s", type=float, default=None)
     p.add_argument("--p", type=float, default=None)
-    p.add_argument("--L", default=None, help="registry symbol for custom equations")
+    p.add_argument("--L", default=None, help="registry symbol for custom equations; "
+                   "alpha, beta and gamma are the orders of L, P and Q")
     p.add_argument("--P", default=None)
     p.add_argument("--Q", default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--csv", default=None)
     p.set_defaults(fn=_cmd_probe)

@@ -118,8 +118,8 @@ def bernstein_ratio(f: SpectralField, j: int, p, q) -> float:
     return lp_norm(f, q) / (scale * lp_norm(f, p))
 
 
-def shell_moduli(part: LPPartition, f: SpectralField, lo: int = 0, hi: int | None = None):
-    """Yield |P_j f| for j = lo..hi (every shell by default).
+def shell_moduli(part: LPPartition, f: SpectralField):
+    """Yield |P_j f| for every shell j = 0..jmax.
 
     The one split of a field into shells: one inverse transform per shell,
     made when the next is asked for, so a caller that reduces each shell as
@@ -127,27 +127,24 @@ def shell_moduli(part: LPPartition, f: SpectralField, lo: int = 0, hi: int | Non
     yields zeros without a transform.
     """
     coeffs = f.coefficients
-    for j in range(lo, (part.jmax if hi is None else hi) + 1):
+    for j in range(part.jmax + 1):
         c = coeffs * part.profile(j)
         mod = SpectralField(f.grid, freq=c).modulus() if c.any() else np.zeros(f.grid.shape)
         del c  # not held while the caller reduces the shell
         yield mod
 
 
-def _reduce_shells(part: LPPartition, f: SpectralField, r=None, pairs=(),
-                   lo: int = 0, hi: int | None = None) -> tuple:
-    """From one streamed split of f: the L^r norm of each shell lo..hi (if r
-    is given) and the smoothness norm ||f||_{s,p} for each (s, p) in pairs,
+def _reduce_shells(part: LPPartition, f: SpectralField, r=None, pairs=()) -> tuple:
+    """From one streamed split of f: the L^r norm of each shell (if r is
+    given) and the smoothness norm ||f||_{s,p} for each (s, p) in pairs,
 
         (||P_cap f||_p^p + || (sum_j 2^(2js) |P_j f|^2)^(1/2) ||_p^p)^(1/p).
     """
     for _, p in pairs:
         if not 1.0 < p < math.inf:
             raise ValueError(f"p must be in (1, inf), got {p}")
-    if pairs and (lo, hi) not in ((0, None), (0, part.jmax)):
-        raise ValueError("a smoothness norm needs every shell")
     norms, caps, squares = [], [0.0] * len(pairs), [0.0] * len(pairs)
-    for j, mod in enumerate(shell_moduli(part, f, lo, hi), lo):
+    for j, mod in enumerate(shell_moduli(part, f)):
         if r is not None:
             norms.append(_modulus_norm(mod, r))
         for i, (s, p) in enumerate(pairs):
@@ -172,19 +169,9 @@ def sobolev_norm(part: LPPartition, f: SpectralField, s: float, p: float) -> flo
     return sobolev_norms(part, f, [(s, p)])[0]
 
 
-@dataclass
-class DyadicNormSequence:
-    """Per-shell L^r norms of a field: values[i] belongs to shell lo + i."""
-
-    r: float
-    values: np.ndarray
-    lo: int = 0
-
-
-def dyadic_norm_sequence(part: LPPartition, f: SpectralField, r, lo: int = 0,
-                         hi: int | None = None) -> DyadicNormSequence:
-    """L^r norms of the shells lo..hi of f."""
-    return DyadicNormSequence(r, np.array(_reduce_shells(part, f, r, (), lo, hi)[0]), lo)
+def dyadic_norm_sequence(part: LPPartition, f: SpectralField, r) -> np.ndarray:
+    """L^r norms of the shells 0..jmax of f, as an array indexed by shell."""
+    return np.array(_reduce_shells(part, f, r)[0])
 
 
 # -- seeded synthetic fields ---------------------------------------------

@@ -197,10 +197,8 @@ def shell_transfer_ratio(u: SpectralField, Q: Symbol, j: int, r,
     Bound: 2^(gamma j) sum_{i=j-10}^{j+10} ||P_i u||_r + 2^(-8j).
     """
     num = lp_norm(project(part, apply(Q, u), j), r)
-    lo, hi = max(0, j - 10), min(part.jmax, j + 10)
-    den = 2.0 ** (Q.order * j) * sum(
-        dyadic_norm_sequence(part, u, r, lo, hi).values.tolist()
-    ) + 2.0 ** (-8.0 * j)
+    window = dyadic_norm_sequence(part, u, r)[max(0, j - 10):j + 11]
+    den = 2.0 ** (Q.order * j) * sum(window.tolist()) + 2.0 ** (-8.0 * j)
     return num / den
 
 

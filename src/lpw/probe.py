@@ -14,7 +14,7 @@ rough-data statement (no rough exact solutions exist at desk scale).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .grid import (GridSpec, SpectralField, _pair_product_fine, field_from_padde
                    grid_product, lp_norm, padded_physical, random_field)
 from .iteration import (DecaySequence, IterationParams, convolution_majorant,
                         decay_bound, delta_cap, hypothesis_holds, two_sided_kernel)
-from .lp import DyadicNormSequence, LPPartition, build_partition, dyadic_norm_sequence
+from .lp import LPPartition, build_partition, dyadic_norm_sequence
 from .paraproduct import zone_estimate_reports
 from .psido import fit_log2_slope, parametrix, split_elliptic
 from .smooth import ramp_down
@@ -38,12 +38,15 @@ from .symbols import Symbol, apply
 class EquationSpec:
     """A model equation with its exponent data and nonlinearity structure.
 
+    `params` takes the orders alpha, beta, gamma from L, P and Q.
     `coefficient(u)` produces the field V(u) occupying the rough-coefficient
     slot; `nonlinearity(V, u)` evaluates P(V Q u) and is built from P and Q.
     """
 
     kind: str
-    params: RegularityParams
+    n: int
+    s: float
+    p: float
     ncomp: int
     amplitude: float
     L: Symbol
@@ -51,9 +54,14 @@ class EquationSpec:
     Q: Symbol
     coefficient: object
     forcing_projector: object = None
+    params: RegularityParams = field(init=False)
     nonlinearity: object = field(init=False)
 
     def __post_init__(self):
+        if not (math.isfinite(self.amplitude) and self.amplitude >= 0.0):
+            raise ValueError(f"amplitude must be finite and >= 0, got {self.amplitude}")
+        self.params = RegularityParams(n=self.n, alpha=self.L.order, beta=self.P.order,
+                                       gamma=self.Q.order, s=self.s, p=self.p)
         self.nonlinearity = _quadratic_term(self.P, self.Q)
 
 
@@ -83,10 +91,8 @@ def _ns_spec(n: int, s: float, p: float, amplitude: float) -> EquationSpec:
     P = sym.leray_projector()
     gradv = sym.gradient_symbol()
     return EquationSpec(
-        kind="stationary-navier-stokes",
-        params=RegularityParams(n=n, alpha=2.0, beta=0.0, gamma=1.0, s=s, p=p),
-        ncomp=n, amplitude=amplitude, L=L, P=P, Q=gradv,
-        coefficient=lambda u: u,
+        kind="stationary-navier-stokes", n=n, s=s, p=p, ncomp=n, amplitude=amplitude,
+        L=L, P=P, Q=gradv, coefficient=lambda u: u,
         forcing_projector=lambda f: apply(P, f),
     )
 
@@ -96,10 +102,8 @@ def _biharmonic_spec(n: int, s: float, p: float, amplitude: float) -> EquationSp
     P = sym.multiplier(2.0, lambda *xis: (1j * xis[0]) ** 2, "d11")
     Q = sym.grad_symbol(0)
     return EquationSpec(
-        kind="biharmonic4d-toy",
-        params=RegularityParams(n=n, alpha=4.0, beta=2.0, gamma=1.0, s=s, p=p),
-        ncomp=1, amplitude=amplitude, L=L, P=P, Q=Q,
-        coefficient=lambda u: apply(Q, u),
+        kind="biharmonic4d-toy", n=n, s=s, p=p, ncomp=1, amplitude=amplitude,
+        L=L, P=P, Q=Q, coefficient=lambda u: apply(Q, u),
     )
 
 
@@ -112,10 +116,8 @@ def _gjms_spec(n: int, s: float, p: float, amplitude: float) -> EquationSpec:
     gradv = sym.gradient_symbol()
     lam3 = sym.fractional_laplacian_symbol(1.5)
     return EquationSpec(
-        kind="gjms-toy",
-        params=RegularityParams(n=n, alpha=float(n), beta=1.0, gamma=1.0, s=s, p=p),
-        ncomp=1, amplitude=amplitude, L=L, P=P, Q=gradv,
-        coefficient=lambda u: apply(lam3, u),
+        kind="gjms-toy", n=n, s=s, p=p, ncomp=1, amplitude=amplitude,
+        L=L, P=P, Q=gradv, coefficient=lambda u: apply(lam3, u),
     )
 
 
@@ -152,18 +154,14 @@ def equation_spec(kind: str, n: int | None = None, s: float | None = None,
 
 
 def custom_equation(n: int, L_name: str, P_name: str, Q_name: str,
-                    alpha: float, beta: float, gamma: float,
                     s: float, p: float, amplitude: float = 1e-2) -> EquationSpec:
-    """Custom scalar equation from registry symbols, with V(u) = u; a name
-    malformed for dimension n raises ValueError before any field work."""
-    L = sym.resolve_symbol(L_name, n)
-    P = sym.resolve_symbol(P_name, n)
-    Q = sym.resolve_symbol(Q_name, n)
+    """Custom scalar equation from registry symbols, with V(u) = u; alpha,
+    beta and gamma are the orders of L, P and Q.  A name malformed for
+    dimension n raises ValueError before any field work."""
     eq = EquationSpec(
-        kind="custom",
-        params=RegularityParams(n=n, alpha=alpha, beta=beta, gamma=gamma, s=s, p=p),
-        ncomp=1, amplitude=amplitude, L=L, P=P, Q=Q,
-        coefficient=lambda u: u,
+        kind="custom", n=n, s=s, p=p, ncomp=1, amplitude=amplitude,
+        L=sym.resolve_symbol(L_name, n), P=sym.resolve_symbol(P_name, n),
+        Q=sym.resolve_symbol(Q_name, n), coefficient=lambda u: u,
     )
     rep = check_params(eq.params)
     if not rep.ok:
@@ -276,13 +274,18 @@ def manufactured_solution(eq: EquationSpec, grid: GridSpec,
 # -- localization ----------------------------------------------------------------
 
 
+def _check_rho(rho: float) -> None:
+    """Raise unless the plateau radius rho lies in (0, pi/4)."""
+    if not 0.0 < rho < math.pi / 4.0:
+        raise ValueError(f"rho must lie in (0, pi/4), got {rho}")
+
+
 def cutoff_field(grid: GridSpec, rho: float) -> SpectralField:
     """Smooth radial plateau cutoff: 1 inside B_rho, 0 outside B_2rho.
 
     Centered at the cell midpoint so the support never wraps.
     """
-    if not 0.0 < rho < math.pi / 4.0:
-        raise ValueError(f"rho must lie in (0, pi/4), got {rho}")
+    _check_rho(rho)
     return SpectralField(grid, phys=ramp_down(grid.center_distance, rho, 2.0 * rho))
 
 
@@ -330,15 +333,15 @@ def _check_window(window: tuple, part: LPPartition) -> None:
         raise ValueError(f"window {window} shorter than 4 shells")
 
 
-def dyadic_decay_report(seq: DyadicNormSequence, sigma: float, window: tuple,
+def dyadic_decay_report(norms: np.ndarray, r: float, sigma: float, window: tuple,
                         part: LPPartition, epsilon_theory: float) -> DecayReport:
-    """Fit the decay of a_k = 2^(sigma k) seq_k over the window (seq: every shell)."""
+    """Fit the decay of a_k = 2^(sigma k) norms_k over the window, where
+    norms holds the L^r norm of every shell 0..jmax."""
     tolerance = 0.1  # passes when the measured gain is within 0.1 of the theory's
     _check_window(window, part)
     lo, hi = window
-    r = seq.r
     ks = np.arange(part.jmax + 1, dtype=float)
-    a = (2.0 ** (sigma * ks)) * seq.values
+    a = (2.0 ** (sigma * ks)) * norms
     fit = fit_log2_slope(range(lo, hi + 1), a[lo:hi + 1])
     eps_meas = -fit.slope
     return DecayReport(
@@ -396,7 +399,8 @@ def run_probe(eq: EquationSpec, grid: GridSpec, rho: float = 0.75,
 
     Raises ValueError before any field work starts if the equation data
     fails the structural hypotheses (named violations), the decay window is
-    too short, or L is not elliptic.  The default
+    too short, the amplitude is 0, rho lies outside (0, pi/4), or L is not
+    elliptic.  The default
     cutoff uses the widest admissible transition: at desk resolutions a
     narrow transition under-resolves and the decay fit then measures the
     cutoff's spectral tail instead of the solution (narrow cutoffs need
@@ -409,8 +413,12 @@ def run_probe(eq: EquationSpec, grid: GridSpec, rho: float = 0.75,
     sigma, r, theta = gains.params.sigma, gains.params.r, gains.theta
     window = (2, part.jmax - 2)
     _check_window(window, part)
-    es = split_elliptic(eq.L, grid, C2=4.0)  # symbols only: no field work yet
-    B = parametrix(es.E, grid, C2=4.0)
+    if eq.amplitude == 0.0:
+        raise ValueError(f"amplitude must be positive, got {eq.amplitude}: "
+                         "a zero forcing leaves nothing to measure")
+    _check_rho(rho)
+    es = split_elliptic(eq.L, grid)  # symbols only: no field work yet
+    B = parametrix(es.E, grid)
 
     sol = manufactured_solution(eq, grid, seed)
     u_loc = localize(sol.u, rho)
@@ -431,17 +439,17 @@ def run_probe(eq: EquationSpec, grid: GridSpec, rho: float = 0.75,
     recon = bf - main_term - bm + defect
     identity_err = lp_norm(recon - u_loc.without_nyquist(), 2) / lp_norm(u_loc, 2)
     u_seq = dyadic_norm_sequence(part, u_loc, r)  # serves the mainline and the fit
-    mainline = {name: dyadic_norm_sequence(part, fld, r).values.tolist()
+    mainline = {name: dyadic_norm_sequence(part, fld, r).tolist()
                 for name, fld in (("main_term", main_term), ("forcing_side", bf),
                                   ("ball_remainder", bm), ("parametrix_defect", defect))}
-    mainline["u_loc"] = u_seq.values.tolist()
+    mainline["u_loc"] = u_seq.tolist()
     mainline["identity_error"] = identity_err
 
     zone_ks = list(range(max(5, part.jmax - 4), part.jmax))[:4]
     u_zone = u_loc if eq.ncomp == 1 else u_loc.component(0)
     zone_reports = zone_estimate_reports(V_loc, u_zone, eq.Q, zone_ks, gains.params, part)
 
-    decay = dyadic_decay_report(u_seq, sigma, window, part, gains.epsilon)
+    decay = dyadic_decay_report(u_seq, r, sigma, window, part, gains.epsilon)
     a = DecaySequence(np.asarray(decay.a_k))
 
     consts = [c for z in zone_reports for c in z.constants
@@ -471,13 +479,11 @@ def run_probe(eq: EquationSpec, grid: GridSpec, rho: float = 0.75,
             iteration["M"] = decay_bound(scaled, ip)
 
     recheck = None
-    better = RegularityParams(
-        n=eq.params.n, alpha=eq.params.alpha, beta=eq.params.beta,
-        gamma=eq.params.gamma, s=gains.params.s,
-        p=gains.params.p + gains.epsilon)
+    better = replace(eq.params, s=gains.params.s, p=gains.params.p + gains.epsilon)
     if check_params(better).ok:
         g2 = compute_gains(better)
-        recheck = dyadic_decay_report(dyadic_norm_sequence(part, u_loc, g2.params.r),
+        r2 = g2.params.r
+        recheck = dyadic_decay_report(dyadic_norm_sequence(part, u_loc, r2), r2,
                                       g2.params.sigma, window, part, g2.epsilon)
 
     passed = bool(decay.passed and sol.residual <= 1e-10)

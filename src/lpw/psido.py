@@ -31,7 +31,6 @@ class SlopeReport:
     ks: tuple
     values: tuple
     slope: float
-    intercept: float
     max_residual: float
     dropped: tuple = ()
 
@@ -53,13 +52,15 @@ def fit_log2_slope(ks, values) -> SlopeReport:
         ks=tuple(int(k) for k, _ in kept),
         values=tuple(v for _, v in kept),
         slope=float(slope),
-        intercept=float(intercept),
         max_residual=resid,
         dropped=dropped,
     )
 
 
 # -- ellipticity ----------------------------------------------------------
+
+
+CUTOFF = 4.0  # |xi| from which ellipticity is scanned and the parametrix inverts
 
 
 def _x_sample_points(grid: GridSpec, mask=None):
@@ -104,9 +105,8 @@ def _symbol_floor(sym: Symbol, grid: GridSpec, r_min: float, shift: float,
     return best
 
 
-def ellipticity_margin(sym: Symbol, grid: GridSpec, C2: float = 4.0,
-                       x_mask=None) -> float:
-    """inf of |a(x, xi)| / |xi|^m over the lattice with |xi| >= max(C2, 1).
+def ellipticity_margin(sym: Symbol, grid: GridSpec, x_mask=None) -> float:
+    """inf of |a(x, xi)| / |xi|^m over the lattice with |xi| >= CUTOFF.
 
     A positive return certifies ellipticity on the sampled set; 0 means the
     symbol vanishes there.  x is scanned on a coarse subgrid for x-dependent
@@ -115,7 +115,7 @@ def ellipticity_margin(sym: Symbol, grid: GridSpec, C2: float = 4.0,
     m = sym.order
     if m <= 0:
         raise ValueError(f"ellipticity needs positive order, got {m}")
-    return _symbol_floor(sym, grid, max(C2, 1.0), 0.0, x_mask)
+    return _symbol_floor(sym, grid, CUTOFF, 0.0, x_mask)
 
 
 # -- elliptic splitting and parametrix -------------------------------------
@@ -127,8 +127,6 @@ class EllipticSplit:
 
     E: Symbol
     M: Symbol
-    cutoff: float
-    margin: float  # measured inf |e| / (1+|xi|)^alpha over |xi| >= cutoff
 
 
 def _ball_window(*xs):
@@ -136,7 +134,7 @@ def _ball_window(*xs):
     return ramp_down(center_distance(*xs), 1.0, 1.5)
 
 
-def split_elliptic(L: Symbol, grid: GridSpec, C2: float = 4.0) -> EllipticSplit:
+def split_elliptic(L: Symbol, grid: GridSpec) -> EllipticSplit:
     """Split L into a globally invertible part E and a remainder M.
 
     E agrees with L on the unit ball (so M vanishes there) and is glued to
@@ -144,7 +142,7 @@ def split_elliptic(L: Symbol, grid: GridSpec, C2: float = 4.0) -> EllipticSplit:
     x-independent L).  Raises if L fails the sampled ellipticity bound.
     """
     ball = ellipticity_margin(
-        L, grid, C2,
+        L, grid,
         x_mask=(lambda *xs: center_distance(*xs) <= 1.0)
         if L.kind != "multiplier" else None,
     )
@@ -173,10 +171,9 @@ def split_elliptic(L: Symbol, grid: GridSpec, C2: float = 4.0) -> EllipticSplit:
         E = sym_mod.separable(L.order, e_terms, name=f"{L.name}:invertible")
         M = sym_mod.separable(L.order, m_terms, name=f"{L.name}:remainder")
 
-    margin = _symbol_floor(E, grid, max(C2, 0.0), 1.0)
-    if margin <= 0.0:
+    if _symbol_floor(E, grid, CUTOFF, 1.0) <= 0.0:
         raise ValueError("splitting failed: glued symbol not bounded below at high frequency")
-    return EllipticSplit(E=E, M=M, cutoff=C2, margin=margin)
+    return EllipticSplit(E=E, M=M)
 
 
 def low_cutoff(C2: float):
@@ -186,7 +183,7 @@ def low_cutoff(C2: float):
     return lambda r: ramp_up(r, C2 / 2.0, C2)
 
 
-def parametrix(E: Symbol, grid: GridSpec, C2: float = 4.0) -> Symbol:
+def parametrix(E: Symbol, grid: GridSpec, C2: float = CUTOFF) -> Symbol:
     """First-order approximate inverse: b(x, xi) = chi_{>=C2}(xi) / e(x, xi).
 
     For multiplier E the composition with E is the identity on |xi| >= C2
@@ -215,7 +212,7 @@ def parametrix_defect_shells(E: Symbol, B: Symbol, part: LPPartition, f: Spectra
     """Per-shell L^2 norms of (B о E - I) f, normalized by ||f||_2."""
     defect = apply(B, apply(E, f)) - f.without_nyquist()
     base = lp_norm(f, 2.0)
-    return [v / base for v in dyadic_norm_sequence(part, defect, 2.0).values.tolist()]
+    return [v / base for v in dyadic_norm_sequence(part, defect, 2.0).tolist()]
 
 
 # -- shell estimates --------------------------------------------------------
@@ -257,7 +254,7 @@ def commutator_window_bound(A: Symbol, part: LPPartition, f: SpectralField,
     """
     N = 8.0
     main = 2.0 ** (k * (A.order - 1.0)) * lp_norm(project_window(part, f, k - 4, k + 4), p)
-    norms = dyadic_norm_sequence(part, f, p).values.tolist()
+    norms = dyadic_norm_sequence(part, f, p).tolist()
     tail = sum((2.0 ** (-N * j) * v for j, v in enumerate(norms[1:], 1)), norms[0])
     return main + 2.0 ** (-N * k) * tail
 
@@ -344,7 +341,7 @@ def cutoff_commutator_order(A: Symbol, eta: SpectralField, f: SpectralField,
     """
     g = cutoff_commutator_field(A, eta, f)
     k_hi = part.jmax - 1
-    vals = dyadic_norm_sequence(part, g, 2.0, k_lo, k_hi).values
+    vals = dyadic_norm_sequence(part, g, 2.0)[k_lo:k_hi + 1]
     return fit_log2_slope(range(k_lo, k_hi + 1), vals)
 
 

@@ -104,9 +104,9 @@ def verify_apbound(N: int = 8192, seed: int = 3) -> dict:
 
 def _commutator_test_symbols() -> list:
     return [
-        ("m0:cos(x)", multiplication(lambda *xs: np.cos(xs[0]), "cosx"), 0.0),
-        ("m1:cos(x)<xi>", resolve_symbol("sep:cos:0*pow:1"), 1.0),
-        ("m2:(2+sin x)<xi>^2", resolve_symbol("sep:twoplussin:0*pow:2"), 2.0),
+        ("m0:cos(x)", multiplication(lambda *xs: np.cos(xs[0]), "cosx")),
+        ("m1:cos(x)<xi>", resolve_symbol("sep:cos:0*pow:1")),
+        ("m2:(2+sin x)<xi>^2", resolve_symbol("sep:twoplussin:0*pow:2")),
     ]
 
 
@@ -124,10 +124,10 @@ def verify_commutator(N: int = 65536, seed: int = 4) -> dict:
         raise ValueError(f"N={N} leaves only {len(ks)} shells above k=10; need >= 3")
     ok = True
     slopes = {}
-    for label, A, m in _commutator_test_symbols():
+    for label, A in _commutator_test_symbols():
         vals = commutator_shell(A, part, f, ks, 2)
         fit = fit_log2_slope(ks, vals)
-        limit = m - 1.0 + 0.2
+        limit = A.order - 1.0 + 0.2
         slopes[label] = {"values": vals, "slope": fit.slope, "limit": limit}
         ok = ok and fit.slope <= limit
     zero = commutator_shell(resolve_symbol("fractional_laplacian:0.75"),

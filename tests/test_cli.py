@@ -202,8 +202,7 @@ class TestProbeCommand:
 
         monkeypatch.setattr(cli, "run_probe", no_field_work)
         argv = ["probe", "--equation", "custom", "--grid", "2,256", "--L", "bilaplacian",
-                "--P", "sep:one*pow:2", "--Q", "grad:0", "--alpha", "4", "--beta", "2",
-                "--gamma", "1", "--s", "2", "--p", "1.5"]
+                "--P", "sep:one*pow:2", "--Q", "grad:0", "--s", "2", "--p", "1.5"]
         argv[argv.index(flag) + 1] = spec
         code, out = run_cli(capsys, *argv)
         assert code == 2
@@ -214,12 +213,39 @@ class TestProbeCommand:
             raise AssertionError("manufacture ran on a non-elliptic L")
 
         monkeypatch.setattr("lpw.probe.manufactured_solution", unreachable)
+        # orders (1, 0, 0) pass every hypothesis, so the run reaches the ellipticity check
         code, out = run_cli(capsys, "probe", "--equation", "custom", "--grid", "2,256",
-                            "--L", "grad:0", "--P", "sep:one*pow:2", "--Q", "grad:0",
-                            "--alpha", "4", "--beta", "2", "--gamma", "1", "--s", "2",
-                            "--p", "1.5", "--seed", "9")
+                            "--L", "grad:0", "--P", "sep:one*one", "--Q", "sep:one*one",
+                            "--s", "0.5", "--p", "2", "--seed", "9")
         assert code == 2
         assert "non-elliptic" in json.loads(out)["error"]
+
+    def test_orders_read_from_the_symbols(self, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("manufacture ran on orders that fail the hypotheses")
+
+        monkeypatch.setattr("lpw.probe.manufactured_solution", unreachable)
+        # L, P, Q of orders (2, 2, 1): no gap between alpha and beta + gamma
+        code, out = run_cli(capsys, "probe", "--equation", "custom", "--grid", "2,256",
+                            "--L", "laplacian", "--P", "sep:one*pow:2", "--Q", "grad:0",
+                            "--s", "2", "--p", "1.5", "--seed", "9")
+        assert code == 2
+        assert "order-gap" in json.loads(out)["error"]
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--amplitude", "0"), ("--amplitude", "-0.01"), ("--amplitude", "nan"),
+        ("--rho", "0.8")])
+    def test_unusable_amplitude_or_rho_exits_2_before_manufacture(
+            self, capsys, monkeypatch, flag, value):
+        def unreachable(*args, **kwargs):
+            raise AssertionError(f"manufacture ran with {flag} {value}")
+
+        monkeypatch.setattr("lpw.probe.manufactured_solution", unreachable)
+        code, out = run_cli(capsys, "probe", "--equation", "ns", "--grid", "2,256",
+                            "--seed", "9", flag, value)
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert flag[2:] in error and str(float(value)) in error
 
     def test_diverging_manufacture_exits_2(self, capsys):
         code, out = run_cli(capsys, "probe", "--equation", "ns", "--grid", "2,256",

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from lpw.exponents import (RegularityParams, bootstrap_exponents, check_hypotheses,
                            check_params, compute_gains, critical_exponent,
                            epsilon_gain, lift_parameters)
+from lpw.probe import equation_spec
 
 
 NS4 = RegularityParams(n=4, alpha=2, beta=0, gamma=1, s=1, p=2)
@@ -17,6 +18,12 @@ class TestHypotheses:
     def test_flagship_tuples_pass(self):
         for params in (NS4, BIHARM4, GJMS3):
             assert check_params(params).ok
+
+    @pytest.mark.parametrize("kind, n, params", [
+        ("ns", 4, NS4), ("biharmonic", 4, BIHARM4), ("gjms", 3, GJMS3)])
+    def test_model_equations_carry_the_flagship_tuples(self, kind, n, params):
+        # alpha, beta and gamma are read from the orders of L, P and Q
+        assert equation_spec(kind, n=n).params == params
 
     def test_ns_detail(self):
         # gamma=1 > s-n/p=-1 > alpha-beta-n=-2

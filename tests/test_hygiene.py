@@ -1,7 +1,8 @@
 """Static checks on the package source, by `ast` alone (nothing is imported):
 every name in `lpw.__all__` resolves, no module imports a name it never
-uses, every module-level private function is referenced somewhere, and
-every defaulted parameter of a module-level function is passed by some call."""
+uses, every module-level private function is referenced somewhere, every
+defaulted parameter of a module-level function is passed by some call, and
+every dataclass field is read somewhere."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "lpw"
 MODULES = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+CALLERS = [p for d in ("src", "tests", "lpwbench") for p in sorted((ROOT / d).rglob("*.py"))]
 
 
 def _defined(tree) -> set:
@@ -97,8 +99,7 @@ def test_every_default_is_passed_somewhere():
                 if slots:
                     defaults[node.name] = slots
     passed = {name: set() for name in defaults}
-    files = [p for d in ("src", "tests", "lpwbench") for p in sorted((ROOT / d).rglob("*.py"))]
-    for path in files:
+    for path in CALLERS:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if not isinstance(node, ast.Call):
                 continue
@@ -112,3 +113,15 @@ def test_every_default_is_passed_somewhere():
     unpassed = [f"{name}({p})" for name, slots in defaults.items()
                 for p in slots if p not in passed[name]]
     assert unpassed == []
+
+
+def test_every_dataclass_field_is_read():
+    fields = [(cls.name, node.target.id) for tree in MODULES.values()
+              for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+              and any("dataclass" in ast.unparse(d) for d in cls.decorator_list)
+              for node in cls.body
+              if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
+    read = {n.attr for path in CALLERS for n in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unread = [f"{cls}.{name}" for cls, name in fields if name not in read]
+    assert unread == []

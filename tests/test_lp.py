@@ -188,7 +188,7 @@ class TestDyadicSequence:
         j0 = 4
         f = SpectralField(part2.grid, freq=part2.profile(j0).astype(complex))
         seq = dyadic_norm_sequence(part2, f, 2.0)
-        for j, v in enumerate(seq.values):
+        for j, v in enumerate(seq):
             if abs(j - j0) <= 1:
                 assert v > 0.0
             else:
@@ -197,7 +197,7 @@ class TestDyadicSequence:
     def test_gaussian_spectrum_decay(self, part1):
         f = random_field(part1.grid, 63,
                          radial_profile=lambda r: np.exp(-0.5 * r**2))
-        seq = dyadic_norm_sequence(part1, f, 2.0).values
+        seq = dyadic_norm_sequence(part1, f, 2.0)
         base = seq[1]
         for j in range(6, part1.jmax + 1):
             assert seq[j] <= base * 2.0 ** (-10.0 * j)
@@ -207,7 +207,7 @@ class TestDyadicSequence:
             f = random_field(part1.grid, seed)
             base = lp_norm(f, 2)
             seq = dyadic_norm_sequence(part1, f, 2.0)
-            assert seq.values.max() <= 3.0 * base
+            assert seq.max() <= 3.0 * base
 
 
 @given(st.floats(min_value=-3.0, max_value=4.0, allow_nan=False))

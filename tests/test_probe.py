@@ -6,11 +6,11 @@ import pytest
 
 from lpw.grid import GridSpec, SpectralField, lp_norm, random_field
 from lpw.lp import build_partition, dyadic_norm_sequence
-from lpw.probe import (EquationSpec, cutoff_field, custom_equation,
+from lpw.probe import (cutoff_field, custom_equation,
                        dyadic_decay_report, equation_residual, equation_spec,
                        localize, manufactured_solution, run_probe)
 from lpw.psido import cutoff_commutator_order
-from lpw.symbols import apply
+from lpw.symbols import apply, resolve_symbol
 
 
 class TestEquationSpecs:
@@ -34,8 +34,7 @@ class TestEquationSpecs:
 
     def test_custom_equation_checked(self):
         with pytest.raises(ValueError, match="order-gap"):
-            custom_equation(2, "laplacian", "grad:0", "grad:0",
-                            alpha=2, beta=1, gamma=1, s=1.2, p=2)
+            custom_equation(2, "laplacian", "grad:0", "grad:0", s=1.2, p=2)
 
 
 class TestManufacture:
@@ -49,10 +48,8 @@ class TestManufacture:
     def test_frozen_coefficient_is_linear_solve(self):
         g = GridSpec(2, 64)
         base = equation_spec("biharmonic", n=2)
-        zero_nl = EquationSpec(
-            kind="linear", params=base.params, ncomp=1, amplitude=base.amplitude,
-            L=base.L, P=base.P, Q=base.Q,
-            coefficient=lambda u: SpectralField.zeros(g))
+        zero_nl = dataclasses.replace(base, kind="linear",
+                                      coefficient=lambda u: SpectralField.zeros(g))
         sol = manufactured_solution(zero_nl, g, seed=3)
         assert sol.iterations == 1
         assert sol.residual <= 1e-12
@@ -154,7 +151,7 @@ class TestDecayReport:
         for j in range(1, part.jmax):
             c[2**j] = 2.0 ** (-(sigma + eps) * j)
         f = SpectralField(g, freq=c)
-        rep = dyadic_decay_report(dyadic_norm_sequence(part, f, 2.0), sigma,
+        rep = dyadic_decay_report(dyadic_norm_sequence(part, f, 2.0), 2.0, sigma,
                                   (2, part.jmax - 2), part, epsilon_theory=eps)
         assert abs(rep.epsilon_measured - eps) <= 1e-6
         assert rep.fit_residual <= 1e-9
@@ -165,7 +162,7 @@ class TestDecayReport:
         part = build_partition(g)
         f = random_field(g, 11, radial_profile=lambda r: np.exp(-r))
         seq = dyadic_norm_sequence(part, f, 2.0)
-        rep = dyadic_decay_report(seq, 1.0, (2, 5), part, epsilon_theory=3.0)
+        rep = dyadic_decay_report(seq, 2.0, 1.0, (2, 5), part, epsilon_theory=3.0)
         assert rep.epsilon_measured > 3.0
         assert rep.passed
 
@@ -177,7 +174,7 @@ class TestDecayReport:
             c[2**j] = 2.0 ** (-1.5 * j)  # a_k flat at sigma = 1.5
         f = SpectralField(g, freq=c)
         seq = dyadic_norm_sequence(part, f, 2.0)
-        rep = dyadic_decay_report(seq, 1.5, (2, 5), part, epsilon_theory=0.5)
+        rep = dyadic_decay_report(seq, 2.0, 1.5, (2, 5), part, epsilon_theory=0.5)
         assert abs(rep.epsilon_measured) <= 1e-6
         assert not rep.passed
 
@@ -186,11 +183,11 @@ class TestDecayReport:
         part = build_partition(g)
         seq = dyadic_norm_sequence(part, random_field(g, 12), 2.0)
         with pytest.raises(ValueError):
-            dyadic_decay_report(seq, 1.0, (1, 5), part, 0.1)
+            dyadic_decay_report(seq, 2.0, 1.0, (1, 5), part, 0.1)
         with pytest.raises(ValueError):
-            dyadic_decay_report(seq, 1.0, (2, part.jmax - 1), part, 0.1)
+            dyadic_decay_report(seq, 2.0, 1.0, (2, part.jmax - 1), part, 0.1)
         with pytest.raises(ValueError):
-            dyadic_decay_report(seq, 1.0, (3, 5), part, 0.1)  # 3 shells
+            dyadic_decay_report(seq, 2.0, 1.0, (3, 5), part, 0.1)  # 3 shells
 
     def test_tiny_shells_dropped_and_flagged(self):
         g = GridSpec(1, 256)
@@ -200,7 +197,7 @@ class TestDecayReport:
             c[2**j] = 2.0 ** (-2.0 * j) if j <= 4 else 1e-18
         f = SpectralField(g, freq=c)
         seq = dyadic_norm_sequence(part, f, 2.0)
-        rep = dyadic_decay_report(seq, 1.0, (2, 5), part, epsilon_theory=0.5)
+        rep = dyadic_decay_report(seq, 2.0, 1.0, (2, 5), part, epsilon_theory=0.5)
         assert 5 in rep.dropped
 
 
@@ -211,9 +208,7 @@ class TestRunProbe:
 
     def test_violating_custom_rejected_before_compute(self):
         eq = equation_spec("ns", n=2)
-        bad = EquationSpec(kind="bad", params=eq.params.__class__(
-            n=2, alpha=2, beta=1, gamma=1, s=1.2, p=2), ncomp=1,
-            amplitude=1e-2, L=eq.L, P=eq.P, Q=eq.Q, coefficient=eq.coefficient)
+        bad = dataclasses.replace(eq, kind="bad", P=resolve_symbol("grad:0", 2))  # order 1
         with pytest.raises(ValueError, match="order-gap"):
             run_probe(bad, GridSpec(2, 256))
 

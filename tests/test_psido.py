@@ -23,16 +23,16 @@ def abs2(*xis):
 class TestEllipticity:
     def test_pure_power(self, grid1):
         A = resolve_symbol("fractional_laplacian:1")  # |xi|^2
-        assert abs(ellipticity_margin(A, grid1, C2=4.0) - 1.0) <= 1e-12
+        assert abs(ellipticity_margin(A, grid1) - 1.0) <= 1e-12
 
     def test_directional_symbol_not_elliptic(self):
         g = GridSpec(2, 32)
         A = multiplier(1.0, lambda *xis: xis[0] + 0j, "xi1")
-        assert ellipticity_margin(A, g, C2=4.0) == 0.0
+        assert ellipticity_margin(A, g) == 0.0
 
     def test_variable_coefficient_scan(self, grid1):
         A = resolve_symbol("sep:twoplussin:0*pow:2")
-        margin = ellipticity_margin(A, grid1, C2=4.0)
+        margin = ellipticity_margin(A, grid1)
         # direct scan oracle: inf (2+sin x)(1+|xi|^2)/|xi|^2 over |xi| >= 4;
         # the (1+1/|xi|^2) factor bottoms out at the lattice edge, so the
         # infimum sits just above min(2+sin x) = 1
