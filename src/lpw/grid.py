@@ -245,16 +245,21 @@ class SpectralField:
 # is a batch (components, sample points); all later axes are transformed.
 
 
-def _forward(phys: np.ndarray) -> np.ndarray:
-    """Fourier coefficients: fftn over the spatial axes / their point count."""
-    out = np.fft.fftn(phys, axes=tuple(range(1, phys.ndim)))
+def _forward(phys: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Fourier coefficients: fftn over the spatial axes / their point count.
+
+    With `out` (which may be `phys` itself) every axis pass writes there, so
+    no intermediate array is made.
+    """
+    out = np.fft.fftn(phys, axes=tuple(range(1, phys.ndim)), out=out)
     out /= math.prod(phys.shape[1:])
     return out
 
 
-def _inverse(coeffs: np.ndarray) -> np.ndarray:
-    """Physical samples: ifftn over the spatial axes * their point count."""
-    out = np.fft.ifftn(coeffs, axes=tuple(range(1, coeffs.ndim)))
+def _inverse(coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Physical samples: ifftn over the spatial axes * their point count;
+    `out` as for `_forward`."""
+    out = np.fft.ifftn(coeffs, axes=tuple(range(1, coeffs.ndim)), out=out)
     out *= math.prod(coeffs.shape[1:])
     return out
 
@@ -312,8 +317,12 @@ def _relattice(coeffs: np.ndarray, n_out: int) -> np.ndarray:
 
 
 def _physical_at(f: SpectralField, M: int) -> np.ndarray:
-    """Physical samples of `f` on the M-point lattice; exact when f's band is below M/2."""
-    return _inverse(_relattice(f.coefficients, M))
+    """Physical samples of `f` on the M-point lattice; exact when f's band is below M/2.
+
+    The fresh lattice copy is transformed in place; f's own arrays are never written.
+    """
+    buf = _relattice(f.coefficients, M)
+    return _inverse(buf, out=buf)
 
 
 def padded_physical(f: SpectralField) -> np.ndarray:
@@ -323,8 +332,12 @@ def padded_physical(f: SpectralField) -> np.ndarray:
 
 
 def field_from_padded(grid: GridSpec, fine: np.ndarray) -> SpectralField:
-    """Truncate fine-grid physical samples back to coefficients on `grid`."""
-    return SpectralField(grid, freq=_relattice(_forward(fine), grid.points_per_axis))
+    """Truncate fine-grid physical samples back to coefficients on `grid`.
+
+    `fine` is left as it is: the transform writes into one fresh array.
+    """
+    coarse = _forward(fine, out=np.empty(fine.shape, dtype=np.complex128))
+    return SpectralField(grid, freq=_relattice(coarse, grid.points_per_axis))
 
 
 def _pair_product_fine(pv: np.ndarray, pw: np.ndarray) -> np.ndarray:

@@ -118,43 +118,62 @@ def bernstein_ratio(f: SpectralField, j: int, p, q) -> float:
     return lp_norm(f, q) / (scale * lp_norm(f, p))
 
 
+def _modulus(grid: GridSpec, c: np.ndarray) -> np.ndarray:
+    """|P_j f| from the shell's coefficients c: one inverse transform, or
+    zeros without one when c has no nonzero entry."""
+    return SpectralField(grid, freq=c).modulus() if c.any() else np.zeros(grid.shape)
+
+
 def shell_moduli(part: LPPartition, f: SpectralField):
     """Yield |P_j f| for every shell j = 0..jmax.
 
-    The one split of a field into shells: one inverse transform per shell,
-    made when the next is asked for, so a caller that reduces each shell as
-    it comes never holds them all.  A shell with no nonzero coefficient
-    yields zeros without a transform.
+    One inverse transform per nonempty shell, made when the next is asked
+    for, so a caller that reduces each shell as it comes never holds them all.
     """
     coeffs = f.coefficients
     for j in range(part.jmax + 1):
-        c = coeffs * part.profile(j)
-        mod = SpectralField(f.grid, freq=c).modulus() if c.any() else np.zeros(f.grid.shape)
-        del c  # not held while the caller reduces the shell
-        yield mod
+        yield _modulus(f.grid, coeffs * part.profile(j))
 
 
-def _reduce_shells(part: LPPartition, f: SpectralField, r=None, pairs=()) -> tuple:
-    """From one streamed split of f: the L^r norm of each shell (if r is
-    given) and the smoothness norm ||f||_{s,p} for each (s, p) in pairs,
+def _reduce_shells(part: LPPartition, f: SpectralField, rs=(), pairs=()) -> tuple:
+    """The one split of f into shells 0..jmax, reduced as it streams: for
+    each exponent r in rs the L^r norm of every shell (a row of an array),
+    and for each (s, p) in pairs the smoothness norm
 
-        (||P_cap f||_p^p + || (sum_j 2^(2js) |P_j f|^2)^(1/2) ||_p^p)^(1/p).
+        ||f||_{s,p} = (||P_cap f||_p^p + || (sum_j 2^(2js) |P_j f|^2)^(1/2) ||_p^p)^(1/p).
+
+    Exponent 2 is read from the shell's coefficients (Parseval): an L^2 shell
+    norm is the l^2 norm of the coefficients, and the p = 2 square function
+    has ||.||_2^2 = sum_j 4^(js) ||P_j f||_2^2.  A shell is inverse-transformed
+    only when a requested exponent is not 2, and never when it is empty.
     """
     for _, p in pairs:
         if not 1.0 < p < math.inf:
             raise ValueError(f"p must be in (1, inf), got {p}")
-    norms, caps, squares = [], [0.0] * len(pairs), [0.0] * len(pairs)
-    for j, mod in enumerate(shell_moduli(part, f)):
-        if r is not None:
-            norms.append(_modulus_norm(mod, r))
+    transform = any(e != 2 for e in list(rs) + [p for _, p in pairs])
+    coeffs = f.coefficients
+    norms = np.zeros((len(rs), part.jmax + 1))
+    caps, squares = [0.0] * len(pairs), [0.0] * len(pairs)
+    for j in range(part.jmax + 1):
+        c = coeffs * part.profile(j)
+        l2 = math.sqrt(np.vdot(c, c).real)
+        mod = _modulus(f.grid, c) if transform else None
+        del c  # not held while the shell is reduced
+        for i, r in enumerate(rs):
+            norms[i, j] = l2 if r == 2 else _modulus_norm(mod, r)
         for i, (s, p) in enumerate(pairs):
             if j == 0:
-                caps[i] = _modulus_norm(mod, p)
+                caps[i] = l2 if p == 2 else _modulus_norm(mod, p)
+            elif p == 2:
+                squares[i] = squares[i] + (4.0 ** (j * s)) * l2 * l2
             else:
                 squares[i] = squares[i] + (4.0 ** (j * s)) * mod * mod
     smoothness = []
     for cap, sq, (_, p) in zip(caps, squares, pairs):
-        sf_norm = float(np.mean(np.sqrt(sq) ** p) ** (1.0 / p))
+        if p == 2:
+            sf_norm = math.sqrt(sq)
+        else:
+            sf_norm = float(np.mean(np.sqrt(sq) ** p) ** (1.0 / p))
         smoothness.append(float((cap**p + sf_norm**p) ** (1.0 / p)))
     return norms, smoothness
 
@@ -171,7 +190,7 @@ def sobolev_norm(part: LPPartition, f: SpectralField, s: float, p: float) -> flo
 
 def dyadic_norm_sequence(part: LPPartition, f: SpectralField, r) -> np.ndarray:
     """L^r norms of the shells 0..jmax of f, as an array indexed by shell."""
-    return np.array(_reduce_shells(part, f, r)[0])
+    return _reduce_shells(part, f, [r])[0][0]
 
 
 # -- seeded synthetic fields ---------------------------------------------

@@ -168,23 +168,31 @@ def product_shell(V: SpectralField, w: SpectralField, k: int, part: LPPartition)
 
 
 def all_pairs_shell(V: SpectralField, w: SpectralField, k: int, part: LPPartition) -> SpectralField:
-    """Brute-force oracle: sum over every index pair of P_k(P_i V P_j w).
+    """The brute-force oracle at one shell k (`all_pairs_shells` for [k])."""
+    return all_pairs_shells(V, w, [k], part)[0]
+
+
+def all_pairs_shells(V: SpectralField, w: SpectralField, ks, part: LPPartition) -> list:
+    """Brute-force oracle: for each k in ks, the sum over every index pair of
+    P_k(P_i V P_j w).
 
     One dealiased product on the 3/2 grid and one forward transform per
-    pair; each P_j w is padded once and each P_i V once per i.  Affordable
-    only at small jmax.
+    pair, projected onto every k; each P_j w and each P_i V is padded once.
+    Affordable only at small jmax.
     """
     if V.grid != w.grid:
         raise ValueError("grid mismatch")
     shells = range(part.jmax + 1)
     w_fine = [padded_physical(project(part, w, j)) for j in shells]
-    total = None
+    totals = [None] * len(ks)
     for i in shells:
         v_fine = padded_physical(project(part, V, i))
         for wj in w_fine:
-            term = project(part, field_from_padded(V.grid, _pair_product_fine(v_fine, wj)), k)
-            total = term if total is None else total + term
-    return total
+            pair = field_from_padded(V.grid, _pair_product_fine(v_fine, wj))
+            for n, k in enumerate(ks):
+                term = project(part, pair, k)
+                totals[n] = term if totals[n] is None else totals[n] + term
+    return totals
 
 
 # -- the shell transfer bound for Q u ---------------------------------------
@@ -287,12 +295,19 @@ def zone_estimate_reports(V: SpectralField, u: SpectralField, Q: Symbol, ks,
     are made once and serve every k.
     """
     params = params.lifted()
+    norms, (c_rho,) = _reduce_shells(part, u, [params.r], [(params.sigma, params.r)])
+    return _zone_reports(V, u, Q, ks, params, part, norms[0], c_rho)
+
+
+def _zone_reports(V: SpectralField, u: SpectralField, Q: Symbol, ks,
+                  params: RegularityParams, part: LPPartition, du: np.ndarray,
+                  c_rho: float) -> list:
+    """`zone_estimate_reports` for lifted params, given du, the L^r norms of
+    u's shells, and c_rho = ||u||_{sigma,r} from a split the caller made."""
     n, alpha, beta, gamma = params.n, params.alpha, params.beta, params.gamma
     sigma, r, q = params.sigma, params.r, params.q
     w = apply(Q, u)
     delta = lp_norm(V, q)
-    norms, (c_rho,) = _reduce_shells(part, u, r, [(sigma, r)])  # one split for both
-    du = np.array(norms)
     branch_iii, branch_iv = zone_branches(params)
     lift = -alpha + beta + sigma  # the exponent of each left side's scale 2^(lift k)
     if branch_iii == "r>=q":

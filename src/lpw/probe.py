@@ -23,8 +23,8 @@ from .grid import (GridSpec, SpectralField, _pair_product_fine, field_from_padde
                    grid_product, lp_norm, padded_physical, random_field)
 from .iteration import (DecaySequence, IterationParams, convolution_majorant,
                         decay_bound, delta_cap, hypothesis_holds, two_sided_kernel)
-from .lp import LPPartition, build_partition, dyadic_norm_sequence
-from .paraproduct import zone_estimate_reports
+from .lp import LPPartition, _reduce_shells, build_partition, dyadic_norm_sequence
+from .paraproduct import _zone_reports, zone_estimate_reports
 from .psido import fit_log2_slope, parametrix, split_elliptic
 from .smooth import ramp_down
 from . import symbols as sym
@@ -73,10 +73,9 @@ def _quadratic_term(P: Symbol, Q: Symbol):
     """
 
     def nonlinearity(V: SpectralField, u: SpectralField) -> SpectralField:
-        qu = np.concatenate([apply(Q, u.component(c)).coefficients
-                             for c in range(u.ncomp)])
         pv = padded_physical(V)
-        pq = padded_physical(SpectralField(u.grid, freq=qu))
+        pq = padded_physical(SpectralField(u.grid, freq=np.concatenate(
+            [apply(Q, u.component(c)).coefficients for c in range(u.ncomp)])))
         pq = pq.reshape((u.ncomp, -1) + pq.shape[1:])
         fine = np.concatenate([_pair_product_fine(pv, w) for w in pq])
         del pv, pq  # free the padded factors before the transform back
@@ -438,7 +437,14 @@ def run_probe(eq: EquationSpec, grid: GridSpec, rho: float = 0.75,
     defect = u_loc.without_nyquist() - apply(B, apply(es.E, u_loc))
     recon = bf - main_term - bm + defect
     identity_err = lp_norm(recon - u_loc.without_nyquist(), 2) / lp_norm(u_loc, 2)
-    u_seq = dyadic_norm_sequence(part, u_loc, r)  # serves the mainline and the fit
+    better = replace(eq.params, s=gains.params.s, p=gains.params.p + gains.epsilon)
+    g2 = compute_gains(better) if check_params(better).ok else None
+    # the one split of u_loc: the L^r norms for the mainline and the fit, the
+    # L^r2 norms for the bootstrap recheck and, for a scalar equation, the
+    # zone reports' c_rho = ||u_loc||_{sigma,r}
+    u_norms, u_smooth = _reduce_shells(part, u_loc, [r] if g2 is None else [r, g2.params.r],
+                                       [(sigma, r)] if eq.ncomp == 1 else [])
+    u_seq = u_norms[0]
     mainline = {name: dyadic_norm_sequence(part, fld, r).tolist()
                 for name, fld in (("main_term", main_term), ("forcing_side", bf),
                                   ("ball_remainder", bm), ("parametrix_defect", defect))}
@@ -446,8 +452,12 @@ def run_probe(eq: EquationSpec, grid: GridSpec, rho: float = 0.75,
     mainline["identity_error"] = identity_err
 
     zone_ks = list(range(max(5, part.jmax - 4), part.jmax))[:4]
-    u_zone = u_loc if eq.ncomp == 1 else u_loc.component(0)
-    zone_reports = zone_estimate_reports(V_loc, u_zone, eq.Q, zone_ks, gains.params, part)
+    if eq.ncomp == 1:
+        zone_reports = _zone_reports(V_loc, u_loc, eq.Q, zone_ks, gains.params, part,
+                                     u_seq, u_smooth[0])
+    else:
+        zone_reports = zone_estimate_reports(V_loc, u_loc.component(0), eq.Q, zone_ks,
+                                             gains.params, part)
 
     decay = dyadic_decay_report(u_seq, r, sigma, window, part, gains.epsilon)
     a = DecaySequence(np.asarray(decay.a_k))
@@ -478,13 +488,8 @@ def run_probe(eq: EquationSpec, grid: GridSpec, rho: float = 0.75,
         if holds:
             iteration["M"] = decay_bound(scaled, ip)
 
-    recheck = None
-    better = replace(eq.params, s=gains.params.s, p=gains.params.p + gains.epsilon)
-    if check_params(better).ok:
-        g2 = compute_gains(better)
-        r2 = g2.params.r
-        recheck = dyadic_decay_report(dyadic_norm_sequence(part, u_loc, r2), r2,
-                                      g2.params.sigma, window, part, g2.epsilon)
+    recheck = None if g2 is None else dyadic_decay_report(
+        u_norms[1], g2.params.r, g2.params.sigma, window, part, g2.epsilon)
 
     passed = bool(decay.passed and sol.residual <= 1e-10)
     return ProbeReport(

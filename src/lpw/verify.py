@@ -15,7 +15,7 @@ from .exponents import RegularityParams
 from .grid import GridSpec, lp_norm, random_field
 from .lp import (build_partition, bernstein_ratio, flat_dyadic_field, project,
                  shell_packet, shell_sum_field)
-from .paraproduct import (all_pairs_shell, product_shell, split, zone_branches,
+from .paraproduct import (all_pairs_shells, product_shell, split, zone_branches,
                           zone_estimate_reports)
 from .psido import (ap_shell_ratio, commutator_shell, commutator_symbol_remainder,
                     fit_log2_slope, mapping_constant)
@@ -190,10 +190,10 @@ def verify_paraproduct(seed: int = 5) -> dict:
     scale = lp_norm(V, 2) * lp_norm(w, math.inf)
     oracle = {}
     ok = True
-    for k in (5, 6, 7):
+    ks = (5, 6, 7)
+    for k, brute in zip(ks, all_pairs_shells(V, w, ks, part)):
         zs = split(V, w, k, part)
         direct = product_shell(V, w, k, part)
-        brute = all_pairs_shell(V, w, k, part)
         err_direct = lp_norm(zs.total - direct, 2) / scale
         err_brute = lp_norm(zs.total - brute, 2) / scale
         zp = zs.zones

@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lpw.grid import (GridSpec, SpectralField, dealiased_product, grid_product, lp_norm,
-                      random_field, read_field, write_field)
+from lpw.grid import (GridSpec, SpectralField, dealiased_product, field_from_padded,
+                      grid_product, lp_norm, padded_physical, random_field, read_field,
+                      write_field)
 from lpw.exponents import RegularityParams
-from lpw.lp import build_partition, flat_dyadic_field
-from lpw.paraproduct import (all_pairs_shell, product_shell, split, zone_estimate_report,
-                             zone_estimate_reports)
+from lpw.lp import build_partition, dyadic_norm_sequence, flat_dyadic_field, sobolev_norms
+from lpw.paraproduct import (all_pairs_shell, all_pairs_shells, product_shell, split,
+                             zone_estimate_report, zone_estimate_reports)
 from lpw.probe import equation_spec, run_probe
 from lpw.psido import commutator_shell, commutator_symbol_remainder, mapping_constant
 from lpw.symbols import apply, multiplier, resolve_symbol
@@ -151,12 +152,42 @@ class TestTransformCounts:
         eq.nonlinearity(u, u)
         assert calls == {("fftn", "_forward"): 1, ("ifftn", "_inverse"): 2}
 
+    def test_oracle_shares_padding_across_shells(self, shapes, part1):
+        # ks = (5, 6, 7): each shell of w and of V padded once, one forward
+        # per pair, projected onto all three shells
+        V, w = random_field(part1.grid, 1), random_field(part1.grid, 2)
+        shapes.clear()
+        assert len(all_pairs_shells(V, w, (5, 6, 7), part1)) == 3
+        n = part1.jmax + 1
+        assert shapes == {("ifftn", (384,)): 2 * n, ("fftn", (384,)): n * n}
+
     def test_probe_skips_empty_shells(self, calls):
         # B M u_loc is zero (M = 0 for a multiplier L) and the parametrix's
         # low cutoff zeroes shell 0 of main_term and of forcing_side: those
-        # 8 + 2 shells make no transform (85 inverses when they did)
+        # 8 + 2 shells make no transform (85 inverses when they did).  One
+        # split of u_loc (8 inverses) serves the fit, the recheck and the
+        # zone reports (75 inverses when each split it again)
         run_probe(equation_spec("biharmonic"), GridSpec(2, 256), seed=9)
-        assert calls == {("fftn", "_forward"): 10, ("ifftn", "_inverse"): 75}
+        assert calls == {("fftn", "_forward"): 10, ("ifftn", "_inverse"): 59}
+
+    def test_probe_ns_reads_l2_shells_from_coefficients(self, calls):
+        # ns at n = 2 has r = 2 and a recheck r = 2: no shell of u_loc, of
+        # its first component or of the mainline fields is transformed (78
+        # inverses when they were)
+        run_probe(equation_spec("ns"), GridSpec(2, 256), seed=9)
+        assert calls == {("fftn", "_forward"): 11, ("ifftn", "_inverse"): 40}
+
+    def test_l2_sequence_transforms_nothing(self, calls, part2):
+        f = random_field(part2.grid, 3, ncomp=2)  # coefficients only
+        assert dyadic_norm_sequence(part2, f, 2.0).size == part2.jmax + 1
+        assert calls == {}
+
+    def test_mixed_pairs_split_once(self, calls, part1):
+        # a p = 3 pair needs every shell's modulus; the p = 2 pair reads the
+        # same split's coefficients
+        f = random_field(part1.grid, 4)
+        assert len(sobolev_norms(part1, f, [(0.5, 2.0), (1.0, 3.0), (0.0, 2.0)])) == 3
+        assert calls == {("ifftn", "_inverse"): part1.jmax + 1}
 
     def test_symbol_remainder(self, calls):
         commutator_symbol_remainder(resolve_symbol("sep:cos:0*pow:1"), GridSpec(1, 64), 3)
@@ -282,6 +313,17 @@ class TestProducts:
         manual = dealiased_product(u.component(0), v.component(0)) + \
             dealiased_product(u.component(1), v.component(1))
         assert lp_norm(d - manual, 2) <= 1e-12 * lp_norm(d, 2)
+
+    def test_padding_writes_no_input_array(self, grid2):
+        # the padded transforms run in place on fresh buffers only
+        f = random_field(grid2, 16, ncomp=2)
+        c = f.coefficients.copy()
+        fine = padded_physical(f)
+        assert np.array_equal(f.coefficients, c)
+        kept = fine.copy()
+        back = field_from_padded(grid2, fine)
+        assert np.array_equal(fine, kept)
+        assert np.abs(back.coefficients - c).max() <= 1e-14
 
     def test_grid_product_exact_support(self, grid2):
         f = random_field(grid2, 15)

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from lpw.grid import GridSpec, SpectralField, lp_norm, random_field
 from lpw.lp import (RING_HI, RING_LO, bernstein_ratio, build_partition,
                     dyadic_norm_sequence, flat_dyadic_field, profile_value,
-                    project, project_window, psi, shell_packet, shell_sum_field,
-                    sobolev_norm)
+                    project, project_window, psi, shell_moduli, shell_packet,
+                    shell_sum_field, sobolev_norm, sobolev_norms)
 from lpw.psido import fit_log2_slope
 from lpw.rng import complex_samples
 
@@ -208,6 +208,34 @@ class TestDyadicSequence:
             base = lp_norm(f, 2)
             seq = dyadic_norm_sequence(part1, f, 2.0)
             assert seq.max() <= 3.0 * base
+
+
+def _close(got: float, want: float) -> bool:
+    return abs(got - want) <= 1e-13 * want if want > 0.0 else got == 0.0
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_l2_shell_norms_match_grid_means(data):
+    # exponent 2 is read from the coefficients (Parseval); the grid means are
+    # the definitions.  A band below N/2 leaves the top shells empty, and
+    # band 0 leaves the whole (mean-zero) field empty.
+    dim = data.draw(st.integers(1, 3))
+    N = data.draw(st.sampled_from((16,) if dim == 3 else (16, 32)))
+    part = build_partition(GridSpec(dim, N))
+    ncomp = data.draw(st.integers(1, 2))
+    band = data.draw(st.one_of(st.none(), st.floats(0.0, N / 2)))
+    f = random_field(part.grid, data.draw(st.integers(0, 10_000)), ncomp=ncomp, band=band)
+    seq = dyadic_norm_sequence(part, f, 2.0)
+    for j in range(part.jmax + 1):
+        assert _close(seq[j], lp_norm(project(part, f, j), 2))
+    s = data.draw(st.floats(-2.0, 3.0))
+    (got,) = sobolev_norms(part, f, [(s, 2.0)])
+    moduli = list(shell_moduli(part, f))
+    square = sum(4.0 ** (j * s) * m * m for j, m in enumerate(moduli[1:], 1))
+    cap = np.sqrt(np.mean(moduli[0] ** 2))
+    want = float(np.sqrt(cap**2 + np.mean(np.sqrt(square) ** 2)))
+    assert _close(got, want)
 
 
 @given(st.floats(min_value=-3.0, max_value=4.0, allow_nan=False))

@@ -10,7 +10,7 @@ from lpw.grid import (GridSpec, SpectralField, _pair_product_fine, _physical_at,
 from lpw.lp import (build_partition, flat_dyadic_field, project, project_window, shell_packet,
                     shell_sum_field)
 from lpw.paraproduct import (_window_band, _zone_grid, _zone_windows, all_pairs_shell,
-                             product_shell, shell_transfer_ratio, split, zone_branches,
+                             all_pairs_shells, product_shell, shell_transfer_ratio, split, zone_branches,
                              zone_estimate_report, zone_estimate_reports, zones)
 from lpw.symbols import multiplier
 
@@ -75,6 +75,20 @@ class TestSplit:
             zs = split(V, w, k, part)
             brute = all_pairs_shell(V, w, k, part)
             assert lp_norm(zs.total - brute, 2) <= 1e-10 * scale
+
+    def test_shared_oracle_equals_per_shell_sums(self, part1):
+        # one pass over the pairs serves every k, bit for bit
+        V, w = random_field(part1.grid, 11), random_field(part1.grid, 12)
+        ks = (5, 6, 7)
+        shells = range(part1.jmax + 1)
+        for k, got in zip(ks, all_pairs_shells(V, w, ks, part1)):
+            total = None
+            for i in shells:
+                for j in shells:
+                    term = project(part1, dealiased_product(project(part1, V, i),
+                                                            project(part1, w, j)), k)
+                    total = term if total is None else total + term
+            assert np.array_equal(got.coefficients, total.coefficients)
 
     def test_low_coefficient_high_field_hits_one_zone(self):
         g = GridSpec(1, 1 << 13)

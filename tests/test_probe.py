@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,6 +87,19 @@ class TestManufacture:
         sol = manufactured_solution(counted_eq, g, seed=6)
         assert sol.iterations == 3
         assert len(seen) == sol.iterations + 1
+
+    def test_nonlinearity_peak_memory(self):
+        # the padded factors are transformed in place, with no per-axis
+        # intermediate (38.3 MB traced when they were not)
+        u = random_field(GridSpec(2, 256), 4, ncomp=2)
+        eq = equation_spec("ns", n=2)
+        tracemalloc.start()
+        try:
+            eq.nonlinearity(u, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 30e6
 
     def test_gjms_manufacture(self):
         g = GridSpec(3, 32)
@@ -232,6 +247,24 @@ class TestRunProbe:
         d = rep.as_dict()
         for key in ("params", "gains", "a_k", "fit", "pass", "zone_reports"):
             assert key in d
+
+
+    def test_each_field_split_once(self, monkeypatch):
+        # u_loc is split once for the fit, the recheck and (for a scalar
+        # equation) the zone reports; each mainline field once
+        split_fields = []
+
+        def recording(part, f, *args, _split=sys.modules["lpw.lp"]._reduce_shells, **kwargs):
+            split_fields.append(f)  # held, so no two entries share an id
+            return _split(part, f, *args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("lpw") and hasattr(mod, "_reduce_shells"):
+                monkeypatch.setattr(mod, "_reduce_shells", recording)
+        for kind, fields in (("ns", 6), ("biharmonic", 5)):
+            split_fields.clear()
+            run_probe(equation_spec(kind, n=2), GridSpec(2, 256), seed=9)
+            assert len({id(f) for f in split_fields}) == len(split_fields) == fields
 
 
 class TestLocalizationCommutator:
