@@ -9,8 +9,8 @@ of model elliptic equations.
 
 from .grid import GridSpec, SpectralField
 from .grid import lp_norm, dealiased_product
-from .lp import LPPartition, build_partition, project, project_window, shell_moduli
-from .lp import bernstein_ratio, sobolev_norm, sobolev_norms, dyadic_norm_sequence
+from .lp import LPPartition, build_partition, project, project_window
+from .lp import bernstein_ratio, sobolev_norms, dyadic_norm_sequence
 from .symbols import Symbol, apply, quantize_direct, resolve_symbol, leray_projector
 from .exponents import RegularityParams, GainReport, check_hypotheses, critical_exponent
 from .exponents import lift_parameters, bootstrap_exponents, epsilon_gain, theta_exponent
@@ -22,8 +22,8 @@ __version__ = "0.1.0"
 __all__ = [
     "GridSpec", "SpectralField",
     "lp_norm", "dealiased_product",
-    "LPPartition", "build_partition", "project", "project_window", "shell_moduli",
-    "bernstein_ratio", "sobolev_norm", "sobolev_norms", "dyadic_norm_sequence",
+    "LPPartition", "build_partition", "project", "project_window",
+    "bernstein_ratio", "sobolev_norms", "dyadic_norm_sequence",
     "Symbol", "apply", "quantize_direct", "resolve_symbol", "leray_projector",
     "RegularityParams", "GainReport", "check_hypotheses", "critical_exponent",
     "lift_parameters", "bootstrap_exponents", "epsilon_gain", "theta_exponent",

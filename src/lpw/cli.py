@@ -3,7 +3,8 @@
 Subcommands: `verify {partition,bernstein,apbound,commutator,paraproduct,
 mapping}`, `exponents`, `iterate`, `probe`.  Output is deterministic under a
 fixed seed (sorted-key JSON, shortest-roundtrip floats).  Exit codes: 0 all
-properties pass, 1 a measured property failed, 2 usage or hypothesis error.
+properties pass, 1 a measured property failed, 2 usage or hypothesis error
+(a path that cannot be read or written among them).
 """
 
 from __future__ import annotations
@@ -24,10 +25,11 @@ from .verify import VERIFIERS
 
 
 def _emit(payload: dict, path: str | None = None) -> None:
+    # the file first, so a path that cannot be written leaves only the error on stdout
     text = json.dumps(payload, sort_keys=True, indent=1)
-    print(text)
     if path:
         Path(path).write_text(text + "\n")
+    print(text)
 
 
 def _grid_arg(text: str) -> GridSpec:
@@ -56,6 +58,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_exponents(args) -> int:
+    if (args.sigma is None) != (args.r is None):
+        missing = "--r" if args.r is None else "--sigma"
+        raise ValueError(f"{missing} is missing: --sigma and --r are given together")
+    if args.sigma is not None and not math.isfinite(args.sigma):
+        raise ValueError(f"--sigma must be finite, got {args.sigma}")
+    if args.r is not None and not 1.0 < args.r < math.inf:
+        raise ValueError(f"--r must lie in (1, inf), got {args.r}")
     rep = check_hypotheses(args.n, args.alpha, args.beta, args.gamma, args.s, args.p)
     if not rep.ok:
         _emit({"hypotheses": rep.as_dict()}, args.out)
@@ -111,8 +120,6 @@ def _cmd_probe(args) -> int:
         eq = equation_spec(args.equation, n=args.grid.dim, s=args.s, p=args.p,
                            amplitude=args.amplitude)
     report = run_probe(eq, args.grid, rho=args.rho, seed=args.seed)
-    payload = report.as_dict()
-    _emit(payload, args.out)
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             w = csv.writer(fh)
@@ -120,6 +127,7 @@ def _cmd_probe(args) -> int:
             for k, v in enumerate(report.decay.a_k):
                 lv = math.log2(v) if v > 0 else -math.inf
                 w.writerow([k, repr(float(v)), repr(float(lv))])
+    _emit(report.as_dict(), args.out)
     return 0 if report.passed else 1
 
 
@@ -179,7 +187,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, OSError) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True))
         return 2
 

@@ -16,19 +16,13 @@ Conventions (used consistently by every module):
 from __future__ import annotations
 
 import itertools
-import json
 import math
-import struct
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
 from . import rng
-
-_FILE_MAGIC = b"LPWFIELD"
-_FILE_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -229,15 +223,6 @@ class SpectralField:
     def __neg__(self):
         return self * (-1.0)
 
-    def representation_error(self) -> float:
-        """Relative disagreement between the two representations, if both exist."""
-        if self._phys is None or self._freq is None:
-            return 0.0
-        back = _forward(self._phys)
-        num = np.linalg.norm((back - self._freq).ravel())
-        den = np.linalg.norm(self._freq.ravel())
-        return float(num / den) if den > 0 else float(num)
-
 
 # -- transforms ---------------------------------------------------------
 #
@@ -409,65 +394,3 @@ def random_field(
         fld = fld.without_mean()
     return fld
 
-
-# -- binary field files -------------------------------------------------
-
-
-def write_field(path, f: SpectralField) -> None:
-    """Write the binary field file plus its JSON sidecar.
-
-    Layout: 16-byte header (8-byte magic, u32 version, 4 pad bytes), then
-    little-endian u32 dim, u32 N, u32 components, then float64 (re, im)
-    pairs in row-major physical order, component-major.
-    """
-    path = Path(path)
-    g = f.grid
-    header = _FILE_MAGIC + struct.pack("<I", _FILE_VERSION) + b"\x00" * 4
-    meta = struct.pack("<III", g.dim, g.points_per_axis, f.ncomp)
-    data = np.ascontiguousarray(f.physical, dtype=np.complex128)
-    pairs = data.view(np.float64)
-    if pairs.dtype.byteorder not in ("<", "="):  # pragma: no cover
-        pairs = pairs.astype("<f8")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(meta)
-        fh.write(pairs.tobytes())
-    sidecar = {
-        "dim": g.dim,
-        "points_per_axis": g.points_per_axis,
-        "components": f.ncomp,
-        "domain": "torus [0,2pi)^n",
-        "layout": "row-major physical order, little-endian float64 re/im pairs",
-        "version": _FILE_VERSION,
-    }
-    Path(str(path) + ".json").write_text(json.dumps(sidecar, sort_keys=True) + "\n")
-
-
-def read_field(path) -> SpectralField:
-    """Read a write_field file; a malformed one raises ValueError naming why."""
-    raw = Path(path).read_bytes()
-    if raw[:8] != _FILE_MAGIC:
-        raise ValueError("not a field file (bad magic)")
-    if len(raw) < 28:
-        raise ValueError(f"truncated field file header ({len(raw)} of 28 bytes)")
-    version, pad, dim, N, ncomp = struct.unpack("<I4sIII", raw[8:28])
-    if version != _FILE_VERSION:
-        raise ValueError(f"unsupported field file version {version}")
-    if pad != bytes(4):
-        raise ValueError("nonzero pad bytes 12-15 in field file header")
-    grid = GridSpec(dim, N)
-    if ncomp < 1:
-        raise ValueError(f"field file has {ncomp} components; need at least 1")
-    count = ncomp * grid.npoints
-    if len(raw) != 28 + 16 * count:
-        raise ValueError(f"field file is {len(raw)} bytes; its header "
-                         f"(dim {dim}, N {N}, {ncomp} components) needs {28 + 16 * count}")
-    sidecar = Path(str(path) + ".json")
-    if sidecar.exists():
-        meta = json.loads(sidecar.read_text())
-        header = {"dim": dim, "points_per_axis": N, "components": ncomp}
-        if not isinstance(meta, dict) or any(meta.get(k) != v for k, v in header.items()):
-            raise ValueError(f"sidecar {sidecar.name} disagrees with the header {header}")
-    flat = np.frombuffer(raw, dtype="<f8", offset=28, count=2 * count)
-    vals = flat[0::2] + 1j * flat[1::2]
-    return SpectralField(grid, phys=vals.reshape((ncomp,) + grid.shape))

@@ -124,17 +124,6 @@ def _modulus(grid: GridSpec, c: np.ndarray) -> np.ndarray:
     return SpectralField(grid, freq=c).modulus() if c.any() else np.zeros(grid.shape)
 
 
-def shell_moduli(part: LPPartition, f: SpectralField):
-    """Yield |P_j f| for every shell j = 0..jmax.
-
-    One inverse transform per nonempty shell, made when the next is asked
-    for, so a caller that reduces each shell as it comes never holds them all.
-    """
-    coeffs = f.coefficients
-    for j in range(part.jmax + 1):
-        yield _modulus(f.grid, coeffs * part.profile(j))
-
-
 def _reduce_shells(part: LPPartition, f: SpectralField, rs=(), pairs=()) -> tuple:
     """The one split of f into shells 0..jmax, reduced as it streams: for
     each exponent r in rs the L^r norm of every shell (a row of an array),
@@ -183,11 +172,6 @@ def sobolev_norms(part: LPPartition, f: SpectralField, pairs) -> list:
     return _reduce_shells(part, f, pairs=list(pairs))[1]
 
 
-def sobolev_norm(part: LPPartition, f: SpectralField, s: float, p: float) -> float:
-    """Inhomogeneous smoothness norm ||f||_{s,p} from the dyadic square function."""
-    return sobolev_norms(part, f, [(s, p)])[0]
-
-
 def dyadic_norm_sequence(part: LPPartition, f: SpectralField, r) -> np.ndarray:
     """L^r norms of the shells 0..jmax of f, as an array indexed by shell."""
     return _reduce_shells(part, f, [r])[0][0]
@@ -199,10 +183,8 @@ def dyadic_norm_sequence(part: LPPartition, f: SpectralField, r) -> np.ndarray:
 # than in test helpers: determinism of the CLI outputs depends on them.
 
 
-def shell_packet(
-    part: LPPartition, j: int, seed: int, coherent: bool = True, ncomp: int = 1
-) -> SpectralField:
-    """Field supported on ring j.
+def shell_packet(part: LPPartition, j: int, seed: int, coherent: bool = True) -> SpectralField:
+    """Scalar field supported on ring j.
 
     coherent=True draws nonnegative random amplitudes with aligned phases —
     a focusing packet extremal for the dyadic norm-growth inequalities.
@@ -213,15 +195,15 @@ def shell_packet(
     prof = part.profile(j).ravel()
     sites = np.flatnonzero((prof != 0.0) & ~grid.nyquist_mask.ravel())
     # the counters of a whole-lattice draw (rng's layout), taken at the ring's sites only
-    ctr = 2 * (np.arange(ncomp)[:, None] * M + sites)
+    ctr = 2 * sites
     re = 2.0 * rng.unit_doubles_at(seed, ctr) - 1.0
     if coherent:
         raw = 1.0 + 0.5 * re  # amplitudes in [0.5, 1.5], zero phase
     else:
         raw = re + 1j * (2.0 * rng.unit_doubles_at(seed, ctr + 1) - 1.0)
-    c = np.zeros((ncomp, M), dtype=np.complex128)
-    c[:, sites] = raw * prof[sites]
-    return SpectralField(grid, freq=c.reshape((ncomp,) + grid.shape))
+    c = np.zeros(M, dtype=np.complex128)
+    c[sites] = raw * prof[sites]
+    return SpectralField(grid, freq=c.reshape(grid.shape))
 
 
 def shell_sum_field(part: LPPartition, scales, seed: int, norm_p: float = 2.0) -> SpectralField:

@@ -28,8 +28,7 @@ import numpy as np
 from .exponents import RegularityParams
 from .grid import (SpectralField, _pair_product_fine, _physical_at, alias_free_size,
                    dealiased_product, field_from_padded, lp_norm, padded_physical)
-from .lp import (RING_HI, LPPartition, _reduce_shells, dyadic_norm_sequence, project,
-                 project_window)
+from .lp import RING_HI, LPPartition, _reduce_shells, project, project_window
 from .symbols import Symbol, apply
 
 
@@ -193,21 +192,6 @@ def all_pairs_shells(V: SpectralField, w: SpectralField, ks, part: LPPartition) 
                 term = project(part, pair, k)
                 totals[n] = term if totals[n] is None else totals[n] + term
     return totals
-
-
-# -- the shell transfer bound for Q u ---------------------------------------
-
-
-def shell_transfer_ratio(u: SpectralField, Q: Symbol, j: int, r,
-                         part: LPPartition) -> float:
-    """||P_j(Q u)||_r over its dominating window bound.
-
-    Bound: 2^(gamma j) sum_{i=j-10}^{j+10} ||P_i u||_r + 2^(-8j).
-    """
-    num = lp_norm(project(part, apply(Q, u), j), r)
-    window = dyadic_norm_sequence(part, u, r)[max(0, j - 10):j + 11]
-    den = 2.0 ** (Q.order * j) * sum(window.tolist()) + 2.0 ** (-8.0 * j)
-    return num / den
 
 
 # -- zone estimates -----------------------------------------------------------

@@ -12,10 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (GridSpec, SpectralField, _forward, _inverse, center_distance,
-                   grid_product, lp_norm)
-from .lp import (LPPartition, dyadic_norm_sequence, profile_value, project, project_window,
-                 sobolev_norms)
+from .grid import GridSpec, SpectralField, _forward, _inverse, center_distance, lp_norm
+from .lp import LPPartition, profile_value, project, project_window, sobolev_norms
 from .smooth import ramp_down, ramp_up
 from . import symbols as sym_mod
 from .symbols import Symbol, apply
@@ -176,27 +174,21 @@ def split_elliptic(L: Symbol, grid: GridSpec) -> EllipticSplit:
     return EllipticSplit(E=E, M=M)
 
 
-def low_cutoff(C2: float):
-    """Smooth chi(|xi|): exactly 1 for |xi| >= C2, exactly 0 below C2/2."""
-    if C2 == 0.0:
-        return lambda r: np.ones_like(np.asarray(r, dtype=float))
-    return lambda r: ramp_up(r, C2 / 2.0, C2)
+def parametrix(E: Symbol, grid: GridSpec) -> Symbol:
+    """First-order approximate inverse: b(x, xi) = chi(|xi|) / e(x, xi), where
+    the smooth cutoff chi is 0 below CUTOFF/2 and 1 from CUTOFF on.
 
-
-def parametrix(E: Symbol, grid: GridSpec, C2: float = CUTOFF) -> Symbol:
-    """First-order approximate inverse: b(x, xi) = chi_{>=C2}(xi) / e(x, xi).
-
-    For multiplier E the composition with E is the identity on |xi| >= C2
+    For multiplier E the composition with E is the identity on |xi| >= CUTOFF
     exactly; for x-dependent E the defect gains one order per shell.  The
     full asymptotic series is deliberately not built.
     """
-    floor = _symbol_floor(E, grid, max(C2, 1.0), 1.0)
+    floor = _symbol_floor(E, grid, CUTOFF, 1.0)
     if floor <= 0.0:
         raise ValueError("parametrix needs a positive lower bound on the symbol")
-    chi = low_cutoff(C2)
 
     def masked_inverse(e, xis):
-        mask = chi(np.sqrt(sum(np.asarray(a, dtype=float) ** 2 for a in xis)))
+        mask = ramp_up(np.sqrt(sum(np.asarray(a, dtype=float) ** 2 for a in xis)),
+                       CUTOFF / 2.0, CUTOFF)
         safe = np.where(e == 0, 1.0, e)
         return np.where(mask != 0.0, mask / safe, 0.0)
 
@@ -206,13 +198,6 @@ def parametrix(E: Symbol, grid: GridSpec, C2: float = CUTOFF) -> Symbol:
             -E.order, lambda *xis: masked_inverse(np.asarray(E.xi_func(*xis)), xis), name)
     return sym_mod.general(
         -E.order, lambda xs, xis: masked_inverse(E.eval_xy(xs, xis), xis), name)
-
-
-def parametrix_defect_shells(E: Symbol, B: Symbol, part: LPPartition, f: SpectralField):
-    """Per-shell L^2 norms of (B о E - I) f, normalized by ||f||_2."""
-    defect = apply(B, apply(E, f)) - f.without_nyquist()
-    base = lp_norm(f, 2.0)
-    return [v / base for v in dyadic_norm_sequence(part, defect, 2.0).tolist()]
 
 
 # -- shell estimates --------------------------------------------------------
@@ -245,20 +230,6 @@ def commutator_shell(A: Symbol, part: LPPartition, f: SpectralField, ks, p) -> l
             for k in ks]
 
 
-def commutator_window_bound(A: Symbol, part: LPPartition, f: SpectralField,
-                            k: int, p) -> float:
-    """Dominating side of the shell-commutator estimate (window + tiny tails).
-
-    2^{k(m-1)} ||P_{k-5<.<k+5} f||_p + 2^{-8k} (||P_cap f||_p
-    + sum_j 2^{-8j} ||P_j f||_p), with the rapid-decay exponent fixed at 8.
-    """
-    N = 8.0
-    main = 2.0 ** (k * (A.order - 1.0)) * lp_norm(project_window(part, f, k - 4, k + 4), p)
-    norms = dyadic_norm_sequence(part, f, p).tolist()
-    tail = sum((2.0 ** (-N * j) * v for j, v in enumerate(norms[1:], 1)), norms[0])
-    return main + 2.0 ** (-N * k) * tail
-
-
 # -- composed-symbol remainder ----------------------------------------------
 
 
@@ -276,7 +247,6 @@ class SymbolRemainderReport:
 
     k: int
     order: float
-    regime1_max: float
     regime1_normalized: float
     regime2_max: float
     regime3_max: float
@@ -320,34 +290,13 @@ def commutator_symbol_remainder(A: Symbol, grid: GridSpec, k: int) -> SymbolRema
     r2 = base * np.geomspace(8.0, 16.0, 32)
     r3 = base * np.linspace(0.0, 1.0 / 8.0, 64)
     both = lambda t: np.concatenate([t, -t])
-    reg1, reg1n = _remainder_max(A, grid, k, both(r1))
+    _, reg1n = _remainder_max(A, grid, k, both(r1))
     reg2, _ = _remainder_max(A, grid, k, both(r2))
     reg3, _ = _remainder_max(A, grid, k, both(r3))
     return SymbolRemainderReport(
-        k=k, order=A.order, regime1_max=reg1, regime1_normalized=reg1n,
+        k=k, order=A.order, regime1_normalized=reg1n,
         regime2_max=reg2, regime3_max=reg3,
     )
-
-
-# -- cutoff commutator -------------------------------------------------------
-
-
-def cutoff_commutator_order(A: Symbol, eta: SpectralField, f: SpectralField,
-                            part: LPPartition, k_lo: int = 2) -> SlopeReport:
-    """Decay slope of the L^2 shells k_lo..jmax-1 of eta*(A f) - A(eta*f).
-
-    Multiplication by a smooth cutoff commutes with an order-m operator up to
-    one order less; on a flat dyadic profile the fitted slope is ~ m-1.
-    """
-    g = cutoff_commutator_field(A, eta, f)
-    k_hi = part.jmax - 1
-    vals = dyadic_norm_sequence(part, g, 2.0)[k_lo:k_hi + 1]
-    return fit_log2_slope(range(k_lo, k_hi + 1), vals)
-
-
-def cutoff_commutator_field(A: Symbol, eta: SpectralField, f: SpectralField) -> SpectralField:
-    """The commutator field eta*(A f) - A(eta*f) itself."""
-    return grid_product(eta, apply(A, f)) - apply(A, grid_product(eta, f))
 
 
 # -- mapping constants --------------------------------------------------------

@@ -42,6 +42,19 @@ class TestExponentsCommand:
         assert data["sigma"] == 1.5 and data["r"] == 1.6
         assert data["epsilon"] == 0.5 and data["theta"] == 0.45
 
+    @pytest.mark.parametrize("lift, flag", [
+        (("--sigma", "1.2"), "--r"), (("--r", "3"), "--sigma"),
+        (("--sigma", "nan", "--r", "nan"), "--sigma"), (("--sigma", "inf", "--r", "2"), "--sigma"),
+        (("--sigma", "1.5", "--r", "nan"), "--r"), (("--sigma", "1.5", "--r", "inf"), "--r"),
+        (("--sigma", "1.5", "--r", "1"), "--r"), (("--sigma", "1.5", "--r", "-2"), "--r")],
+        ids=["sigma-alone", "r-alone", "both-nan", "sigma-inf", "r-nan", "r-inf", "r-one",
+             "r-negative"])
+    def test_bad_lift_flags_exit_2(self, capsys, lift, flag):
+        code, out = run_cli(capsys, "exponents", "--n", "4", "--alpha", "2", "--beta", "0",
+                            "--gamma", "1", "--s", "1", "--p", "2", *lift)
+        assert code == 2
+        assert flag in json.loads(out)["error"]
+
 
 class TestIterateCommand:
     def test_holds_and_bound(self, capsys, tmp_path):
@@ -106,6 +119,37 @@ class TestIterateCommand:
         assert code == 2
         err = json.loads(out)["error"]
         assert "S=9" in err and "K=3" in err
+
+
+class TestPaths:
+    """A path that cannot be read or written exits 2, naming the path."""
+
+    def _error(self, capsys, *argv) -> str:
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        return json.loads(out)["error"]
+
+    def test_missing_csv(self, capsys, tmp_path):
+        path = str(tmp_path / "missing.csv")
+        assert path in self._error(capsys, "iterate", "--csv", path, "--eps", "1", "--delta", "0.2")
+
+    def test_csv_is_a_directory(self, capsys, tmp_path):
+        assert str(tmp_path) in self._error(capsys, "iterate", "--csv", str(tmp_path),
+                                            "--eps", "1", "--delta", "0.2")
+
+    def test_out_in_missing_directory(self, capsys, tmp_path):
+        seq = tmp_path / "seq.csv"
+        seq.write_text("1.0\n0.5\n")
+        out = str(tmp_path / "nosuch" / "out.json")
+        assert out in self._error(capsys, "iterate", "--csv", str(seq), "--eps", "1",
+                                  "--delta", "0.2", "--out", out)
+        assert out in self._error(capsys, "verify", "partition", "--n", "1", "--N", "64",
+                                  "--out", out)
+
+    def test_probe_csv_in_missing_directory(self, capsys, tmp_path):
+        out = str(tmp_path / "nosuch" / "a_k.csv")
+        assert out in self._error(capsys, "probe", "--equation", "biharmonic",
+                                  "--grid", "2,256", "--seed", "9", "--csv", out)
 
 
 class TestVerifyCommand:

@@ -1,17 +1,12 @@
 import math
-import struct
 import sys
-import tempfile
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from lpw.grid import (GridSpec, SpectralField, dealiased_product, field_from_padded,
-                      grid_product, lp_norm, padded_physical, random_field, read_field,
-                      write_field)
+                      grid_product, lp_norm, padded_physical, random_field)
 from lpw.exponents import RegularityParams
 from lpw.lp import build_partition, dyadic_norm_sequence, flat_dyadic_field, sobolev_norms
 from lpw.paraproduct import (all_pairs_shell, all_pairs_shells, product_shell, split,
@@ -72,11 +67,6 @@ class TestTransforms:
         back = SpectralField(grid2, phys=f.physical)
         num = np.linalg.norm((back.coefficients - f.coefficients).ravel())
         assert num / np.linalg.norm(f.coefficients.ravel()) <= 1e-12
-
-    def test_representation_consistency(self, grid2):
-        f = random_field(grid2, 12)
-        both = SpectralField(grid2, phys=f.physical, freq=f.coefficients)
-        assert both.representation_error() <= 1e-12
 
 
 class TestTransformCounts:
@@ -166,16 +156,19 @@ class TestTransformCounts:
         # low cutoff zeroes shell 0 of main_term and of forcing_side: those
         # 8 + 2 shells make no transform (85 inverses when they did).  One
         # split of u_loc (8 inverses) serves the fit, the recheck and the
-        # zone reports (75 inverses when each split it again)
+        # zone reports (75 inverses when each split it again).  The Picard
+        # solve takes no norm of its update (59 inverses when it took one
+        # per iterate)
         run_probe(equation_spec("biharmonic"), GridSpec(2, 256), seed=9)
-        assert calls == {("fftn", "_forward"): 10, ("ifftn", "_inverse"): 59}
+        assert calls == {("fftn", "_forward"): 10, ("ifftn", "_inverse"): 57}
 
     def test_probe_ns_reads_l2_shells_from_coefficients(self, calls):
         # ns at n = 2 has r = 2 and a recheck r = 2: no shell of u_loc, of
         # its first component or of the mainline fields is transformed (78
-        # inverses when they were)
+        # inverses when they were).  The Picard solve takes no norm of its
+        # update (40 inverses when it took one per iterate)
         run_probe(equation_spec("ns"), GridSpec(2, 256), seed=9)
-        assert calls == {("fftn", "_forward"): 11, ("ifftn", "_inverse"): 40}
+        assert calls == {("fftn", "_forward"): 11, ("ifftn", "_inverse"): 37}
 
     def test_l2_sequence_transforms_nothing(self, calls, part2):
         f = random_field(part2.grid, 3, ncomp=2)  # coefficients only
@@ -330,98 +323,3 @@ class TestProducts:
         chi = np.where(grid2.center_distance < 1.0, 1.0, 0.0)
         g = grid_product(SpectralField(grid2, phys=chi), f)
         assert np.abs(g.physical[0][grid2.center_distance >= 1.0]).max() == 0.0
-
-
-class TestFieldIO:
-    def test_roundtrip(self, tmp_path, grid2):
-        f = random_field(grid2, 21, ncomp=3)
-        path = tmp_path / "field.lpw"
-        write_field(path, f)
-        g = read_field(path)
-        assert g.grid == grid2 and g.ncomp == 3
-        assert np.array_equal(g.physical, f.physical)
-        assert (tmp_path / "field.lpw.json").exists()
-
-    def test_bad_magic(self, tmp_path):
-        p = tmp_path / "junk.bin"
-        p.write_bytes(b"NOTAFIELD" + b"\x00" * 64)
-        with pytest.raises(ValueError):
-            read_field(p)
-
-    def _write(self, tmp_path, raw: bytes):
-        p = tmp_path / "f.lpw"
-        p.write_bytes(raw)
-        return p
-
-    def _valid(self, ncomp=1) -> bytes:
-        """A well-formed all-zero file on the 1,16 grid (284 bytes at ncomp=1)."""
-        return (b"LPWFIELD" + struct.pack("<I", 1) + b"\x00" * 4
-                + struct.pack("<III", 1, 16, ncomp) + b"\x00" * (16 * ncomp * 16))
-
-    def test_short_header(self, tmp_path):
-        with pytest.raises(ValueError, match="truncated field file header"):
-            read_field(self._write(tmp_path, self._valid()[:20]))
-
-    def test_trailing_byte(self, tmp_path):
-        with pytest.raises(ValueError, match="needs 284"):
-            read_field(self._write(tmp_path, self._valid() + b"\x00"))
-
-    def test_nonzero_pad(self, tmp_path):
-        raw = bytearray(self._valid())
-        raw[14] = 1
-        with pytest.raises(ValueError, match="pad bytes"):
-            read_field(self._write(tmp_path, bytes(raw)))
-
-    def test_zero_components(self, tmp_path):
-        with pytest.raises(ValueError, match="0 components"):
-            read_field(self._write(tmp_path, self._valid(ncomp=0)))
-
-    def test_sidecar_disagrees(self, tmp_path, grid2):
-        f = random_field(grid2, 22, ncomp=2)
-        path = tmp_path / "f.lpw"
-        write_field(path, f)
-        side = tmp_path / "f.lpw.json"
-        side.write_text(side.read_text().replace('"components": 2', '"components": 3'))
-        with pytest.raises(ValueError, match="sidecar"):
-            read_field(path)
-
-    def test_every_header_bit_flip_rejected(self, tmp_path):
-        raw = self._valid()
-        path = self._write(tmp_path, raw)
-        for bit in range(28 * 8):
-            flipped = bytearray(raw)
-            flipped[bit // 8] ^= 1 << (bit % 8)
-            path.write_bytes(bytes(flipped))
-            with pytest.raises(ValueError):
-                read_field(path)
-
-    @given(st.dictionaries(st.integers(0, 27), st.integers(0, 255), max_size=6),
-           st.one_of(st.none(), st.integers(0, 283)), st.booleans())
-    @settings(max_examples=200, deadline=None)
-    def test_changed_or_truncated_header_loads_or_raises_value_error(self, changes, cut,
-                                                                     sidecar):
-        f = random_field(GridSpec(1, 16), 24)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "f.lpw"
-            write_field(path, f)
-            if not sidecar:
-                Path(str(path) + ".json").unlink()
-            raw = bytearray(path.read_bytes())
-            for at, byte in changes.items():
-                raw[at] = byte
-            path.write_bytes(bytes(raw[:cut]))
-            try:
-                g = read_field(path)
-            except ValueError:
-                return
-            assert g.grid == f.grid and np.array_equal(g.physical, f.physical)
-
-    def test_every_truncation_rejected(self, tmp_path):
-        f = random_field(GridSpec(1, 16), 23)
-        path = tmp_path / "f.lpw"
-        write_field(path, f)
-        raw = path.read_bytes()
-        for n in range(len(raw)):
-            path.write_bytes(raw[:n])
-            with pytest.raises(ValueError):
-                read_field(path)

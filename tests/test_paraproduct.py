@@ -10,7 +10,7 @@ from lpw.grid import (GridSpec, SpectralField, _pair_product_fine, _physical_at,
 from lpw.lp import (build_partition, flat_dyadic_field, project, project_window, shell_packet,
                     shell_sum_field)
 from lpw.paraproduct import (_window_band, _zone_grid, _zone_windows, all_pairs_shell,
-                             all_pairs_shells, product_shell, shell_transfer_ratio, split, zone_branches,
+                             all_pairs_shells, product_shell, split, zone_branches,
                              zone_estimate_report, zone_estimate_reports, zones)
 from lpw.symbols import multiplier
 
@@ -150,16 +150,6 @@ class TestAliasFreeGrid:
         ref = project(part, full, k)
         err = np.linalg.norm((got.coefficients - ref.coefficients).ravel())
         assert err <= 1e-13 * np.linalg.norm(full.coefficients.ravel())
-
-
-class TestShellTransfer:
-    def test_uniform_in_j(self, part1):
-        u = flat_dyadic_field(part1, 10)
-        Q = multiplier(1.0, lambda *xis: (1.0 + sum(np.asarray(a) ** 2 for a in xis)) ** 0.5)
-        ratios = [shell_transfer_ratio(u, Q, j, 2.0, part1)
-                  for j in range(1, part1.jmax)]
-        assert max(ratios) <= 3.0
-        assert max(ratios) / min(ratios) <= 10.0
 
 
 def _params_r_ge_q():

@@ -3,14 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from lpw.grid import GridSpec, SpectralField, lp_norm, random_field
-from lpw.lp import build_partition, flat_dyadic_field, project
+from lpw.grid import GridSpec, SpectralField, grid_product, lp_norm, random_field
+from lpw.lp import build_partition, dyadic_norm_sequence, flat_dyadic_field, project
 from lpw.probe import cutoff_field
-from lpw.psido import (ap_shell_ratio, commutator_shell, commutator_symbol_remainder,
-                       commutator_window_bound, cutoff_commutator_field,
-                       cutoff_commutator_order, ellipticity_margin, fit_log2_slope,
-                       low_cutoff, mapping_constant, parametrix,
-                       parametrix_defect_shells, split_elliptic)
+from lpw.psido import (CUTOFF, ap_shell_ratio, commutator_shell, commutator_symbol_remainder,
+                       ellipticity_margin, fit_log2_slope, mapping_constant, parametrix,
+                       split_elliptic)
 from lpw.symbols import apply, grad_symbol, multiplication, multiplier, resolve_symbol
 
 from test_grid import mode
@@ -18,6 +16,11 @@ from test_grid import mode
 
 def abs2(*xis):
     return sum(np.asarray(a) ** 2 for a in xis)
+
+
+def cutoff_commutator(A, eta, f):
+    """eta*(A f) - A(eta*f), with the cutoff applied as the grid multiplication operator."""
+    return grid_product(eta, apply(A, f)) - apply(A, grid_product(eta, f))
 
 
 class TestEllipticity:
@@ -95,20 +98,13 @@ class TestEllipticSplit:
 
 
 class TestParametrix:
-    def test_exact_inverse_no_cutoff(self, grid1):
-        L = multiplier(2.0, lambda *xis: (1.0 + abs2(*xis)), "m")
-        B = parametrix(L, grid1, C2=0.0)
-        f = random_field(grid1, 4)
-        out = apply(B, apply(L, f))
-        assert lp_norm(out - f.without_nyquist(), 2) <= 1e-10 * lp_norm(f, 2)
-
     def test_inverse_above_cutoff(self, grid1):
         part = build_partition(grid1)
         L = resolve_symbol("fractional_laplacian:1.25")
-        B = parametrix(L, grid1, C2=4.0)
+        B = parametrix(L, grid1)
         f = random_field(grid1, 5)
         diff = (apply(B, apply(L, f)) - f.without_nyquist()).coefficients
-        high = grid1.xi_abs >= 4.0
+        high = grid1.xi_abs >= CUTOFF
         assert np.abs(diff[0, high]).max() <= 1e-10 * lp_norm(f, 2)
 
     def test_defect_gains_one_order(self):
@@ -116,11 +112,11 @@ class TestParametrix:
         part = build_partition(g)
         L = resolve_symbol("sep:twoplussin:0*pow:2")
         es = split_elliptic(L, g)
-        B = parametrix(es.E, g, C2=4.0)
+        B = parametrix(es.E, g)
         f = flat_dyadic_field(part, 6)
-        shells = parametrix_defect_shells(es.E, B, part, f)
+        shells = dyadic_norm_sequence(part, apply(B, apply(es.E, f)) - f.without_nyquist(), 2)
         ks = range(4, part.jmax)
-        fit = fit_log2_slope(ks, [shells[k] for k in ks])
+        fit = fit_log2_slope(ks, shells[4:part.jmax])
         assert fit.slope <= -0.8
 
     def test_no_lower_bound_rejected(self):
@@ -129,9 +125,14 @@ class TestParametrix:
             parametrix(multiplier(1.0, lambda *xis: xis[0] + 0j), g)
 
     def test_cutoff_profile(self):
-        chi = low_cutoff(4.0)
-        assert chi(np.array([1.9, 4.0, 10.0])).tolist() == [0.0, 1.0, 1.0]
-        assert low_cutoff(0.0)(np.array([0.0, 3.0])).tolist() == [1.0, 1.0]
+        # b * l is the cutoff: 0 below CUTOFF/2, strictly between there and
+        # CUTOFF, and 1 from CUTOFF on
+        L = multiplier(2.0, lambda *xis: abs2(*xis), "neg_lap")
+        B = parametrix(L, GridSpec(1, 64))
+        r = np.array([1.0, 1.9, 3.0, 4.0, 10.0])
+        chi = (B.xi_func(r) * L.xi_func(r)).real
+        assert chi[[0, 1, 3, 4]].tolist() == [0.0, 0.0, 1.0, 1.0]
+        assert 0.0 < chi[2] < 1.0
 
 
 class TestShellRatio:
@@ -195,21 +196,11 @@ class TestShellCommutator:
         fit = fit_log2_slope(ks, vals)
         assert fit.slope <= 0.2
 
-    def test_dominated_by_window_bound(self):
-        g = GridSpec(1, 1 << 14)
-        part = build_partition(g)
-        f = flat_dyadic_field(part, 12)
-        A = resolve_symbol("sep:cos:0*pow:1")
-        ks = list(range(10, part.jmax))
-        ratios = [val / commutator_window_bound(A, part, f, k, 2)
-                  for k, val in zip(ks, commutator_shell(A, part, f, ks, 2))]
-        assert max(ratios) / min(ratios) <= 4.0  # constant uniform in k
-
 
 class TestSymbolRemainder:
     def test_multiplier_identically_zero(self, grid1):
         rep = commutator_symbol_remainder(resolve_symbol("laplacian"), grid1, 8)
-        assert rep.regime1_max == 0.0
+        assert rep.regime1_normalized == 0.0
         assert rep.regime2_max == 0.0
         assert rep.regime3_max == 0.0
 
@@ -232,7 +223,7 @@ class TestCutoffCommutator:
         one = SpectralField(part2.grid, phys=np.ones(part2.grid.shape))
         A = multiplier(0.0, lambda *xis: 1.0 / (1.0 + abs2(*xis)), "sm")
         f = random_field(part2.grid, 13, band=16)
-        comm = cutoff_commutator_field(A, one, f)
+        comm = cutoff_commutator(A, one, f)
         assert lp_norm(comm, 2) <= 1e-13 * lp_norm(f, 2)
 
     def test_leibniz_identity(self, part2):
@@ -242,8 +233,7 @@ class TestCutoffCommutator:
         lap = multiplier(2.0, lambda *xis: -abs2(*xis), "lap")
         f = random_field(g, 14, band=8)
         eta = project_window(part2, cutoff_field(g, 0.6), 0, 3)  # band-limited
-        comm = cutoff_commutator_field(neg_lap, eta, f)
-        from lpw.grid import grid_product
+        comm = cutoff_commutator(neg_lap, eta, f)
         cross = None
         for c in range(2):
             t = grid_product(apply(grad_symbol(c), eta), apply(grad_symbol(c), f))
@@ -257,8 +247,9 @@ class TestCutoffCommutator:
         f = flat_dyadic_field(part, 15)
         eta = cutoff_field(g, 0.6)
         A = multiplier(2.0, lambda *xis: 1.0 + abs2(*xis), "onepluslap")
-        rep = cutoff_commutator_order(A, eta, f, part, k_lo=3)
-        assert rep.slope <= 1.2
+        ks = range(3, part.jmax)
+        shells = dyadic_norm_sequence(part, cutoff_commutator(A, eta, f), 2)
+        assert fit_log2_slope(ks, shells[3:part.jmax]).slope <= 1.2
 
 
 class TestMappingProperty:
