@@ -8,7 +8,7 @@ of model elliptic equations.
 """
 
 from .grid import GridSpec, SpectralField
-from .grid import lp_norm, dealiased_product
+from .grid import lp_norm, l2_norm, dealiased_product
 from .lp import LPPartition, build_partition, project, project_window
 from .lp import bernstein_ratio, sobolev_norms, dyadic_norm_sequence
 from .symbols import Symbol, apply, quantize_direct, resolve_symbol, leray_projector
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GridSpec", "SpectralField",
-    "lp_norm", "dealiased_product",
+    "lp_norm", "l2_norm", "dealiased_product",
     "LPPartition", "build_partition", "project", "project_window",
     "bernstein_ratio", "sobolev_norms", "dyadic_norm_sequence",
     "Symbol", "apply", "quantize_direct", "resolve_symbol", "leray_projector",

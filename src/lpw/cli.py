@@ -32,6 +32,13 @@ def _emit(payload: dict, path: str | None = None) -> None:
     print(text)
 
 
+def _check_parent(path: str | None) -> None:
+    """Raise, naming the path, unless an output path is unset or its parent
+    directory exists; called before any field work, so a bad path costs none."""
+    if path and not Path(path).parent.is_dir():
+        raise ValueError(f"cannot write {path}: no directory {Path(path).parent}")
+
+
 def _grid_arg(text: str) -> GridSpec:
     try:
         n, N = (int(t) for t in text.split(","))
@@ -111,6 +118,7 @@ def _cmd_iterate(args) -> int:
 
 
 def _cmd_probe(args) -> int:
+    _check_parent(args.csv)
     if args.equation == "custom":
         if any(v is None for v in (args.L, args.P, args.Q, args.s, args.p)):
             raise ValueError("custom equations need --L --P --Q --s --p")
@@ -186,6 +194,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        _check_parent(args.out)
         return args.fn(args)
     except (KeyError, ValueError, OSError) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True))

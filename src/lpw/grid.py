@@ -9,7 +9,8 @@ Conventions (used consistently by every module):
   f(x) = sum_xi c_xi exp(i x.xi).
 * L^p norms are taken with respect to the normalized (probability) measure on
   the torus: ||f||_p = (mean |f|^p)^(1/p).  With this pairing Parseval is
-  exact: ||f||_2 equals the plain l^2 norm of the coefficients.
+  exact: ||f||_2 equals the plain l^2 norm of the coefficients, which is how
+  `l2_norm` reads it without a transform.
 * Fields may be vector valued; arrays carry a leading component axis.
 """
 
@@ -253,11 +254,31 @@ def _inverse(coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def lp_norm(f: SpectralField, p) -> float:
-    """L^p norm with normalized measure; p = inf gives the max modulus.
+    """L^p norm with normalized measure, read from the samples; p = inf
+    gives the max modulus.
 
-    p < 1 is rejected.
+    p < 1 is rejected.  `l2_norm` reads p = 2 from the coefficients when f
+    holds them.
     """
     return _modulus_norm(f.modulus(), p)
+
+
+def l2_norm(f: SpectralField) -> float:
+    """L^2 norm with normalized measure.
+
+    When f holds its coefficients this is their plain l^2 norm over every
+    component (Parseval), with no transform; otherwise it is read from the
+    samples.
+    """
+    if f._freq is None:
+        return _modulus_norm(f.modulus(), 2)
+    return math.sqrt(np.vdot(f._freq, f._freq).real)
+
+
+def _norm(f: SpectralField, p) -> float:
+    """L^p norm for an exponent known only at run time: `l2_norm` at p = 2,
+    `lp_norm` otherwise."""
+    return l2_norm(f) if p == 2 else lp_norm(f, p)
 
 
 def _modulus_norm(mod: np.ndarray, p) -> float:

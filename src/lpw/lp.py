@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .grid import GridSpec, SpectralField, _modulus_norm, lp_norm
+from .grid import GridSpec, SpectralField, _modulus_norm, _norm, l2_norm, lp_norm
 from .smooth import ramp_down
 
 RING_LO = 3.0 / 5.0
@@ -76,8 +76,13 @@ def build_partition(grid: GridSpec) -> LPPartition:
     if J < 3:
         raise ValueError(f"grid too small: only {J} dyadic shells, need >= 3")
     r = grid.xi_abs
-    profiles = [profile_value(j, r) for j in range(J)]
-    profiles.append(1.0 - psi(r / 2.0 ** (J - 1)))
+    # each psi(|xi|/2^j) is evaluated once and telescoped against the next
+    low = psi(r)
+    profiles = [low]
+    for j in range(1, J):
+        prev, low = low, psi(r / 2.0**j)
+        profiles.append(low - prev)
+    profiles.append(1.0 - low)
     return LPPartition(grid, J, tuple(profiles))
 
 
@@ -118,10 +123,10 @@ def bernstein_ratio(f: SpectralField, j: int, p, q) -> float:
     return lp_norm(f, q) / (scale * lp_norm(f, p))
 
 
-def _modulus(grid: GridSpec, c: np.ndarray) -> np.ndarray:
-    """|P_j f| from the shell's coefficients c: one inverse transform, or
-    zeros without one when c has no nonzero entry."""
-    return SpectralField(grid, freq=c).modulus() if c.any() else np.zeros(grid.shape)
+def _modulus(shell: SpectralField) -> np.ndarray:
+    """|P_j f| from a coefficient-only shell: one inverse transform, or
+    zeros without one when the shell has no nonzero coefficient."""
+    return shell.modulus() if shell.coefficients.any() else np.zeros(shell.grid.shape)
 
 
 def _reduce_shells(part: LPPartition, f: SpectralField, rs=(), pairs=()) -> tuple:
@@ -131,10 +136,10 @@ def _reduce_shells(part: LPPartition, f: SpectralField, rs=(), pairs=()) -> tupl
 
         ||f||_{s,p} = (||P_cap f||_p^p + || (sum_j 2^(2js) |P_j f|^2)^(1/2) ||_p^p)^(1/p).
 
-    Exponent 2 is read from the shell's coefficients (Parseval): an L^2 shell
-    norm is the l^2 norm of the coefficients, and the p = 2 square function
-    has ||.||_2^2 = sum_j 4^(js) ||P_j f||_2^2.  A shell is inverse-transformed
-    only when a requested exponent is not 2, and never when it is empty.
+    Exponent 2 is read from the shell's coefficients by `l2_norm`, and the
+    p = 2 square function has ||.||_2^2 = sum_j 4^(js) ||P_j f||_2^2.  A
+    shell is inverse-transformed only when a requested exponent is not 2,
+    and never when it is empty.
     """
     for _, p in pairs:
         if not 1.0 < p < math.inf:
@@ -144,10 +149,10 @@ def _reduce_shells(part: LPPartition, f: SpectralField, rs=(), pairs=()) -> tupl
     norms = np.zeros((len(rs), part.jmax + 1))
     caps, squares = [0.0] * len(pairs), [0.0] * len(pairs)
     for j in range(part.jmax + 1):
-        c = coeffs * part.profile(j)
-        l2 = math.sqrt(np.vdot(c, c).real)
-        mod = _modulus(f.grid, c) if transform else None
-        del c  # not held while the shell is reduced
+        shell = SpectralField(f.grid, freq=coeffs * part.profile(j))
+        l2 = l2_norm(shell)
+        mod = _modulus(shell) if transform else None
+        del shell  # not held while the shell is reduced
         for i, r in enumerate(rs):
             norms[i, j] = l2 if r == 2 else _modulus_norm(mod, r)
         for i, (s, p) in enumerate(pairs):
@@ -219,7 +224,7 @@ def shell_sum_field(part: LPPartition, scales, seed: int, norm_p: float = 2.0) -
         if scale == 0.0:
             continue
         pkt = shell_packet(part, j, seed + 101 * j, coherent=False)
-        nrm = lp_norm(pkt, norm_p)
+        nrm = _norm(pkt, norm_p)
         if nrm > 0:
             total += (scale / nrm) * pkt.coefficients
     return SpectralField(grid, freq=total)

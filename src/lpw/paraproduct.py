@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exponents import RegularityParams
-from .grid import (SpectralField, _pair_product_fine, _physical_at, alias_free_size,
-                   dealiased_product, field_from_padded, lp_norm, padded_physical)
+from .grid import (SpectralField, _norm, _pair_product_fine, _physical_at, alias_free_size,
+                   dealiased_product, field_from_padded, padded_physical)
 from .lp import RING_HI, LPPartition, _reduce_shells, project, project_window
 from .symbols import Symbol, apply
 
@@ -291,7 +291,7 @@ def _zone_reports(V: SpectralField, u: SpectralField, Q: Symbol, ks,
     n, alpha, beta, gamma = params.n, params.alpha, params.beta, params.gamma
     sigma, r, q = params.sigma, params.r, params.q
     w = apply(Q, u)
-    delta = lp_norm(V, q)
+    delta = _norm(V, q)
     branch_iii, branch_iv = zone_branches(params)
     lift = -alpha + beta + sigma  # the exponent of each left side's scale 2^(lift k)
     if branch_iii == "r>=q":
@@ -310,14 +310,14 @@ def _zone_reports(V: SpectralField, u: SpectralField, Q: Symbol, ks,
             branch_iii=branch_iii,
             branch_iv=branch_iv,
             low_zones=ZoneEstimate(
-                scale * (lp_norm(zs.I, r) + lp_norm(zs.II, r)),
+                scale * (_norm(zs.I, r) + _norm(zs.II, r)),
                 delta * _weighted_sum(du, sigma, k - 20, k + 20, k, 0.0) + tiny_tail),
             high_low=ZoneEstimate(
-                scale * lp_norm(zs.III, r),
+                scale * _norm(zs.III, r),
                 delta * _weighted_sum(du, sigma, 1, k + 10, k, transfer_iii)
                 + c_rho * 2.0 ** (tail_iii * k)),
             high_high=ZoneEstimate(
-                scale * lp_norm(zs.IV, r),
+                scale * _norm(zs.IV, r),
                 delta * _weighted_sum(du, sigma, k - 20, part.jmax, k, transfer_iv)
                 + tiny_tail),
             truncated=zs.zones.truncated,

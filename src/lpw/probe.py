@@ -19,8 +19,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .exponents import GainReport, RegularityParams, check_params, compute_gains
-from .grid import (GridSpec, SpectralField, _pair_product_fine, field_from_padded,
-                   grid_product, lp_norm, padded_physical, random_field)
+from .grid import (GridSpec, SpectralField, _norm, _pair_product_fine, field_from_padded,
+                   grid_product, l2_norm, padded_physical, random_field)
 from .iteration import (DecaySequence, IterationParams, convolution_majorant,
                         decay_bound, delta_cap, hypothesis_holds, two_sided_kernel)
 from .lp import LPPartition, _reduce_shells, build_partition, dyadic_norm_sequence
@@ -190,7 +190,7 @@ def smooth_forcing(eq: EquationSpec, grid: GridSpec, seed: int) -> SpectralField
                      radial_profile=lambda r: (1.0 + r) ** (-g_pow))
     if eq.forcing_projector is not None:
         f = eq.forcing_projector(f)
-    nrm = lp_norm(f, 2)
+    nrm = l2_norm(f)
     if nrm == 0:
         raise ValueError("degenerate forcing draw")
     return f * (eq.amplitude / nrm)
@@ -219,8 +219,8 @@ class ManufacturedSolution:
 def _residual(eq: EquationSpec, u: SpectralField, nl: SpectralField,
               forcing: SpectralField) -> float:
     """||L u + nl - f||_2 / ||f||_2, given nl = P(V(u) Q u)."""
-    den = lp_norm(forcing, 2)
-    return lp_norm(apply(eq.L, u) + nl - forcing, 2) / (den if den > 0 else 1.0)
+    den = l2_norm(forcing)
+    return l2_norm(apply(eq.L, u) + nl - forcing) / (den if den > 0 else 1.0)
 
 
 def equation_residual(eq: EquationSpec, u: SpectralField,
@@ -420,19 +420,31 @@ def run_probe(eq: EquationSpec, grid: GridSpec, rho: float = 0.75,
     # the coefficient is cut with the doubled-plateau window, clamped to the
     # admissible parameter range when 2*rho exceeds it
     V_loc = localize(eq.coefficient(sol.u), min(2.0 * rho, math.pi / 4.0 * 0.999))
-    delta = lp_norm(V_loc, gains.q)
+    residual = sol.residual
+    del sol  # u and the forcing are not read again
+    delta = _norm(V_loc, gains.q)
 
     # pieces of the inverted localized equation:
     # u_loc = B(F_loc) - B P(V_loc Q u_loc) - B M u_loc + (I - B E) u_loc
+    # Each piece gives its L^r shell sequence and its share of the sum
+    # (taken in that order) as soon as it is formed, and is then dropped.
+    mainline = {}
+
+    def piece(name, fld):
+        mainline[name] = dyadic_norm_sequence(part, fld, r).tolist()
+        return fld
+
     Lu = apply(eq.L, u_loc)  # first: caches u_loc's coefficients for the nonlinearity
     nl = eq.nonlinearity(V_loc, u_loc)
-    F_loc, main_term = Lu + nl, apply(B, nl)
-    del Lu, nl  # not used again; lowers the peak memory of the stages below
-    bf = apply(B, F_loc)
-    bm = apply(B, apply(es.M, u_loc))
-    defect = u_loc.without_nyquist() - apply(B, apply(es.E, u_loc))
-    recon = bf - main_term - bm + defect
-    identity_err = lp_norm(recon - u_loc.without_nyquist(), 2) / lp_norm(u_loc, 2)
+    recon = piece("forcing_side", apply(B, Lu + nl))  # F_loc = L u_loc + nl
+    del Lu
+    recon = recon - piece("main_term", apply(B, nl))
+    del nl
+    recon = recon - piece("ball_remainder", apply(B, apply(es.M, u_loc)))
+    recon = recon + piece("parametrix_defect",
+                          u_loc.without_nyquist() - apply(B, apply(es.E, u_loc)))
+    identity_err = l2_norm(recon - u_loc.without_nyquist()) / l2_norm(u_loc)
+    del recon
     better = replace(eq.params, s=gains.params.s, p=gains.params.p + gains.epsilon)
     g2 = compute_gains(better) if check_params(better).ok else None
     # the one split of u_loc: the L^r norms for the mainline and the fit, the
@@ -441,9 +453,6 @@ def run_probe(eq: EquationSpec, grid: GridSpec, rho: float = 0.75,
     u_norms, u_smooth = _reduce_shells(part, u_loc, [r] if g2 is None else [r, g2.params.r],
                                        [(sigma, r)] if eq.ncomp == 1 else [])
     u_seq = u_norms[0]
-    mainline = {name: dyadic_norm_sequence(part, fld, r).tolist()
-                for name, fld in (("main_term", main_term), ("forcing_side", bf),
-                                  ("ball_remainder", bm), ("parametrix_defect", defect))}
     mainline["u_loc"] = u_seq.tolist()
     mainline["identity_error"] = identity_err
 
@@ -487,10 +496,10 @@ def run_probe(eq: EquationSpec, grid: GridSpec, rho: float = 0.75,
     recheck = None if g2 is None else dyadic_decay_report(
         u_norms[1], g2.params.r, g2.params.sigma, window, part, g2.epsilon)
 
-    passed = bool(decay.passed and sol.residual <= 1e-10)
+    passed = bool(decay.passed and residual <= 1e-10)
     return ProbeReport(
         kind=eq.kind, grid=(grid.dim, grid.points_per_axis), rho=rho,
-        gains=gains, residual=sol.residual, delta=delta, decay=decay,
+        gains=gains, residual=residual, delta=delta, decay=decay,
         zone_reports=tuple(zone_reports), mainline=mainline, majorant=majorant,
         iteration=iteration, bootstrap_recheck=recheck, passed=passed,
     )

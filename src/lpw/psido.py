@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, SpectralField, _forward, _inverse, center_distance, lp_norm
+from .grid import GridSpec, SpectralField, _forward, _inverse, center_distance, l2_norm
 from .lp import LPPartition, profile_value, project, project_window, sobolev_norms
 from .smooth import ramp_down, ramp_up
 from . import symbols as sym_mod
@@ -203,17 +203,17 @@ def parametrix(E: Symbol, grid: GridSpec) -> Symbol:
 # -- shell estimates --------------------------------------------------------
 
 
-def ap_shell_ratio(A: Symbol, part: LPPartition, f: SpectralField, k: int, p) -> float:
-    """||A P_k f||_p / (2^{km} ||P_{k-1..k+1} f||_p); NaN when undefined."""
-    num = lp_norm(apply(A, project(part, f, k)), p)
-    den = 2.0 ** (k * A.order) * lp_norm(project_window(part, f, k - 1, k + 1), p)
+def ap_shell_ratio(A: Symbol, part: LPPartition, f: SpectralField, k: int) -> float:
+    """The L^2 ratio ||A P_k f||_2 / (2^{km} ||P_{k-1..k+1} f||_2); NaN when undefined."""
+    num = l2_norm(apply(A, project(part, f, k)))
+    den = 2.0 ** (k * A.order) * l2_norm(project_window(part, f, k - 1, k + 1))
     if den == 0.0:
         return math.nan
     return num / den
 
 
-def commutator_shell(A: Symbol, part: LPPartition, f: SpectralField, ks, p) -> list:
-    """||(P_k A - A P_k) f||_p for each shell k >= 10 in ks, applying A to f once.
+def commutator_shell(A: Symbol, part: LPPartition, f: SpectralField, ks) -> list:
+    """||(P_k A - A P_k) f||_2 for each shell k >= 10 in ks, applying A to f once.
 
     The difference is taken in physical space, where the norm reads it.
     Frequency multipliers commute with ring projections identically, so the
@@ -225,8 +225,8 @@ def commutator_shell(A: Symbol, part: LPPartition, f: SpectralField, ks, p) -> l
     if A.is_multiplier:
         return [0.0 for _ in ks]
     Af = apply(A, f)
-    return [lp_norm(SpectralField(f.grid, phys=project(part, Af, k).physical
-                                  - apply(A, project(part, f, k)).physical), p)
+    return [l2_norm(SpectralField(f.grid, phys=project(part, Af, k).physical
+                                  - apply(A, project(part, f, k)).physical))
             for k in ks]
 
 

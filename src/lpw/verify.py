@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .exponents import RegularityParams
-from .grid import GridSpec, lp_norm, random_field
+from .grid import GridSpec, l2_norm, lp_norm, random_field
 from .lp import (build_partition, bernstein_ratio, flat_dyadic_field, project,
                  shell_packet, shell_sum_field)
 from .paraproduct import (all_pairs_shells, product_shell, split, zone_branches,
@@ -36,7 +36,7 @@ def verify_partition(n: int = 2, N: int = 512, seed: int = 1) -> dict:
     total = project(part, f, 0)
     for j in range(1, part.jmax + 1):
         total = total + project(part, f, j)
-    recon = lp_norm(total - f, 2) / lp_norm(f, 2)
+    recon = l2_norm(total - f) / l2_norm(f)
     return {
         "name": "partition-of-unity / reconstruction",
         "n": n, "N": N, "jmax": part.jmax,
@@ -58,7 +58,7 @@ def verify_bernstein(n: int = 2, N: int = 512, seed: int = 2) -> dict:
     ratios, consts = [], []
     for j in js:
         f = shell_packet(part, j, seed + j, coherent=True)
-        ratios.append(lp_norm(f, math.inf) / lp_norm(f, 2))
+        ratios.append(lp_norm(f, math.inf) / l2_norm(f))
         consts.append(bernstein_ratio(f, j + 1, 2, math.inf))
     fit = fit_log2_slope(js, ratios)
     spread = max(consts) / min(consts)
@@ -91,7 +91,7 @@ def verify_apbound(N: int = 8192, seed: int = 3) -> dict:
     ok = True
     for name in _APBOUND_SYMBOLS:
         A = resolve_symbol(name)
-        vals = [ap_shell_ratio(A, part, f, k, 2) for k in ks]
+        vals = [ap_shell_ratio(A, part, f, k) for k in ks]
         spread = max(vals) / min(vals)
         results[name] = {"ratios": vals, "spread": spread}
         ok = ok and spread <= 10.0
@@ -125,13 +125,13 @@ def verify_commutator(N: int = 65536, seed: int = 4) -> dict:
     ok = True
     slopes = {}
     for label, A in _commutator_test_symbols():
-        vals = commutator_shell(A, part, f, ks, 2)
+        vals = commutator_shell(A, part, f, ks)
         fit = fit_log2_slope(ks, vals)
         limit = A.order - 1.0 + 0.2
         slopes[label] = {"values": vals, "slope": fit.slope, "limit": limit}
         ok = ok and fit.slope <= limit
     zero = commutator_shell(resolve_symbol("fractional_laplacian:0.75"),
-                            part, f, ks[:1], 2)[0]
+                            part, f, ks[:1])[0]
     ok = ok and zero == 0.0
 
     remainder = _remainder_regimes(seed)
@@ -187,15 +187,15 @@ def verify_paraproduct(seed: int = 5) -> dict:
     part = build_partition(grid)
     V = random_field(grid, seed)
     w = random_field(grid, seed + 1)
-    scale = lp_norm(V, 2) * lp_norm(w, math.inf)
+    scale = l2_norm(V) * lp_norm(w, math.inf)
     oracle = {}
     ok = True
     ks = (5, 6, 7)
     for k, brute in zip(ks, all_pairs_shells(V, w, ks, part)):
         zs = split(V, w, k, part)
         direct = product_shell(V, w, k, part)
-        err_direct = lp_norm(zs.total - direct, 2) / scale
-        err_brute = lp_norm(zs.total - brute, 2) / scale
+        err_direct = l2_norm(zs.total - direct) / scale
+        err_brute = l2_norm(zs.total - brute) / scale
         zp = zs.zones
         oracle[k] = {"vs_direct": err_direct, "vs_bruteforce": err_brute,
                      "disjoint": zp.disjoint(), "truncated": zp.truncated}
@@ -206,11 +206,11 @@ def verify_paraproduct(seed: int = 5) -> dict:
     part1 = build_partition(grid1)
     V1 = random_field(grid1, seed + 2)
     w1 = random_field(grid1, seed + 3)
-    scale1 = lp_norm(V1, 2) * lp_norm(w1, math.inf)
+    scale1 = l2_norm(V1) * lp_norm(w1, math.inf)
     for k in range(10, part1.jmax - 7):
         zs = split(V1, w1, k, part1)
         direct = product_shell(V1, w1, k, part1)
-        err = lp_norm(zs.total - direct, 2) / scale1
+        err = l2_norm(zs.total - direct) / scale1
         full[k] = {"vs_direct": err, "truncated": zs.zones.truncated}
         ok = ok and err <= 1e-10 and not zs.zones.truncated
 

@@ -137,19 +137,29 @@ class TestPaths:
         assert str(tmp_path) in self._error(capsys, "iterate", "--csv", str(tmp_path),
                                             "--eps", "1", "--delta", "0.2")
 
-    def test_out_in_missing_directory(self, capsys, tmp_path):
+    def test_out_in_missing_directory(self, capsys, tmp_path, monkeypatch):
         seq = tmp_path / "seq.csv"
         seq.write_text("1.0\n0.5\n")
         out = str(tmp_path / "nosuch" / "out.json")
         assert out in self._error(capsys, "iterate", "--csv", str(seq), "--eps", "1",
                                   "--delta", "0.2", "--out", out)
+
+        def unreachable(n=2, N=512, seed=1):
+            raise AssertionError("the bundle ran before the path was checked")
+
+        monkeypatch.setitem(cli.VERIFIERS, "partition", unreachable)
         assert out in self._error(capsys, "verify", "partition", "--n", "1", "--N", "64",
                                   "--out", out)
 
-    def test_probe_csv_in_missing_directory(self, capsys, tmp_path):
+    def test_probe_csv_in_missing_directory(self, capsys, tmp_path, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the probe ran before the path was checked")
+
+        monkeypatch.setattr(cli, "run_probe", unreachable)
         out = str(tmp_path / "nosuch" / "a_k.csv")
-        assert out in self._error(capsys, "probe", "--equation", "biharmonic",
-                                  "--grid", "2,256", "--seed", "9", "--csv", out)
+        for flag in ("--csv", "--out"):
+            assert out in self._error(capsys, "probe", "--equation", "biharmonic",
+                                      "--grid", "2,256", "--seed", "9", flag, out)
 
 
 class TestVerifyCommand:

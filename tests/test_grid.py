@@ -1,12 +1,14 @@
 import math
 import sys
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lpw.grid import (GridSpec, SpectralField, dealiased_product, field_from_padded,
-                      grid_product, lp_norm, padded_physical, random_field)
+                      grid_product, l2_norm, lp_norm, padded_physical, random_field)
 from lpw.exponents import RegularityParams
 from lpw.lp import build_partition, dyadic_norm_sequence, flat_dyadic_field, sobolev_norms
 from lpw.paraproduct import (all_pairs_shell, all_pairs_shells, product_shell, split,
@@ -14,6 +16,7 @@ from lpw.paraproduct import (all_pairs_shell, all_pairs_shells, product_shell, s
 from lpw.probe import equation_spec, run_probe
 from lpw.psido import commutator_shell, commutator_symbol_remainder, mapping_constant
 from lpw.symbols import apply, multiplier, resolve_symbol
+from lpw.verify import verify_apbound, verify_partition
 
 
 def mode(grid, xi, ncomp=1):
@@ -158,17 +161,22 @@ class TestTransformCounts:
         # split of u_loc (8 inverses) serves the fit, the recheck and the
         # zone reports (75 inverses when each split it again).  The Picard
         # solve takes no norm of its update (59 inverses when it took one
-        # per iterate)
+        # per iterate).  The forcing's scale, each iterate's residual and
+        # the identity error read coefficients (57 inverses when they read
+        # samples)
         run_probe(equation_spec("biharmonic"), GridSpec(2, 256), seed=9)
-        assert calls == {("fftn", "_forward"): 10, ("ifftn", "_inverse"): 57}
+        assert calls == {("fftn", "_forward"): 10, ("ifftn", "_inverse"): 52}
 
     def test_probe_ns_reads_l2_shells_from_coefficients(self, calls):
         # ns at n = 2 has r = 2 and a recheck r = 2: no shell of u_loc, of
         # its first component or of the mainline fields is transformed (78
         # inverses when they were).  The Picard solve takes no norm of its
-        # update (40 inverses when it took one per iterate)
+        # update (40 inverses when it took one per iterate).  The forcing's
+        # scale, each iterate's residual, the identity error and the four
+        # nonempty zone fields' L^2 norms read coefficients (37 inverses
+        # when they read samples)
         run_probe(equation_spec("ns"), GridSpec(2, 256), seed=9)
-        assert calls == {("fftn", "_forward"): 11, ("ifftn", "_inverse"): 37}
+        assert calls == {("fftn", "_forward"): 11, ("ifftn", "_inverse"): 27}
 
     def test_l2_sequence_transforms_nothing(self, calls, part2):
         f = random_field(part2.grid, 3, ncomp=2)  # coefficients only
@@ -194,10 +202,10 @@ class TestTransformCounts:
         V, u = random_field(part1.grid, 5), random_field(part1.grid, 6)
         zone_estimate_report(V, u, Q, 3, params, part1)
         # split at k=3 pads the 2 LL windows and transforms 1 product back;
-        # ||V||_q and the norm of zone I take 1 inverse each, and the three
-        # empty zones (II, III and IV) none
+        # the L^r norm of zone I takes 1 inverse, ||V||_q (q = 2, read from
+        # the coefficients) and the three empty zones (II, III and IV) none
         assert calls == {("fftn", "_forward"): 1,
-                         ("ifftn", "_inverse"): 2 + 1 + 1 + part1.jmax + 1}
+                         ("ifftn", "_inverse"): 2 + 1 + part1.jmax + 1}
 
     def test_zone_reports_share_one_pass(self, calls, part1):
         # w = Q u, ||V||_q and the split of u serve both shells
@@ -208,9 +216,9 @@ class TestTransformCounts:
         assert len(zone_estimate_reports(V, u, Q, [3, 6], params, part1)) == 2
         # split at k=3: LL only (2 inverse, 1 forward); at k=6: LL, LH and HL
         # (6 inverse, 3 forward); the norms of the 1 + 3 nonempty zones,
-        # ||V||_q, u's split
+        # u's split; ||V||_q (q = 2) transforms nothing
         assert calls == {("fftn", "_forward"): 1 + 3,
-                         ("ifftn", "_inverse"): 2 + 6 + 1 + 3 + 1 + part1.jmax + 1}
+                         ("ifftn", "_inverse"): 2 + 6 + 1 + 3 + part1.jmax + 1}
 
     def test_mapping_splits_each_field_once(self, calls, part1):
         f = random_field(part1.grid, 7)
@@ -218,11 +226,29 @@ class TestTransformCounts:
         assert len(mapping_constant(resolve_symbol("laplacian"), part1, f, pairs)) == 4
         assert calls == {("ifftn", "_inverse"): 2 * (part1.jmax + 1)}  # f and A f
 
+    def test_partition_bundle_transforms_nothing(self, calls):
+        # the fields are coefficients and the reconstruction error is an L^2
+        # ratio (2 inverses when it read samples)
+        verify_partition()
+        assert calls == {}
+
+    def test_apbound_bundle_transforms_only_separable_applies(self, calls):
+        # every ratio is L^2: only the separable symbol's apply transforms,
+        # once per shell (100 inverses when each norm read samples)
+        verify_apbound()
+        assert calls == {("ifftn", "_inverse"): 10}
+
+    def test_flat_field_transforms_nothing(self, calls):
+        # each packet's L^2 scale is read from its coefficients (jmax
+        # inverses when it read samples)
+        flat_dyadic_field(build_partition(GridSpec(1, 4096)), 8)
+        assert calls == {}
+
     def test_commutator_applies_once(self, calls):
         part = build_partition(GridSpec(1, 4096))
         f = flat_dyadic_field(part, 8)
         calls.clear()
-        commutator_shell(resolve_symbol("sep:cos:0*pow:1"), part, f, [10, 11], 2)
+        commutator_shell(resolve_symbol("sep:cos:0*pow:1"), part, f, [10, 11])
         # A f once (1 inverse, 1 forward); per shell A P_k f and P_k A f (1
         # inverse each), whose difference the norm reads in physical space
         assert calls == {("ifftn", "_inverse"): 1 + 2 * 2, ("fftn", "_forward"): 1}
@@ -243,6 +269,26 @@ class TestNorms:
         f = random_field(grid2, 13)
         l2c = np.linalg.norm(f.coefficients.ravel())
         assert abs(lp_norm(f, 2) - l2c) <= 1e-10 * l2c
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_l2_norm_matches_samples_without_transform(self, data):
+        # l2_norm reads whichever representation the field holds (the
+        # coefficients when it holds both) and never transforms
+        dim = data.draw(st.integers(1, 3))
+        grid = GridSpec(dim, data.draw(st.sampled_from((16,) if dim == 3 else (16, 32))))
+        f = random_field(grid, data.draw(st.integers(0, 10_000)),
+                         ncomp=data.draw(st.integers(1, 3)),
+                         band=data.draw(st.one_of(st.none(), st.floats(0.0, grid.points_per_axis))),
+                         mean_zero=data.draw(st.booleans()))
+        want = lp_norm(f, 2)  # f now holds both representations
+        held = data.draw(st.sampled_from(("coefficients", "samples", "both")))
+        g = SpectralField(grid, phys=None if held == "coefficients" else f.physical,
+                          freq=None if held == "samples" else f.coefficients)
+        refuse = mock.Mock(side_effect=AssertionError("transform"))
+        with mock.patch.object(np.fft, "fftn", refuse), mock.patch.object(np.fft, "ifftn", refuse):
+            got = l2_norm(g)
+        assert abs(got - want) <= 1e-13 * want if want > 0.0 else got == 0.0
 
     def test_p_below_one_rejected(self, grid2):
         with pytest.raises(ValueError):

@@ -42,6 +42,18 @@ class TestPartition:
             for j in range(i + 2, part2.jmax + 1):
                 assert np.all(part2.profile(i) * part2.profile(j) == 0.0)
 
+    @pytest.mark.parametrize("dim,N", [(1, 8192), (2, 128), (3, 32)])
+    def test_profiles_equal_analytic_rings(self, dim, N):
+        # the telescoped build (each psi(|xi|/2^j) evaluated once) gives the
+        # analytic rings of profile_value bit for bit, and the top shell
+        # 1 - psi(|xi|/2^(J-1))
+        part = build_partition(GridSpec(dim, N))
+        r, J = part.grid.xi_abs, part.jmax
+        want = [profile_value(j, r) for j in range(J)] + [1.0 - psi(r / 2.0 ** (J - 1))]
+        assert len(part.profiles) == len(want)
+        for got, ring in zip(part.profiles, want):
+            assert np.array_equal(got, ring)
+
     def test_smallest_grid_has_three_shells(self):
         part = build_partition(GridSpec(1, 16))
         assert part.jmax == 3

@@ -242,6 +242,20 @@ class TestRunProbe:
         for key in ("params", "gains", "a_k", "fit", "pass", "zone_reports"):
             assert key in d
 
+    def test_probe_peak_memory(self):
+        # each mainline field is reduced to its shells and added to the
+        # reconstruction as it is formed, then dropped, and the manufactured
+        # solution goes once it is localized (54.0 MB traced when all of
+        # them lived through the zone reports)
+        eq = equation_spec("ns", n=2)
+        tracemalloc.start()
+        try:
+            run_probe(eq, GridSpec(2, 256), seed=23)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 44e6
+
 
     def test_each_field_split_once(self, monkeypatch):
         # u_loc is split once for the fit, the recheck and (for a scalar

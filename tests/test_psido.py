@@ -141,27 +141,27 @@ class TestShellRatio:
         A = resolve_symbol("fractional_laplacian:0.75")
         xi0 = 2**k  # ring center
         f = mode(part1.grid, (xi0,))
-        ratio = ap_shell_ratio(A, part1, f, k, 2)
+        ratio = ap_shell_ratio(A, part1, f, k)
         assert (3.0 / 5.0) ** m - 1e-9 <= ratio <= (5.0 / 3.0) ** m + 1e-9
         assert abs(ratio - (xi0 / 2.0**k) ** m) <= 1e-9
 
     def test_identity_symbol(self, part1):
         A = multiplier(0.0, lambda *xis: np.ones(np.shape(abs2(*xis))), "id")
         f = random_field(part1.grid, 7)
-        ratio = ap_shell_ratio(A, part1, f, 4, 2)
+        ratio = ap_shell_ratio(A, part1, f, 4)
         assert ratio <= 1.0 + 1e-9
 
     def test_uniformity(self, part1):
         A = resolve_symbol("sep:twoplussin:0*pow:2")
         f = random_field(part1.grid, 8)
-        ratios = [ap_shell_ratio(A, part1, f, k, 2) for k in range(2, part1.jmax)]
+        ratios = [ap_shell_ratio(A, part1, f, k) for k in range(2, part1.jmax)]
         assert max(ratios) / min(ratios) <= 10.0
 
     def test_zero_denominator_flagged(self, part1):
         c = np.zeros(part1.grid.shape, dtype=complex)
         c[1] = 1.0  # exact single mode at xi = 1
         f = SpectralField(part1.grid, freq=c)
-        assert math.isnan(ap_shell_ratio(resolve_symbol("laplacian"), part1, f, 5, 2))
+        assert math.isnan(ap_shell_ratio(resolve_symbol("laplacian"), part1, f, 5))
 
 
 class TestShellCommutator:
@@ -169,19 +169,19 @@ class TestShellCommutator:
         g = GridSpec(1, 4096)
         part = build_partition(g)
         f = random_field(g, 9)
-        assert commutator_shell(resolve_symbol("bilaplacian"), part, f, [10, 11], 2) == [0.0, 0.0]
+        assert commutator_shell(resolve_symbol("bilaplacian"), part, f, [10, 11]) == [0.0, 0.0]
 
     def test_requires_high_shell(self, part1):
         f = random_field(part1.grid, 9)
         with pytest.raises(ValueError):
-            commutator_shell(multiplication(lambda *xs: np.cos(xs[0])), part1, f, [10, 9], 2)
+            commutator_shell(multiplication(lambda *xs: np.cos(xs[0])), part1, f, [10, 9])
 
     def test_phase_shift_two_path(self):
         g = GridSpec(1, 4096)
         part = build_partition(g)
         f = flat_dyadic_field(part, 10)
         A = multiplication(lambda *xs: np.exp(1j * xs[0]), "phase")
-        val, = commutator_shell(A, part, f, [10], 2)
+        val, = commutator_shell(A, part, f, [10])
         brute = lp_norm(project(part, apply(A, f), 10) - apply(A, project(part, f, 10)), 2)
         assert abs(val - brute) <= 1e-12 * max(brute, 1.0)
         assert val > 0.0
@@ -192,7 +192,7 @@ class TestShellCommutator:
         f = flat_dyadic_field(part, 11)
         A = resolve_symbol("sep:cos:0*abspow:1")  # cos(x)|xi|
         ks = list(range(10, part.jmax))
-        vals = commutator_shell(A, part, f, ks, 2)
+        vals = commutator_shell(A, part, f, ks)
         fit = fit_log2_slope(ks, vals)
         assert fit.slope <= 0.2
 
