@@ -2,8 +2,9 @@
 
 Closed-form arithmetic only: hypothesis checking for the operator-order /
 integrability window, the critical exponent, the lifted smoothness pair
-(sigma, r), the five auxiliary integrability exponents, and the decay gains
-epsilon and theta.  Everything is deterministic and re-evaluates exactly.
+(sigma, r), the five auxiliary integrability exponents, the zone III and IV
+branches and transfer exponents, and the decay gains epsilon and theta.
+Everything is deterministic and re-evaluates exactly.
 """
 
 from __future__ import annotations
@@ -211,22 +212,36 @@ def epsilon_gain(params: RegularityParams) -> float:
     return eps
 
 
+def zone_branches(params: RegularityParams) -> tuple:
+    """The zone III and IV branches: ("r>=q" | "r<q", "r>=q'" | "r<q'")."""
+    r, q = params.lifted().r, params.q
+    return ("r>=q" if r >= q else "r<q",
+            "r>=q'" if 1.0 / r + 1.0 / q <= 1.0 else "r<q'")
+
+
+def zone_transfers(params: RegularityParams) -> dict:
+    """The zone III and IV transfer exponents on both branches, keyed by the
+    branch names of `zone_branches`; "r<q" is the lift -alpha+beta+sigma."""
+    params = params.lifted()
+    n, r, sigma = params.n, params.r, params.sigma
+    lift = -params.alpha + params.beta + sigma
+    return {
+        "r>=q": sigma - params.gamma - n / r,
+        "r<q": lift,
+        "r>=q'": sigma - params.gamma,
+        "r<q'": lift + n * (1.0 - 1.0 / r),
+    }
+
+
 def theta_exponent(params: RegularityParams) -> float:
     """Master-inequality decay rate: 90% of the admissible strict minimum.
 
-    theta must lie strictly below all four zone-transfer exponents and below
-    the gain epsilon; taking 90% of the minimum keeps it reproducible and
-    away from the boundary.
+    theta must lie strictly below the magnitudes of all four zone-transfer
+    exponents (`zone_transfers`) and below the gain epsilon; taking 90% of
+    the minimum keeps it reproducible and away from the boundary.
     """
-    params = params.lifted()
-    n, r, sigma = params.n, params.r, params.sigma
-    bound = min(
-        params.gamma + n / r - sigma,
-        params.nu - sigma,
-        sigma - params.gamma,
-        -params.alpha + params.beta + n * (1.0 - 1.0 / r) + sigma,
-        epsilon_gain(params),
-    )
+    t = zone_transfers(params)
+    bound = min(-t["r>=q"], -t["r<q"], t["r>=q'"], t["r<q'"], epsilon_gain(params))
     if bound <= 0.0:
         raise ValueError(f"nonpositive admissible minimum {bound} for theta")
     return 0.9 * bound

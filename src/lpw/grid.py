@@ -57,17 +57,16 @@ class GridSpec:
         """Largest dyadic shell index: largest j with 2^j <= N/2."""
         return int(math.log2(self.points_per_axis)) - 1
 
+    def _per_axis(self, base: np.ndarray) -> tuple:
+        """The 1-d array `base` laid along each axis in turn, broadcastable to shape."""
+        return tuple(base.reshape((1,) * ax + (-1,) + (1,) * (self.dim - ax - 1))
+                     for ax in range(self.dim))
+
     @cached_property
     def xi_axes(self) -> tuple:
         """Integer frequency values along each axis, broadcastable to shape."""
         N = self.points_per_axis
-        base = np.fft.fftfreq(N, d=1.0 / N)  # 0..N/2-1, -N/2..-1 as floats
-        axes = []
-        for ax in range(self.dim):
-            sh = [1] * self.dim
-            sh[ax] = N
-            axes.append(base.reshape(sh))
-        return tuple(axes)
+        return self._per_axis(np.fft.fftfreq(N, d=1.0 / N))  # 0..N/2-1, -N/2..-1 as floats
 
     @cached_property
     def xi_abs2(self) -> np.ndarray:
@@ -93,13 +92,7 @@ class GridSpec:
     def x_axes(self) -> tuple:
         """Physical coordinates along each axis, broadcastable to shape."""
         N = self.points_per_axis
-        base = 2.0 * np.pi * np.arange(N) / N
-        axes = []
-        for ax in range(self.dim):
-            sh = [1] * self.dim
-            sh[ax] = N
-            axes.append(base.reshape(sh))
-        return tuple(axes)
+        return self._per_axis(2.0 * np.pi * np.arange(N) / N)
 
     @cached_property
     def center_distance(self) -> np.ndarray:

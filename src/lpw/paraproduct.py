@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exponents import RegularityParams
+from .exponents import RegularityParams, zone_branches, zone_transfers
 from .grid import (SpectralField, _norm, _pair_product_fine, _physical_at, alias_free_size,
                    dealiased_product, field_from_padded, padded_physical)
 from .lp import RING_HI, LPPartition, _reduce_shells, project, project_window
@@ -248,13 +248,6 @@ class ZoneEstimateReport:
         }
 
 
-def zone_branches(params: RegularityParams) -> tuple:
-    """The zone III and IV branches: ("r>=q" | "r<q", "r>=q'" | "r<q'")."""
-    r, q = params.lifted().r, params.q
-    return ("r>=q" if r >= q else "r<q",
-            "r>=q'" if 1.0 / r + 1.0 / q <= 1.0 else "r<q'")
-
-
 def _weighted_sum(du: np.ndarray, sigma: float, j_lo: int, j_hi: int,
                   k: int, transfer: float) -> float:
     """sum_j 2^(transfer*(k-j)) * 2^(sigma*j) * du[j] over the clipped range."""
@@ -288,17 +281,13 @@ def _zone_reports(V: SpectralField, u: SpectralField, Q: Symbol, ks,
                   c_rho: float) -> list:
     """`zone_estimate_reports` for lifted params, given du, the L^r norms of
     u's shells, and c_rho = ||u||_{sigma,r} from a split the caller made."""
-    n, alpha, beta, gamma = params.n, params.alpha, params.beta, params.gamma
-    sigma, r, q = params.sigma, params.r, params.q
+    sigma, r = params.sigma, params.r
     w = apply(Q, u)
-    delta = _norm(V, q)
+    delta = _norm(V, params.q)
     branch_iii, branch_iv = zone_branches(params)
-    lift = -alpha + beta + sigma  # the exponent of each left side's scale 2^(lift k)
-    if branch_iii == "r>=q":
-        transfer_iii = tail_iii = sigma - gamma - n / r
-    else:
-        transfer_iii, tail_iii = sigma - alpha + beta, lift
-    transfer_iv = sigma - gamma if branch_iv == "r>=q'" else lift + n * (1.0 - 1.0 / r)
+    transfers = zone_transfers(params)
+    lift = transfers["r<q"]  # the exponent of each left side's scale 2^(lift k)
+    transfer_iii, transfer_iv = transfers[branch_iii], transfers[branch_iv]
 
     def report(k):  # a function, so each split's zone fields go before the next split
         zs = split(V, w, k, part)
@@ -315,7 +304,7 @@ def _zone_reports(V: SpectralField, u: SpectralField, Q: Symbol, ks,
             high_low=ZoneEstimate(
                 scale * _norm(zs.III, r),
                 delta * _weighted_sum(du, sigma, 1, k + 10, k, transfer_iii)
-                + c_rho * 2.0 ** (tail_iii * k)),
+                + c_rho * 2.0 ** (transfer_iii * k)),
             high_high=ZoneEstimate(
                 scale * _norm(zs.IV, r),
                 delta * _weighted_sum(du, sigma, k - 20, part.jmax, k, transfer_iv)

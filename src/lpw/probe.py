@@ -19,10 +19,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .exponents import GainReport, RegularityParams, check_params, compute_gains
-from .grid import (GridSpec, SpectralField, _norm, _pair_product_fine, field_from_padded,
+from .grid import (GridSpec, SpectralField, _pair_product_fine, field_from_padded,
                    grid_product, l2_norm, padded_physical, random_field)
 from .iteration import (DecaySequence, IterationParams, convolution_majorant,
-                        decay_bound, delta_cap, hypothesis_holds, two_sided_kernel)
+                        decay_bound, delta_cap, hypothesis_holds)
 from .lp import LPPartition, _reduce_shells, build_partition, dyadic_norm_sequence
 from .paraproduct import _zone_reports, zone_estimate_reports
 from .psido import fit_log2_slope, parametrix, split_elliptic
@@ -196,9 +196,14 @@ def smooth_forcing(eq: EquationSpec, grid: GridSpec, seed: int) -> SpectralField
     return f * (eq.amplitude / nrm)
 
 
-def _inverse_multiplier(L: Symbol) -> Symbol:
+def _check_multiplier(L: Symbol) -> None:
+    """Raise unless L is a pure multiplier, which the manufacture inverts."""
     if L.kind != "multiplier":
         raise ValueError("manufacture needs a pure-multiplier leading operator")
+
+
+def _inverse_multiplier(L: Symbol) -> Symbol:
+    _check_multiplier(L)
 
     def inv(*xis, _f=L.xi_func):
         vals = np.asarray(_f(*xis))
@@ -394,8 +399,8 @@ def run_probe(eq: EquationSpec, grid: GridSpec, rho: float = 0.75,
 
     Raises ValueError before any field work starts if the equation data
     fails the structural hypotheses (named violations), the decay window is
-    too short, the amplitude is 0, rho lies outside (0, pi/4), or L is not
-    elliptic.  The default
+    too short, the amplitude is 0, rho lies outside (0, pi/4), or L is not a
+    pure multiplier or not elliptic.  The default
     cutoff uses the widest admissible transition: at desk resolutions a
     narrow transition under-resolves and the decay fit then measures the
     cutoff's spectral tail instead of the solution (narrow cutoffs need
@@ -412,6 +417,7 @@ def run_probe(eq: EquationSpec, grid: GridSpec, rho: float = 0.75,
         raise ValueError(f"amplitude must be positive, got {eq.amplitude}: "
                          "a zero forcing leaves nothing to measure")
     _check_rho(rho)
+    _check_multiplier(eq.L)
     es = split_elliptic(eq.L, grid)  # symbols only: no field work yet
     B = parametrix(es.E, grid)
 
@@ -422,7 +428,6 @@ def run_probe(eq: EquationSpec, grid: GridSpec, rho: float = 0.75,
     V_loc = localize(eq.coefficient(sol.u), min(2.0 * rho, math.pi / 4.0 * 0.999))
     residual = sol.residual
     del sol  # u and the forcing are not read again
-    delta = _norm(V_loc, gains.q)
 
     # pieces of the inverted localized equation:
     # u_loc = B(F_loc) - B P(V_loc Q u_loc) - B M u_loc + (I - B E) u_loc
@@ -464,19 +469,22 @@ def run_probe(eq: EquationSpec, grid: GridSpec, rho: float = 0.75,
         zone_reports = zone_estimate_reports(V_loc, u_loc.component(0), eq.Q, zone_ks,
                                              gains.params, part)
 
+    delta = zone_reports[0].delta  # ||V_loc||_q, as every zone report carries it
+
     decay = dyadic_decay_report(u_seq, r, sigma, window, part, gains.epsilon)
     a = DecaySequence(np.asarray(decay.a_k))
 
     consts = [c for z in zone_reports for c in z.constants
               if c is not None and math.isfinite(c)]
     C0delta = delta * (max(consts) if consts else 1.0)
-    conv0 = two_sided_kernel(len(a), theta) @ a.values
+    # the majorant's convolution part, then the least Crho lifting it over a
+    conv = convolution_majorant(a, theta, C0delta, 0.0).values
     tail = 2.0 ** (-theta * np.arange(len(a), dtype=float))
     lo, hi = window
-    crho_fit = float(np.max((a.values - C0delta * conv0)[lo:hi + 1] / tail[lo:hi + 1]))
+    crho_fit = float(np.max((a.values - conv)[lo:hi + 1] / tail[lo:hi + 1]))
     crho_fit = max(crho_fit, 1e-300)
-    maj = convolution_majorant(a, theta, C0delta, crho_fit)
-    maj_ok = bool(np.all(a.values[lo:hi + 1] <= maj.values[lo:hi + 1] * (1 + 1e-12)))
+    maj = conv + crho_fit * tail
+    maj_ok = bool(np.all(a.values[lo:hi + 1] <= maj[lo:hi + 1] * (1 + 1e-12)))
     majorant = {"theta": theta, "C0delta": C0delta, "Crho": crho_fit,
                 "holds_on_window": maj_ok}
 

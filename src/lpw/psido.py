@@ -27,7 +27,6 @@ class SlopeReport:
     """Least-squares fit of log2(values) against shell index."""
 
     ks: tuple
-    values: tuple
     slope: float
     max_residual: float
     dropped: tuple = ()
@@ -48,7 +47,6 @@ def fit_log2_slope(ks, values) -> SlopeReport:
     resid = float(np.max(np.abs(lv - (intercept + slope * kk))))
     return SlopeReport(
         ks=tuple(int(k) for k, _ in kept),
-        values=tuple(v for _, v in kept),
         slope=float(slope),
         max_residual=resid,
         dropped=dropped,
@@ -245,17 +243,15 @@ class SymbolRemainderReport:
     regime 3: |xi| <= 2^{k-3}
     """
 
-    k: int
-    order: float
     regime1_normalized: float
     regime2_max: float
     regime3_max: float
 
 
-def _remainder_max(A: Symbol, grid: GridSpec, k: int, ts: np.ndarray) -> tuple:
-    """Max of |rho_k| over sampled xi = t*e1 and grid x: raw, and / (1+|t|)^(order-1)."""
+def _remainder_max(A: Symbol, grid: GridSpec, k: int, ts: np.ndarray) -> np.ndarray:
+    """Max of |rho_k| over grid x, for each sampled xi = t*e1 (t in ts)."""
     xs = tuple(a[np.newaxis, ...] for a in grid.x_axes)
-    best = best_n = 0.0
+    mags = []
     chunk = max(1, (1 << 23) // max(1, grid.npoints * 16))
     for start in range(0, ts.size, chunk):
         t = ts[start:start + chunk]
@@ -269,11 +265,8 @@ def _remainder_max(A: Symbol, grid: GridSpec, k: int, ts: np.ndarray) -> tuple:
             shift2 = shift2 + a * a
         phi = profile_value(k, np.sqrt(shift2)) - profile_value(k, np.abs(tcol))
         rho = _inverse(phi * ahat)
-        mags = np.abs(rho).reshape(t.size, -1).max(axis=1)
-        if mags.size:
-            best = max(best, float(mags.max()))
-            best_n = max(best_n, float((mags / (1.0 + np.abs(t)) ** (A.order - 1.0)).max()))
-    return best, best_n
+        mags.append(np.abs(rho).reshape(t.size, -1).max(axis=1))
+    return np.concatenate(mags)
 
 
 def commutator_symbol_remainder(A: Symbol, grid: GridSpec, k: int) -> SymbolRemainderReport:
@@ -289,13 +282,12 @@ def commutator_symbol_remainder(A: Symbol, grid: GridSpec, k: int) -> SymbolRema
     r1 = base * np.geomspace(1.0 / 8.0, 8.0, 64)
     r2 = base * np.geomspace(8.0, 16.0, 32)
     r3 = base * np.linspace(0.0, 1.0 / 8.0, 64)
-    both = lambda t: np.concatenate([t, -t])
-    _, reg1n = _remainder_max(A, grid, k, both(r1))
-    reg2, _ = _remainder_max(A, grid, k, both(r2))
-    reg3, _ = _remainder_max(A, grid, k, both(r3))
+    t1, t2, t3 = (np.concatenate([t, -t]) for t in (r1, r2, r3))
+    reg1n = _remainder_max(A, grid, k, t1) / (1.0 + np.abs(t1)) ** (A.order - 1.0)
     return SymbolRemainderReport(
-        k=k, order=A.order, regime1_normalized=reg1n,
-        regime2_max=reg2, regime3_max=reg3,
+        regime1_normalized=float(reg1n.max()),
+        regime2_max=float(_remainder_max(A, grid, k, t2).max()),
+        regime3_max=float(_remainder_max(A, grid, k, t3).max()),
     )
 
 

@@ -136,7 +136,7 @@ def apply(sym: Symbol, f: SpectralField) -> SpectralField:
 
     if sym.kind == "matrix_multiplier":
         mat = _check_finite(np.asarray(sym.matrix_func(grid)), sym.name)
-        n_out, n_in = mat.shape[0], mat.shape[1]
+        n_in = mat.shape[1]
         if f.ncomp != n_in:
             raise ValueError(f"symbol {sym.name!r} expects {n_in} components, got {f.ncomp}")
         c = f.coefficients
@@ -159,7 +159,6 @@ def quantize_direct(sym: Symbol, f: SpectralField) -> SpectralField:
     _overflow_guard(sym, grid)
     f = f.without_nyquist()
     M = grid.npoints
-    dim = grid.dim
 
     xi_flat = [np.broadcast_to(a, grid.shape).ravel() for a in grid.xi_axes]
     x_flat = [np.broadcast_to(a, grid.shape).ravel() for a in grid.x_axes]

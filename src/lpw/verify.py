@@ -11,12 +11,11 @@ import math
 
 import numpy as np
 
-from .exponents import RegularityParams
-from .grid import GridSpec, l2_norm, lp_norm, random_field
+from .exponents import RegularityParams, zone_branches, zone_transfers
+from .grid import GridSpec, dealiased_product, l2_norm, lp_norm, random_field
 from .lp import (build_partition, bernstein_ratio, flat_dyadic_field, project,
                  shell_packet, shell_sum_field)
-from .paraproduct import (all_pairs_shells, product_shell, split, zone_branches,
-                          zone_estimate_reports)
+from .paraproduct import all_pairs_shells, split, zone_estimate_reports
 from .psido import (ap_shell_ratio, commutator_shell, commutator_symbol_remainder,
                     fit_log2_slope, mapping_constant)
 from .symbols import multiplication, resolve_symbol
@@ -82,11 +81,14 @@ _APBOUND_SYMBOLS = (
 
 
 def verify_apbound(N: int = 8192, seed: int = 3) -> dict:
-    """Uniformity in k of ||A P_k f|| / (2^{km} ||window f||) per symbol."""
+    """Uniformity in k of ||A P_k f|| / (2^{km} ||window f||) per symbol, over
+    shells 2 <= k < jmax, of which a spread needs at least three (N >= 64)."""
     grid = GridSpec(1, N)
+    ks = list(range(2, grid.jmax))
+    if len(ks) < 3:
+        raise ValueError(f"N={N} leaves only {len(ks)} shells from k=2; need >= 3")
     part = build_partition(grid)
     f = random_field(grid, seed)
-    ks = list(range(2, part.jmax))
     results = {}
     ok = True
     for name in _APBOUND_SYMBOLS:
@@ -188,12 +190,13 @@ def verify_paraproduct(seed: int = 5) -> dict:
     V = random_field(grid, seed)
     w = random_field(grid, seed + 1)
     scale = l2_norm(V) * lp_norm(w, math.inf)
+    Vw = dealiased_product(V, w)  # projected onto each k, as `product_shell` does
     oracle = {}
     ok = True
     ks = (5, 6, 7)
     for k, brute in zip(ks, all_pairs_shells(V, w, ks, part)):
         zs = split(V, w, k, part)
-        direct = product_shell(V, w, k, part)
+        direct = project(part, Vw, k)
         err_direct = l2_norm(zs.total - direct) / scale
         err_brute = l2_norm(zs.total - brute) / scale
         zp = zs.zones
@@ -207,9 +210,10 @@ def verify_paraproduct(seed: int = 5) -> dict:
     V1 = random_field(grid1, seed + 2)
     w1 = random_field(grid1, seed + 3)
     scale1 = l2_norm(V1) * lp_norm(w1, math.inf)
+    V1w1 = dealiased_product(V1, w1)
     for k in range(10, part1.jmax - 7):
         zs = split(V1, w1, k, part1)
-        direct = product_shell(V1, w1, k, part1)
+        direct = project(part1, V1w1, k)
         err = l2_norm(zs.total - direct) / scale1
         full[k] = {"vs_direct": err, "truncated": zs.zones.truncated}
         ok = ok and err <= 1e-10 and not zs.zones.truncated
@@ -286,14 +290,13 @@ def _branch_selection_checks() -> dict:
                    RegularityParams(n=2, alpha=2, beta=0, gamma=1, s=1, p=4,
                                     sigma=1.5, r=2.0)):
         want_iii, want_iv = zone_branches(params)
-        sign_iii = params.sigma - params.gamma - params.n / params.r
-        sign_lift = -params.alpha + params.beta + params.sigma
+        t = zone_transfers(params)
         cases.append({
             "n": params.n, "r": params.r, "q": params.q,
             "III": want_iii, "IV": want_iv,
-            "sigma-gamma-n/r": sign_iii, "-alpha+beta+sigma": sign_lift,
+            "sigma-gamma-n/r": t["r>=q"], "-alpha+beta+sigma": t["r<q"],
         })
-        ok = ok and sign_iii < 0.0 and sign_lift < 0.0
+        ok = ok and t["r>=q"] < 0.0 and t["r<q"] < 0.0
     return {"cases": cases, "passed": bool(ok)}
 
 

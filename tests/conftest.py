@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
 from lpw.grid import GridSpec
 from lpw.lp import build_partition
+from lpw.verify import verify_paraproduct
 
 
 @pytest.fixture(scope="session")
@@ -22,3 +24,18 @@ def grid1():
 @pytest.fixture(scope="session")
 def part1(grid1):
     return build_partition(grid1)
+
+
+@pytest.fixture(scope="session")
+def paraproduct_run():
+    """`verify_paraproduct()` at its defaults, run once for the whole suite:
+    its report and the number of transforms it made."""
+    transforms = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("fftn", "ifftn"):
+            def counted(*args, _fn=getattr(np.fft, name), **kwargs):
+                transforms.append(1)
+                return _fn(*args, **kwargs)
+            mp.setattr(np.fft, name, counted)
+        report = verify_paraproduct()
+    return report, len(transforms)

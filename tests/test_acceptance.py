@@ -18,8 +18,7 @@ from lpw.lp import build_partition
 from lpw.paraproduct import all_pairs_shell, product_shell, split
 from lpw.probe import equation_spec, run_probe
 from lpw.rng import unit_doubles
-from lpw.verify import (verify_apbound, verify_bernstein, verify_commutator,
-                        verify_paraproduct, verify_partition)
+from lpw.verify import verify_apbound, verify_bernstein, verify_commutator, verify_partition
 
 
 def _announce(num, name, passed, detail=""):
@@ -34,8 +33,8 @@ def commutator_report():
 
 
 @pytest.fixture(scope="module")
-def paraproduct_report():
-    return verify_paraproduct()
+def paraproduct_report(paraproduct_run):
+    return paraproduct_run[0]
 
 
 def test_criterion_01_partition_reconstruction():

@@ -186,6 +186,13 @@ class TestVerifyCommand:
         assert code == 2
         assert "shells" in json.loads(out)["error"]
 
+    @pytest.mark.parametrize("N", ["16", "32"])
+    def test_apbound_needs_enough_shells(self, capsys, N):
+        # N = 16 leaves the one shell k = 2, whose spread is 1 by construction
+        code, out = run_cli(capsys, "verify", "apbound", "--N", N)
+        assert code == 2
+        assert f"N={N}" in json.loads(out)["error"]
+
     def test_mapping_verifier(self, capsys):
         code, out = run_cli(capsys, "verify", "mapping", "--N", "2048")
         assert code == 0
@@ -273,6 +280,17 @@ class TestProbeCommand:
                             "--s", "0.5", "--p", "2", "--seed", "9")
         assert code == 2
         assert "non-elliptic" in json.loads(out)["error"]
+
+    def test_non_multiplier_L_exits_2_before_split(self, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("split_elliptic ran on an L the manufacture cannot invert")
+
+        monkeypatch.setattr("lpw.probe.split_elliptic", unreachable)
+        code, out = run_cli(capsys, "probe", "--equation", "custom", "--grid", "2,256",
+                            "--L", "sep:twoplussin:0*pow:2", "--P", "sep:one*one",
+                            "--Q", "grad:0", "--s", "1.5", "--p", "2")
+        assert code == 2
+        assert "pure-multiplier" in json.loads(out)["error"]
 
     def test_orders_read_from_the_symbols(self, capsys, monkeypatch):
         def unreachable(*args, **kwargs):

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from lpw.exponents import (RegularityParams, bootstrap_exponents, check_hypotheses,
                            check_params, compute_gains, critical_exponent,
-                           epsilon_gain, lift_parameters)
+                           epsilon_gain, lift_parameters, theta_exponent, zone_transfers)
 from lpw.probe import equation_spec
 
 
@@ -186,3 +186,13 @@ def test_gains_positive_on_passing_tuples(params):
     g = compute_gains(params)
     assert g.epsilon > 0.0
     assert 0.0 < g.theta < g.epsilon
+
+
+@given(passing_tuples())
+@settings(max_examples=200, deadline=None)
+def test_zone_transfers_have_their_signs_and_bound_theta(params):
+    t = zone_transfers(params)
+    assert t["r>=q"] < 0.0 and t["r<q"] < 0.0
+    assert t["r>=q'"] > 0.0 and t["r<q'"] > 0.0
+    theta = theta_exponent(params)
+    assert all(theta < abs(v) for v in t.values())

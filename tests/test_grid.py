@@ -238,6 +238,11 @@ class TestTransformCounts:
         verify_apbound()
         assert calls == {("ifftn", "_inverse"): 10}
 
+    def test_paraproduct_bundle(self, paraproduct_run):
+        # one padded product V w per grid, projected onto each of its shells
+        # (360 when `product_shell` padded it again for every k)
+        assert paraproduct_run[1] == 351
+
     def test_flat_field_transforms_nothing(self, calls):
         # each packet's L^2 scale is read from its coefficients (jmax
         # inverses when it read samples)

@@ -5,7 +5,7 @@ and every module-level private function is referenced somewhere.  Every public
 function and method is referenced, every defaulted parameter of a module-level
 function is passed by some call, and every dataclass field is read, by the
 package or the benchmark (`lpwbench/`): a test alone counts only for the few
-names in TEST_ONLY."""
+names in TEST_ONLY.  No function binds a local name that it never reads."""
 
 import ast
 from pathlib import Path
@@ -148,3 +148,21 @@ def test_every_dataclass_field_is_read():
             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
     unread = [f"{cls}.{name}" for cls, name in fields if name not in read]
     assert unread == []
+
+
+def test_every_local_is_read():
+    # a name a function binds is read somewhere in it (nested functions
+    # included, since they read their enclosing scope); `_` names are exempt
+    dead = []
+    for mod, tree in MODULES.items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            names = [n for n in ast.walk(fn) if isinstance(n, ast.Name)]
+            read = {n.id for n in names if isinstance(n.ctx, ast.Load)}
+            read |= {n.target.id for n in ast.walk(fn)
+                     if isinstance(n, ast.AugAssign) and isinstance(n.target, ast.Name)}
+            dead += [f"{mod}.{fn.name}: {n.id} (line {n.lineno})"
+                     for n in names if isinstance(n.ctx, ast.Store)
+                     and not n.id.startswith("_") and n.id not in read]
+    assert dead == []

@@ -238,6 +238,7 @@ class TestRunProbe:
         assert rep.majorant["holds_on_window"]
         assert rep.iteration["admissible"] and rep.iteration["holds"]
         assert rep.bootstrap_recheck is not None and rep.bootstrap_recheck.passed
+        assert all(z.delta == rep.delta for z in rep.zone_reports)  # ||V_loc||_q taken once
         d = rep.as_dict()
         for key in ("params", "gains", "a_k", "fit", "pass", "zone_reports"):
             assert key in d
