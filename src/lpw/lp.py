@@ -54,20 +54,54 @@ def profile_value(j: int, r):
 
 @dataclass(frozen=True)
 class LPPartition:
-    """Dyadic partition of unity sampled on a grid's frequency lattice."""
+    """Dyadic partition of unity sampled on a grid's frequency lattice.
+
+    Every lattice point lies in at most two adjacent shells: its lower shell
+    j0, the first j with psi(|xi|/2^j) > 0 (jmax where there is none), where
+    profile j0 takes a value t, and shell j0 + 1, where it takes 1 - t; every
+    other profile is 0 there.  So the partition is held as the flat lattice
+    indices `sites`, stably sorted by j0, the values t at those sites
+    (`weight`), and the offsets `starts`: the points with lower shell j are
+    sites[starts[j]:starts[j+1]].  Dense profiles are built only on demand.
+    """
 
     grid: GridSpec
     jmax: int
-    profiles: tuple          # index 0 = low cap, 1..jmax = shells
+    sites: np.ndarray        # flat lattice indices, sorted by lower shell
+    weight: np.ndarray       # value t of the lower shell's profile at each site
+    starts: np.ndarray       # jmax + 2 offsets into sites, one segment per lower shell
+
+    def support(self, lo: int, hi: int) -> tuple:
+        """(sites, values) of the profile sum over shells lo..hi: one slice
+        of `sites`, with 1 - t on segment lo - 1, t + (1 - t) on segments
+        lo..hi-1 and t on segment hi, which is how the dense sum of those
+        profiles rounds at each point.  Zero off the returned sites."""
+        for j in (lo, hi):
+            if not 0 <= j <= self.jmax:
+                raise ValueError(f"shell index {j} out of range [0, {self.jmax}]")
+        a, b = self.starts[max(lo - 1, 0)], self.starts[hi + 1]
+        head, tail = self.starts[lo] - a, self.starts[hi] - a
+        values = self.weight[a:b].copy()
+        values[:head] = 1.0 - values[:head]
+        values[head:tail] += 1.0 - values[head:tail]
+        return self.sites[a:b], values
 
     def profile(self, j: int) -> np.ndarray:
-        if not 0 <= j <= self.jmax:
-            raise ValueError(f"shell index {j} out of range [0, {self.jmax}]")
-        return self.profiles[j]
+        """Profile j on the whole lattice (built on demand)."""
+        sites, values = self.support(j, j)
+        out = np.zeros(self.grid.npoints)
+        out[sites] = values
+        return out.reshape(self.grid.shape)
+
+    @property
+    def profiles(self) -> tuple:
+        """Every profile on the whole lattice, index 0 = low cap, 1..jmax = shells."""
+        return tuple(self.profile(j) for j in range(self.jmax + 1))
 
     def partition_deviation(self) -> float:
-        """Max pointwise deviation of the profile sum from 1 on the lattice."""
-        return float(np.max(np.abs(sum(self.profiles) - 1.0)))
+        """Max pointwise deviation of the profile sum from 1 on the lattice,
+        all of which is the support of the whole sum."""
+        return float(np.max(np.abs(self.support(0, self.jmax)[1] - 1.0)))
 
 
 def build_partition(grid: GridSpec) -> LPPartition:
@@ -75,21 +109,39 @@ def build_partition(grid: GridSpec) -> LPPartition:
     J = grid.jmax
     if J < 3:
         raise ValueError(f"grid too small: only {J} dyadic shells, need >= 3")
-    r = grid.xi_abs
-    # each psi(|xi|/2^j) is evaluated once and telescoped against the next
-    low = psi(r)
-    profiles = [low]
-    for j in range(1, J):
-        prev, low = low, psi(r / 2.0**j)
-        profiles.append(low - prev)
-    profiles.append(1.0 - low)
-    return LPPartition(grid, J, tuple(profiles))
+    r = grid.xi_abs.ravel()
+    # psi(|xi|/2^j) > 0 implies psi(|xi|/2^(j+1)) == 1, so, from the top down,
+    # the last j with a positive psi is the lower shell and psi there its t;
+    # only the points still positive at j + 1 are evaluated at j
+    lower = np.full(r.size, J, dtype=np.int8)
+    weight = np.ones(r.size)
+    idx = np.arange(r.size)
+    for j in range(J - 1, -1, -1):
+        low = psi(r[idx] / 2.0**j)
+        inside = low > 0.0
+        idx = idx[inside]
+        lower[idx] = j
+        weight[idx] = low[inside]
+    sites = np.argsort(lower, kind="stable")
+    starts = np.zeros(J + 2, dtype=np.intp)
+    np.cumsum(np.bincount(lower, minlength=J + 1), out=starts[1:])
+    return LPPartition(grid, J, sites, weight[sites], starts)
+
+
+def _on_support(part: LPPartition, coeffs: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """coeffs times the profile sum over shells lo..hi, formed at its support
+    only: the one gather and scatter behind every projection."""
+    sites, values = part.support(lo, hi)
+    flat = coeffs.reshape(coeffs.shape[0], -1)
+    out = np.zeros(flat.shape, dtype=np.complex128)
+    for src, dst in zip(flat, out):
+        dst[sites] = src[sites] * values
+    return out.reshape(coeffs.shape)
 
 
 def project(part: LPPartition, f: SpectralField, j: int) -> SpectralField:
     """Ring projection: coefficients multiplied by profile j."""
-    prof = part.profile(j)
-    return SpectralField(f.grid, freq=f.coefficients * prof)
+    return SpectralField(f.grid, freq=_on_support(part, f.coefficients, j, j))
 
 
 def project_window(part: LPPartition, f: SpectralField, lo: int, hi: int) -> SpectralField:
@@ -98,7 +150,7 @@ def project_window(part: LPPartition, f: SpectralField, lo: int, hi: int) -> Spe
     hi = min(hi, part.jmax)
     if hi < lo:
         return SpectralField.zeros(f.grid, f.ncomp)
-    return SpectralField(f.grid, freq=f.coefficients * sum(part.profiles[lo:hi + 1]))
+    return SpectralField(f.grid, freq=_on_support(part, f.coefficients, lo, hi))
 
 
 def bernstein_ratio(f: SpectralField, j: int, p, q) -> float:
@@ -149,7 +201,7 @@ def _reduce_shells(part: LPPartition, f: SpectralField, rs=(), pairs=()) -> tupl
     norms = np.zeros((len(rs), part.jmax + 1))
     caps, squares = [0.0] * len(pairs), [0.0] * len(pairs)
     for j in range(part.jmax + 1):
-        shell = SpectralField(f.grid, freq=coeffs * part.profile(j))
+        shell = SpectralField(f.grid, freq=_on_support(part, coeffs, j, j))
         l2 = l2_norm(shell)
         mod = _modulus(shell) if transform else None
         del shell  # not held while the shell is reduced
@@ -196,9 +248,9 @@ def shell_packet(part: LPPartition, j: int, seed: int, coherent: bool = True) ->
     coherent=False draws generic complex amplitudes.
     """
     grid = part.grid
-    M = grid.npoints
-    prof = part.profile(j).ravel()
-    sites = np.flatnonzero((prof != 0.0) & ~grid.nyquist_mask.ravel())
+    sites, values = part.support(j, j)
+    keep = (values != 0.0) & ~grid.nyquist_mask.ravel()[sites]
+    sites, values = sites[keep], values[keep]
     # the counters of a whole-lattice draw (rng's layout), taken at the ring's sites only
     ctr = 2 * sites
     re = 2.0 * rng.unit_doubles_at(seed, ctr) - 1.0
@@ -206,8 +258,8 @@ def shell_packet(part: LPPartition, j: int, seed: int, coherent: bool = True) ->
         raw = 1.0 + 0.5 * re  # amplitudes in [0.5, 1.5], zero phase
     else:
         raw = re + 1j * (2.0 * rng.unit_doubles_at(seed, ctr + 1) - 1.0)
-    c = np.zeros(M, dtype=np.complex128)
-    c[sites] = raw * prof[sites]
+    c = np.zeros(grid.npoints, dtype=np.complex128)
+    c[sites] = raw * values
     return SpectralField(grid, freq=c.reshape(grid.shape))
 
 

@@ -50,10 +50,14 @@ def verify_bernstein(n: int = 2, N: int = 512, seed: int = 2) -> dict:
 
     ||f_j||_inf / ||f_j||_2 should grow like 2^(nj/2); the normalized
     constants (via the ball of radius 2^(j+1)) must stay within factor 4.
+    The shells j = 2..7 must exist, so N >= 256.
     """
     grid = GridSpec(n, N)
-    part = build_partition(grid)
     js = list(range(2, 8))
+    if grid.jmax < js[-1]:
+        raise ValueError(f"N={N} has top shell {grid.jmax}, below the measured shell "
+                         f"{js[-1]}; need N >= {2 ** (js[-1] + 1)}")
+    part = build_partition(grid)
     ratios, consts = [], []
     for j in js:
         f = shell_packet(part, j, seed + j, coherent=True)

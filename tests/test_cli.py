@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lpw
 from lpw import cli
 from lpw.cli import _read_sequence, main
 
@@ -193,6 +197,18 @@ class TestVerifyCommand:
         assert code == 2
         assert f"N={N}" in json.loads(out)["error"]
 
+    @pytest.mark.parametrize("N", ["64", "128"])
+    def test_bernstein_needs_shell_7(self, capsys, N):
+        code, out = run_cli(capsys, "verify", "bernstein", "--N", N)
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert f"N={N}" in error and "N >= 256" in error
+
+    def test_bernstein_runs_at_512(self, capsys):
+        code, out = run_cli(capsys, "verify", "bernstein", "--N", "512")
+        assert code == 0
+        assert json.loads(out)["N"] == 512
+
     def test_mapping_verifier(self, capsys):
         code, out = run_cli(capsys, "verify", "mapping", "--N", "2048")
         assert code == 0
@@ -329,3 +345,14 @@ class TestProbeCommand:
         with pytest.raises(SystemExit) as exc:
             main(["probe", "--equation", "ns", "--grid", "2x256"])
         assert exc.value.code == 2
+
+
+def test_python_m_lpw_runs_from_a_checkout():
+    # `python -m lpw` needs nothing installed beyond the package on the path
+    src = str(Path(lpw.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-m", "lpw", "verify", "partition", "--N", "16"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["passed"] is True

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lpw import lp
 from lpw.grid import GridSpec, SpectralField, lp_norm, random_field
 from lpw.lp import (RING_HI, RING_LO, bernstein_ratio, build_partition,
                     dyadic_norm_sequence, flat_dyadic_field, profile_value,
@@ -13,6 +15,25 @@ from lpw.psido import fit_log2_slope
 from lpw.rng import complex_samples
 
 from test_grid import mode
+
+
+def _dense_profiles(grid):
+    """The partition as jmax + 1 dense telescoped profiles on the whole
+    lattice: the reference its support storage reproduces bit for bit."""
+    J, r = grid.jmax, grid.xi_abs
+    low = psi(r)
+    profiles = [low]
+    for j in range(1, J):
+        prev, low = low, psi(r / 2.0**j)
+        profiles.append(low - prev)
+    profiles.append(1.0 - low)
+    return profiles
+
+
+def _bits(a):
+    """The raw bits of a float or complex array, so that equality also
+    compares the signs of zeros."""
+    return np.ascontiguousarray(a).view(np.uint64)
 
 
 class TestPartition:
@@ -54,6 +75,21 @@ class TestPartition:
         for got, ring in zip(part.profiles, want):
             assert np.array_equal(got, ring)
 
+    @pytest.mark.parametrize("dim,N", [(1, 1 << 18), (2, 512)])
+    def test_storage_is_two_words_per_point(self, dim, N):
+        # what a build leaves allocated, the grid's cached |xi| aside: a site
+        # index and a value per lattice point and one offset per lower shell,
+        # where jmax + 1 dense profiles take 8 (jmax + 1) bytes a point
+        grid = GridSpec(dim, N)
+        grid.xi_abs
+        tracemalloc.start()
+        try:
+            part = build_partition(grid)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 16 * grid.npoints + 8 * (part.jmax + 2) + 4096
+
     def test_smallest_grid_has_three_shells(self):
         part = build_partition(GridSpec(1, 16))
         assert part.jmax == 3
@@ -82,8 +118,9 @@ class TestProjection:
 
     def test_out_of_range(self, part2):
         f = random_field(part2.grid, 1)
-        with pytest.raises(ValueError):
-            project(part2, f, part2.jmax + 1)
+        for j in (-1, part2.jmax + 1):
+            with pytest.raises(ValueError, match=f"shell index {j} out of range"):
+                project(part2, f, j)
 
     def test_range_empty_window(self, part2):
         f = random_field(part2.grid, 32)
@@ -108,17 +145,38 @@ class TestProjection:
 class TestShellPacket:
     @pytest.mark.parametrize("dim,N,ncomp", [(1, 256, 1), (2, 64, 2), (3, 16, 1)])
     def test_equals_whole_lattice_draw(self, dim, N, ncomp):
-        # the ring-site draw gives the coefficients of the whole-lattice one,
-        # whose first component is the same for any number of components
+        # the ring-site draw gives the coefficients of the whole-lattice one
+        # times the dense reference profile, whose first component is the
+        # same for any number of components
         part = build_partition(GridSpec(dim, N))
-        grid = part.grid
+        grid, profiles = part.grid, _dense_profiles(part.grid)
         raw = complex_samples(9, ncomp * grid.npoints).reshape((ncomp,) + grid.shape)[:1]
         for j in range(part.jmax + 1):
             for coherent in (True, False):
-                c = (1.0 + 0.5 * raw.real if coherent else raw) * part.profile(j)
+                c = (1.0 + 0.5 * raw.real if coherent else raw) * profiles[j]
                 c[:, grid.nyquist_mask] = 0.0
                 got = shell_packet(part, j, 9, coherent=coherent)
                 assert np.array_equal(got.coefficients, c), (j, coherent)
+
+    @pytest.mark.parametrize("dim,N", [(1, 4096), (2, 64)])
+    def test_sum_fields_equal_dense_profile_draws(self, dim, N, monkeypatch):
+        # the packet sums equal the ones built from whole-lattice draws times
+        # the dense reference profiles
+        part = build_partition(GridSpec(dim, N))
+        grid, profiles = part.grid, _dense_profiles(part.grid)
+
+        def dense_packet(part, j, seed, coherent=True):
+            raw = complex_samples(seed, grid.npoints).reshape(grid.shape)
+            c = (1.0 + 0.5 * raw.real if coherent else raw) * profiles[j]
+            c[grid.nyquist_mask] = 0.0
+            return SpectralField(grid, freq=c)
+
+        scales = {j: 2.0 ** -j for j in range(part.jmax + 1)}
+        got = [flat_dyadic_field(part, 3), shell_sum_field(part, scales, 4, norm_p=3.0)]
+        monkeypatch.setattr(lp, "shell_packet", dense_packet)
+        want = [flat_dyadic_field(part, 3), shell_sum_field(part, scales, 4, norm_p=3.0)]
+        for a, b in zip(got, want):
+            assert np.array_equal(a.coefficients, b.coefficients)
 
 
 class TestBernstein:
@@ -271,3 +329,29 @@ def test_profile_telescoping_off_grid(r, jtop):
     total = psi(r) + sum(profile_value(j, r) for j in range(1, jtop + 1))
     assert abs(total - psi(r / 2.0**jtop)) <= 1e-13
     assert 0.0 <= profile_value(jtop, r) <= 1.0
+
+
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_support_storage_equals_dense_profiles(data):
+    # every profile and every window sum read from the supports is the dense
+    # telescoped one bit for bit, and so is a window projection's product
+    dim = data.draw(st.integers(1, 4))
+    N = 16 if dim == 4 else data.draw(st.sampled_from((16, 32, 64)))
+    part = build_partition(GridSpec(dim, N))
+    grid, J = part.grid, part.jmax
+    ref = _dense_profiles(grid)
+    for j in range(J + 1):
+        assert np.array_equal(_bits(part.profile(j)), _bits(ref[j])), j
+    for lo in range(J + 1):
+        for hi in range(lo, J + 1):
+            sites, values = part.support(lo, hi)
+            dense = np.zeros(grid.npoints)
+            dense[sites] = values
+            assert np.array_equal(_bits(dense), _bits(sum(ref[lo:hi + 1]).ravel())), (lo, hi)
+    assert part.partition_deviation() == float(np.max(np.abs(sum(ref) - 1.0)))
+    lo = data.draw(st.integers(0, J))
+    hi = data.draw(st.integers(lo, J))
+    f = random_field(grid, data.draw(st.integers(0, 10_000)), ncomp=data.draw(st.integers(1, 2)))
+    got = project_window(part, f, lo, hi).coefficients
+    assert np.array_equal(got, f.coefficients * sum(ref[lo:hi + 1]))
