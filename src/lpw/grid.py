@@ -261,7 +261,13 @@ def l2_norm(f: SpectralField) -> float:
 
     When f holds its coefficients this is their plain l^2 norm over every
     component (Parseval), with no transform; otherwise it is read from the
-    samples.
+    samples.  The two readings differ at roundoff, so one field read before
+    and after its coefficients are cached can disagree with itself.  No call
+    site in the package does that.  Each reads a field that holds its
+    coefficients when made (a projection, packet, random field or a sum of
+    such), a field of samples read once (`psido.commutator_shell`), or a field
+    whose coefficients are cached before its one reading (`run_probe` applies
+    L to u_loc and pads V_loc in the nonlinearity before reading either).
     """
     if f._freq is None:
         return _modulus_norm(f.modulus(), 2)
@@ -340,11 +346,24 @@ def field_from_padded(grid: GridSpec, fine: np.ndarray) -> SpectralField:
 
 
 def _pair_product_fine(pv: np.ndarray, pw: np.ndarray) -> np.ndarray:
-    # matching multi-component inputs contract over components (dot); a
-    # scalar against anything broadcasts
-    if pv.shape[0] == pw.shape[0] and pv.shape[0] > 1:
-        return np.sum(pv * pw, axis=0, keepdims=True)
-    return pv * pw
+    """The product of two fine-grid sample arrays, formed in `pw`'s buffer.
+
+    Matching multi-component inputs contract over components (dot), summed
+    into slot 0 in component order; a scalar against anything broadcasts.  A
+    product wider than `pw` goes to a fresh array.  `pv` is never written and
+    stays the first operand: the complex multiply is not bitwise commutative.
+    The result equals `pv * pw` (or its `np.sum` over axis 0) bit for bit on
+    any array of more than one element, so on every lattice.
+    """
+    if pv.shape[0] > pw.shape[0]:
+        return pv * pw
+    np.multiply(pv, pw, out=pw)
+    if pv.shape[0] == 1:
+        return pw
+    pw[0] += 0.0  # np.sum's start: a slot of -0.0 terms sums to +0.0
+    for c in range(1, pw.shape[0]):
+        pw[0] += pw[c]
+    return pw[:1]
 
 
 def _check_pair(f: SpectralField, g: SpectralField) -> None:

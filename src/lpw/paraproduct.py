@@ -187,7 +187,8 @@ def all_pairs_shells(V: SpectralField, w: SpectralField, ks, part: LPPartition) 
     for i in shells:
         v_fine = padded_physical(project(part, V, i))
         for wj in w_fine:
-            pair = field_from_padded(V.grid, _pair_product_fine(v_fine, wj))
+            # the product is formed in its second factor's buffer, and wj is reused
+            pair = field_from_padded(V.grid, _pair_product_fine(v_fine, wj.copy()))
             for n, k in enumerate(ks):
                 term = project(part, pair, k)
                 totals[n] = term if totals[n] is None else totals[n] + term

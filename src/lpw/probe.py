@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .exponents import GainReport, RegularityParams, check_params, compute_gains
-from .grid import (GridSpec, SpectralField, _pair_product_fine, field_from_padded,
+from .grid import (GridSpec, SpectralField, _forward, _pair_product_fine, _relattice,
                    grid_product, l2_norm, padded_physical, random_field)
 from .iteration import (DecaySequence, IterationParams, convolution_majorant,
                         decay_bound, delta_cap, hypothesis_holds)
@@ -69,17 +69,24 @@ def _quadratic_term(P: Symbol, Q: Symbol):
     """Dealiased (V, u) -> P(V Q u), with Q applied to each component of u.
 
     V contracts against each component's Q-output when the counts match
-    ((V.grad) u) and broadcasts otherwise.
+    ((V.grad) u) and broadcasts otherwise.  The products are formed in
+    Q u's padded buffer and transformed back there; only a product wider
+    than its Q-output goes to a fresh array, so the shared padded V is
+    never written.
     """
 
     def nonlinearity(V: SpectralField, u: SpectralField) -> SpectralField:
-        pv = padded_physical(V)
         pq = padded_physical(SpectralField(u.grid, freq=np.concatenate(
             [apply(Q, u.component(c)).coefficients for c in range(u.ncomp)])))
         pq = pq.reshape((u.ncomp, -1) + pq.shape[1:])
-        fine = np.concatenate([_pair_product_fine(pv, w) for w in pq])
-        del pv, pq  # free the padded factors before the transform back
-        return apply(P, field_from_padded(u.grid, fine))
+        pv = padded_physical(V)
+        fine = [_pair_product_fine(pv, w) for w in pq]
+        del pv  # free the padded V before the transform back
+        k = fine[0].shape[0]  # in place, the products fill each Q-output's leading k slots
+        fine = (pq[:, :k] if k <= pq.shape[1] else np.stack(fine)).reshape((-1,) + pq.shape[2:])
+        coarse = _relattice(_forward(fine, out=fine), u.grid.points_per_axis)
+        del fine, pq  # free the padded buffer before P is applied
+        return apply(P, SpectralField(u.grid, freq=coarse))
 
     return nonlinearity
 

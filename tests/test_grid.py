@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lpw.grid import (GridSpec, SpectralField, dealiased_product, field_from_padded,
-                      grid_product, l2_norm, lp_norm, padded_physical, random_field)
+from lpw.grid import (GridSpec, SpectralField, _pair_product_fine, dealiased_product,
+                      field_from_padded, grid_product, l2_norm, lp_norm, padded_physical,
+                      random_field)
 from lpw.exponents import RegularityParams
 from lpw.lp import build_partition, dyadic_norm_sequence, flat_dyadic_field, sobolev_norms
 from lpw.paraproduct import (all_pairs_shell, all_pairs_shells, product_shell, split,
@@ -143,6 +144,16 @@ class TestTransformCounts:
         u = random_field(g, 4, ncomp=2)
         eq = equation_spec("ns", n=2)
         eq.nonlinearity(u, u)
+        assert calls == {("fftn", "_forward"): 1, ("ifftn", "_inverse"): 2}
+
+    @pytest.mark.parametrize("kind, dim, N", [("biharmonic", 2, 64), ("gjms", 3, 16)])
+    def test_scalar_coefficient_nonlinearities(self, calls, kind, dim, N):
+        # padded Q u and padded V, then one forward transform of the products
+        eq = equation_spec(kind, n=dim)
+        u = random_field(GridSpec(dim, N), 4)
+        V = eq.coefficient(u)
+        calls.clear()
+        eq.nonlinearity(V, u)
         assert calls == {("fftn", "_forward"): 1, ("ifftn", "_inverse"): 2}
 
     def test_oracle_shares_padding_across_shells(self, shapes, part1):
@@ -357,6 +368,37 @@ class TestProducts:
         manual = dealiased_product(u.component(0), v.component(0)) + \
             dealiased_product(u.component(1), v.component(1))
         assert lp_norm(d - manual, 2) <= 1e-12 * lp_norm(d, 2)
+
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_pair_product_in_place_is_bit_identical(self, data):
+        # the product formed in pw's buffer equals the out-of-place formula
+        # bit for bit, signed zeros included, and pv is never written.  Axes
+        # have at least 2 points, as every lattice has: numpy multiplies an
+        # array of one element in place without FMA, 1 ulp off `pv * pw`.
+        dim = data.draw(st.integers(1, 4))
+        shape = tuple(data.draw(st.lists(st.integers(2, 5), min_size=dim, max_size=dim)))
+        kind = data.draw(st.sampled_from(("contract", "broadcast", "wide")))
+        n = data.draw(st.integers(1 if kind == "broadcast" else 2, 4))
+        nv, nw = {"contract": (n, n), "broadcast": (1, n), "wide": (n, 1)}[kind]
+        gen = np.random.default_rng(data.draw(st.integers(0, 10_000)))
+
+        def sample(ncomp):
+            vals = gen.standard_normal((2, ncomp) + shape)
+            vals[gen.random(vals.shape) < 0.1] = -0.0
+            return vals[0] + 1j * vals[1]
+
+        pv, pw = sample(nv), sample(nw)
+        v_copy, w_copy = pv.copy(), pw.copy()
+        want = (np.sum(v_copy * w_copy, axis=0, keepdims=True) if nv == nw > 1
+                else v_copy * w_copy)
+        got = _pair_product_fine(pv, pw)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert pv.tobytes() == v_copy.tobytes()
+        if kind == "wide":
+            assert pw.tobytes() == w_copy.tobytes()
+        else:
+            assert np.shares_memory(got, pw)
 
     def test_padding_writes_no_input_array(self, grid2):
         # the padded transforms run in place on fresh buffers only
