@@ -331,11 +331,11 @@ class DecayReport:
         }
 
 
-def _check_window(window: tuple, part: LPPartition) -> None:
+def _check_window(window: tuple, jmax: int) -> None:
     """Raise unless the fit window sits inside [2, jmax-2] and spans 4 shells."""
     lo, hi = window
-    if not (2 <= lo and hi <= part.jmax - 2):
-        raise ValueError(f"window {window} must sit inside [2, {part.jmax - 2}]")
+    if not (2 <= lo and hi <= jmax - 2):
+        raise ValueError(f"window {window} must sit inside [2, {jmax - 2}]")
     if hi - lo + 1 < 4:
         raise ValueError(f"window {window} shorter than 4 shells")
 
@@ -345,7 +345,7 @@ def dyadic_decay_report(norms: np.ndarray, r: float, sigma: float, window: tuple
     """Fit the decay of a_k = 2^(sigma k) norms_k over the window, where
     norms holds the L^r norm of every shell 0..jmax."""
     tolerance = 0.1  # passes when the measured gain is within 0.1 of the theory's
-    _check_window(window, part)
+    _check_window(window, part.jmax)
     lo, hi = window
     ks = np.arange(part.jmax + 1, dtype=float)
     a = (2.0 ** (sigma * ks)) * norms
@@ -404,7 +404,7 @@ def run_probe(eq: EquationSpec, grid: GridSpec, rho: float = 0.75,
               seed: int = 7) -> ProbeReport:
     """Execute the full probe and assemble the report.
 
-    Raises ValueError before any field work starts if the equation data
+    Raises ValueError before the partition is built if the equation data
     fails the structural hypotheses (named violations), the decay window is
     too short, the amplitude is 0, rho lies outside (0, pi/4), or L is not a
     pure multiplier or not elliptic.  The default
@@ -416,10 +416,9 @@ def run_probe(eq: EquationSpec, grid: GridSpec, rho: float = 0.75,
     if grid.dim != eq.params.n:
         raise ValueError(f"grid dim {grid.dim} != equation dimension {eq.params.n}")
     gains = compute_gains(eq.params)
-    part = build_partition(grid)
     sigma, r, theta = gains.params.sigma, gains.params.r, gains.theta
-    window = (2, part.jmax - 2)
-    _check_window(window, part)
+    window = (2, grid.jmax - 2)
+    _check_window(window, grid.jmax)
     if eq.amplitude == 0.0:
         raise ValueError(f"amplitude must be positive, got {eq.amplitude}: "
                          "a zero forcing leaves nothing to measure")
@@ -427,6 +426,7 @@ def run_probe(eq: EquationSpec, grid: GridSpec, rho: float = 0.75,
     _check_multiplier(eq.L)
     es = split_elliptic(eq.L, grid)  # symbols only: no field work yet
     B = parametrix(es.E, grid)
+    part = build_partition(grid)
 
     sol = manufactured_solution(eq, grid, seed)
     u_loc = localize(sol.u, rho)

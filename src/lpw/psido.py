@@ -173,13 +173,19 @@ def split_elliptic(L: Symbol, grid: GridSpec) -> EllipticSplit:
 
 
 def parametrix(E: Symbol, grid: GridSpec) -> Symbol:
-    """First-order approximate inverse: b(x, xi) = chi(|xi|) / e(x, xi), where
-    the smooth cutoff chi is 0 below CUTOFF/2 and 1 from CUTOFF on.
+    """First-order approximate inverse, of E's kind: chi(|xi|) / e(xi) for a
+    multiplier, (1 / b(x)) (chi / c)(xi) for a one-term separable b(x) c(xi),
+    where the smooth cutoff chi is 0 below CUTOFF/2 and 1 from CUTOFF on.
 
     For multiplier E the composition with E is the identity on |xi| >= CUTOFF
     exactly; for x-dependent E the defect gains one order per shell.  The
-    full asymptotic series is deliberately not built.
+    full asymptotic series is deliberately not built.  Any other E raises
+    ValueError naming it.  `apply` rejects a 1/b made infinite by a zero of
+    b that the ellipticity scan's x sample missed.
     """
+    if not (E.kind == "multiplier" or (E.kind == "separable" and len(E.terms) == 1)):
+        raise ValueError(f"parametrix of {E.name!r} needs a multiplier or a one-term "
+                         f"separable symbol, got kind {E.kind!r} with {len(E.terms)} terms")
     floor = _symbol_floor(E, grid, CUTOFF, 1.0)
     if floor <= 0.0:
         raise ValueError("parametrix needs a positive lower bound on the symbol")
@@ -194,8 +200,10 @@ def parametrix(E: Symbol, grid: GridSpec) -> Symbol:
     if E.kind == "multiplier":
         return sym_mod.multiplier(
             -E.order, lambda *xis: masked_inverse(np.asarray(E.xi_func(*xis)), xis), name)
-    return sym_mod.general(
-        -E.order, lambda xs, xis: masked_inverse(E.eval_xy(xs, xis), xis), name)
+    (bx, cxi), = E.terms
+    return sym_mod.separable(
+        -E.order, [(lambda *xs: 1.0 / np.asarray(bx(*xs)),
+                    lambda *xis: masked_inverse(np.asarray(cxi(*xis)), xis))], name)
 
 
 # -- shell estimates --------------------------------------------------------

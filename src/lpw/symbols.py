@@ -6,10 +6,10 @@ A symbol acts on a field through
 
 Frequency multipliers get an exact fast path; separable symbols
 sum_t b_t(x) c_t(xi) cost one transform per term, and a multiplication
-operator b(x) is the one-term separable symbol b(x) * 1; arbitrary symbols
-fall back to the direct quantization sum, which is kept as the correctness
-oracle at small N.  Nyquist modes of the input are cleared on every
-application (the asymmetric mode breaks reality symmetry under
+operator b(x) is the one-term separable symbol b(x) * 1.  The direct
+quantization sum, O(M^2) in the lattice size M, is kept only as the
+correctness oracle at small N.  Nyquist modes of the input are cleared on
+every application (the asymmetric mode breaks reality symmetry under
 differentiation).
 """
 
@@ -28,14 +28,14 @@ _LOG_DOUBLE_MAX = 700.0  # ln(1.8e308), overflow guard for |xi|^m
 
 @dataclass(frozen=True)
 class Symbol:
-    """Symbol of declared order with one of several evaluation forms.
+    """Symbol of declared order in one of three forms, each applied by a
+    fast path.
 
     kind:
       multiplier        a = c(xi),   xi_func(*xi_components)
       separable         a = sum_t b_t(x) c_t(xi), terms = ((b, c), ...); a
                         multiplication operator b(x) is the term (b, 1)
       matrix_multiplier matrix-valued c(xi), matrix_func(grid) -> (out, in, *shape)
-      general           arbitrary a(x, xi), eval via eval_func(xs, xis)
     """
 
     order: float
@@ -44,7 +44,6 @@ class Symbol:
     xi_func: object = None
     terms: tuple = ()
     matrix_func: object = None
-    eval_func: object = None
 
     def eval_xy(self, xs: tuple, xis: tuple) -> np.ndarray:
         """Evaluate a(x, xi) on mutually broadcastable coordinate arrays."""
@@ -57,8 +56,6 @@ class Symbol:
                 term = np.asarray(bx(*xs)) * np.asarray(cxi(*xis))
                 out = term if out is None else out + term
             return out
-        if self.kind == "general":
-            return np.asarray(self.eval_func(xs, xis))
         raise ValueError(f"eval_xy unsupported for kind {self.kind!r}")
 
     @property
@@ -91,17 +88,13 @@ def matrix_multiplier(order: float, matrix_func, name: str = "") -> Symbol:
     return Symbol(order=order, kind="matrix_multiplier", name=name, matrix_func=matrix_func)
 
 
-def general(order: float, eval_func, name: str = "") -> Symbol:
-    return Symbol(order=order, kind="general", name=name, eval_func=eval_func)
-
-
 def zero_symbol(order: float = 0.0, name: str = "zero") -> Symbol:
     return multiplier(order, lambda *xis: np.zeros(np.broadcast_shapes(*(np.shape(a) for a in xis))), name)
 
 
 def _check_finite(vals: np.ndarray, name: str) -> np.ndarray:
     if not np.all(np.isfinite(vals)):
-        raise ValueError(f"symbol {name!r} overflows double range on this lattice")
+        raise ValueError(f"symbol {name!r} is not finite on this lattice (overflow, or 1/0)")
     return vals
 
 
@@ -129,9 +122,9 @@ def apply(sym: Symbol, f: SpectralField) -> SpectralField:
         out = np.zeros_like(c)
         for bx, cxi in sym.terms:
             cv = _check_finite(np.asarray(cxi(*grid.xi_axes)), sym.name)
-            part = _inverse(c * cv)
-            bv = np.broadcast_to(np.asarray(bx(*grid.x_axes)), grid.shape)
-            out += part * bv
+            with np.errstate(divide="ignore"):  # 1/b at a zero of b is inf, rejected here
+                bv = _check_finite(np.asarray(bx(*grid.x_axes)), sym.name)
+            out += _inverse(c * cv) * np.broadcast_to(bv, grid.shape)
         return SpectralField(grid, phys=out)
 
     if sym.kind == "matrix_multiplier":
@@ -142,9 +135,6 @@ def apply(sym: Symbol, f: SpectralField) -> SpectralField:
         c = f.coefficients
         out = np.einsum("oi...,i...->o...", mat, c)
         return SpectralField(grid, freq=out)
-
-    if sym.kind == "general":
-        return quantize_direct(sym, f)
 
     raise ValueError(f"unknown symbol kind {sym.kind!r}")
 

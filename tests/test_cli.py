@@ -320,14 +320,26 @@ class TestProbeCommand:
         assert code == 2
         assert "order-gap" in json.loads(out)["error"]
 
+    def test_short_window_exits_2_before_the_partition(self, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the partition was built for a window that is too short")
+
+        # at 4,64 the partition alone took 1.0 GB before the window was checked
+        monkeypatch.setattr("lpw.probe.build_partition", unreachable)
+        code, out = run_cli(capsys, "probe", "--equation", "ns", "--grid", "4,64",
+                            "--seed", "9")
+        assert code == 2
+        assert json.loads(out)["error"] == "window (2, 3) shorter than 4 shells"
+
     @pytest.mark.parametrize("flag, value", [
         ("--amplitude", "0"), ("--amplitude", "-0.01"), ("--amplitude", "nan"),
         ("--rho", "0.8")])
     def test_unusable_amplitude_or_rho_exits_2_before_manufacture(
             self, capsys, monkeypatch, flag, value):
         def unreachable(*args, **kwargs):
-            raise AssertionError(f"manufacture ran with {flag} {value}")
+            raise AssertionError(f"the partition or the manufacture ran with {flag} {value}")
 
+        monkeypatch.setattr("lpw.probe.build_partition", unreachable)
         monkeypatch.setattr("lpw.probe.manufactured_solution", unreachable)
         code, out = run_cli(capsys, "probe", "--equation", "ns", "--grid", "2,256",
                             "--seed", "9", flag, value)

@@ -21,6 +21,7 @@ TEST_ONLY = {
     "probe.equation_residual",      # re-checks the solve's residual from scratch
     "cli.main(argv)",               # the in-process seam the CLI tests drive
     "rng.complex_samples(offset)",  # draws agree however they are chunked (aim 3)
+    "symbols.quantize_direct",      # the O(M^2) quantization oracle
 }
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from lpw.probe import cutoff_field
 from lpw.psido import (CUTOFF, ap_shell_ratio, commutator_shell, commutator_symbol_remainder,
                        ellipticity_margin, fit_log2_slope, mapping_constant, parametrix,
                        split_elliptic)
-from lpw.symbols import apply, grad_symbol, multiplication, multiplier, resolve_symbol
+from lpw.smooth import ramp_up
+from lpw.symbols import (apply, grad_symbol, multiplication, multiplier, quantize_direct,
+                         resolve_symbol, separable)
 
 from test_grid import mode
 
@@ -123,6 +126,58 @@ class TestParametrix:
         g = GridSpec(2, 32)
         with pytest.raises(ValueError):
             parametrix(multiplier(1.0, lambda *xis: xis[0] + 0j), g)
+
+    @pytest.mark.parametrize("N", [32, 64])
+    def test_separable_matches_direct_quantization(self, N):
+        g = GridSpec(2, N)
+        B = parametrix(split_elliptic(resolve_symbol("sep:twoplussin:0*pow:2", 2), g).E, g)
+        assert B.kind == "separable"
+        f = random_field(g, 5)
+        direct = quantize_direct(B, f)
+        assert lp_norm(apply(B, f) - direct, 2) <= 1e-12 * lp_norm(direct, 2)
+
+    def test_separable_symbol_inverts_e_above_cutoff(self):
+        # b(x, xi) e(x, xi) = chi(|xi|) at every grid x and lattice xi
+        g = GridSpec(2, 32)
+        E = split_elliptic(resolve_symbol("sep:twoplussin:0*pow:2", 2), g).E
+        B = parametrix(E, g)
+        xs = tuple(np.broadcast_to(a, g.shape).reshape(-1, 1) for a in g.x_axes)
+        xis = tuple(np.broadcast_to(a, g.shape).reshape(1, -1) for a in g.xi_axes)
+        chi = ramp_up(g.xi_abs.reshape(1, -1), CUTOFF / 2.0, CUTOFF)
+        assert np.abs(B.eval_xy(xs, xis) * E.eval_xy(xs, xis) - chi).max() <= 1e-14
+
+    def test_two_term_symbol_rejected(self):
+        g = GridSpec(2, 32)
+        E = split_elliptic(resolve_symbol("sep:twoplussin:0*pow:2+cos:1*one", 2), g).E
+        assert len(E.terms) == 2
+        with pytest.raises(ValueError, match=re.escape(repr(E.name))):
+            parametrix(E, g)
+
+    def test_zero_of_b_off_the_scan_sample_rejected_on_apply(self):
+        # the ellipticity scan samples every 4th point of 1,64 and misses the
+        # zero at x = 2 pi / 64; 1/b is infinite there, and apply names B
+        g = GridSpec(1, 64)
+
+        def b(x):
+            return np.where(np.isclose(x, 2.0 * np.pi / 64), 0.0, 2.0 + np.sin(x))
+
+        E = separable(2.0, [(b, lambda xi: 1.0 + xi**2)], "zeroed")
+        B = parametrix(E, g)
+        with pytest.raises(ValueError, match=re.escape(repr(B.name))):
+            apply(B, random_field(g, 5))
+
+    @pytest.mark.parametrize("spec", ["sep:twoplussin:0*pow:2", "sep:cos:0*pow:1"])
+    def test_x_dependent_pipeline_never_quantizes_directly(self, monkeypatch, spec):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the O(M^2) direct quantization sum ran")
+
+        monkeypatch.setattr("lpw.symbols.quantize_direct", unreachable)
+        g = GridSpec(2, 32)
+        es = split_elliptic(resolve_symbol(spec, 2), g)
+        B = parametrix(es.E, g)
+        f = random_field(g, 5)
+        for out in (apply(es.E, f), apply(es.M, f), apply(B, f), apply(B, apply(es.E, f))):
+            assert np.all(np.isfinite(out.coefficients))
 
     def test_cutoff_profile(self):
         # b * l is the cutoff: 0 below CUTOFF/2, strictly between there and
