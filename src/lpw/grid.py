@@ -68,16 +68,17 @@ class GridSpec:
         N = self.points_per_axis
         return self._per_axis(np.fft.fftfreq(N, d=1.0 / N))  # 0..N/2-1, -N/2..-1 as floats
 
-    @cached_property
     def xi_abs2(self) -> np.ndarray:
+        """|xi|^2 on the lattice, summed afresh on each call (not cached)."""
         out = np.zeros(self.shape)
         for a in self.xi_axes:
-            out = out + a * a
+            out += a * a
         return out
 
     @cached_property
     def xi_abs(self) -> np.ndarray:
-        return np.sqrt(self.xi_abs2)
+        out = self.xi_abs2()
+        return np.sqrt(out, out=out)
 
     @cached_property
     def nyquist_mask(self) -> np.ndarray:
@@ -173,11 +174,6 @@ class SpectralField:
         if self.ncomp == 1:
             return np.abs(p[0])
         return np.sqrt(np.sum(np.abs(p) ** 2, axis=0))
-
-    def without_mean(self) -> "SpectralField":
-        c = self.coefficients.copy()
-        c[(slice(None),) + (0,) * self.grid.dim] = 0.0
-        return SpectralField(self.grid, freq=c)
 
     def without_nyquist(self) -> "SpectralField":
         c = self.coefficients.copy()
@@ -413,17 +409,21 @@ def random_field(
     Coefficients are drawn by the counter-based generator in `lpw.rng` in
     row-major lattice order (component-major), optionally multiplied by a
     radial profile(|xi|) and restricted to |xi| <= band.  Nyquist modes are
-    always cleared.
+    always cleared.  The draw is the only full-size array made: every step
+    writes into it, and the profile is evaluated on one block of the
+    lattice's |xi| at a time, so it must act pointwise.
     """
-    M = grid.npoints
-    c = rng.complex_samples(seed, ncomp * M).reshape((ncomp,) + grid.shape)
-    if radial_profile is not None:
-        c = c * radial_profile(grid.xi_abs)
-    if band is not None:
-        c = np.where(grid.xi_abs <= band, c, 0.0)
-    c[:, grid.nyquist_mask] = 0.0
-    fld = SpectralField(grid, freq=c)
+    c = rng.complex_samples(seed, ncomp * grid.npoints).reshape((ncomp,) + grid.shape)
+    if radial_profile is not None or band is not None:
+        flat, r = c.reshape(ncomp, -1), grid.xi_abs.reshape(-1)
+        for lo in range(0, r.size, rng._BLOCK):
+            blk = slice(lo, lo + rng._BLOCK)
+            cb, rb = flat[:, blk], r[blk]
+            if radial_profile is not None:
+                cb *= radial_profile(rb)
+            if band is not None:
+                np.copyto(cb, 0.0, where=rb > band)
+    np.copyto(c, 0.0, where=grid.nyquist_mask)
     if mean_zero:
-        fld = fld.without_mean()
-    return fld
-
+        c[(slice(None),) + (0,) * grid.dim] = 0.0
+    return SpectralField(grid, freq=c)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .grid import GridSpec, SpectralField, _modulus_norm, _norm, l2_norm, lp_norm
+from .grid import GridSpec, SpectralField, _modulus_norm, l2_norm, lp_norm
 from .smooth import ramp_down
 
 RING_LO = 3.0 / 5.0
@@ -105,26 +105,39 @@ class LPPartition:
 
 
 def build_partition(grid: GridSpec) -> LPPartition:
-    """Build the partition for a grid; needs at least 3 dyadic shells."""
+    """Build the partition for a grid; needs at least 3 dyadic shells.
+
+    The psi loop runs over one block of the lattice at a time, so besides
+    what the partition keeps it holds one byte per point (the lower shells)
+    and the unsorted weights.
+    """
     J = grid.jmax
     if J < 3:
         raise ValueError(f"grid too small: only {J} dyadic shells, need >= 3")
     r = grid.xi_abs.ravel()
-    # psi(|xi|/2^j) > 0 implies psi(|xi|/2^(j+1)) == 1, so, from the top down,
-    # the last j with a positive psi is the lower shell and psi there its t;
-    # only the points still positive at j + 1 are evaluated at j
     lower = np.full(r.size, J, dtype=np.int8)
     weight = np.ones(r.size)
-    idx = np.arange(r.size)
-    for j in range(J - 1, -1, -1):
-        low = psi(r[idx] / 2.0**j)
-        inside = low > 0.0
-        idx = idx[inside]
-        lower[idx] = j
-        weight[idx] = low[inside]
-    sites = np.argsort(lower, kind="stable")
+    for lo in range(0, r.size, rng._BLOCK):
+        # psi(|xi|/2^j) > 0 implies psi(|xi|/2^(j+1)) == 1, so, from the top
+        # down, the last j with a positive psi is the lower shell and psi
+        # there its t; only the points still positive at j + 1 are evaluated at j
+        blk = slice(lo, lo + rng._BLOCK)
+        rb, lb, wb = r[blk], lower[blk], weight[blk]
+        idx = np.arange(rb.size)
+        for j in range(J - 1, -1, -1):
+            low = psi(rb[idx] / 2.0**j)
+            inside = low > 0.0
+            idx = idx[inside]
+            lb[idx] = j
+            wb[idx] = low[inside]
     starts = np.zeros(J + 2, dtype=np.intp)
     np.cumsum(np.bincount(lower, minlength=J + 1), out=starts[1:])
+    # one stable counting pass per shell: each segment in lattice order,
+    # which is the order argsort(lower, kind="stable") gives
+    sites = np.empty(r.size, dtype=np.intp)
+    for j in range(J + 1):
+        sites[starts[j]:starts[j + 1]] = np.flatnonzero(lower == j)
+    del lower  # freed before the weights are gathered into site order
     return LPPartition(grid, J, sites, weight[sites], starts)
 
 
@@ -263,23 +276,36 @@ def shell_packet(part: LPPartition, j: int, seed: int, coherent: bool = True) ->
     return SpectralField(grid, freq=c.reshape(grid.shape))
 
 
-def shell_sum_field(part: LPPartition, scales, seed: int, norm_p: float = 2.0) -> SpectralField:
-    """Scalar sum over shells of unit-L^p-normalized random packets times scales[j].
+def _shell_sum_fields(part: LPPartition, scales, seed: int, norm_ps) -> list:
+    """For each exponent p in norm_ps, the scalar sum over shells of unit-L^p
+    random packets times scales[j].
 
     scales maps shell index (0..jmax) to the target per-shell magnitude;
     missing indices contribute nothing.  Adjacent-ring overlap perturbs the
-    realized per-shell norms by a bounded factor only.
+    realized per-shell norms by a bounded factor only.  Each packet is drawn
+    once and, when some exponent is not 2, inverse-transformed once: every
+    L^p norm but L^2 (read from the coefficients) comes from its one modulus.
+    Each packet is added on its ring's support only.
     """
     grid = part.grid
-    total = np.zeros((1,) + grid.shape, dtype=np.complex128)
+    totals = [np.zeros(grid.npoints, dtype=np.complex128) for _ in norm_ps]
     for j, scale in dict(scales).items():
         if scale == 0.0:
             continue
         pkt = shell_packet(part, j, seed + 101 * j, coherent=False)
-        nrm = _norm(pkt, norm_p)
-        if nrm > 0:
-            total += (scale / nrm) * pkt.coefficients
-    return SpectralField(grid, freq=total)
+        sites = part.support(j, j)[0]
+        c = pkt.coefficients.reshape(-1)[sites]
+        mod = pkt.modulus() if any(p != 2 for p in norm_ps) else None
+        for total, p in zip(totals, norm_ps):
+            nrm = l2_norm(pkt) if p == 2 else _modulus_norm(mod, p)
+            if nrm > 0:
+                total[sites] += (scale / nrm) * c
+    return [SpectralField(grid, freq=t.reshape((1,) + grid.shape)) for t in totals]
+
+
+def shell_sum_field(part: LPPartition, scales, seed: int, norm_p: float = 2.0) -> SpectralField:
+    """`_shell_sum_fields` for the one exponent norm_p."""
+    return _shell_sum_fields(part, scales, seed, (norm_p,))[0]
 
 
 def flat_dyadic_field(part: LPPartition, seed: int) -> SpectralField:

@@ -25,7 +25,7 @@ from .iteration import (DecaySequence, IterationParams, convolution_majorant,
                         decay_bound, delta_cap, hypothesis_holds)
 from .lp import LPPartition, _reduce_shells, build_partition, dyadic_norm_sequence
 from .paraproduct import _zone_reports, zone_estimate_reports
-from .psido import fit_log2_slope, parametrix, split_elliptic
+from .psido import fit_log2_slope, split_elliptic
 from .smooth import ramp_down
 from . import symbols as sym
 from .symbols import Symbol, apply
@@ -425,7 +425,7 @@ def run_probe(eq: EquationSpec, grid: GridSpec, rho: float = 0.75,
     _check_rho(rho)
     _check_multiplier(eq.L)
     es = split_elliptic(eq.L, grid)  # symbols only: no field work yet
-    B = parametrix(es.E, grid)
+    B = es.parametrix()
     part = build_partition(grid)
 
     sol = manufactured_solution(eq, grid, seed)

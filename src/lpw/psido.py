@@ -124,6 +124,11 @@ class EllipticSplit:
     E: Symbol
     M: Symbol
 
+    def parametrix(self) -> Symbol:
+        """`parametrix(E, grid)` without its lower-bound scan, which
+        `split_elliptic` made with the same arguments (and raised on)."""
+        return _parametrix_symbol(self.E)
+
 
 def _ball_window(*xs):
     """1 on the unit ball about the cell center, 0 beyond radius 1.5."""
@@ -183,12 +188,17 @@ def parametrix(E: Symbol, grid: GridSpec) -> Symbol:
     ValueError naming it.  `apply` rejects a 1/b made infinite by a zero of
     b that the ellipticity scan's x sample missed.
     """
+    B = _parametrix_symbol(E)
+    if _symbol_floor(E, grid, CUTOFF, 1.0) <= 0.0:
+        raise ValueError("parametrix needs a positive lower bound on the symbol")
+    return B
+
+
+def _parametrix_symbol(E: Symbol) -> Symbol:
+    """The symbol `parametrix` returns, before its lower-bound check."""
     if not (E.kind == "multiplier" or (E.kind == "separable" and len(E.terms) == 1)):
         raise ValueError(f"parametrix of {E.name!r} needs a multiplier or a one-term "
                          f"separable symbol, got kind {E.kind!r} with {len(E.terms)} terms")
-    floor = _symbol_floor(E, grid, CUTOFF, 1.0)
-    if floor <= 0.0:
-        raise ValueError("parametrix needs a positive lower bound on the symbol")
 
     def masked_inverse(e, xis):
         mask = ramp_up(np.sqrt(sum(np.asarray(a, dtype=float) ** 2 for a in xis)),

@@ -99,7 +99,7 @@ def _check_finite(vals: np.ndarray, name: str) -> np.ndarray:
 
 
 def _overflow_guard(sym: Symbol, grid: GridSpec) -> None:
-    ximax = float(grid.xi_abs.max())
+    ximax = math.sqrt(grid.dim * (grid.points_per_axis // 2) ** 2)  # the lattice corner's |xi|
     if abs(sym.order) * math.log(1.0 + ximax) > _LOG_DOUBLE_MAX:
         raise ValueError(
             f"symbol order {sym.order} overflows double range at |xi|={ximax:.0f}"
@@ -221,7 +221,8 @@ def leray_projector() -> Symbol:
         if g.dim < 2:
             raise ValueError("divergence-free projection needs dim >= 2")
         n = g.dim
-        denom = np.where(g.xi_abs2 > 0, g.xi_abs2, 1.0)
+        abs2 = g.xi_abs2()
+        denom = np.where(abs2 > 0, abs2, 1.0)
         mat = np.zeros((n, n) + g.shape)
         for c in range(n):
             for d in range(n):

@@ -13,8 +13,8 @@ import numpy as np
 
 from .exponents import RegularityParams, zone_branches, zone_transfers
 from .grid import GridSpec, dealiased_product, l2_norm, lp_norm, random_field
-from .lp import (build_partition, bernstein_ratio, flat_dyadic_field, project,
-                 shell_packet, shell_sum_field)
+from .lp import (_shell_sum_fields, build_partition, bernstein_ratio, flat_dyadic_field,
+                 project, shell_packet)
 from .paraproduct import all_pairs_shells, split, zone_estimate_reports
 from .psido import (ap_shell_ratio, commutator_shell, commutator_symbol_remainder,
                     fit_log2_slope, mapping_constant)
@@ -258,17 +258,17 @@ def _zone_estimate_stability(seed: int) -> dict:
     grid = GridSpec(1, N)
     part = build_partition(grid)
     cases = (_zone_params_r_ge_q(), _zone_params_r_lt_q())
-    gamma = cases[0].gamma  # shared by both cases, so one V and one Q serve them
+    # gamma and sigma are shared by both cases, so one V, one Q and one set
+    # of packets serve them; only each u's L^r normalization differs
+    gamma, sigma = cases[0].gamma, cases[0].sigma
     V = flat_dyadic_field(part, seed + 23)
     Q = sym.multiplier(gamma, lambda *xis: (1.0 + sum(
         np.asarray(a) ** 2 for a in xis)) ** (gamma / 2.0), "qref")
+    us = _shell_sum_fields(part, {j: 2.0 ** (-(sigma + 0.3) * j) for j in range(1, part.jmax + 1)},
+                           seed + 11, [params.r for params in cases])
     ok = True
     out = {}
-    for params in cases:
-        sigma, r = params.sigma, params.r
-        u = shell_sum_field(
-            part, {j: 2.0 ** (-(sigma + 0.3) * j) for j in range(1, part.jmax + 1)},
-            seed + 11, norm_p=r)
+    for params, u in zip(cases, us):
         reports = zone_estimate_reports(V, u, Q, ks, params, part)
         per_zone = {}
         by_zone = zip(*(rep.constants for rep in reports))  # each zone's constants over ks

@@ -49,6 +49,18 @@ class TestGridSpec:
         assert set(xi.astype(int)) == set(range(-8, 8))
         assert g.nyquist_mask.sum() == 1  # single -N/2 mode in 1d
 
+    @pytest.mark.parametrize("dim,N", [(1, 16), (2, 64), (3, 32), (4, 16)])
+    def test_modulus_is_the_only_lattice_array_it_holds(self, dim, N):
+        # |xi| is cached without |xi|^2, and its largest value is the corner's
+        # sqrt(dim (N/2)^2), which the symbols' overflow guard reads instead
+        g = GridSpec(dim, N)
+        xi_abs = g.xi_abs
+        assert sorted(vars(g)) == ["dim", "points_per_axis", "xi_abs", "xi_axes"]
+        assert xi_abs.max() == math.sqrt(dim * (N // 2) ** 2)
+        fresh = GridSpec(dim, N)
+        apply(multiplier(2.0, lambda *xis: sum(a * a for a in xis)), random_field(fresh, 1))
+        assert "xi_abs" not in vars(fresh)
+
 
 class TestTransforms:
     def test_constant_field_is_dc(self, grid2):
@@ -251,8 +263,10 @@ class TestTransformCounts:
 
     def test_paraproduct_bundle(self, paraproduct_run):
         # one padded product V w per grid, projected onto each of its shells
-        # (360 when `product_shell` padded it again for every k)
-        assert paraproduct_run[1] == 351
+        # (360 when `product_shell` padded it again for every k); the zone
+        # stability's 18 packets are inverse-transformed once for both cases
+        # (351 when each case drew them again)
+        assert paraproduct_run[1] == 333
 
     def test_flat_field_transforms_nothing(self, calls):
         # each packet's L^2 scale is read from its coefficients (jmax

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lpw import lp
-from lpw.grid import GridSpec, SpectralField, lp_norm, random_field
+from lpw import lp, rng
+from lpw.grid import GridSpec, SpectralField, l2_norm, lp_norm, random_field
 from lpw.lp import (RING_HI, RING_LO, bernstein_ratio, build_partition,
                     dyadic_norm_sequence, flat_dyadic_field, profile_value,
                     project, project_window, psi, shell_packet, shell_sum_field,
@@ -90,6 +90,38 @@ class TestPartition:
             tracemalloc.stop()
         assert held <= 16 * grid.npoints + 8 * (part.jmax + 2) + 4096
 
+    @pytest.mark.parametrize("dim,N", [(1, 256), (2, 64), (3, 16)])
+    def test_blocks_equal_the_whole_lattice_build(self, monkeypatch, dim, N):
+        # the psi loop over blocks of 7 points and the per-shell counting
+        # order give the whole-lattice loop's values and argsort's order
+        grid = GridSpec(dim, N)
+        J, r = grid.jmax, grid.xi_abs.ravel()
+        lower, weight, idx = np.full(r.size, J, dtype=np.int8), np.ones(r.size), np.arange(r.size)
+        for j in range(J - 1, -1, -1):
+            low = psi(r[idx] / 2.0**j)
+            idx = idx[low > 0.0]
+            lower[idx], weight[idx] = j, low[low > 0.0]
+        sites = np.argsort(lower, kind="stable")
+        starts = np.concatenate([[0], np.cumsum(np.bincount(lower, minlength=J + 1))])
+        monkeypatch.setattr(rng, "_BLOCK", 7)
+        part = build_partition(grid)
+        assert np.array_equal(part.sites, sites) and np.array_equal(part.starts, starts)
+        assert np.array_equal(_bits(part.weight), _bits(weight[sites]))
+
+    def test_build_peak_memory(self):
+        # besides the 4 MiB it keeps, a build holds the lower shells (one
+        # byte a point) and the unsorted weights; 13.1 MiB when the psi loop
+        # and the argsort ran on the whole lattice
+        grid = GridSpec(2, 512)
+        grid.xi_abs, grid.nyquist_mask
+        tracemalloc.start()
+        try:
+            build_partition(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 << 20
+
     def test_smallest_grid_has_three_shells(self):
         part = build_partition(GridSpec(1, 16))
         assert part.jmax == 3
@@ -159,24 +191,44 @@ class TestShellPacket:
                 assert np.array_equal(got.coefficients, c), (j, coherent)
 
     @pytest.mark.parametrize("dim,N", [(1, 4096), (2, 64)])
-    def test_sum_fields_equal_dense_profile_draws(self, dim, N, monkeypatch):
+    def test_sum_fields_equal_dense_profile_draws(self, dim, N):
         # the packet sums equal the ones built from whole-lattice draws times
-        # the dense reference profiles
+        # the dense reference profiles, each normalized packet added to a
+        # whole-lattice total
         part = build_partition(GridSpec(dim, N))
         grid, profiles = part.grid, _dense_profiles(part.grid)
 
-        def dense_packet(part, j, seed, coherent=True):
-            raw = complex_samples(seed, grid.npoints).reshape(grid.shape)
-            c = (1.0 + 0.5 * raw.real if coherent else raw) * profiles[j]
-            c[grid.nyquist_mask] = 0.0
-            return SpectralField(grid, freq=c)
+        def dense_sum(scales, seed, norm_p):
+            total = np.zeros((1,) + grid.shape, dtype=np.complex128)
+            for j, scale in scales.items():
+                raw = complex_samples(seed + 101 * j, grid.npoints).reshape(grid.shape)
+                c = raw * profiles[j]
+                c[grid.nyquist_mask] = 0.0
+                pkt = SpectralField(grid, freq=c)
+                nrm = l2_norm(pkt) if norm_p == 2 else lp_norm(pkt, norm_p)
+                total += (scale / nrm) * pkt.coefficients
+            return total
 
         scales = {j: 2.0 ** -j for j in range(part.jmax + 1)}
-        got = [flat_dyadic_field(part, 3), shell_sum_field(part, scales, 4, norm_p=3.0)]
-        monkeypatch.setattr(lp, "shell_packet", dense_packet)
-        want = [flat_dyadic_field(part, 3), shell_sum_field(part, scales, 4, norm_p=3.0)]
+        got = [flat_dyadic_field(part, 3), shell_sum_field(part, scales, 4, norm_p=3.0),
+               *lp._shell_sum_fields(part, scales, 4, (2.0, 3.0, 1.5))]
+        want = [dense_sum({j: 1.0 for j in range(1, part.jmax + 1)}, 3, 2.0),
+                dense_sum(scales, 4, 3.0), *(dense_sum(scales, 4, p) for p in (2.0, 3.0, 1.5))]
         for a, b in zip(got, want):
-            assert np.array_equal(a.coefficients, b.coefficients)
+            assert np.array_equal(_bits(a.coefficients), _bits(b))
+
+    def test_sum_fields_transform_each_packet_once(self, monkeypatch):
+        # one modulus per packet serves every exponent that is not 2
+        part = build_partition(GridSpec(1, 4096))
+        scales = {j: 2.0 ** -j for j in range(1, part.jmax + 1)}
+        calls = []
+        monkeypatch.setattr(np.fft, "ifftn", lambda *a, _f=np.fft.ifftn, **k: calls.append(1)
+                            or _f(*a, **k))
+        lp._shell_sum_fields(part, scales, 4, (2.0, 3.0, 1.5))
+        assert len(calls) == len(scales)
+        calls.clear()
+        lp._shell_sum_fields(part, scales, 4, (2.0,))
+        assert calls == []
 
 
 class TestBernstein:

@@ -12,6 +12,7 @@ from lpw.lp import build_partition, dyadic_norm_sequence
 from lpw.probe import (_quadratic_term, cutoff_field, custom_equation,
                        dyadic_decay_report, equation_residual, equation_spec,
                        localize, manufactured_solution, run_probe)
+from lpw import psido
 from lpw.psido import fit_log2_slope
 from lpw.symbols import apply, grad_symbol, laplacian_symbol, resolve_symbol
 
@@ -309,6 +310,30 @@ class TestRunProbe:
             tracemalloc.stop()
         assert peak <= 30e6
 
+
+    def test_lower_bound_scanned_once_per_argument_set(self, monkeypatch):
+        # ellipticity (shift 0) and the split's floor of E = L (shift 1); the
+        # parametrix reuses the split's scan, which it repeated before
+        scans = []
+
+        def counting(sym, grid, r_min, shift, x_mask=None, _floor=psido._symbol_floor):
+            scans.append((sym.name, r_min, shift))
+            return _floor(sym, grid, r_min, shift, x_mask)
+
+        class Scanned(Exception):
+            pass
+
+        def stop(grid):
+            raise Scanned  # the partition is built right after the parametrix
+
+        monkeypatch.setattr(psido, "_symbol_floor", counting)
+        monkeypatch.setattr("lpw.probe.build_partition", stop)
+        for kind in ("ns", "biharmonic"):
+            scans.clear()
+            eq = equation_spec(kind, n=2)
+            with pytest.raises(Scanned):
+                run_probe(eq, GridSpec(2, 256), seed=9)
+            assert scans == [(eq.L.name, 4.0, 0.0), (eq.L.name, 4.0, 1.0)]
 
     def test_each_field_split_once(self, monkeypatch):
         # u_loc is split once for the fit, the recheck and (for a scalar

@@ -6,6 +6,7 @@ import pytest
 
 from lpw.grid import GridSpec, SpectralField, grid_product, lp_norm, random_field
 from lpw.lp import build_partition, dyadic_norm_sequence, flat_dyadic_field, project
+from lpw import psido
 from lpw.probe import cutoff_field
 from lpw.psido import (CUTOFF, ap_shell_ratio, commutator_shell, commutator_symbol_remainder,
                        ellipticity_margin, fit_log2_slope, mapping_constant, parametrix,
@@ -126,6 +127,24 @@ class TestParametrix:
         g = GridSpec(2, 32)
         with pytest.raises(ValueError):
             parametrix(multiplier(1.0, lambda *xis: xis[0] + 0j), g)
+
+    @pytest.mark.parametrize("spec", ["fractional_laplacian:1.25", "sep:twoplussin:0*pow:2"])
+    def test_split_parametrix_without_a_scan(self, spec, monkeypatch):
+        # the split's parametrix is `parametrix(E, grid)` bit for bit, built
+        # without scanning E's lower bound again
+        g = GridSpec(2, 32)
+        es = split_elliptic(resolve_symbol(spec, 2), g)
+        f = random_field(g, 5)
+        want = apply(parametrix(es.E, g), f).coefficients
+        two_terms = split_elliptic(resolve_symbol("sep:twoplussin:0*pow:2+cos:1*one", 2), g)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the split scanned this lower bound already")
+
+        monkeypatch.setattr(psido, "_symbol_floor", unreachable)
+        assert np.array_equal(apply(es.parametrix(), f).coefficients, want)
+        with pytest.raises(ValueError, match="one-term"):
+            two_terms.parametrix()
 
     @pytest.mark.parametrize("N", [32, 64])
     def test_separable_matches_direct_quantization(self, N):
