@@ -97,6 +97,13 @@ def check_params(params: RegularityParams) -> HypothesisReport:
                             params.s, params.p)
 
 
+def _require_hypotheses(params: RegularityParams) -> None:
+    """Raise ValueError naming every structural hypothesis params fail."""
+    rep = check_params(params)
+    if not rep.ok:
+        raise ValueError(f"hypotheses fail: {', '.join(rep.violations)}")
+
+
 def critical_exponent(n, alpha, beta, gamma) -> float:
     """q = n / (alpha - beta - gamma), the borderline integrability of V."""
     gap = alpha - beta - gamma
@@ -117,9 +124,7 @@ def lift_parameters(params: RegularityParams) -> RegularityParams:
     scaling line: s -> s - eta with eta = min(1/4, (s-gamma)/2) and p adjusted
     so s - n/p is preserved.
     """
-    rep = check_params(params)
-    if not rep.ok:
-        raise ValueError(f"hypotheses fail: {', '.join(rep.violations)}")
+    _require_hypotheses(params)
     n, s, p = params.n, params.s, params.p
     nu = params.nu
     if abs(s - nu) <= 1e-12:
@@ -171,14 +176,13 @@ class BootstrapExponents:
 
 
 def bootstrap_exponents(params: RegularityParams) -> BootstrapExponents:
-    rep = check_params(params)
-    if not rep.ok:
-        raise ValueError(f"hypotheses fail: {', '.join(rep.violations)}")
+    _require_hypotheses(params)
     n, s, p = params.n, params.s, params.p
     nu = params.nu
     inv = {
         "p1": 1.0 / p + nu / n - s / n,
         "p2": 1.0 / p - s / n,
+        "p3": 1.0 / p + nu / n - s / n,
         "p4": 1.0 / p + nu / n - s / n - 1.0 / n,
         "p5": 1.0 / params.q,
     }
@@ -191,11 +195,6 @@ def bootstrap_exponents(params: RegularityParams) -> BootstrapExponents:
             vals[name] = 1.0 / iv
             if vals[name] <= 1.0:
                 inconsistent.append(name)
-    vals["p3"] = vals["p1"]
-    if "p1" in degenerate:
-        degenerate.append("p3")
-    if "p1" in inconsistent:
-        inconsistent.append("p3")
     return BootstrapExponents(
         p1=vals["p1"], p2=vals["p2"], p3=vals["p3"], p4=vals["p4"], p5=vals["p5"],
         degenerate=tuple(sorted(degenerate)), inconsistent=tuple(sorted(inconsistent)),
@@ -271,9 +270,7 @@ class GainReport:
 
 def compute_gains(params: RegularityParams) -> GainReport:
     """Full exponent pipeline: check, lift, bootstrap, gains."""
-    rep = check_params(params)
-    if not rep.ok:
-        raise ValueError(f"hypotheses fail: {', '.join(rep.violations)}")
+    _require_hypotheses(params)
     lifted = params.lifted()
     lowered = lifted.s != params.s
     return GainReport(

@@ -70,10 +70,7 @@ class GridSpec:
 
     def xi_abs2(self) -> np.ndarray:
         """|xi|^2 on the lattice, summed afresh on each call (not cached)."""
-        out = np.zeros(self.shape)
-        for a in self.xi_axes:
-            out += a * a
-        return out
+        return _abs2(*self.xi_axes)
 
     @cached_property
     def xi_abs(self) -> np.ndarray:
@@ -101,6 +98,15 @@ class GridSpec:
         return center_distance(*self.x_axes)
 
 
+def _abs2(*axes) -> np.ndarray:
+    """|xi|^2, the sum of the squared frequency components `axes` in order,
+    as a fresh array of their broadcast shape: the one place it is written."""
+    out = np.square(axes[0])
+    for a in axes[1:]:
+        out = out + np.square(a)
+    return out
+
+
 def center_distance(*xs) -> np.ndarray:
     """Geodesic distance from the points `xs` to the cell center pi*(1,..,1).
 
@@ -118,7 +124,9 @@ class SpectralField:
 
     Arrays have shape (ncomp, *grid.shape).  Fields are immutable by
     convention: operations return fresh instances and never write into the
-    arrays of their inputs.  Representation sync is cached on first use.
+    arrays of their inputs.  Representation sync is cached on first use; a
+    representation synced from an all-zero one is zeros, made without a
+    transform.
     """
 
     __slots__ = ("grid", "ncomp", "_phys", "_freq")
@@ -145,20 +153,18 @@ class SpectralField:
 
     @classmethod
     def zeros(cls, grid: GridSpec, ncomp: int = 1) -> "SpectralField":
-        # both representations, in two arrays, so reading either transforms nothing
-        shape = (ncomp,) + grid.shape
-        return cls(grid, phys=np.zeros(shape, complex), freq=np.zeros(shape, complex))
+        return cls(grid, freq=np.zeros((ncomp,) + grid.shape, complex))
 
     @property
     def physical(self) -> np.ndarray:
         if self._phys is None:
-            self._phys = _inverse(self._freq)
+            self._phys = _inverse(self._freq) if self._freq.any() else np.zeros_like(self._freq)
         return self._phys
 
     @property
     def coefficients(self) -> np.ndarray:
         if self._freq is None:
-            self._freq = _forward(self._phys)
+            self._freq = _forward(self._phys) if self._phys.any() else np.zeros_like(self._phys)
         return self._freq
 
     def component(self, c: int) -> "SpectralField":

@@ -73,9 +73,10 @@ class LPPartition:
 
     def support(self, lo: int, hi: int) -> tuple:
         """(sites, values) of the profile sum over shells lo..hi: one slice
-        of `sites`, with 1 - t on segment lo - 1, t + (1 - t) on segments
-        lo..hi-1 and t on segment hi, which is how the dense sum of those
-        profiles rounds at each point.  Zero off the returned sites."""
+        of `sites`, with 1 - t on segment lo - 1, 1 on segments lo..hi-1 and
+        t on segment hi, which is how the dense sum of those profiles rounds
+        at each point (t + (1 - t) rounds to 1 for every t in [0, 1]).  Zero
+        off the returned sites."""
         for j in (lo, hi):
             if not 0 <= j <= self.jmax:
                 raise ValueError(f"shell index {j} out of range [0, {self.jmax}]")
@@ -83,7 +84,7 @@ class LPPartition:
         head, tail = self.starts[lo] - a, self.starts[hi] - a
         values = self.weight[a:b].copy()
         values[:head] = 1.0 - values[:head]
-        values[head:tail] += 1.0 - values[head:tail]
+        values[head:tail] = 1.0
         return self.sites[a:b], values
 
     def profile(self, j: int) -> np.ndarray:
@@ -188,12 +189,6 @@ def bernstein_ratio(f: SpectralField, j: int, p, q) -> float:
     return lp_norm(f, q) / (scale * lp_norm(f, p))
 
 
-def _modulus(shell: SpectralField) -> np.ndarray:
-    """|P_j f| from a coefficient-only shell: one inverse transform, or
-    zeros without one when the shell has no nonzero coefficient."""
-    return shell.modulus() if shell.coefficients.any() else np.zeros(shell.grid.shape)
-
-
 def _reduce_shells(part: LPPartition, f: SpectralField, rs=(), pairs=()) -> tuple:
     """The one split of f into shells 0..jmax, reduced as it streams: for
     each exponent r in rs the L^r norm of every shell (a row of an array),
@@ -216,7 +211,7 @@ def _reduce_shells(part: LPPartition, f: SpectralField, rs=(), pairs=()) -> tupl
     for j in range(part.jmax + 1):
         shell = SpectralField(f.grid, freq=_on_support(part, coeffs, j, j))
         l2 = l2_norm(shell)
-        mod = _modulus(shell) if transform else None
+        mod = shell.modulus() if transform else None
         del shell  # not held while the shell is reduced
         for i, r in enumerate(rs):
             norms[i, j] = l2 if r == 2 else _modulus_norm(mod, r)

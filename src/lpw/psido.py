@@ -16,7 +16,7 @@ from .grid import GridSpec, SpectralField, _forward, _inverse, center_distance, 
 from .lp import LPPartition, profile_value, project, project_window, sobolev_norms
 from .smooth import ramp_down, ramp_up
 from . import symbols as sym_mod
-from .symbols import Symbol, apply
+from .symbols import Symbol, _abs_xi, _masked_inverse, apply
 
 
 # -- shared slope fitting -------------------------------------------------
@@ -125,9 +125,34 @@ class EllipticSplit:
     M: Symbol
 
     def parametrix(self) -> Symbol:
-        """`parametrix(E, grid)` without its lower-bound scan, which
-        `split_elliptic` made with the same arguments (and raised on)."""
-        return _parametrix_symbol(self.E)
+        """First-order approximate inverse of E, of E's kind: chi(|xi|) / e(xi)
+        for a multiplier, (1 / b(x)) (chi / c)(xi) for a one-term separable
+        b(x) c(xi), where the smooth cutoff chi is 0 below CUTOFF/2 and 1 from
+        CUTOFF on.
+
+        For multiplier E the composition with E is the identity on |xi| >=
+        CUTOFF exactly; for x-dependent E the defect gains one order per
+        shell.  The full asymptotic series is deliberately not built.  Any
+        other E raises ValueError naming it.  E's lower bound is the one
+        `split_elliptic` scanned (and raised on); `apply` rejects a 1/b made
+        infinite by a zero of b that the scan's x sample missed.
+        """
+        E = self.E
+        if not (E.kind == "multiplier" or (E.kind == "separable" and len(E.terms) == 1)):
+            raise ValueError(f"parametrix of {E.name!r} needs a multiplier or a one-term "
+                             f"separable symbol, got kind {E.kind!r} with {len(E.terms)} terms")
+
+        def inverse(e, xis):
+            return _masked_inverse(e, ramp_up(_abs_xi(*xis), CUTOFF / 2.0, CUTOFF))
+
+        name = f"{E.name}:parametrix"
+        if E.kind == "multiplier":
+            return sym_mod.multiplier(
+                -E.order, lambda *xis: inverse(np.asarray(E.xi_func(*xis)), xis), name)
+        (bx, cxi), = E.terms
+        return sym_mod.separable(
+            -E.order, [(lambda *xs: 1.0 / np.asarray(bx(*xs)),
+                        lambda *xis: inverse(np.asarray(cxi(*xis)), xis))], name)
 
 
 def _ball_window(*xs):
@@ -175,45 +200,6 @@ def split_elliptic(L: Symbol, grid: GridSpec) -> EllipticSplit:
     if _symbol_floor(E, grid, CUTOFF, 1.0) <= 0.0:
         raise ValueError("splitting failed: glued symbol not bounded below at high frequency")
     return EllipticSplit(E=E, M=M)
-
-
-def parametrix(E: Symbol, grid: GridSpec) -> Symbol:
-    """First-order approximate inverse, of E's kind: chi(|xi|) / e(xi) for a
-    multiplier, (1 / b(x)) (chi / c)(xi) for a one-term separable b(x) c(xi),
-    where the smooth cutoff chi is 0 below CUTOFF/2 and 1 from CUTOFF on.
-
-    For multiplier E the composition with E is the identity on |xi| >= CUTOFF
-    exactly; for x-dependent E the defect gains one order per shell.  The
-    full asymptotic series is deliberately not built.  Any other E raises
-    ValueError naming it.  `apply` rejects a 1/b made infinite by a zero of
-    b that the ellipticity scan's x sample missed.
-    """
-    B = _parametrix_symbol(E)
-    if _symbol_floor(E, grid, CUTOFF, 1.0) <= 0.0:
-        raise ValueError("parametrix needs a positive lower bound on the symbol")
-    return B
-
-
-def _parametrix_symbol(E: Symbol) -> Symbol:
-    """The symbol `parametrix` returns, before its lower-bound check."""
-    if not (E.kind == "multiplier" or (E.kind == "separable" and len(E.terms) == 1)):
-        raise ValueError(f"parametrix of {E.name!r} needs a multiplier or a one-term "
-                         f"separable symbol, got kind {E.kind!r} with {len(E.terms)} terms")
-
-    def masked_inverse(e, xis):
-        mask = ramp_up(np.sqrt(sum(np.asarray(a, dtype=float) ** 2 for a in xis)),
-                       CUTOFF / 2.0, CUTOFF)
-        safe = np.where(e == 0, 1.0, e)
-        return np.where(mask != 0.0, mask / safe, 0.0)
-
-    name = f"{E.name}:parametrix"
-    if E.kind == "multiplier":
-        return sym_mod.multiplier(
-            -E.order, lambda *xis: masked_inverse(np.asarray(E.xi_func(*xis)), xis), name)
-    (bx, cxi), = E.terms
-    return sym_mod.separable(
-        -E.order, [(lambda *xs: 1.0 / np.asarray(bx(*xs)),
-                    lambda *xis: masked_inverse(np.asarray(cxi(*xis)), xis))], name)
 
 
 # -- shell estimates --------------------------------------------------------
@@ -278,10 +264,8 @@ def _remainder_max(A: Symbol, grid: GridSpec, k: int, ts: np.ndarray) -> np.ndar
         a_vals = np.asarray(A.eval_xy(xs, xis), dtype=np.complex128)
         a_vals = np.broadcast_to(a_vals, (t.size,) + grid.shape)
         ahat = _forward(a_vals)
-        shift2 = (tcol + grid.xi_axes[0]) ** 2
-        for a in grid.xi_axes[1:]:
-            shift2 = shift2 + a * a
-        phi = profile_value(k, np.sqrt(shift2)) - profile_value(k, np.abs(tcol))
+        shifted = _abs_xi(tcol + grid.xi_axes[0], *grid.xi_axes[1:])  # |xi + t e1|
+        phi = profile_value(k, shifted) - profile_value(k, np.abs(tcol))
         rho = _inverse(phi * ahat)
         mags.append(np.abs(rho).reshape(t.size, -1).max(axis=1))
     return np.concatenate(mags)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, SpectralField, _inverse, center_distance
+from .grid import GridSpec, SpectralField, _abs2, _inverse, center_distance
 from .smooth import ramp_down
 
 _LOG_DOUBLE_MAX = 700.0  # ln(1.8e308), overflow guard for |xi|^m
@@ -122,7 +122,8 @@ def apply(sym: Symbol, f: SpectralField) -> SpectralField:
         out = np.zeros_like(c)
         for bx, cxi in sym.terms:
             cv = _check_finite(np.asarray(cxi(*grid.xi_axes)), sym.name)
-            with np.errstate(divide="ignore"):  # 1/b at a zero of b is inf, rejected here
+            # 1/b at a zero of b is inf (nan for a complex b), rejected here
+            with np.errstate(divide="ignore", invalid="ignore"):
                 bv = _check_finite(np.asarray(bx(*grid.x_axes)), sym.name)
             out += _inverse(c * cv) * np.broadcast_to(bv, grid.shape)
         return SpectralField(grid, phys=out)
@@ -173,10 +174,14 @@ def quantize_direct(sym: Symbol, f: SpectralField) -> SpectralField:
 
 
 def _abs_xi(*xis):
-    out = None
-    for a in xis:
-        out = a * a if out is None else out + a * a
-    return np.sqrt(out)
+    return np.sqrt(_abs2(*xis))
+
+
+def _masked_inverse(e, mask) -> np.ndarray:
+    """mask / e where mask != 0, else 0: the inverse of the symbol values e
+    on the support of mask, where a zero of e divides by 1."""
+    safe = np.where(e == 0, 1.0, e)
+    return np.where(mask != 0, mask / safe, 0.0)
 
 
 def laplacian_symbol() -> Symbol:

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .exponents import RegularityParams, zone_branches, zone_transfers
-from .grid import GridSpec, dealiased_product, l2_norm, lp_norm, random_field
+from .grid import GridSpec, _abs2, dealiased_product, l2_norm, lp_norm, random_field
 from .lp import (_shell_sum_fields, build_partition, bernstein_ratio, flat_dyadic_field,
                  project, shell_packet)
 from .paraproduct import all_pairs_shells, split, zone_estimate_reports
@@ -262,8 +262,7 @@ def _zone_estimate_stability(seed: int) -> dict:
     # of packets serve them; only each u's L^r normalization differs
     gamma, sigma = cases[0].gamma, cases[0].sigma
     V = flat_dyadic_field(part, seed + 23)
-    Q = sym.multiplier(gamma, lambda *xis: (1.0 + sum(
-        np.asarray(a) ** 2 for a in xis)) ** (gamma / 2.0), "qref")
+    Q = sym.multiplier(gamma, lambda *xis: (1.0 + _abs2(*xis)) ** (gamma / 2.0), "qref")
     us = _shell_sum_fields(part, {j: 2.0 ** (-(sigma + 0.3) * j) for j in range(1, part.jmax + 1)},
                            seed + 11, [params.r for params in cases])
     ok = True

@@ -206,6 +206,15 @@ class TestTransformCounts:
         assert dyadic_norm_sequence(part2, f, 2.0).size == part2.jmax + 1
         assert calls == {}
 
+    @pytest.mark.parametrize("ncomp", [1, 3])
+    def test_all_zero_field_syncs_without_a_transform(self, calls, grid2, ncomp):
+        # samples of all-zero coefficients and coefficients of all-zero samples
+        zeros = np.zeros((ncomp,) + grid2.shape)
+        synced = (SpectralField(grid2, freq=zeros).physical,
+                  SpectralField(grid2, phys=zeros).coefficients)
+        assert all(a.shape == zeros.shape and not a.any() for a in synced)
+        assert calls == {}
+
     def test_mixed_pairs_split_once(self, calls, part1):
         # a p = 3 pair needs every shell's modulus; the p = 2 pair reads the
         # same split's coefficients

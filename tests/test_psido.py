@@ -9,8 +9,7 @@ from lpw.lp import build_partition, dyadic_norm_sequence, flat_dyadic_field, pro
 from lpw import psido
 from lpw.probe import cutoff_field
 from lpw.psido import (CUTOFF, ap_shell_ratio, commutator_shell, commutator_symbol_remainder,
-                       ellipticity_margin, fit_log2_slope, mapping_constant, parametrix,
-                       split_elliptic)
+                       ellipticity_margin, fit_log2_slope, mapping_constant, split_elliptic)
 from lpw.smooth import ramp_up
 from lpw.symbols import (apply, grad_symbol, multiplication, multiplier, quantize_direct,
                          resolve_symbol, separable)
@@ -105,7 +104,7 @@ class TestParametrix:
     def test_inverse_above_cutoff(self, grid1):
         part = build_partition(grid1)
         L = resolve_symbol("fractional_laplacian:1.25")
-        B = parametrix(L, grid1)
+        B = split_elliptic(L, grid1).parametrix()
         f = random_field(grid1, 5)
         diff = (apply(B, apply(L, f)) - f.without_nyquist()).coefficients
         high = grid1.xi_abs >= CUTOFF
@@ -116,26 +115,21 @@ class TestParametrix:
         part = build_partition(g)
         L = resolve_symbol("sep:twoplussin:0*pow:2")
         es = split_elliptic(L, g)
-        B = parametrix(es.E, g)
+        B = es.parametrix()
         f = flat_dyadic_field(part, 6)
         shells = dyadic_norm_sequence(part, apply(B, apply(es.E, f)) - f.without_nyquist(), 2)
         ks = range(4, part.jmax)
         fit = fit_log2_slope(ks, shells[4:part.jmax])
         assert fit.slope <= -0.8
 
-    def test_no_lower_bound_rejected(self):
-        g = GridSpec(2, 32)
-        with pytest.raises(ValueError):
-            parametrix(multiplier(1.0, lambda *xis: xis[0] + 0j), g)
-
     @pytest.mark.parametrize("spec", ["fractional_laplacian:1.25", "sep:twoplussin:0*pow:2"])
     def test_split_parametrix_without_a_scan(self, spec, monkeypatch):
-        # the split's parametrix is `parametrix(E, grid)` bit for bit, built
-        # without scanning E's lower bound again
+        # the parametrix is built without scanning E's lower bound again,
+        # which the split has scanned; it equals a fresh split's bit for bit
         g = GridSpec(2, 32)
         es = split_elliptic(resolve_symbol(spec, 2), g)
         f = random_field(g, 5)
-        want = apply(parametrix(es.E, g), f).coefficients
+        want = apply(split_elliptic(resolve_symbol(spec, 2), g).parametrix(), f).coefficients
         two_terms = split_elliptic(resolve_symbol("sep:twoplussin:0*pow:2+cos:1*one", 2), g)
 
         def unreachable(*args, **kwargs):
@@ -149,7 +143,7 @@ class TestParametrix:
     @pytest.mark.parametrize("N", [32, 64])
     def test_separable_matches_direct_quantization(self, N):
         g = GridSpec(2, N)
-        B = parametrix(split_elliptic(resolve_symbol("sep:twoplussin:0*pow:2", 2), g).E, g)
+        B = split_elliptic(resolve_symbol("sep:twoplussin:0*pow:2", 2), g).parametrix()
         assert B.kind == "separable"
         f = random_field(g, 5)
         direct = quantize_direct(B, f)
@@ -158,8 +152,8 @@ class TestParametrix:
     def test_separable_symbol_inverts_e_above_cutoff(self):
         # b(x, xi) e(x, xi) = chi(|xi|) at every grid x and lattice xi
         g = GridSpec(2, 32)
-        E = split_elliptic(resolve_symbol("sep:twoplussin:0*pow:2", 2), g).E
-        B = parametrix(E, g)
+        es = split_elliptic(resolve_symbol("sep:twoplussin:0*pow:2", 2), g)
+        E, B = es.E, es.parametrix()
         xs = tuple(np.broadcast_to(a, g.shape).reshape(-1, 1) for a in g.x_axes)
         xis = tuple(np.broadcast_to(a, g.shape).reshape(1, -1) for a in g.xi_axes)
         chi = ramp_up(g.xi_abs.reshape(1, -1), CUTOFF / 2.0, CUTOFF)
@@ -167,21 +161,22 @@ class TestParametrix:
 
     def test_two_term_symbol_rejected(self):
         g = GridSpec(2, 32)
-        E = split_elliptic(resolve_symbol("sep:twoplussin:0*pow:2+cos:1*one", 2), g).E
-        assert len(E.terms) == 2
-        with pytest.raises(ValueError, match=re.escape(repr(E.name))):
-            parametrix(E, g)
+        es = split_elliptic(resolve_symbol("sep:twoplussin:0*pow:2+cos:1*one", 2), g)
+        assert len(es.E.terms) == 2
+        with pytest.raises(ValueError, match=re.escape(repr(es.E.name))):
+            es.parametrix()
 
     def test_zero_of_b_off_the_scan_sample_rejected_on_apply(self):
-        # the ellipticity scan samples every 4th point of 1,64 and misses the
-        # zero at x = 2 pi / 64; 1/b is infinite there, and apply names B
+        # the ellipticity scans sample every 4th point of 1,64 and miss the
+        # zero at x = 2 pi 33 / 64, inside the unit ball about pi, where the
+        # glued E keeps b; 1/b is infinite there, and apply names B
         g = GridSpec(1, 64)
 
         def b(x):
-            return np.where(np.isclose(x, 2.0 * np.pi / 64), 0.0, 2.0 + np.sin(x))
+            return np.where(np.isclose(x, 2.0 * np.pi * 33 / 64), 0.0, 2.0 + np.sin(x))
 
-        E = separable(2.0, [(b, lambda xi: 1.0 + xi**2)], "zeroed")
-        B = parametrix(E, g)
+        B = split_elliptic(separable(2.0, [(b, lambda xi: 1.0 + xi**2)], "zeroed"),
+                           g).parametrix()
         with pytest.raises(ValueError, match=re.escape(repr(B.name))):
             apply(B, random_field(g, 5))
 
@@ -193,7 +188,7 @@ class TestParametrix:
         monkeypatch.setattr("lpw.symbols.quantize_direct", unreachable)
         g = GridSpec(2, 32)
         es = split_elliptic(resolve_symbol(spec, 2), g)
-        B = parametrix(es.E, g)
+        B = es.parametrix()
         f = random_field(g, 5)
         for out in (apply(es.E, f), apply(es.M, f), apply(B, f), apply(B, apply(es.E, f))):
             assert np.all(np.isfinite(out.coefficients))
@@ -202,7 +197,7 @@ class TestParametrix:
         # b * l is the cutoff: 0 below CUTOFF/2, strictly between there and
         # CUTOFF, and 1 from CUTOFF on
         L = multiplier(2.0, lambda *xis: abs2(*xis), "neg_lap")
-        B = parametrix(L, GridSpec(1, 64))
+        B = split_elliptic(L, GridSpec(1, 64)).parametrix()
         r = np.array([1.0, 1.9, 3.0, 4.0, 10.0])
         chi = (B.xi_func(r) * L.xi_func(r)).real
         assert chi[[0, 1, 3, 4]].tolist() == [0.0, 0.0, 1.0, 1.0]
