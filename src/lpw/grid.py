@@ -229,20 +229,18 @@ class SpectralField:
 def _forward(phys: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Fourier coefficients: fftn over the spatial axes / their point count.
 
-    With `out` (which may be `phys` itself) every axis pass writes there, so
-    no intermediate array is made.
+    The transform scales inside its axis passes (norm="forward"), so no pass
+    over the output follows; on 2^a lattices the values equal fftn(phys) / N^n
+    bit for bit.  With `out` (which may be `phys` itself) every axis pass
+    writes there, so no intermediate array is made.
     """
-    out = np.fft.fftn(phys, axes=tuple(range(1, phys.ndim)), out=out)
-    out /= math.prod(phys.shape[1:])
-    return out
+    return np.fft.fftn(phys, axes=tuple(range(1, phys.ndim)), norm="forward", out=out)
 
 
 def _inverse(coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Physical samples: ifftn over the spatial axes * their point count;
-    `out` as for `_forward`."""
-    out = np.fft.ifftn(coeffs, axes=tuple(range(1, coeffs.ndim)), out=out)
-    out *= math.prod(coeffs.shape[1:])
-    return out
+    """Physical samples: ifftn over the spatial axes * their point count,
+    unscaled under norm="forward"; `out` as for `_forward`."""
+    return np.fft.ifftn(coeffs, axes=tuple(range(1, coeffs.ndim)), norm="forward", out=out)
 
 
 # -- norms --------------------------------------------------------------

@@ -21,6 +21,7 @@ cover compares independent computations.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,18 +108,27 @@ def _zone_grid(part: LPPartition, hi_v: int, hi_w: int, k: int) -> int:
 def _zone_windows(k: int, jmax: int) -> tuple:
     """The zones LL, LH, HL, HH of `zones(k, jmax)` as signed window pairs.
 
-    Each zone is a list of (sign, lo_v, hi_v, lo_w, hi_w): the signed sum of
-    the rectangles [lo_v, hi_v] x [lo_w, hi_w], clipped to [0, jmax], is the
-    zone's index set.  LL is [k-5, k+7]^2 minus its corner [k+6, k+7]^2, LH
-    and HL are rectangles, and HH has one window per column j.  Each zone's
-    first window on any grid is an added one.
+    Each zone is a list of (sign, lo_v, hi_v, lo_w, hi_w), every window
+    clipped to [0, jmax]: the signed sum of the rectangles [lo_v, hi_v] x
+    [lo_w, hi_w] is the zone's index set.  LL is [k-5, k+7]^2 minus its
+    corner [k+6, k+7]^2, LH and HL are rectangles, and HH pairs each column j
+    with the V window [max(k+6, j-3), min(jmax, j+3)], one window per distinct
+    V window: consecutive columns that share it merge into one w window.
+    Each zone's first window on any grid is an added one.
     """
-    LL = [(1, k - 5, k + 7, k - 5, k + 7)]
+    lo, top, mid = max(0, k - 5), min(jmax, k + 7), min(jmax, k + 3)
+    LL = [(1, lo, top, lo, top)]
     if k + 6 <= jmax:
-        LL.append((-1, k + 6, k + 7, k + 6, k + 7))
-    LH = [(1, 0, k - 6, k - 3, k + 3)] if k >= 6 else []
-    HL = [(1, k - 3, k + 3, 0, k - 6)] if k >= 6 else []
-    HH = [(1, max(k + 6, j - 3), min(jmax, j + 3), j, j) for j in range(k + 6, jmax + 1)]
+        LL.append((-1, k + 6, top, k + 6, top))
+    LH = [(1, 0, k - 6, k - 3, mid)] if k >= 6 else []
+    HL = [(1, k - 3, mid, 0, k - 6)] if k >= 6 else []
+    HH = []
+    for j in range(k + 6, jmax + 1):
+        v = (max(k + 6, j - 3), min(jmax, j + 3))
+        if HH and HH[-1][1:3] == v:
+            HH[-1] = (1, *v, HH[-1][3], j)
+        else:
+            HH.append((1, *v, j, j))
     return LL, LH, HL, HH
 
 
@@ -133,31 +143,46 @@ def split(V: SpectralField, w: SpectralField, k: int, part: LPPartition) -> Zone
     read on ring k, where a window [lo, hi] has band B = min(2^hi RING_HI,
     N/2) and ring k has K = min(2^k RING_HI, N/2).  A zone's products that
     share a grid are summed there, one forward transform per grid.
+
+    A product two zones use (LL's corner is HH's one window when jmax is k+6
+    or k+7) is made once and kept, unwritten, until its last use, which sums
+    into it in place.  The zones run in the order LL, HH, LH, HL, so no kept
+    product outlives HH.
     """
     if V.grid != w.grid:
         raise ValueError("grid mismatch")
     grid = V.grid
     out_ncomp = 1 if (V.ncomp == w.ncomp and V.ncomp > 1) else max(V.ncomp, w.ncomp)
-    fields = []
-    for windows in _zone_windows(k, part.jmax):
+    zone_terms = [[(sign, (lo_v, hi_v, lo_w, hi_w, _zone_grid(part, hi_v, hi_w, k)))
+                   for sign, lo_v, hi_v, lo_w, hi_w in windows]
+                  for windows in _zone_windows(k, part.jmax)]
+    uses = Counter(key for terms in zone_terms for _, key in terms)
+    kept = {}  # key -> a product with uses left
+    fields = [None] * 4
+    for z in (0, 3, 1, 2):  # LL, HH, LH, HL
         fines, coeffs = {}, None  # fines: grid size -> sum of the zone's products on it
-        for sign, lo_v, hi_v, lo_w, hi_w in windows:
-            M = _zone_grid(part, hi_v, hi_w, k)
-            term = _pair_product_fine(_physical_at(project_window(part, V, lo_v, hi_v), M),
-                                      _physical_at(project_window(part, w, lo_w, hi_w), M))
+        for sign, key in zone_terms[z]:
+            lo_v, hi_v, lo_w, hi_w, M = key
+            term = kept.pop(key, None)
+            if term is None:
+                term = _pair_product_fine(_physical_at(project_window(part, V, lo_v, hi_v), M),
+                                          _physical_at(project_window(part, w, lo_w, hi_w), M))
+            uses[key] -= 1
+            if uses[key]:
+                kept[key] = term
             if M not in fines:
-                fines[M] = term
+                fines[M] = term.copy() if uses[key] else term
             elif sign > 0:
                 fines[M] += term
             else:
                 fines[M] -= term
-            del term  # no product outlives its sum
+            del term  # no product outlives its sum or its last use
         while fines:  # popped, so no sum outlives its forward transform
             c = field_from_padded(grid, fines.popitem()[1]).coefficients
             coeffs = c if coeffs is None else coeffs + c
             del c
-        fields.append(SpectralField.zeros(grid, out_ncomp) if coeffs is None
-                      else project(part, SpectralField(grid, freq=coeffs), k))
+        fields[z] = (SpectralField.zeros(grid, out_ncomp) if coeffs is None
+                     else project(part, SpectralField(grid, freq=coeffs), k))
     return ZoneSplit(zones(k, part.jmax), *fields)
 
 

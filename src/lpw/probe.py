@@ -259,6 +259,7 @@ def manufactured_solution(eq: EquationSpec, grid: GridSpec,
     growth = 0
     for it in range(1, max_iter + 1):
         u = apply(Linv, forcing - nl)
+        del nl  # the last iterate's nonlinearity goes before the next is made
         if eq.forcing_projector is not None:
             u = eq.forcing_projector(u)
         nl = eq.nonlinearity(eq.coefficient(u), u)

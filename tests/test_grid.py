@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lpw.grid import (GridSpec, SpectralField, _pair_product_fine, dealiased_product,
-                      field_from_padded, grid_product, l2_norm, lp_norm, padded_physical,
-                      random_field)
+from lpw.grid import (GridSpec, SpectralField, _forward, _inverse, _pair_product_fine,
+                      dealiased_product, field_from_padded, grid_product, l2_norm, lp_norm,
+                      padded_physical, random_field)
 from lpw.exponents import RegularityParams
 from lpw.lp import build_partition, dyadic_norm_sequence, flat_dyadic_field, sobolev_norms
 from lpw.paraproduct import (all_pairs_shell, all_pairs_shells, product_shell, split,
@@ -84,6 +84,27 @@ class TestTransforms:
         num = np.linalg.norm((back.coefficients - f.coefficients).ravel())
         assert num / np.linalg.norm(f.coefficients.ravel()) <= 1e-12
 
+    @pytest.mark.parametrize("ncomp", [1, 3])
+    @pytest.mark.parametrize("lattice", [(256,), (32, 64), (16, 16, 16),  # 2^a: bit for bit
+                                         (96,), (48, 48), (24, 24, 24),   # 3 * 2^a
+                                         (80,), (40, 40), (20, 20, 20)])  # 5 * 2^a
+    def test_scaling_equals_a_separate_pass(self, ncomp, lattice):
+        # fftn / N^n and ifftn * N^n, scaled inside the transform instead;
+        # only where 1/N^n is inexact may the last digits move
+        x = np.random.default_rng(len(lattice)).standard_normal((2 * ncomp,) + lattice)
+        x = x[:ncomp] + 1j * x[ncomp:]
+        axes, n = tuple(range(1, x.ndim)), math.prod(lattice)
+        exact = all(N & (N - 1) == 0 for N in lattice)
+        for fn, ref in ((_forward, np.fft.fftn(x, axes=axes) / n),
+                        (_inverse, np.fft.ifftn(x, axes=axes) * n)):
+            buf = x.copy()
+            got, in_place = fn(x), fn(buf, out=buf)
+            assert in_place is buf and np.array_equal(in_place, got)
+            if exact:
+                assert np.array_equal(got, ref)
+            else:
+                assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+
 
 class TestTransformCounts:
     """Transforms of small fixed workloads, pinned so an extra pass fails.
@@ -118,16 +139,29 @@ class TestTransformCounts:
         assert calls == {("fftn", "_forward"): 1, ("ifftn", "_inverse"): 2}
 
     def test_split_zone_grids(self, shapes):
-        # N = 2^18, k = 10: LL, its corner and both HH terms reach the top
-        # shell (band N/2), so they need M > N + K: 5 * 2^16.  LH and HL pair
-        # shells <= 4 with shells 7..13: M > 2 * 2^13 * 5/3, so 2^15.
+        # N = 2^18, k = 10: LL, its corner and HH reach the top shell (band
+        # N/2), so they need M > N + K: 5 * 2^16.  HH's columns 16 and 17
+        # share the V window [16, 17], so HH is the corner, made once for
+        # both zones (8 big inverses when each zone made its own).  LH and HL
+        # pair shells <= 4 with shells 7..13: M > 2 * 2^13 * 5/3, so 2^15.
         part = build_partition(GridSpec(1, 1 << 18))
         V, w = random_field(part.grid, 1), random_field(part.grid, 2)
         shapes.clear()
         split(V, w, 10, part)
         big, small = (5 << 16,), (1 << 15,)
-        assert shapes == {("ifftn", big): 4 + 4, ("fftn", big): 1 + 1,
+        assert shapes == {("ifftn", big): 4, ("fftn", big): 1 + 1,
                           ("ifftn", small): 2 + 2, ("fftn", small): 1 + 1}
+
+    def test_split_merges_high_high_columns(self, shapes):
+        # N = 2^20, k = 10: the HH columns 16..19 share the V window [16, 19],
+        # so HH is one product [16, 19]^2, on the grid M > N + K: 5 * 2^18
+        # (8 inverses there when each column made its own product)
+        part = build_partition(GridSpec(1, 1 << 20))
+        V, w = random_field(part.grid, 1), random_field(part.grid, 2)
+        shapes.clear()
+        split(V, w, 10, part)
+        hh = (5 << 18,)
+        assert shapes[("ifftn", hh)] == 2 and shapes[("fftn", hh)] == 1
 
     def test_split_top_shell_keeps_three_halves_grid(self, shapes, grid2, part2):
         # at k = jmax the band rule asks for 2N; the 3/2 grid is already exact
@@ -274,8 +308,10 @@ class TestTransformCounts:
         # one padded product V w per grid, projected onto each of its shells
         # (360 when `product_shell` padded it again for every k); the zone
         # stability's 18 packets are inverse-transformed once for both cases
-        # (351 when each case drew them again)
-        assert paraproduct_run[1] == 333
+        # (351 when each case drew them again); the 4 and 3 HH columns of the
+        # full zones at k = 10 and 11 are one product each (333 when each
+        # column made its own)
+        assert paraproduct_run[1] == 295
 
     def test_flat_field_transforms_nothing(self, calls):
         # each packet's L^2 scale is read from its coefficients (jmax

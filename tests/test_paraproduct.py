@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from lpw.exponents import RegularityParams
@@ -40,7 +41,7 @@ class TestZoneSets:
         assert (12, 0) in zp.HL
 
     def test_window_table_is_the_zone_sets(self):
-        # the signed rectangles split sums, clipped to [0, jmax], count each
+        # the signed rectangles split sums, each inside [0, jmax], count each
         # pair of a zone once and every other pair not at all
         for jmax in range(3, 25):
             for k in range(jmax + 1):
@@ -48,10 +49,33 @@ class TestZoneSets:
                 for windows, expect in zip(_zone_windows(k, jmax), (zp.LL, zp.LH, zp.HL, zp.HH)):
                     count = np.zeros((jmax + 1, jmax + 1), dtype=int)
                     for sign, lo_v, hi_v, lo_w, hi_w in windows:
-                        count[max(lo_v, 0):hi_v + 1, max(lo_w, 0):hi_w + 1] += sign
+                        assert 0 <= lo_v <= hi_v <= jmax and 0 <= lo_w <= hi_w <= jmax
+                        count[lo_v:hi_v + 1, lo_w:hi_w + 1] += sign
                     assert set(np.unique(count)) <= {0, 1}, (k, jmax)
                     assert {tuple(map(int, ij)) for ij in np.argwhere(count == 1)} == expect, \
                         (k, jmax)
+
+
+def _per_column_zones(V, w, k, part):
+    """Coefficients of the zones I..IV as sums of one product per window,
+    with one HH window per column j and windows not clipped to [0, jmax]."""
+    jmax = part.jmax
+    LL = [(1, k - 5, k + 7, k - 5, k + 7)]
+    if k + 6 <= jmax:
+        LL.append((-1, k + 6, k + 7, k + 6, k + 7))
+    LH = [(1, 0, k - 6, k - 3, k + 3)] if k >= 6 else []
+    HL = [(1, k - 3, k + 3, 0, k - 6)] if k >= 6 else []
+    HH = [(1, max(k + 6, j - 3), min(jmax, j + 3), j, j) for j in range(k + 6, jmax + 1)]
+    out = []
+    for windows in (LL, LH, HL, HH):
+        total = np.zeros((1,) + part.grid.shape, dtype=complex)
+        for sign, lo_v, hi_v, lo_w, hi_w in windows:
+            M = _zone_grid(part, hi_v, hi_w, k)
+            fine = _pair_product_fine(_physical_at(project_window(part, V, lo_v, hi_v), M),
+                                      _physical_at(project_window(part, w, lo_w, hi_w), M))
+            total += sign * field_from_padded(part.grid, fine).coefficients
+        out.append(project(part, SpectralField(part.grid, freq=total), k).coefficients)
+    return out
 
 
 class TestSplit:
@@ -100,6 +124,25 @@ class TestSplit:
         assert lp_norm(zs.II, 2) > 0.0  # low-V high-w zone
         for z in (zs.I, zs.III, zs.IV):
             assert lp_norm(z, 2) <= 1e-12 * lp_norm(zs.II, 2)
+
+    @pytest.mark.parametrize("dim, N, ks", [
+        (1, 1 << 18, (10,)),    # jmax = k+7: LL's corner is HH's one window
+        (1, 1 << 16, (9,)),     # jmax = k+6: the same, one shell wide
+        (1, 1 << 20, (10,)),    # four HH columns share one V window
+        (2, 128, (4, 5, 6)),    # truncated zones
+    ])
+    def test_zones_equal_per_column_products(self, dim, N, ks):
+        # each zone against the per-column window list, unclipped, with each
+        # product on its own grid and transformed on its own
+        part = build_partition(GridSpec(dim, N))
+        V, w = random_field(part.grid, 21), random_field(part.grid, 22)
+        for k in ks:
+            zs = split(V, w, k, part)
+            for got, ref in zip((zs.I, zs.II, zs.III, zs.IV), _per_column_zones(V, w, k, part)):
+                err = np.linalg.norm((got.coefficients - ref).ravel())
+                assert err <= 1e-13 * np.linalg.norm(ref.ravel()), (N, k)
+            direct = product_shell(V, w, k, part)
+            assert lp_norm(zs.total - direct, 2) <= 1e-10 * lp_norm(direct, 2)
 
     def test_vector_dot_cover(self):
         g = GridSpec(2, 64)

@@ -144,6 +144,7 @@ class TestManufacture:
     def test_gjms_manufacture(self):
         g = GridSpec(3, 32)
         eq = equation_spec("gjms", n=3)
+        np.fft.fftn  # numpy.fft loads on first use, and its import is no part of the solve
         tracemalloc.start()
         try:
             sol = manufactured_solution(eq, g, seed=7)
@@ -151,7 +152,9 @@ class TestManufacture:
         finally:
             tracemalloc.stop()
         assert sol.residual <= 1e-10
-        assert peak <= 10e6  # 20.4 MB traced when each product went to a fresh array
+        # 20.4 MB traced when each product went to a fresh array, 9.5 MB when
+        # the last iterate's nonlinearity lived on through the next one
+        assert peak <= 9e6
 
     def test_non_contraction_reported(self):
         g = GridSpec(2, 64)
