@@ -10,7 +10,7 @@ of model elliptic equations.
 from .grid import GridSpec, SpectralField
 from .grid import lp_norm, l2_norm, dealiased_product
 from .lp import LPPartition, build_partition, project, project_window
-from .lp import bernstein_ratio, sobolev_norms, dyadic_norm_sequence
+from .lp import bernstein_ratio, shell_norms
 from .symbols import Symbol, apply, quantize_direct, resolve_symbol, leray_projector
 from .exponents import RegularityParams, GainReport, check_hypotheses, critical_exponent
 from .exponents import lift_parameters, bootstrap_exponents, epsilon_gain, theta_exponent
@@ -23,7 +23,7 @@ __all__ = [
     "GridSpec", "SpectralField",
     "lp_norm", "l2_norm", "dealiased_product",
     "LPPartition", "build_partition", "project", "project_window",
-    "bernstein_ratio", "sobolev_norms", "dyadic_norm_sequence",
+    "bernstein_ratio", "shell_norms",
     "Symbol", "apply", "quantize_direct", "resolve_symbol", "leray_projector",
     "RegularityParams", "GainReport", "check_hypotheses", "critical_exponent",
     "lift_parameters", "bootstrap_exponents", "epsilon_gain", "theta_exponent",

@@ -85,7 +85,7 @@ def _cmd_exponents(args) -> int:
 
 
 def _read_sequence(path: str) -> DecaySequence:
-    """The last column of each row; only line 1 may be a non-numeric header."""
+    """The last column of each row, each finite and >= 0; line 1 may be a header."""
     values = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -93,11 +93,15 @@ def _read_sequence(path: str) -> DecaySequence:
             if not row:
                 continue
             try:
-                values.append(float(row[-1]))
+                value = float(row[-1])
             except ValueError:
-                if reader.line_num != 1:
-                    raise ValueError(f"{path} line {reader.line_num}: "
-                                     f"{row[-1]!r} is not a number") from None
+                if reader.line_num == 1:
+                    continue
+                value = math.nan
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{path} line {reader.line_num}: {row[-1]!r} is not "
+                                 "a finite nonnegative number")
+            values.append(value)
     return DecaySequence(values)
 
 
@@ -131,10 +135,9 @@ def _cmd_probe(args) -> int:
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["k", "a_k", "log2_a_k"])
+            w.writerow(["k", "a_k"])
             for k, v in enumerate(report.decay.a_k):
-                lv = math.log2(v) if v > 0 else -math.inf
-                w.writerow([k, repr(float(v)), repr(float(lv))])
+                w.writerow([k, repr(float(v))])
     _emit(report.as_dict(), args.out)
     return 0 if report.passed else 1
 

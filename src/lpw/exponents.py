@@ -98,10 +98,11 @@ def check_params(params: RegularityParams) -> HypothesisReport:
 
 
 def _require_hypotheses(params: RegularityParams) -> None:
-    """Raise ValueError naming every structural hypothesis params fail."""
+    """Raise ValueError naming the data and every structural hypothesis it fails."""
     rep = check_params(params)
     if not rep.ok:
-        raise ValueError(f"hypotheses fail: {', '.join(rep.violations)}")
+        raise ValueError(f"data (n={params.n}, s={params.s}, p={params.p}) violates: "
+                         + ", ".join(rep.violations))
 
 
 def critical_exponent(n, alpha, beta, gamma) -> float:

@@ -339,10 +339,10 @@ def padded_physical(f: SpectralField) -> np.ndarray:
 def field_from_padded(grid: GridSpec, fine: np.ndarray) -> SpectralField:
     """Truncate fine-grid physical samples back to coefficients on `grid`.
 
-    `fine` is left as it is: the transform writes into one fresh array.
+    The forward transform runs in place, so `fine` (a complex array the
+    caller no longer reads) holds the fine-grid coefficients afterwards.
     """
-    coarse = _forward(fine, out=np.empty(fine.shape, dtype=np.complex128))
-    return SpectralField(grid, freq=_relattice(coarse, grid.points_per_axis))
+    return SpectralField(grid, freq=_relattice(_forward(fine, out=fine), grid.points_per_axis))
 
 
 def _pair_product_fine(pv: np.ndarray, pw: np.ndarray) -> np.ndarray:

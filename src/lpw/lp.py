@@ -189,7 +189,7 @@ def bernstein_ratio(f: SpectralField, j: int, p, q) -> float:
     return lp_norm(f, q) / (scale * lp_norm(f, p))
 
 
-def _reduce_shells(part: LPPartition, f: SpectralField, rs=(), pairs=()) -> tuple:
+def shell_norms(part: LPPartition, f: SpectralField, rs=(), pairs=()) -> tuple:
     """The one split of f into shells 0..jmax, reduced as it streams: for
     each exponent r in rs the L^r norm of every shell (a row of an array),
     and for each (s, p) in pairs the smoothness norm
@@ -230,16 +230,6 @@ def _reduce_shells(part: LPPartition, f: SpectralField, rs=(), pairs=()) -> tupl
             sf_norm = float(np.mean(np.sqrt(sq) ** p) ** (1.0 / p))
         smoothness.append(float((cap**p + sf_norm**p) ** (1.0 / p)))
     return norms, smoothness
-
-
-def sobolev_norms(part: LPPartition, f: SpectralField, pairs) -> list:
-    """Smoothness norms ||f||_{s,p} (s real, 1 < p < inf), one per pair, from one split."""
-    return _reduce_shells(part, f, pairs=list(pairs))[1]
-
-
-def dyadic_norm_sequence(part: LPPartition, f: SpectralField, r) -> np.ndarray:
-    """L^r norms of the shells 0..jmax of f, as an array indexed by shell."""
-    return _reduce_shells(part, f, [r])[0][0]
 
 
 # -- seeded synthetic fields ---------------------------------------------

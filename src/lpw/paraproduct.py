@@ -29,7 +29,7 @@ import numpy as np
 from .exponents import RegularityParams, zone_branches, zone_transfers
 from .grid import (SpectralField, _norm, _pair_product_fine, _physical_at, alias_free_size,
                    dealiased_product, field_from_padded, padded_physical)
-from .lp import RING_HI, LPPartition, _reduce_shells, project, project_window
+from .lp import RING_HI, LPPartition, project, project_window, shell_norms
 from .symbols import Symbol, apply
 
 
@@ -298,7 +298,7 @@ def zone_estimate_reports(V: SpectralField, u: SpectralField, Q: Symbol, ks,
     are made once and serve every k.
     """
     params = params.lifted()
-    norms, (c_rho,) = _reduce_shells(part, u, [params.r], [(params.sigma, params.r)])
+    norms, (c_rho,) = shell_norms(part, u, [params.r], [(params.sigma, params.r)])
     return _zone_reports(V, u, Q, ks, params, part, norms[0], c_rho)
 
 

@@ -19,11 +19,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .exponents import GainReport, RegularityParams, check_params, compute_gains
-from .grid import (GridSpec, SpectralField, _abs2, _forward, _pair_product_fine, _relattice,
+from .grid import (GridSpec, SpectralField, _abs2, _pair_product_fine, field_from_padded,
                    grid_product, l2_norm, padded_physical, random_field)
 from .iteration import (DecaySequence, IterationParams, convolution_majorant,
                         decay_bound, delta_cap, hypothesis_holds)
-from .lp import LPPartition, _reduce_shells, build_partition, dyadic_norm_sequence
+from .lp import LPPartition, build_partition, shell_norms
 from .paraproduct import _zone_reports, zone_estimate_reports
 from .psido import fit_log2_slope, split_elliptic
 from .smooth import ramp_down
@@ -38,7 +38,9 @@ from .symbols import Symbol, apply
 class EquationSpec:
     """A model equation with its exponent data and nonlinearity structure.
 
-    `params` takes the orders alpha, beta, gamma from L, P and Q.
+    `params` takes the orders alpha, beta, gamma from L, P and Q, and
+    `gains` is their exponent pipeline: construction raises ValueError,
+    naming the data and every failed hypothesis, before any field work.
     `coefficient(u)` produces the field V(u) occupying the rough-coefficient
     slot; `nonlinearity(V, u)` evaluates P(V Q u) and is built from P and Q.
     """
@@ -55,6 +57,7 @@ class EquationSpec:
     coefficient: object
     forcing_projector: object = None
     params: RegularityParams = field(init=False)
+    gains: GainReport = field(init=False)
     nonlinearity: object = field(init=False)
 
     def __post_init__(self):
@@ -62,6 +65,7 @@ class EquationSpec:
             raise ValueError(f"amplitude must be finite and >= 0, got {self.amplitude}")
         self.params = RegularityParams(n=self.n, alpha=self.L.order, beta=self.P.order,
                                        gamma=self.Q.order, s=self.s, p=self.p)
+        self.gains = compute_gains(self.params)
         self.nonlinearity = _quadratic_term(self.P, self.Q)
 
 
@@ -84,9 +88,9 @@ def _quadratic_term(P: Symbol, Q: Symbol):
         del pv  # free the padded V before the transform back
         k = fine[0].shape[0]  # in place, the products fill each Q-output's leading k slots
         fine = (pq[:, :k] if k <= pq.shape[1] else np.stack(fine)).reshape((-1,) + pq.shape[2:])
-        coarse = _relattice(_forward(fine, out=fine), u.grid.points_per_axis)
+        coarse = field_from_padded(u.grid, fine)
         del fine, pq  # free the padded buffer before P is applied
-        return apply(P, SpectralField(u.grid, freq=coarse))
+        return apply(P, coarse)
 
     return nonlinearity
 
@@ -149,12 +153,7 @@ def equation_spec(kind: str, n: int | None = None, s: float | None = None,
     s0, p0 = table.get(n, (None, None))
     s = s0 if s is None else s
     p = p0 if p is None else p
-    eq = build(n, s, p, amplitude)
-    rep = check_params(eq.params)
-    if not rep.ok:
-        raise ValueError(f"{name} data (n={n}, s={s}, p={p}) violates: "
-                         + ", ".join(rep.violations))
-    return eq
+    return build(n, s, p, amplitude)
 
 
 def custom_equation(n: int, L_name: str, P_name: str, Q_name: str,
@@ -162,15 +161,11 @@ def custom_equation(n: int, L_name: str, P_name: str, Q_name: str,
     """Custom scalar equation from registry symbols, with V(u) = u; alpha,
     beta and gamma are the orders of L, P and Q.  A name malformed for
     dimension n raises ValueError before any field work."""
-    eq = EquationSpec(
+    return EquationSpec(
         kind="custom", n=n, s=s, p=p, ncomp=1, amplitude=amplitude,
         L=sym.resolve_symbol(L_name, n), P=sym.resolve_symbol(P_name, n),
         Q=sym.resolve_symbol(Q_name, n), coefficient=lambda u: u,
     )
-    rep = check_params(eq.params)
-    if not rep.ok:
-        raise ValueError("custom equation violates: " + ", ".join(rep.violations))
-    return eq
 
 
 # -- manufactured solutions ----------------------------------------------------
@@ -189,8 +184,7 @@ def smooth_forcing(eq: EquationSpec, grid: GridSpec, seed: int) -> SpectralField
     smoother forcing would make the probe measure the cutoff instead of the
     solution.
     """
-    gains = compute_gains(eq.params)
-    g_pow = gains.params.sigma + grid.dim / 2.0 - eq.params.alpha + _TARGET_SLOPE
+    g_pow = eq.gains.params.sigma + grid.dim / 2.0 - eq.params.alpha + _TARGET_SLOPE
     f = random_field(grid, seed, ncomp=eq.ncomp, band=grid.points_per_axis / 4,
                      radial_profile=lambda r: (1.0 + r) ** (-g_pow))
     if eq.forcing_projector is not None:
@@ -402,10 +396,10 @@ def run_probe(eq: EquationSpec, grid: GridSpec, rho: float = 0.75,
               seed: int = 7) -> ProbeReport:
     """Execute the full probe and assemble the report.
 
-    Raises ValueError before the partition is built if the equation data
-    fails the structural hypotheses (named violations), the decay window is
+    Raises ValueError before the partition is built if the decay window is
     too short, the amplitude is 0, rho lies outside (0, pi/4), or L is not a
-    pure multiplier or not elliptic.  The default
+    pure multiplier or not elliptic (data failing the structural hypotheses
+    cannot make an EquationSpec).  The default
     cutoff uses the widest admissible transition: at desk resolutions a
     narrow transition under-resolves and the decay fit then measures the
     cutoff's spectral tail instead of the solution (narrow cutoffs need
@@ -413,7 +407,7 @@ def run_probe(eq: EquationSpec, grid: GridSpec, rho: float = 0.75,
     """
     if grid.dim != eq.params.n:
         raise ValueError(f"grid dim {grid.dim} != equation dimension {eq.params.n}")
-    gains = compute_gains(eq.params)
+    gains = eq.gains
     sigma, r, theta = gains.params.sigma, gains.params.r, gains.theta
     window = (2, grid.jmax - 2)
     _check_window(window, grid.jmax)
@@ -441,7 +435,7 @@ def run_probe(eq: EquationSpec, grid: GridSpec, rho: float = 0.75,
     mainline = {}
 
     def piece(name, fld):
-        mainline[name] = dyadic_norm_sequence(part, fld, r).tolist()
+        mainline[name] = shell_norms(part, fld, [r])[0][0].tolist()
         return fld
 
     Lu = apply(eq.L, u_loc)  # first: caches u_loc's coefficients for the nonlinearity
@@ -460,8 +454,8 @@ def run_probe(eq: EquationSpec, grid: GridSpec, rho: float = 0.75,
     # the one split of u_loc: the L^r norms for the mainline and the fit, the
     # L^r2 norms for the bootstrap recheck and, for a scalar equation, the
     # zone reports' c_rho = ||u_loc||_{sigma,r}
-    u_norms, u_smooth = _reduce_shells(part, u_loc, [r] if g2 is None else [r, g2.params.r],
-                                       [(sigma, r)] if eq.ncomp == 1 else [])
+    u_norms, u_smooth = shell_norms(part, u_loc, [r] if g2 is None else [r, g2.params.r],
+                                    [(sigma, r)] if eq.ncomp == 1 else [])
     u_seq = u_norms[0]
     mainline["u_loc"] = u_seq.tolist()
     mainline["identity_error"] = identity_err

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridSpec, SpectralField, _forward, _inverse, center_distance, l2_norm
-from .lp import LPPartition, profile_value, project, project_window, sobolev_norms
+from .lp import LPPartition, profile_value, project, project_window, shell_norms
 from .smooth import ramp_down, ramp_up
 from . import symbols as sym_mod
 from .symbols import Symbol, _abs_xi, _masked_inverse, apply
@@ -196,9 +196,9 @@ def split_elliptic(L: Symbol, grid: GridSpec) -> EllipticSplit:
             m_terms.append((b_rest, cxi))
         E = sym_mod.separable(L.order, e_terms, name=f"{L.name}:invertible")
         M = sym_mod.separable(L.order, m_terms, name=f"{L.name}:remainder")
-
-    if _symbol_floor(E, grid, CUTOFF, 1.0) <= 0.0:
-        raise ValueError("splitting failed: glued symbol not bounded below at high frequency")
+        # a multiplier E = L was bounded below on the same set by the margin
+        if _symbol_floor(E, grid, CUTOFF, 1.0) <= 0.0:
+            raise ValueError("splitting failed: glued symbol not bounded below at high frequency")
     return EllipticSplit(E=E, M=M)
 
 
@@ -301,6 +301,6 @@ def mapping_constant(A: Symbol, part: LPPartition, f: SpectralField, pairs) -> l
     one per (s, p) pair (NaN where ||f||_{s,p} = 0); f and A f are split once.
     """
     pairs = list(pairs)
-    den = sobolev_norms(part, f, pairs)
-    num = sobolev_norms(part, apply(A, f), [(s - A.order, p) for s, p in pairs])
+    den = shell_norms(part, f, pairs=pairs)[1]
+    num = shell_norms(part, apply(A, f), pairs=[(s - A.order, p) for s, p in pairs])[1]
     return [math.nan if d == 0.0 else n / d for n, d in zip(num, den)]

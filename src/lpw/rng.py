@@ -73,11 +73,6 @@ def _fill(out: np.ndarray, seed: int, counters, signed: bool = False) -> np.ndar
     return out
 
 
-def unit_doubles(seed: int, start: int, count: int) -> np.ndarray:
-    """`count` uniform doubles in [0, 1) for counters start..start+count-1."""
-    return _fill(np.empty(count), seed, start)
-
-
 def unit_doubles_at(seed: int, counters) -> np.ndarray:
     """Uniform doubles in [0, 1) at the given counters (any integer array)."""
     ctr = np.asarray(counters, dtype=np.int64)

@@ -17,7 +17,7 @@ from lpw.iteration import DecaySequence, IterationParams, decay_bound, hypothesi
 from lpw.lp import build_partition
 from lpw.paraproduct import all_pairs_shell, product_shell, split
 from lpw.probe import equation_spec, run_probe
-from lpw.rng import unit_doubles
+from lpw.rng import unit_doubles_at
 from lpw.verify import verify_apbound, verify_bernstein, verify_commutator, verify_partition
 
 
@@ -129,7 +129,7 @@ def test_criterion_08_exponent_arithmetic():
     exact = (gains.q == 4.0 and gains.params.sigma == 1.5 and gains.params.r == 1.6
              and gains.epsilon == 0.5 and gains.theta == 0.45)
 
-    u = unit_doubles(2026, 0, 200)
+    u = unit_doubles_at(2026, np.arange(200))
     agree = 0
     checked = 0
     i = 0
@@ -168,7 +168,7 @@ def test_criterion_09_sequence_iteration():
     mismatches = 0
     admissible = 0
     for case in range(1000):
-        vals = unit_doubles(9000 + case, 0, K + 1)
+        vals = unit_doubles_at(9000 + case, np.arange(K + 1))
         scale = vals[-1] * 2.0
         a = vals[:K] * scale * 2.0 ** (-(0.5 + vals[-1]) * np.arange(K))
         seq = DecaySequence(a)

@@ -90,6 +90,15 @@ class TestIterateCommand:
                             "--eps", "1.0", "--delta", "0.4")
         assert code == 2
 
+    @pytest.mark.parametrize("bad", ["-1.0", "nan", "inf"])
+    def test_invalid_value_exits_2_naming_path_and_line(self, capsys, tmp_path, bad):
+        path = tmp_path / "seq.csv"
+        path.write_text(f"k,a_k\n0,1.0\n1,{bad}\n2,0.1\n")
+        code, out = run_cli(capsys, "iterate", "--csv", str(path),
+                            "--eps", "1.0", "--delta", "0.2")
+        assert code == 2
+        assert f"{path} line 3: '{bad}'" in json.loads(out)["error"]
+
     def test_non_numeric_row_after_header_exits_2(self, capsys, tmp_path):
         path = tmp_path / "seq.csv"
         path.write_text("0,1.0\n1,0.4\n2,oops\n3,0.05\n")
@@ -250,8 +259,19 @@ class TestProbeCommand:
             assert key in data
         assert data["pass"] is True
         rows = out_csv.read_text().strip().splitlines()
-        assert rows[0] == "k,a_k,log2_a_k"
+        assert rows[0] == "k,a_k"
         assert len(rows) == len(data["a_k"]) + 1
+
+    def test_csv_feeds_iterate(self, capsys, tmp_path):
+        # the probe's a_k column is what `iterate` reads: a verdict, never a usage error
+        out_csv = tmp_path / "p.csv"
+        code, _ = run_cli(capsys, "probe", "--equation", "biharmonic", "--grid", "2,256",
+                          "--seed", "9", "--csv", str(out_csv))
+        assert code in (0, 1)
+        code, out = run_cli(capsys, "iterate", "--csv", str(out_csv),
+                            "--eps", "0.1", "--delta", "0.01")
+        assert code in (0, 1)
+        assert json.loads(out)["K"] == len(out_csv.read_text().splitlines()) - 2
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
         args = ("probe", "--equation", "biharmonic", "--grid", "2,256",

@@ -99,10 +99,13 @@ def test_every_private_function_is_referenced():
 def test_every_public_function_is_referenced():
     # `obj.name` counts for a module function `name` only when no class in
     # the package defines a method or property of that name: otherwise the
-    # attribute reads that member, and the function needs a bare use or an import
+    # attribute reads that member, and the function needs a bare use or an
+    # import.  `self.name` reads an instance's own member, never a function
     names = {n.id for tree in CALLERS for n in ast.walk(tree) if isinstance(n, ast.Name)}
     names |= {name for tree in CALLERS for _, _, name in _imports(tree)}
     attrs = {n.attr for tree in CALLERS for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    module_attrs = {n.attr for tree in CALLERS for n in ast.walk(tree)
+                    if isinstance(n, ast.Attribute) and getattr(n.value, "id", None) != "self"}
     functions = {f"{mod}.{node.name}": node.name for mod, tree in MODULES.items()
                  for node in tree.body
                  if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
@@ -111,7 +114,7 @@ def test_every_public_function_is_referenced():
                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
     members = set(methods.values())
     unreferenced = [qual for qual, name in functions.items() if name not in names
-                    and (name not in attrs or name in members)]
+                    and (name not in module_attrs or name in members)]
     unreferenced += [qual for qual, name in methods.items() if name not in names | attrs]
     assert sorted(set(unreferenced) - TEST_ONLY) == []
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from lpw.iteration import (DecaySequence, IterationParams, convolution_majorant,
                            decay_bound, delta_cap, hypothesis_holds, iterate_map)
-from lpw.rng import unit_doubles
+from lpw.rng import unit_doubles_at
 
 
 def oracle_rhs(values, eps, delta):
@@ -73,7 +73,7 @@ class TestHypothesis:
 
     def test_matches_double_loop_oracle(self):
         for seed in range(20):
-            vals = unit_doubles(seed, 0, 32) * 0.3
+            vals = unit_doubles_at(seed, np.arange(32)) * 0.3
             a = DecaySequence(vals)
             params = IterationParams(eps=1.0, delta=0.1)
             rhs = oracle_rhs(vals.tolist(), 1.0, 0.1)
@@ -123,7 +123,7 @@ class TestIterateMap:
         params = IterationParams(eps=1.0, delta=0.2)
         found = 0
         for seed in range(60):
-            vals = unit_doubles(seed, 100, 48) * 2.0 ** (-1.05 * np.arange(48))
+            vals = unit_doubles_at(seed, np.arange(100, 148)) * 2.0 ** (-1.05 * np.arange(48))
             a = DecaySequence(vals)
             if not hypothesis_holds(a, params)[0]:
                 continue  # rejection sampling: keep admissible draws
@@ -159,7 +159,7 @@ class TestMonotonicity:
     @given(st.floats(min_value=0.05, max_value=1.0), st.integers(0, 10 ** 6))
     @settings(max_examples=100, deadline=None)
     def test_downscaling_preserves_hypothesis(self, c, seed):
-        vals = unit_doubles(seed, 0, 24) * 2.0 ** (-0.4 * np.arange(24))
+        vals = unit_doubles_at(seed, np.arange(24)) * 2.0 ** (-0.4 * np.arange(24))
         params = IterationParams(eps=0.7, delta=0.15)
         if hypothesis_holds(DecaySequence(vals), params)[0]:
             assert hypothesis_holds(DecaySequence(c * vals), params)[0]

@@ -8,9 +8,8 @@ from hypothesis import given, settings, strategies as st
 from lpw import lp, rng
 from lpw.grid import GridSpec, SpectralField, l2_norm, lp_norm, random_field
 from lpw.lp import (RING_HI, RING_LO, bernstein_ratio, build_partition,
-                    dyadic_norm_sequence, flat_dyadic_field, profile_value,
-                    project, project_window, psi, shell_packet, shell_sum_field,
-                    sobolev_norms)
+                    flat_dyadic_field, profile_value, project, project_window, psi,
+                    shell_norms, shell_packet, shell_sum_field)
 from lpw.psido import fit_log2_slope
 from lpw.rng import complex_samples
 
@@ -268,31 +267,32 @@ class TestBernstein:
 class TestSobolevNorm:
     def test_l2_equivalence(self, part2):
         f = random_field(part2.grid, 55)
-        nrm = sobolev_norms(part2, f, [(0.0, 2.0)])[0]
+        nrm = shell_norms(part2, f, pairs=[(0.0, 2.0)])[1][0]
         l2 = lp_norm(f, 2)
         assert l2 / math.sqrt(2.0) <= nrm <= math.sqrt(2.0) * l2
 
     def test_single_ring_scaling(self, part2):
         j, s, p = 4, 1.5, 2.0
         f = shell_packet(part2, j, 60, coherent=False)
-        nrm = sobolev_norms(part2, f, [(s, p)])[0]
+        nrm = shell_norms(part2, f, pairs=[(s, p)])[1][0]
         ref = 2.0 ** (j * s) * lp_norm(f, p)
         assert ref / 4.0 <= nrm <= 4.0 * ref  # within profile-value factor
 
     def test_zero_field(self, part2):
-        assert sobolev_norms(part2, SpectralField.zeros(part2.grid), [(1.0, 2.0)]) == [0.0]
+        zero = SpectralField.zeros(part2.grid)
+        assert shell_norms(part2, zero, pairs=[(1.0, 2.0)])[1] == [0.0]
 
     def test_p_range(self, part2):
         f = random_field(part2.grid, 1)
         for bad in (1.0, math.inf):
             with pytest.raises(ValueError):
-                sobolev_norms(part2, f, [(1.0, bad)])
+                shell_norms(part2, f, pairs=[(1.0, bad)])[1]
 
     def test_shell_decay_fact(self, part1):
         # finite smoothness norm forces ||P_k f||_p <= C 2^(-sk) * norm
         s, p = 1.2, 2.0
         f = flat_dyadic_field(part1, 61)
-        nrm = sobolev_norms(part1, f, [(s, p)])[0]
+        nrm = shell_norms(part1, f, pairs=[(s, p)])[1][0]
         for k in range(1, part1.jmax + 1):
             val = lp_norm(project(part1, f, k), p)
             assert val <= 3.0 * nrm * 2.0 ** (-s * k)
@@ -302,7 +302,7 @@ class TestSobolevNorm:
         s, eps, scale = 1.0, 0.5, 2.5
         shells = {j: scale * 2.0 ** (-(s + eps) * j) for j in range(1, part1.jmax + 1)}
         f = shell_sum_field(part1, shells, 62)
-        nrm = sobolev_norms(part1, f, [(s, 2.0)])[0]
+        nrm = shell_norms(part1, f, pairs=[(s, 2.0)])[1][0]
         assert nrm <= 10.0 * scale
 
 
@@ -310,7 +310,7 @@ class TestDyadicSequence:
     def test_single_ring_neighbors_only(self, part2):
         j0 = 4
         f = SpectralField(part2.grid, freq=part2.profile(j0).astype(complex))
-        seq = dyadic_norm_sequence(part2, f, 2.0)
+        seq = shell_norms(part2, f, [2.0])[0][0]
         for j, v in enumerate(seq):
             if abs(j - j0) <= 1:
                 assert v > 0.0
@@ -320,7 +320,7 @@ class TestDyadicSequence:
     def test_gaussian_spectrum_decay(self, part1):
         f = random_field(part1.grid, 63,
                          radial_profile=lambda r: np.exp(-0.5 * r**2))
-        seq = dyadic_norm_sequence(part1, f, 2.0)
+        seq = shell_norms(part1, f, [2.0])[0][0]
         base = seq[1]
         for j in range(6, part1.jmax + 1):
             assert seq[j] <= base * 2.0 ** (-10.0 * j)
@@ -329,7 +329,7 @@ class TestDyadicSequence:
         for seed in (70, 71, 72):
             f = random_field(part1.grid, seed)
             base = lp_norm(f, 2)
-            seq = dyadic_norm_sequence(part1, f, 2.0)
+            seq = shell_norms(part1, f, [2.0])[0][0]
             assert seq.max() <= 3.0 * base
 
 
@@ -349,11 +349,11 @@ def test_l2_shell_norms_match_grid_means(data):
     ncomp = data.draw(st.integers(1, 2))
     band = data.draw(st.one_of(st.none(), st.floats(0.0, N / 2)))
     f = random_field(part.grid, data.draw(st.integers(0, 10_000)), ncomp=ncomp, band=band)
-    seq = dyadic_norm_sequence(part, f, 2.0)
+    seq = shell_norms(part, f, [2.0])[0][0]
     for j in range(part.jmax + 1):
         assert _close(seq[j], lp_norm(project(part, f, j), 2))
     s = data.draw(st.floats(-2.0, 3.0))
-    (got,) = sobolev_norms(part, f, [(s, 2.0)])
+    (got,) = shell_norms(part, f, pairs=[(s, 2.0)])[1]
     moduli = [project(part, f, j).modulus() for j in range(part.jmax + 1)]
     square = sum(4.0 ** (j * s) * m * m for j, m in enumerate(moduli[1:], 1))
     cap = np.sqrt(np.mean(moduli[0] ** 2))

@@ -8,7 +8,7 @@ import pytest
 
 from lpw.grid import (GridSpec, SpectralField, field_from_padded, lp_norm, padded_physical,
                       random_field)
-from lpw.lp import build_partition, dyadic_norm_sequence
+from lpw.lp import build_partition, shell_norms
 from lpw.probe import (_quadratic_term, cutoff_field, custom_equation,
                        dyadic_decay_report, equation_residual, equation_spec,
                        localize, manufactured_solution, run_probe)
@@ -215,7 +215,7 @@ class TestDecayReport:
         for j in range(1, part.jmax):
             c[2**j] = 2.0 ** (-(sigma + eps) * j)
         f = SpectralField(g, freq=c)
-        rep = dyadic_decay_report(dyadic_norm_sequence(part, f, 2.0), 2.0, sigma,
+        rep = dyadic_decay_report(shell_norms(part, f, [2.0])[0][0], 2.0, sigma,
                                   (2, part.jmax - 2), part, epsilon_theory=eps)
         assert abs(rep.epsilon_measured - eps) <= 1e-6
         assert rep.fit_residual <= 1e-9
@@ -225,7 +225,7 @@ class TestDecayReport:
         g = GridSpec(1, 256)
         part = build_partition(g)
         f = random_field(g, 11, radial_profile=lambda r: np.exp(-r))
-        seq = dyadic_norm_sequence(part, f, 2.0)
+        seq = shell_norms(part, f, [2.0])[0][0]
         rep = dyadic_decay_report(seq, 2.0, 1.0, (2, 5), part, epsilon_theory=3.0)
         assert rep.epsilon_measured > 3.0
         assert rep.passed
@@ -237,7 +237,7 @@ class TestDecayReport:
         for j in range(1, part.jmax):
             c[2**j] = 2.0 ** (-1.5 * j)  # a_k flat at sigma = 1.5
         f = SpectralField(g, freq=c)
-        seq = dyadic_norm_sequence(part, f, 2.0)
+        seq = shell_norms(part, f, [2.0])[0][0]
         rep = dyadic_decay_report(seq, 2.0, 1.5, (2, 5), part, epsilon_theory=0.5)
         assert abs(rep.epsilon_measured) <= 1e-6
         assert not rep.passed
@@ -245,7 +245,7 @@ class TestDecayReport:
     def test_window_validation(self):
         g = GridSpec(1, 256)
         part = build_partition(g)
-        seq = dyadic_norm_sequence(part, random_field(g, 12), 2.0)
+        seq = shell_norms(part, random_field(g, 12), [2.0])[0][0]
         with pytest.raises(ValueError):
             dyadic_decay_report(seq, 2.0, 1.0, (1, 5), part, 0.1)
         with pytest.raises(ValueError):
@@ -260,7 +260,7 @@ class TestDecayReport:
         for j in range(1, part.jmax):
             c[2**j] = 2.0 ** (-2.0 * j) if j <= 4 else 1e-18
         f = SpectralField(g, freq=c)
-        seq = dyadic_norm_sequence(part, f, 2.0)
+        seq = shell_norms(part, f, [2.0])[0][0]
         rep = dyadic_decay_report(seq, 2.0, 1.0, (2, 5), part, epsilon_theory=0.5)
         assert 5 in rep.dropped
 
@@ -271,10 +271,10 @@ class TestRunProbe:
             run_probe(equation_spec("ns", n=2), GridSpec(1, 256))
 
     def test_violating_custom_rejected_before_compute(self):
+        # the data are checked when the equation is made, so none can reach the probe
         eq = equation_spec("ns", n=2)
-        bad = dataclasses.replace(eq, kind="bad", P=resolve_symbol("grad:0", 2))  # order 1
         with pytest.raises(ValueError, match="order-gap"):
-            run_probe(bad, GridSpec(2, 256))
+            dataclasses.replace(eq, kind="bad", P=resolve_symbol("grad:0", 2))  # order 1
 
     def test_short_window_rejected_before_compute(self, monkeypatch):
         def unreachable(*args, **kwargs):
@@ -314,8 +314,8 @@ class TestRunProbe:
 
 
     def test_lower_bound_scanned_once_per_argument_set(self, monkeypatch):
-        # ellipticity (shift 0) and the split's floor of E = L (shift 1); the
-        # parametrix reuses the split's scan, which it repeated before
+        # ellipticity (shift 0) only: for a multiplier E = L it already bounds
+        # E below on the split's set, and the parametrix reuses the split
         scans = []
 
         def counting(sym, grid, r_min, shift, x_mask=None, _floor=psido._symbol_floor):
@@ -335,20 +335,20 @@ class TestRunProbe:
             eq = equation_spec(kind, n=2)
             with pytest.raises(Scanned):
                 run_probe(eq, GridSpec(2, 256), seed=9)
-            assert scans == [(eq.L.name, 4.0, 0.0), (eq.L.name, 4.0, 1.0)]
+            assert scans == [(eq.L.name, 4.0, 0.0)]
 
     def test_each_field_split_once(self, monkeypatch):
         # u_loc is split once for the fit, the recheck and (for a scalar
         # equation) the zone reports; each mainline field once
         split_fields = []
 
-        def recording(part, f, *args, _split=sys.modules["lpw.lp"]._reduce_shells, **kwargs):
+        def recording(part, f, *args, _split=sys.modules["lpw.lp"].shell_norms, **kwargs):
             split_fields.append(f)  # held, so no two entries share an id
             return _split(part, f, *args, **kwargs)
 
         for name, mod in list(sys.modules.items()):
-            if name.startswith("lpw") and hasattr(mod, "_reduce_shells"):
-                monkeypatch.setattr(mod, "_reduce_shells", recording)
+            if name.startswith("lpw") and hasattr(mod, "shell_norms"):
+                monkeypatch.setattr(mod, "shell_norms", recording)
         for kind, fields in (("ns", 6), ("biharmonic", 5)):
             split_fields.clear()
             run_probe(equation_spec(kind, n=2), GridSpec(2, 256), seed=9)
@@ -365,6 +365,6 @@ class TestLocalizationCommutator:
         f = flat_dyadic_field(part, 13)
         eta = cutoff_field(g, 0.75)
         ks = range(2, part.jmax)
-        shells = dyadic_norm_sequence(part, cutoff_commutator(eq.L, eta, f), 2)
+        shells = shell_norms(part, cutoff_commutator(eq.L, eta, f), [2])[0][0]
         fit = fit_log2_slope(ks, shells[2:part.jmax])
         assert fit.slope <= eq.params.alpha - 1.0 + 0.2

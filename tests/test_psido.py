@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lpw.grid import GridSpec, SpectralField, grid_product, lp_norm, random_field
-from lpw.lp import build_partition, dyadic_norm_sequence, flat_dyadic_field, project
+from lpw.lp import build_partition, flat_dyadic_field, project, shell_norms
 from lpw import psido
 from lpw.probe import cutoff_field
 from lpw.psido import (CUTOFF, ap_shell_ratio, commutator_shell, commutator_symbol_remainder,
@@ -117,7 +117,7 @@ class TestParametrix:
         es = split_elliptic(L, g)
         B = es.parametrix()
         f = flat_dyadic_field(part, 6)
-        shells = dyadic_norm_sequence(part, apply(B, apply(es.E, f)) - f.without_nyquist(), 2)
+        shells = shell_norms(part, apply(B, apply(es.E, f)) - f.without_nyquist(), [2])[0][0]
         ks = range(4, part.jmax)
         fit = fit_log2_slope(ks, shells[4:part.jmax])
         assert fit.slope <= -0.8
@@ -317,7 +317,7 @@ class TestCutoffCommutator:
         eta = cutoff_field(g, 0.6)
         A = multiplier(2.0, lambda *xis: 1.0 + abs2(*xis), "onepluslap")
         ks = range(3, part.jmax)
-        shells = dyadic_norm_sequence(part, cutoff_commutator(A, eta, f), 2)
+        shells = shell_norms(part, cutoff_commutator(A, eta, f), [2])[0][0]
         assert fit_log2_slope(ks, shells[3:part.jmax]).slope <= 1.2
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from lpw import rng
 from lpw.grid import GridSpec, random_field
-from lpw.rng import complex_samples, splitmix64, unit_doubles, unit_doubles_at
+from lpw.rng import complex_samples, splitmix64, unit_doubles_at
 
 
 def test_splitmix64_known_outputs():
@@ -16,19 +16,20 @@ def test_splitmix64_known_outputs():
 
 
 def test_counter_chunk_independence():
-    a = unit_doubles(99, 0, 64)
-    b = np.concatenate([unit_doubles(99, 0, 10), unit_doubles(99, 10, 54)])
+    a = unit_doubles_at(99, np.arange(64))
+    b = np.concatenate([unit_doubles_at(99, np.arange(10)),
+                        unit_doubles_at(99, np.arange(10, 64))])
     assert np.array_equal(a, b)
 
 
 def test_counter_array_matches_range():
-    full = unit_doubles(31, 0, 200)
+    full = unit_doubles_at(31, np.arange(200))
     ctr = np.array([[3, 150, 7], [199, 0, 64]])
     assert np.array_equal(unit_doubles_at(31, ctr), full[ctr])
 
 
 def test_unit_range():
-    u = unit_doubles(5, 0, 10000)
+    u = unit_doubles_at(5, np.arange(10000))
     assert u.min() >= 0.0 and u.max() < 1.0
     assert abs(u.mean() - 0.5) < 0.02
 
@@ -86,9 +87,8 @@ def test_unit_doubles_equal_the_whole_array_layout(seed, count, start, stride):
     assert np.array_equal(unit_doubles_at(seed, counters), want)
     assert np.array_equal(unit_doubles_at(seed, counters[:count - count % 2].reshape(2, -1)),
                           want[:count - count % 2].reshape(2, -1))
-    if start >= 0:
-        assert np.array_equal(unit_doubles(seed, start, count),
-                              _reference_unit(seed, np.arange(start, start + count)))
+    assert np.array_equal(unit_doubles_at(seed, np.arange(start, start + count)),
+                          _reference_unit(seed, np.arange(start, start + count)))
 
 
 @pytest.mark.parametrize("dim,N,ncomp", [(1, 256, 1), (2, 64, 2), (3, 16, 3)])
