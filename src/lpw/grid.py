@@ -107,6 +107,16 @@ def _abs2(*axes) -> np.ndarray:
     return out
 
 
+def _clear_nyquist(c: np.ndarray) -> np.ndarray:
+    """Zero, in place, the Nyquist modes of the coefficient array `c`
+    (leading component axis): index N/2, frequency -N/2, on each spatial
+    axis, one slice per axis.  Returns `c`."""
+    ny = c.shape[-1] // 2
+    for ax in range(1, c.ndim):
+        c[(slice(None),) * ax + (ny,)] = 0.0
+    return c
+
+
 def center_distance(*xs) -> np.ndarray:
     """Geodesic distance from the points `xs` to the cell center pi*(1,..,1).
 
@@ -182,9 +192,7 @@ class SpectralField:
         return np.sqrt(np.sum(np.abs(p) ** 2, axis=0))
 
     def without_nyquist(self) -> "SpectralField":
-        c = self.coefficients.copy()
-        c[:, self.grid.nyquist_mask] = 0.0
-        return SpectralField(self.grid, freq=c)
+        return SpectralField(self.grid, freq=_clear_nyquist(self.coefficients.copy()))
 
     # -- arithmetic -----------------------------------------------------
 
@@ -427,7 +435,7 @@ def random_field(
                 cb *= radial_profile(rb)
             if band is not None:
                 np.copyto(cb, 0.0, where=rb > band)
-    np.copyto(c, 0.0, where=grid.nyquist_mask)
+    _clear_nyquist(c)
     if mean_zero:
         c[(slice(None),) + (0,) * grid.dim] = 0.0
     return SpectralField(grid, freq=c)

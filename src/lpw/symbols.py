@@ -8,9 +8,9 @@ Frequency multipliers get an exact fast path; separable symbols
 sum_t b_t(x) c_t(xi) cost one transform per term, and a multiplication
 operator b(x) is the one-term separable symbol b(x) * 1.  The direct
 quantization sum, O(M^2) in the lattice size M, is kept only as the
-correctness oracle at small N.  Nyquist modes of the input are cleared on
-every application (the asymmetric mode breaks reality symmetry under
-differentiation).
+correctness oracle at small N.  Nyquist modes are cleared on every
+application, on the output by slicing (the asymmetric mode breaks reality
+symmetry under differentiation).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, SpectralField, _abs2, _inverse, center_distance
+from .grid import GridSpec, SpectralField, _abs2, _clear_nyquist, _inverse, center_distance
 from .smooth import ramp_down
 
 _LOG_DOUBLE_MAX = 700.0  # ln(1.8e308), overflow guard for |xi|^m
@@ -35,7 +35,10 @@ class Symbol:
       multiplier        a = c(xi),   xi_func(*xi_components)
       separable         a = sum_t b_t(x) c_t(xi), terms = ((b, c), ...); a
                         multiplication operator b(x) is the term (b, 1)
-      matrix_multiplier matrix-valued c(xi), matrix_func(grid) -> (out, in, *shape)
+      matrix_multiplier matrix-valued c(xi), matrix_func(grid) -> one row per
+                        output component, each an iterable of one entry per
+                        input component, broadcastable to the lattice shape;
+                        a row may form its entries only when read
     """
 
     order: float
@@ -107,35 +110,49 @@ def _overflow_guard(sym: Symbol, grid: GridSpec) -> None:
 
 
 def apply(sym: Symbol, f: SpectralField) -> SpectralField:
-    """Apply the operator with symbol `sym` to `f` (pure; Nyquist cleared)."""
+    """Apply the operator with symbol `sym` to `f` (pure; Nyquist cleared).
+
+    The coefficients are multiplied by the symbol's values and the Nyquist
+    modes of each product are cleared after, so `f` is never copied.  A
+    matrix multiplier's output row o is the sum over input components i, in
+    order, of entry (o, i) times component i, formed in one output array.
+    """
     grid = f.grid
     _overflow_guard(sym, grid)
-    f = f.without_nyquist()
+    c = f.coefficients
 
     if sym.kind == "multiplier":
         vals = _check_finite(np.asarray(sym.xi_func(*grid.xi_axes)), sym.name)
-        vals = np.broadcast_to(vals, grid.shape)
-        return SpectralField(grid, freq=f.coefficients * vals)
+        return SpectralField(grid, freq=_clear_nyquist(c * vals))
 
     if sym.kind == "separable":
-        c = f.coefficients
         out = np.zeros_like(c)
         for bx, cxi in sym.terms:
             cv = _check_finite(np.asarray(cxi(*grid.xi_axes)), sym.name)
             # 1/b at a zero of b is inf (nan for a complex b), rejected here
             with np.errstate(divide="ignore", invalid="ignore"):
                 bv = _check_finite(np.asarray(bx(*grid.x_axes)), sym.name)
-            out += _inverse(c * cv) * np.broadcast_to(bv, grid.shape)
+            term = _clear_nyquist(c * cv)
+            term = _inverse(term, out=term)
+            term *= bv
+            out += term
         return SpectralField(grid, phys=out)
 
     if sym.kind == "matrix_multiplier":
-        mat = _check_finite(np.asarray(sym.matrix_func(grid)), sym.name)
-        n_in = mat.shape[1]
-        if f.ncomp != n_in:
-            raise ValueError(f"symbol {sym.name!r} expects {n_in} components, got {f.ncomp}")
-        c = f.coefficients
-        out = np.einsum("oi...,i...->o...", mat, c)
-        return SpectralField(grid, freq=out)
+        rows = sym.matrix_func(grid)
+        out = np.empty((len(rows),) + grid.shape, dtype=np.complex128)
+        prod = np.empty(grid.shape, dtype=np.complex128)
+        for o, row in enumerate(rows):
+            row = list(row)
+            if len(row) != f.ncomp:
+                raise ValueError(f"symbol {sym.name!r} expects {len(row)} components, "
+                                 f"got {f.ncomp}")
+            for i, entry in enumerate(row):
+                entry = _check_finite(np.asarray(entry), sym.name)
+                np.multiply(entry, c[i], out=out[o] if i == 0 else prod)
+                if i:
+                    out[o] += prod
+        return SpectralField(grid, freq=_clear_nyquist(out))
 
     raise ValueError(f"unknown symbol kind {sym.kind!r}")
 
@@ -200,41 +217,42 @@ def grad_symbol(axis: int) -> Symbol:
     return multiplier(1.0, lambda *xis: 1j * xis[axis], f"grad:{axis}")
 
 
-def _ixi_stack(grid: GridSpec) -> np.ndarray:
-    """The frequency vector i*xi, shape (n, *shape)."""
-    return np.stack([np.broadcast_to(1j * a, grid.shape) for a in grid.xi_axes])
+def _ixi(grid: GridSpec) -> tuple:
+    """The frequency vector i*xi: one broadcastable entry per axis."""
+    return tuple(1j * a for a in grid.xi_axes)
 
 
 def divergence_symbol() -> Symbol:
-    """Vector field to scalar: the (1, n) row i*xi^T."""
-    return matrix_multiplier(1.0, lambda grid: _ixi_stack(grid)[np.newaxis], "div")
+    """Vector field to scalar: the one row i*xi^T."""
+    return matrix_multiplier(1.0, lambda grid: [_ixi(grid)], "div")
 
 
 def gradient_symbol() -> Symbol:
-    """Scalar field to vector: the (n, 1) column i*xi, divergence transposed."""
-    return matrix_multiplier(1.0, lambda grid: _ixi_stack(grid)[:, np.newaxis], "grad_vector")
+    """Scalar field to vector: the column i*xi, divergence transposed."""
+    return matrix_multiplier(1.0, lambda grid: [(e,) for e in _ixi(grid)], "grad_vector")
 
 
 def leray_projector() -> Symbol:
     """Order-0 matrix multiplier projecting onto divergence-free fields.
 
     I - xi xi^T / |xi|^2 away from the origin, identity at xi = 0 (the mean
-    flow is already divergence free).  Needs dim >= 2.
+    flow is already divergence free).  Needs dim >= 2.  Each row's entries
+    are formed only when the row is read.
     """
 
     def matrix_func(g: GridSpec):
         if g.dim < 2:
             raise ValueError("divergence-free projection needs dim >= 2")
-        n = g.dim
-        abs2 = g.xi_abs2()
-        denom = np.where(abs2 > 0, abs2, 1.0)
-        mat = np.zeros((n, n) + g.shape)
-        for c in range(n):
-            for d in range(n):
-                mat[c, d] = (1.0 if c == d else 0.0) - np.broadcast_to(
-                    g.xi_axes[c] * g.xi_axes[d], g.shape
-                ) / denom
-        return mat
+        xi = g.xi_axes
+        denom = g.xi_abs2()
+        denom[denom == 0.0] = 1.0
+
+        def row(c):
+            for d in range(g.dim):
+                e = np.divide(xi[c] * xi[d], denom)
+                yield np.subtract(1.0 if c == d else 0.0, e, out=e)
+
+        return [row(c) for c in range(g.dim)]
 
     return matrix_multiplier(0.0, matrix_func, "leray")
 
