@@ -279,7 +279,16 @@ def l2_norm(f: SpectralField) -> float:
     """
     if f._freq is None:
         return _modulus_norm(f.modulus(), 2)
-    return math.sqrt(np.vdot(f._freq, f._freq).real)
+    return _coefficient_norm(f._freq)
+
+
+def _coefficient_norm(c: np.ndarray) -> float:
+    """The plain l^2 norm of the complex array `c`, summed by numpy's own
+    reduction over its real and imaginary parts.  BLAS's dot (np.vdot,
+    np.linalg.norm) splits its sum by thread count, so its last digits
+    depend on the host."""
+    x = c.ravel().view(np.float64)
+    return math.sqrt(np.einsum("i,i->", x, x))
 
 
 def _norm(f: SpectralField, p) -> float:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .grid import GridSpec, SpectralField, _modulus_norm, l2_norm, lp_norm
+from .grid import GridSpec, SpectralField, _coefficient_norm, _modulus_norm, l2_norm, lp_norm
 from .smooth import ramp_down
 
 RING_LO = 3.0 / 5.0
@@ -177,8 +177,8 @@ def bernstein_ratio(f: SpectralField, j: int, p, q) -> float:
         raise ValueError(f"need 1 <= p <= q <= inf, got p={p}, q={q}")
     c = f.coefficients
     outside = f.grid.xi_abs > 2.0**j
-    leak = np.linalg.norm(c[:, outside].ravel())
-    total = np.linalg.norm(c.ravel())
+    leak = _coefficient_norm(c[:, outside])
+    total = _coefficient_norm(c)
     if total == 0:
         raise ValueError("zero field")
     if leak > 1e-12 * total:

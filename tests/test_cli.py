@@ -388,3 +388,18 @@ def test_python_m_lpw_runs_from_a_checkout():
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["passed"] is True
+
+
+def test_output_does_not_depend_on_blas_threads():
+    # BLAS's dot splits its sum by thread count, which moved the last digits
+    # of every L^2 norm read from coefficients
+    src = str(Path(lpw.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run([sys.executable, "-m", "lpw", "verify", "bernstein", "--seed", "3"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
