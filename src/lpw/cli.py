@@ -85,7 +85,8 @@ def _cmd_exponents(args) -> int:
 
 
 def _read_sequence(path: str) -> DecaySequence:
-    """The last column of each row, each finite and >= 0; line 1 may be a header."""
+    """The last column of each row, each finite and >= 0; line 1 may be a
+    header, and at least one value must follow."""
     values = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -102,6 +103,8 @@ def _read_sequence(path: str) -> DecaySequence:
                 raise ValueError(f"{path} line {reader.line_num}: {row[-1]!r} is not "
                                  "a finite nonnegative number")
             values.append(value)
+    if not values:
+        raise ValueError(f"{path} holds no values")
     return DecaySequence(values)
 
 

@@ -143,15 +143,13 @@ def apply(sym: Symbol, f: SpectralField) -> SpectralField:
         out = np.empty((len(rows),) + grid.shape, dtype=np.complex128)
         prod = np.empty(grid.shape, dtype=np.complex128)
         for o, row in enumerate(rows):
-            row = list(row)
+            row = [_check_finite(np.asarray(e), sym.name) for e in row]
             if len(row) != f.ncomp:
                 raise ValueError(f"symbol {sym.name!r} expects {len(row)} components, "
                                  f"got {f.ncomp}")
-            for i, entry in enumerate(row):
-                entry = _check_finite(np.asarray(entry), sym.name)
-                np.multiply(entry, c[i], out=out[o] if i == 0 else prod)
-                if i:
-                    out[o] += prod
+            dst = np.multiply(row[0], c[0], out=out[o])
+            for entry, ci in zip(row[1:], c[1:]):
+                dst += np.multiply(entry, ci, out=prod)
         return SpectralField(grid, freq=_clear_nyquist(out))
 
     raise ValueError(f"unknown symbol kind {sym.kind!r}")

@@ -99,6 +99,15 @@ class TestIterateCommand:
         assert code == 2
         assert f"{path} line 3: '{bad}'" in json.loads(out)["error"]
 
+    @pytest.mark.parametrize("text", ["k,a_k\n", "", "\n\n"])
+    def test_no_values_exits_2_naming_path(self, capsys, tmp_path, text):
+        path = tmp_path / "seq.csv"
+        path.write_text(text)
+        code, out = run_cli(capsys, "iterate", "--csv", str(path),
+                            "--eps", "1.0", "--delta", "0.2")
+        assert code == 2
+        assert json.loads(out)["error"] == f"{path} holds no values"
+
     def test_non_numeric_row_after_header_exits_2(self, capsys, tmp_path):
         path = tmp_path / "seq.csv"
         path.write_text("0,1.0\n1,0.4\n2,oops\n3,0.05\n")
