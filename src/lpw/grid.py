@@ -16,8 +16,11 @@ Conventions (used consistently by every module):
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -107,6 +110,13 @@ def _abs2(*axes) -> np.ndarray:
     return out
 
 
+def _modulus(arr: np.ndarray) -> np.ndarray:
+    """Pointwise Euclidean modulus over the leading component axis of `arr`."""
+    if arr.shape[0] == 1:
+        return np.abs(arr[0])
+    return np.sqrt(np.sum(np.abs(arr) ** 2, axis=0))
+
+
 def _clear_nyquist(c: np.ndarray) -> np.ndarray:
     """Zero, in place, the Nyquist modes of the coefficient array `c`
     (leading component axis): index N/2, frequency -N/2, on each spatial
@@ -186,10 +196,7 @@ class SpectralField:
 
     def modulus(self) -> np.ndarray:
         """Pointwise Euclidean modulus over components (real array)."""
-        p = self.physical
-        if self.ncomp == 1:
-            return np.abs(p[0])
-        return np.sqrt(np.sum(np.abs(p) ** 2, axis=0))
+        return _modulus(self.physical)
 
     def without_nyquist(self) -> "SpectralField":
         return SpectralField(self.grid, freq=_clear_nyquist(self.coefficients.copy()))
@@ -251,6 +258,48 @@ def _inverse(coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.fft.ifftn(coeffs, axes=tuple(range(1, coeffs.ndim)), norm="forward", out=out)
 
 
+# One helper thread, made on first use, runs the inverse transforms that
+# `_inverse_soon` hands it, in the order handed.  Each writes into an array the
+# caller made, so every array is allocated on the caller's thread: the C
+# allocator keeps a memory pool per thread, and one for the helper would hold
+# freed arrays too.
+_HELPER_MIN_POINTS = 1 << 14  # below this many points per component the hand-off costs more
+_helper = None
+_helper_lock = threading.Lock()
+
+
+def _forget_helper() -> None:
+    """In a forked child, which has no helper thread, start over."""
+    global _helper, _helper_lock
+    _helper, _helper_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _inverse_soon(buf: np.ndarray):
+    """Start `_inverse(buf, out=buf)` and return a handle: a callable with no
+    arguments that waits for it and returns `buf`, or raises what the
+    transform raised.
+
+    `buf` is a coefficient array the caller made and does not touch until the
+    handle returns.  From 2^14 lattice points per component the transform
+    runs on the helper thread, under the caller's `np.errstate`, so the
+    caller can reduce something else meanwhile; below that it runs here, at
+    once.
+    """
+    global _helper
+    if buf[0].size < _HELPER_MIN_POINTS:
+        _inverse(buf, out=buf)
+        return lambda: buf
+    with _helper_lock:
+        if _helper is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="lpw-inverse")
+        return _helper.submit(contextvars.copy_context().run, _inverse, buf, buf).result
+
+
 # -- norms --------------------------------------------------------------
 
 
@@ -258,9 +307,10 @@ def lp_norm(f: SpectralField, p) -> float:
     """L^p norm with normalized measure, read from the samples; p = inf
     gives the max modulus.
 
-    p < 1 is rejected.  `l2_norm` reads p = 2 from the coefficients when f
-    holds them.
+    p must be >= 1, so NaN is rejected too, before any transform.  `l2_norm`
+    reads p = 2 from the coefficients when f holds them.
     """
+    _check_exponent(p)
     return _modulus_norm(f.modulus(), p)
 
 
@@ -297,10 +347,15 @@ def _norm(f: SpectralField, p) -> float:
     return l2_norm(f) if p == 2 else lp_norm(f, p)
 
 
+def _check_exponent(p) -> None:
+    """Raise unless p >= 1, inf included; NaN is not."""
+    if not p >= 1:
+        raise ValueError(f"p must be >= 1 or inf, got {p}")
+
+
 def _modulus_norm(mod: np.ndarray, p) -> float:
     """L^p norm, with normalized measure, of a pointwise modulus array."""
-    if p != math.inf and p < 1:
-        raise ValueError(f"p must be >= 1 or inf, got {p}")
+    _check_exponent(p)
     if p == math.inf:
         return float(np.max(mod))
     if p == 2:

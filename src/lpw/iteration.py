@@ -11,6 +11,7 @@ finite windows a_0..a_K; the check is therefore necessary-but-finite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +47,8 @@ class IterationParams:
     S: int = 0
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
+        if not 0 < self.eps < math.inf:
+            raise ValueError(f"eps must be finite and positive, got {self.eps}")
         cap = delta_cap(self.eps)
         if not 0.0 < self.delta < cap:
             raise ValueError(f"delta must lie in (0, {cap}), got {self.delta}")

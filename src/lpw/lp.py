@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .grid import GridSpec, SpectralField, _coefficient_norm, _modulus_norm, l2_norm, lp_norm
+from .grid import (GridSpec, SpectralField, _check_exponent, _coefficient_norm, _inverse_soon,
+                   _modulus, _modulus_norm, l2_norm, lp_norm)
 from .smooth import ramp_down
 
 RING_LO = 3.0 / 5.0
@@ -196,23 +197,40 @@ def shell_norms(part: LPPartition, f: SpectralField, rs=(), pairs=()) -> tuple:
 
         ||f||_{s,p} = (||P_cap f||_p^p + || (sum_j 2^(2js) |P_j f|^2)^(1/2) ||_p^p)^(1/p).
 
-    Exponent 2 is read from the shell's coefficients by `l2_norm`, and the
-    p = 2 square function has ||.||_2^2 = sum_j 4^(js) ||P_j f||_2^2.  A
-    shell is inverse-transformed only when a requested exponent is not 2,
-    and never when it is empty.
+    Exponent 2 is read from the shell's coefficients (`_coefficient_norm`),
+    and the p = 2 square function has ||.||_2^2 = sum_j 4^(js) ||P_j f||_2^2.
+    A shell is inverse-transformed only when a requested exponent is not 2,
+    and never when it is empty.  Shell j + 1 is gathered and its transform
+    handed to `_inverse_soon` before the wait for shell j's samples, so at
+    most one shell is transformed ahead of the one being reduced; the
+    reductions run in shell order, as they would without the hand-off.
     """
+    for r in rs:
+        _check_exponent(r)
     for _, p in pairs:
         if not 1.0 < p < math.inf:
             raise ValueError(f"p must be in (1, inf), got {p}")
     transform = any(e != 2 for e in list(rs) + [p for _, p in pairs])
     coeffs = f.coefficients
+
+    def gather(j):
+        """Shell j's L^2 norm and, when samples are needed, a handle on them."""
+        c = _on_support(part, coeffs, j, j)
+        l2 = _coefficient_norm(c)  # read before c is transformed in place
+        if not transform:
+            return l2, None
+        return l2, _inverse_soon(c) if c.any() else lambda: c
+
     norms = np.zeros((len(rs), part.jmax + 1))
     caps, squares = [0.0] * len(pairs), [0.0] * len(pairs)
+    ahead = gather(0)
     for j in range(part.jmax + 1):
-        shell = SpectralField(f.grid, freq=_on_support(part, coeffs, j, j))
-        l2 = l2_norm(shell)
-        mod = shell.modulus() if transform else None
-        del shell  # not held while the shell is reduced
+        l2, samples = ahead
+        ahead = gather(j + 1) if j < part.jmax else None
+        if samples is not None:
+            samples = samples()  # the handle, which also holds the buffer, is let go
+        mod = None if samples is None else _modulus(samples)
+        del samples  # the shell's samples are not held while it is reduced
         for i, r in enumerate(rs):
             norms[i, j] = l2 if r == 2 else _modulus_norm(mod, r)
         for i, (s, p) in enumerate(pairs):

@@ -90,6 +90,15 @@ class TestIterateCommand:
                             "--eps", "1.0", "--delta", "0.4")
         assert code == 2
 
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_nonfinite_eps_exits_2_naming_eps(self, capsys, tmp_path, eps):
+        path = tmp_path / "seq.csv"
+        path.write_text("1.0\n0.5\n")
+        code, out = run_cli(capsys, "iterate", "--csv", str(path),
+                            "--eps", eps, "--delta", "0.1")
+        assert code == 2
+        assert json.loads(out)["error"] == f"eps must be finite and positive, got {eps}"
+
     @pytest.mark.parametrize("bad", ["-1.0", "nan", "inf"])
     def test_invalid_value_exits_2_naming_path_and_line(self, capsys, tmp_path, bad):
         path = tmp_path / "seq.csv"
@@ -412,3 +421,17 @@ def test_output_does_not_depend_on_blas_threads():
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+def test_import_starts_no_thread():
+    # the helper thread of the shell split starts on first use: an executor
+    # made at import slowed every process's start-up
+    src = str(Path(lpw.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = ("import sys, threading, lpw; "
+            "print(threading.active_count(), 'concurrent.futures' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "False"]

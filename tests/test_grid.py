@@ -370,6 +370,13 @@ class TestNorms:
         with pytest.raises(ValueError):
             lp_norm(random_field(grid2, 1), 0.5)
 
+    def test_nan_p_rejected_before_any_transform(self, grid2):
+        f = random_field(grid2, 1)
+        refuse = mock.Mock(side_effect=AssertionError("transform"))
+        with mock.patch.object(np.fft, "ifftn", refuse):
+            with pytest.raises(ValueError, match="p must be >= 1"):
+                lp_norm(f, math.nan)
+
 
 class TestProducts:
     def test_identity(self, grid2):

@@ -1,7 +1,8 @@
 """Static checks on the package source, by `ast` alone (nothing is imported).
 
 Every name in `lpw.__all__` resolves, no module imports a name it never uses,
-and every module-level private function is referenced somewhere.  Every public
+and every module-level private function is referenced somewhere.  Only `grid`
+imports a thread module or starts a thread.  Every public
 function and method is referenced, every defaulted parameter of a module-level
 function is passed by some call, and every dataclass field is read, by the
 package or the benchmark (`lpwbench/`): a test alone counts only for the few
@@ -178,3 +179,29 @@ def test_every_local_is_read():
                      for n in names if isinstance(n.ctx, ast.Store)
                      and not n.id.startswith("_") and n.id not in read]
     assert dead == []
+
+
+THREAD_MODULES = {"threading", "_thread", "concurrent", "concurrent.futures",
+                  "multiprocessing", "multiprocessing.pool", "multiprocessing.dummy"}
+THREAD_STARTERS = {"Thread", "Timer", "ThreadPoolExecutor", "ThreadPool", "start_new_thread"}
+
+
+def test_only_grid_handles_threads():
+    # grid's one helper thread, behind `_inverse_soon`, is the package's only
+    # thread: no other module imports a thread module or starts a thread
+    found = []
+    for mod, tree in MODULES.items():
+        if mod == "grid":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found += [f"{mod}: import {a.name}" for a in node.names
+                          if a.name in THREAD_MODULES]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                if node.module in THREAD_MODULES:
+                    found.append(f"{mod}: from {node.module}")
+            elif isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in THREAD_STARTERS:
+                    found.append(f"{mod}: {name}() (line {node.lineno})")
+    assert found == []

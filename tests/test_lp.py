@@ -1,15 +1,21 @@
+import json
 import math
+import os
+import signal
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lpw import lp, rng
+from lpw import grid as grid_module, lp, rng
 from lpw.grid import GridSpec, SpectralField, l2_norm, lp_norm, random_field
 from lpw.lp import (RING_HI, RING_LO, bernstein_ratio, build_partition,
                     flat_dyadic_field, profile_value, project, project_window, psi,
                     shell_norms, shell_packet, shell_sum_field)
+from lpw.probe import equation_spec, run_probe
 from lpw.psido import fit_log2_slope
 from lpw.rng import complex_samples
 
@@ -304,6 +310,131 @@ class TestSobolevNorm:
         f = shell_sum_field(part1, shells, 62)
         nrm = shell_norms(part1, f, pairs=[(s, 2.0)])[1][0]
         assert nrm <= 10.0 * scale
+
+
+def _inline(buf):
+    """`_inverse_soon` without the helper thread: the transform runs at once."""
+    grid_module._inverse(buf, out=buf)
+    return lambda: buf
+
+
+def _split_bytes(part, f, rs, pairs):
+    norms, smoothness = shell_norms(part, f, rs, pairs)
+    return norms.tobytes() + np.array(smoothness).tobytes()
+
+
+class TestPipelinedSplit:
+    RS = [2.5, 2.0, math.inf, 1.0]
+    PAIRS = [(0.5, 2.5), (1.0, 2.0)]
+
+    @pytest.mark.parametrize("dim,N,ncomp,band,rs,pairs", [
+        (1, 1 << 16, 1, None, RS, PAIRS),     # transformed on the helper thread
+        (1, 4096, 1, None, RS, PAIRS),        # transformed inline
+        (2, 256, 2, None, RS, PAIRS),
+        (2, 256, 1, None, [2.0], [(1.0, 2.0)]),  # exponent 2 only: no transform
+        (1, 1 << 16, 1, 40.0, RS, PAIRS),     # shells above the band are empty
+    ], ids=["helper", "inline", "two-components", "exponent-2", "empty-shells"])
+    def test_bits_equal_the_inline_split(self, monkeypatch, dim, N, ncomp, band, rs, pairs):
+        part = build_partition(GridSpec(dim, N))
+        f = random_field(part.grid, 31, ncomp=ncomp, band=band)
+        got = _split_bytes(part, f, rs, pairs)
+        monkeypatch.setattr(lp, "_inverse_soon", _inline)
+        assert got == _split_bytes(part, f, rs, pairs)
+
+    def test_probe_bits_equal_the_inline_split(self, monkeypatch):
+        eq, grid = equation_spec("biharmonic", n=2), GridSpec(2, 256)
+        got = json.dumps(run_probe(eq, grid, seed=9).as_dict())
+        monkeypatch.setattr(lp, "_inverse_soon", _inline)
+        assert got == json.dumps(run_probe(eq, grid, seed=9).as_dict())
+
+    @pytest.mark.parametrize("N,helper", [(1 << 16, True), (4096, False)])
+    def test_helper_runs_only_from_2_14_points(self, monkeypatch, N, helper):
+        threads = []
+
+        def recording(coeffs, out=None, _inverse=grid_module._inverse):
+            threads.append(threading.current_thread() is threading.main_thread())
+            return _inverse(coeffs, out=out)
+
+        part = build_partition(GridSpec(1, N))
+        f = random_field(part.grid, 32)
+        monkeypatch.setattr(grid_module, "_inverse", recording)
+        shell_norms(part, f, [2.5])
+        assert len(threads) == part.jmax + 1 and set(threads) == {not helper}
+
+    @pytest.mark.parametrize("N", [1 << 16, 4096])
+    def test_transform_error_reaches_the_caller(self, monkeypatch, N):
+        class Boom(Exception):
+            pass
+
+        def failing(coeffs, out=None):
+            raise Boom
+
+        part = build_partition(GridSpec(1, N))
+        f = random_field(part.grid, 33)
+        monkeypatch.setattr(grid_module, "_inverse", failing)
+        with pytest.raises(Boom):
+            shell_norms(part, f, [2.5])
+        monkeypatch.undo()
+        assert np.all(np.isfinite(shell_norms(part, f, [2.5])[0]))
+
+    def test_helper_transforms_under_the_callers_errstate(self):
+        # shells from j = 8 hold over 180 modes of 1e306, whose sum overflows
+        part = build_partition(GridSpec(1, 1 << 16))
+        c = np.zeros((1, part.grid.npoints), dtype=complex)
+        c[0, 1:2000] = 1e306
+        f = SpectralField(part.grid, freq=c)
+        with np.errstate(over="raise", invalid="raise"):
+            with pytest.raises(FloatingPointError, match="ifft"):
+                shell_norms(part, f, [math.inf])
+
+    def test_forked_child_starts_its_own_helper(self):
+        # a child forked after the helper started has no helper thread: a
+        # hand-off to the parent's would never run
+        part = build_partition(GridSpec(1, 1 << 16))
+        f = random_field(part.grid, 36)
+        want = shell_norms(part, f, [2.5])[0]
+        pid = os.fork()
+        if pid == 0:
+            same = False
+            try:
+                same = np.array_equal(shell_norms(part, f, [2.5])[0], want)
+            finally:
+                os._exit(0 if same else 1)
+        for _ in range(600):
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.05)
+        else:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert done and os.waitstatus_to_exitcode(status) == 0
+
+    @pytest.mark.parametrize("bad", [0.5, math.nan, -math.inf])
+    def test_exponents_checked_before_any_shell(self, monkeypatch, part1, bad):
+        gathered = []
+        monkeypatch.setattr(lp, "_on_support", lambda *args: gathered.append(args))
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            shell_norms(part1, random_field(part1.grid, 34), [2.0, bad])
+        assert gathered == []
+
+    @pytest.mark.parametrize("dim,N,ncomp,bound", [
+        # 7.00 and 3.50 MiB when each shell was transformed out of place with
+        # none ahead; a second shell ahead would add 2 and 1 MiB
+        (2, 256, 2, 6.75 * 2**20),
+        (1, 1 << 16, 1, 4.25 * 2**20),
+    ], ids=["2,256x2", "1,65536"])
+    def test_peak_memory(self, dim, N, ncomp, bound):
+        part = build_partition(GridSpec(dim, N))
+        f = random_field(part.grid, 35, ncomp=ncomp)
+        shell_norms(part, f, [2.5], [(0.5, 2.5)])  # the helper thread started
+        tracemalloc.start()
+        try:
+            shell_norms(part, f, [2.5], [(0.5, 2.5)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
 
 class TestDyadicSequence:
