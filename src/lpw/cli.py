@@ -47,6 +47,18 @@ def _grid_arg(text: str) -> GridSpec:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}: {exc}") from exc
 
 
+def _seed_arg(text: str) -> int:
+    """A seed in [0, 2^64 - 1]; the generator reads seeds modulo 2^64, so one
+    outside would silently stand for another."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 0 <= seed < 1 << 64:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 2^64 - 1], got {text}")
+    return seed
+
+
 def _cmd_verify(args) -> int:
     """Run one bundle; --n/--N are passed only when given, and only to a
     bundle that takes them (any other use is a usage error)."""
@@ -153,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("what", choices=sorted(VERIFIERS))
     v.add_argument("--n", type=int, default=None)
     v.add_argument("--N", type=int, default=None)
-    v.add_argument("--seed", type=int, default=1)
+    v.add_argument("--seed", type=_seed_arg, default=1)
     v.add_argument("--out", default=None)
     v.set_defaults(fn=_cmd_verify)
 
@@ -182,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ns | biharmonic | gjms | custom (aliases accepted)")
     p.add_argument("--grid", type=_grid_arg, required=True, metavar="n,N")
     p.add_argument("--rho", type=float, default=0.75)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=_seed_arg, default=7)
     p.add_argument("--amplitude", type=float, default=1e-2)
     p.add_argument("--s", type=float, default=None)
     p.add_argument("--p", type=float, default=None)

@@ -258,12 +258,14 @@ def _inverse(coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.fft.ifftn(coeffs, axes=tuple(range(1, coeffs.ndim)), norm="forward", out=out)
 
 
-# One helper thread, made on first use, runs the inverse transforms that
-# `_inverse_soon` hands it, in the order handed.  Each writes into an array the
-# caller made, so every array is allocated on the caller's thread: the C
-# allocator keeps a memory pool per thread, and one for the helper would hold
-# freed arrays too.
+# One helper thread, made on first use, runs the transforms that `_soon` hands
+# it, in the order handed.  Each writes into an array the caller made, so every
+# array is allocated on the caller's thread: the C allocator keeps a memory pool
+# per thread, and one for the helper would hold freed arrays too.  pocketfft's
+# per-line scratch is made on the thread that transforms, so lines longer than
+# _HELPER_MAX_LINE stay on the caller, whose pool already holds that much.
 _HELPER_MIN_POINTS = 1 << 14  # below this many points per component the hand-off costs more
+_HELPER_MAX_LINE = 1 << 17
 _helper = None
 _helper_lock = threading.Lock()
 
@@ -277,27 +279,27 @@ def _forget_helper() -> None:
 os.register_at_fork(after_in_child=_forget_helper)
 
 
-def _inverse_soon(buf: np.ndarray):
-    """Start `_inverse(buf, out=buf)` and return a handle: a callable with no
-    arguments that waits for it and returns `buf`, or raises what the
-    transform raised.
+def _soon(transform, buf: np.ndarray):
+    """Start `transform(buf, out=buf)`, `transform` being `_forward` or
+    `_inverse`, and return a handle: a callable with no arguments that waits
+    for it and returns `buf`, or raises what the transform raised.
 
-    `buf` is a coefficient array the caller made and does not touch until the
-    handle returns.  From 2^14 lattice points per component the transform
-    runs on the helper thread, under the caller's `np.errstate`, so the
-    caller can reduce something else meanwhile; below that it runs here, at
-    once.
+    `buf` is an array the caller made and does not touch until the handle
+    returns.  From 2^14 lattice points per component, on lines of at most
+    2^17 points, the transform runs on the helper thread, under the caller's
+    `np.errstate`, so the caller can do something else meanwhile; otherwise
+    it runs here, at once.
     """
     global _helper
-    if buf[0].size < _HELPER_MIN_POINTS:
-        _inverse(buf, out=buf)
+    if buf[0].size < _HELPER_MIN_POINTS or max(buf.shape[1:]) > _HELPER_MAX_LINE:
+        transform(buf, out=buf)
         return lambda: buf
     with _helper_lock:
         if _helper is None:
             from concurrent.futures import ThreadPoolExecutor
 
-            _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="lpw-inverse")
-        return _helper.submit(contextvars.copy_context().run, _inverse, buf, buf).result
+            _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="lpw-transform")
+        return _helper.submit(contextvars.copy_context().run, transform, buf, buf).result
 
 
 # -- norms --------------------------------------------------------------
@@ -308,9 +310,16 @@ def lp_norm(f: SpectralField, p) -> float:
     gives the max modulus.
 
     p must be >= 1, so NaN is rejected too, before any transform.  `l2_norm`
-    reads p = 2 from the coefficients when f holds them.
+    reads p = 2 from the coefficients when f holds them.  A field that holds
+    no samples and only zero coefficients has norm 0, read without a pass
+    over its (zero) samples; otherwise the samples are synced and cached as
+    `physical` does, with the coefficients scanned for zeros once.
     """
     _check_exponent(p)
+    if f._phys is None:
+        if not f._freq.any():
+            return 0.0
+        f._phys = _inverse(f._freq)
     return _modulus_norm(f.modulus(), p)
 
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .grid import (GridSpec, SpectralField, _check_exponent, _coefficient_norm, _inverse_soon,
-                   _modulus, _modulus_norm, l2_norm, lp_norm)
+from .grid import (GridSpec, SpectralField, _check_exponent, _coefficient_norm, _inverse,
+                   _modulus, _modulus_norm, _soon, l2_norm, lp_norm)
 from .smooth import ramp_down
 
 RING_LO = 3.0 / 5.0
@@ -200,9 +200,10 @@ def shell_norms(part: LPPartition, f: SpectralField, rs=(), pairs=()) -> tuple:
     Exponent 2 is read from the shell's coefficients (`_coefficient_norm`),
     and the p = 2 square function has ||.||_2^2 = sum_j 4^(js) ||P_j f||_2^2.
     A shell is inverse-transformed only when a requested exponent is not 2,
-    and never when it is empty.  Shell j + 1 is gathered and its transform
-    handed to `_inverse_soon` before the wait for shell j's samples, so at
-    most one shell is transformed ahead of the one being reduced; the
+    and never when it is empty: an empty shell's every norm is its L^2 norm,
+    0, and it adds nothing to a square function.  Shell j + 1 is gathered and
+    its transform handed to `_soon` before the wait for shell j's samples, so
+    at most one shell is transformed ahead of the one being reduced; the
     reductions run in shell order, as they would without the hand-off.
     """
     for r in rs:
@@ -214,12 +215,11 @@ def shell_norms(part: LPPartition, f: SpectralField, rs=(), pairs=()) -> tuple:
     coeffs = f.coefficients
 
     def gather(j):
-        """Shell j's L^2 norm and, when samples are needed, a handle on them."""
+        """Shell j's L^2 norm and, when samples are needed and the shell is
+        not empty, a handle on them."""
         c = _on_support(part, coeffs, j, j)
         l2 = _coefficient_norm(c)  # read before c is transformed in place
-        if not transform:
-            return l2, None
-        return l2, _inverse_soon(c) if c.any() else lambda: c
+        return l2, _soon(_inverse, c) if transform and c.any() else None
 
     norms = np.zeros((len(rs), part.jmax + 1))
     caps, squares = [0.0] * len(pairs), [0.0] * len(pairs)
@@ -232,13 +232,13 @@ def shell_norms(part: LPPartition, f: SpectralField, rs=(), pairs=()) -> tuple:
         mod = None if samples is None else _modulus(samples)
         del samples  # the shell's samples are not held while it is reduced
         for i, r in enumerate(rs):
-            norms[i, j] = l2 if r == 2 else _modulus_norm(mod, r)
+            norms[i, j] = l2 if r == 2 or mod is None else _modulus_norm(mod, r)
         for i, (s, p) in enumerate(pairs):
             if j == 0:
-                caps[i] = l2 if p == 2 else _modulus_norm(mod, p)
+                caps[i] = l2 if p == 2 or mod is None else _modulus_norm(mod, p)
             elif p == 2:
                 squares[i] = squares[i] + (4.0 ** (j * s)) * l2 * l2
-            else:
+            elif mod is not None:
                 squares[i] = squares[i] + (4.0 ** (j * s)) * mod * mod
     smoothness = []
     for cap, sq, (_, p) in zip(caps, squares, pairs):

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exponents import RegularityParams, zone_branches, zone_transfers
-from .grid import (SpectralField, _norm, _pair_product_fine, _physical_at, alias_free_size,
+from .grid import (SpectralField, _forward, _inverse, _modulus, _modulus_norm, _norm,
+                   _pair_product_fine, _physical_at, _relattice, _soon, alias_free_size,
                    dealiased_product, field_from_padded, padded_physical)
 from .lp import RING_HI, LPPartition, project, project_window, shell_norms
 from .symbols import Symbol, apply
@@ -148,6 +149,9 @@ def split(V: SpectralField, w: SpectralField, k: int, part: LPPartition) -> Zone
     or k+7) is made once and kept, unwritten, until its last use, which sums
     into it in place.  The zones run in the order LL, HH, LH, HL, so no kept
     product outlives HH.
+
+    Each new product's padded V window is handed to `_soon` for its inverse
+    transform while the w window is gathered and padded here.
     """
     if V.grid != w.grid:
         raise ValueError("grid mismatch")
@@ -165,8 +169,11 @@ def split(V: SpectralField, w: SpectralField, k: int, part: LPPartition) -> Zone
             lo_v, hi_v, lo_w, hi_w, M = key
             term = kept.pop(key, None)
             if term is None:
-                term = _pair_product_fine(_physical_at(project_window(part, V, lo_v, hi_v), M),
-                                          _physical_at(project_window(part, w, lo_w, hi_w), M))
+                pv = _soon(_inverse,
+                           _relattice(project_window(part, V, lo_v, hi_v).coefficients, M))
+                pw = _physical_at(project_window(part, w, lo_w, hi_w), M)
+                term = _pair_product_fine(pv(), pw)
+                del pv, pw
             uses[key] -= 1
             if uses[key]:
                 kept[key] = term
@@ -202,21 +209,32 @@ def all_pairs_shells(V: SpectralField, w: SpectralField, ks, part: LPPartition) 
 
     One dealiased product on the 3/2 grid and one forward transform per
     pair, projected onto every k; each P_j w and each P_i V is padded once.
-    Affordable only at small jmax.
+    Affordable only at small jmax.  Each pair's forward transform is handed
+    to `_soon` while the previous pair is projected and summed here, so at
+    most one pair is in flight; the pairs are summed in order.
     """
     if V.grid != w.grid:
         raise ValueError("grid mismatch")
-    shells = range(part.jmax + 1)
+    grid, shells = V.grid, range(part.jmax + 1)
     w_fine = [padded_physical(project(part, w, j)) for j in shells]
     totals = [None] * len(ks)
+
+    def add(product):  # a handle on one pair's product coefficients
+        pair = SpectralField(grid, freq=_relattice(product(), grid.points_per_axis))
+        for n, k in enumerate(ks):
+            term = project(part, pair, k)
+            totals[n] = term if totals[n] is None else totals[n] + term
+
+    pending = None
     for i in shells:
         v_fine = padded_physical(project(part, V, i))
         for wj in w_fine:
             # the product is formed in its second factor's buffer, and wj is reused
-            pair = field_from_padded(V.grid, _pair_product_fine(v_fine, wj.copy()))
-            for n, k in enumerate(ks):
-                term = project(part, pair, k)
-                totals[n] = term if totals[n] is None else totals[n] + term
+            ahead = _soon(_forward, _pair_product_fine(v_fine, wj.copy()))
+            if pending is not None:
+                add(pending)
+            pending = ahead
+    add(pending)
     return totals
 
 
@@ -302,6 +320,19 @@ def zone_estimate_reports(V: SpectralField, u: SpectralField, Q: Symbol, ks,
     return _zone_reports(V, u, Q, ks, params, part, norms[0], c_rho)
 
 
+def _norm_pair(f: SpectralField, g: SpectralField, p) -> tuple:
+    """(`_norm(f, p)`, `_norm(g, p)`) for fields that hold their coefficients.
+
+    When f's norm needs samples (p is not 2 and f is not zero), they are
+    formed by a transform handed to `_soon` while g's norm is taken here.
+    """
+    if p == 2 or not f.coefficients.any():
+        return _norm(f, p), _norm(g, p)
+    samples = _soon(_inverse, f.coefficients.copy())
+    g_norm = _norm(g, p)
+    return _modulus_norm(_modulus(samples()), p), g_norm
+
+
 def _zone_reports(V: SpectralField, u: SpectralField, Q: Symbol, ks,
                   params: RegularityParams, part: LPPartition, du: np.ndarray,
                   c_rho: float) -> list:
@@ -317,6 +348,8 @@ def _zone_reports(V: SpectralField, u: SpectralField, Q: Symbol, ks,
 
     def report(k):  # a function, so each split's zone fields go before the next split
         zs = split(V, w, k, part)
+        norm_i, norm_ii = _norm_pair(zs.I, zs.II, r)
+        norm_iii, norm_iv = _norm_pair(zs.III, zs.IV, r)
         scale = 2.0 ** (lift * k)
         tiny_tail = c_rho * 2.0 ** (-min(100.0 * k, 960.0))
         return ZoneEstimateReport(
@@ -325,14 +358,14 @@ def _zone_reports(V: SpectralField, u: SpectralField, Q: Symbol, ks,
             branch_iii=branch_iii,
             branch_iv=branch_iv,
             low_zones=ZoneEstimate(
-                scale * (_norm(zs.I, r) + _norm(zs.II, r)),
+                scale * (norm_i + norm_ii),
                 delta * _weighted_sum(du, sigma, k - 20, k + 20, k, 0.0) + tiny_tail),
             high_low=ZoneEstimate(
-                scale * _norm(zs.III, r),
+                scale * norm_iii,
                 delta * _weighted_sum(du, sigma, 1, k + 10, k, transfer_iii)
                 + c_rho * 2.0 ** (transfer_iii * k)),
             high_high=ZoneEstimate(
-                scale * _norm(zs.IV, r),
+                scale * norm_iv,
                 delta * _weighted_sum(du, sigma, k - 20, part.jmax, k, transfer_iv)
                 + tiny_tail),
             truncated=zs.zones.truncated,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lpw import lp, paraproduct
 from lpw.grid import GridSpec
 from lpw.lp import build_partition
 from lpw.verify import verify_paraproduct
@@ -39,3 +40,20 @@ def paraproduct_run():
             mp.setattr(np.fft, name, counted)
         report = verify_paraproduct()
     return report, len(transforms)
+
+
+def _inline(transform, buf):
+    """`grid._soon` without the helper thread: the transform runs at once."""
+    transform(buf, out=buf)
+    return lambda: buf
+
+
+@pytest.fixture
+def inline_transforms(monkeypatch):
+    """A callable that, once called, makes every hand-off of a transform to
+    the helper thread (`_soon`, in each module that imports it) run inline
+    until the test ends: the reference the helper's results equal bit for bit."""
+    def install():
+        for module in (lp, paraproduct):
+            monkeypatch.setattr(module, "_soon", _inline)
+    return install

@@ -423,6 +423,55 @@ def test_output_does_not_depend_on_blas_threads():
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("command", [["verify", "partition", "--N", "16"],
+                                     ["probe", "--equation", "ns", "--grid", "2,256"]],
+                         ids=["verify", "probe"])
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+def test_seed_outside_64_bits_exits_2(capsys, command, seed):
+    # the generator reads seeds modulo 2^64: 2^64 + 1 printed what 1 did
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--seed", seed])
+    assert exc.value.code == 2
+    assert f"--seed: must lie in [0, 2^64 - 1], got {seed}" in capsys.readouterr().err
+
+
+def test_package_keeps_one_helper_thread():
+    # every hand-off of a transform goes to grid's one helper thread
+    src = str(Path(lpw.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = """if True:
+        import threading
+        from lpw.exponents import RegularityParams
+        from lpw.grid import GridSpec, random_field
+        from lpw.lp import build_partition, flat_dyadic_field
+        from lpw.paraproduct import all_pairs_shells, split, zone_estimate_reports
+        from lpw.probe import equation_spec, run_probe
+        from lpw.symbols import multiplier
+        counts = []
+        part = build_partition(GridSpec(2, 128))
+        V, w = random_field(part.grid, 1), random_field(part.grid, 2)
+        split(V, w, 5, part)
+        counts.append(threading.active_count())
+        all_pairs_shells(V, w, [5], part)
+        counts.append(threading.active_count())
+        part = build_partition(GridSpec(1, 1 << 16))
+        Q = multiplier(1.0, lambda xi: (1.0 + xi * xi) ** 0.5)
+        params = RegularityParams(n=1, alpha=2.0, beta=0.5, gamma=1.0, s=1.1, p=2.0,
+                                  sigma=1.25, r=1.0 / 0.65)
+        zone_estimate_reports(flat_dyadic_field(part, 3), flat_dyadic_field(part, 4), Q,
+                              [10], params, part)
+        counts.append(threading.active_count())
+        run_probe(equation_spec("ns", n=2), GridSpec(2, 256), seed=9)
+        counts.append(threading.active_count())
+        print(*counts)
+    """
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert [int(n) for n in proc.stdout.split()] == [2, 2, 2, 2]
+
+
 def test_import_starts_no_thread():
     # the helper thread of the shell split starts on first use: an executor
     # made at import slowed every process's start-up

@@ -187,7 +187,7 @@ THREAD_STARTERS = {"Thread", "Timer", "ThreadPoolExecutor", "ThreadPool", "start
 
 
 def test_only_grid_handles_threads():
-    # grid's one helper thread, behind `_inverse_soon`, is the package's only
+    # grid's one helper thread, behind `_soon`, is the package's only
     # thread: no other module imports a thread module or starts a thread
     found = []
     for mod, tree in MODULES.items():

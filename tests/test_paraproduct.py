@@ -1,9 +1,13 @@
+import json
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lpw import grid as grid_module, paraproduct
 from lpw.exponents import RegularityParams
 from lpw.grid import (GridSpec, SpectralField, _pair_product_fine, _physical_at,
                       alias_free_size, dealiased_product, field_from_padded, lp_norm,
@@ -13,6 +17,7 @@ from lpw.lp import (build_partition, flat_dyadic_field, project, project_window,
 from lpw.paraproduct import (_window_band, _zone_grid, _zone_windows, all_pairs_shell,
                              all_pairs_shells, product_shell, split, zone_branches,
                              zone_estimate_report, zone_estimate_reports, zones)
+from lpw.probe import equation_spec, run_probe
 from lpw.symbols import multiplier
 
 
@@ -285,3 +290,124 @@ class TestZoneEstimates:
         for entry in d["zone"].values():
             assert set(entry) == {"lhs", "rhs", "constant"}
         assert rep.constants == tuple(d["zone"][z]["constant"] for z in ("I+II", "III", "IV"))
+
+
+def _zone_bits(zs) -> bytes:
+    return b"".join(z.coefficients.tobytes() for z in (zs.I, zs.II, zs.III, zs.IV))
+
+
+class TestHelperTransforms:
+    """The split's padded V windows, the oracle's pair products and zones I
+    and III of the zone reports are transformed on grid's helper thread;
+    every result equals the one with each transform run inline, bit for bit."""
+
+    @pytest.mark.parametrize("dim,N,k", [
+        (2, 128, 4), (2, 128, 5), (2, 128, 6),
+        (1, 1 << 16, 9), (1, 1 << 16, 10), (1, 1 << 16, 11),
+        (1, 1 << 18, 10),  # the 5 * 2^16-point windows stay on the caller
+    ])
+    def test_split_bits_equal_the_inline_split(self, inline_transforms, dim, N, k):
+        part = build_partition(GridSpec(dim, N))
+        V, w = random_field(part.grid, 41), random_field(part.grid, 42)
+        got = _zone_bits(split(V, w, k, part))
+        inline_transforms()
+        assert got == _zone_bits(split(V, w, k, part))
+
+    def test_oracle_bits_equal_the_inline_oracle(self, inline_transforms):
+        part = build_partition(GridSpec(2, 128))
+        V, w = random_field(part.grid, 43), random_field(part.grid, 44)
+        got = [t.coefficients.tobytes() for t in all_pairs_shells(V, w, (4, 5, 6), part)]
+        inline_transforms()
+        assert got == [t.coefficients.tobytes()
+                       for t in all_pairs_shells(V, w, (4, 5, 6), part)]
+
+    @pytest.mark.parametrize("p,r", [(10.0 / 3.0, 1.0 / 0.45), (2.0, 1.0 / 0.65)],
+                             ids=["r>=q", "r<q"])
+    def test_zone_reports_equal_the_inline_reports(self, inline_transforms, p, r):
+        # the data of the benchmark's zone-report branches
+        part = build_partition(GridSpec(1, 1 << 16))
+        params = RegularityParams(n=1, alpha=2.0, beta=0.5, gamma=1.0, s=1.1, p=p,
+                                  sigma=1.25, r=r)
+        V = flat_dyadic_field(part, 45)
+        u = shell_sum_field(part, {j: 2.0 ** (-(params.sigma + 0.3) * j)
+                                   for j in range(1, part.jmax + 1)}, 46, norm_p=r)
+        Q = multiplier(1.0, lambda *xis: (1.0 + sum(np.asarray(a) ** 2 for a in xis)) ** 0.5)
+
+        def reports():
+            return json.dumps([rep.as_dict() for rep in
+                               zone_estimate_reports(V, u, Q, (9, 10, 11), params, part)])
+
+        got = reports()
+        inline_transforms()
+        assert got == reports()
+
+    def test_ns_probe_bits_equal_the_inline_probe(self, inline_transforms):
+        # biharmonic: tests/test_lp.py::test_probe_bits_equal_the_inline_split
+        eq, grid = equation_spec("ns", n=2), GridSpec(2, 256)
+        got = json.dumps(run_probe(eq, grid, seed=9).as_dict())
+        inline_transforms()
+        assert got == json.dumps(run_probe(eq, grid, seed=9).as_dict())
+
+    @pytest.mark.parametrize("transform,call", [
+        ("_inverse", lambda V, w, part: split(V, w, 5, part)),
+        ("_forward", lambda V, w, part: all_pairs_shells(V, w, [5], part)),
+    ], ids=["split", "oracle"])
+    def test_transform_error_reaches_the_caller(self, monkeypatch, transform, call):
+        class Boom(Exception):
+            pass
+
+        threads = []
+
+        def failing(buf, out=None):
+            threads.append(threading.current_thread() is threading.main_thread())
+            raise Boom
+
+        part = build_partition(GridSpec(2, 128))
+        V, w = random_field(part.grid, 47), random_field(part.grid, 48)
+        monkeypatch.setattr(paraproduct, transform, failing)
+        with pytest.raises(Boom):
+            call(V, w, part)
+        assert threads and not any(threads)  # raised on the helper
+        monkeypatch.undo()
+        assert call(V, w, part) is not None
+
+    @pytest.mark.parametrize("points,helper", [(5 << 16, False), (5 << 14, True)])
+    def test_lines_over_2_17_points_stay_on_the_caller(self, points, helper):
+        # pocketfft makes its per-line scratch on the thread that transforms:
+        # the 327,680-point windows of a 2^18 split on the helper raised the
+        # benchmark's peak memory by 13 %
+        threads = []
+
+        def recording(buf, out=None):
+            threads.append(threading.current_thread() is threading.main_thread())
+            return buf
+
+        grid_module._soon(recording, np.zeros((1, points), dtype=complex))()
+        assert threads == [not helper]
+
+    def test_oracle_peak_memory(self):
+        # 6.17 MiB with each pair transformed inline; one 0.56 MiB pair in
+        # flight ahead makes 6.83, a second would pass the bound
+        part = build_partition(GridSpec(2, 128))
+        V, w = random_field(part.grid, 49), random_field(part.grid, 50)
+        all_pairs_shells(V, w, [5], part)  # the helper thread started
+        tracemalloc.start()
+        try:
+            all_pairs_shells(V, w, [5], part)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.9 * 2**20
+
+    def test_split_peak_memory(self):
+        # 20.14 MiB, as when every padded window was transformed inline
+        part = build_partition(GridSpec(1, 1 << 18))
+        V, w = random_field(part.grid, 51), random_field(part.grid, 52)
+        split(V, w, 10, part)
+        tracemalloc.start()
+        try:
+            split(V, w, 10, part)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20.2 * 2**20
