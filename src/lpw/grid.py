@@ -411,10 +411,14 @@ def _physical_at(f: SpectralField, M: int) -> np.ndarray:
     return _inverse(buf, out=buf)
 
 
+def _padded_size(N: int) -> int:
+    """Points per axis of the 3/2 grid, the rule's size for full-band factors."""
+    return alias_free_size(N, N / 2, N / 2, N / 2)
+
+
 def padded_physical(f: SpectralField) -> np.ndarray:
-    """Physical samples of `f` on the 3/2 grid, the rule's size for full-band factors."""
-    N = f.grid.points_per_axis
-    return _physical_at(f, alias_free_size(N, N / 2, N / 2, N / 2))
+    """Physical samples of `f` on the 3/2 grid."""
+    return _physical_at(f, _padded_size(f.grid.points_per_axis))
 
 
 def field_from_padded(grid: GridSpec, fine: np.ndarray) -> SpectralField:

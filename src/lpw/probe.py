@@ -19,8 +19,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .exponents import GainReport, RegularityParams, check_params, compute_gains
-from .grid import (GridSpec, SpectralField, _abs2, _pair_product_fine, field_from_padded,
-                   grid_product, l2_norm, padded_physical, random_field)
+from .grid import (GridSpec, SpectralField, _abs2, _inverse, _padded_size, _pair_product_fine,
+                   _relattice, _soon, field_from_padded, grid_product, l2_norm,
+                   padded_physical, random_field)
 from .iteration import (DecaySequence, IterationParams, convolution_majorant,
                         decay_bound, delta_cap, hypothesis_holds)
 from .lp import LPPartition, build_partition, shell_norms
@@ -76,14 +77,19 @@ def _quadratic_term(P: Symbol, Q: Symbol):
     ((V.grad) u) and broadcasts otherwise.  The products are formed in
     Q u's padded buffer and transformed back there; only a product wider
     than its Q-output goes to a fresh array, so the shared padded V is
-    never written.
+    never written.  The padded Q u, in every shipped equation at least as
+    wide as V, is handed to `_soon` for its inverse transform while V is
+    padded here: the longer transform goes to the helper thread.
     """
 
     def nonlinearity(V: SpectralField, u: SpectralField) -> SpectralField:
-        pq = padded_physical(SpectralField(u.grid, freq=np.concatenate(
-            [apply(Q, u.component(c)).coefficients for c in range(u.ncomp)])))
-        pq = pq.reshape((u.ncomp, -1) + pq.shape[1:])
+        # the coarse stack is freed once moved to the 3/2 grid, before V is padded
+        pq = _soon(_inverse, _relattice(np.concatenate(
+            [apply(Q, u.component(c)).coefficients for c in range(u.ncomp)]),
+            _padded_size(u.grid.points_per_axis)))
         pv = padded_physical(V)
+        pq = pq()  # the handle, which also holds the buffer, is let go
+        pq = pq.reshape((u.ncomp, -1) + pq.shape[1:])
         fine = [_pair_product_fine(pv, w) for w in pq]
         del pv  # free the padded V before the transform back
         k = fine[0].shape[0]  # in place, the products fill each Q-output's leading k slots

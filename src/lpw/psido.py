@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, SpectralField, _forward, _inverse, center_distance, l2_norm
-from .lp import LPPartition, profile_value, project, project_window, shell_norms
+from .grid import GridSpec, SpectralField, _forward, _inverse, _soon, center_distance, l2_norm
+from .lp import LPPartition, _on_support, profile_value, project, project_window, shell_norms
 from .smooth import ramp_down, ramp_up
 from . import symbols as sym_mod
 from .symbols import Symbol, _abs_xi, _masked_inverse, apply
@@ -220,6 +220,9 @@ def commutator_shell(A: Symbol, part: LPPartition, f: SpectralField, ks) -> list
     The difference is taken in physical space, where the norm reads it.
     Frequency multipliers commute with ring projections identically, so the
     multiplier fast path returns exactly 0.0 without touching the field.
+    Af's coefficients are taken once; P_{k+1}(Af) is gathered and its
+    inverse transform handed to `_soon` before shell k is reduced, while
+    A P_k f is formed here, so at most one shell is transformed ahead.
     """
     bad = [k for k in ks if not 10 <= k <= part.jmax]
     if bad:
@@ -227,9 +230,20 @@ def commutator_shell(A: Symbol, part: LPPartition, f: SpectralField, ks) -> list
     if A.is_multiplier:
         return [0.0 for _ in ks]
     Af = apply(A, f)
-    return [l2_norm(SpectralField(f.grid, phys=project(part, Af, k).physical
-                                  - apply(A, project(part, f, k)).physical))
-            for k in ks]
+
+    def gather(k):
+        """A handle on the samples of P_k(Af); an all-zero shell is its own samples."""
+        c = _on_support(part, Af.coefficients, k, k)
+        return _soon(_inverse, c) if c.any() else lambda: c
+
+    norms = []
+    ahead = gather(ks[0]) if ks else None
+    for i, k in enumerate(ks):
+        pak = ahead
+        ahead = gather(ks[i + 1]) if i + 1 < len(ks) else None
+        apk = apply(A, project(part, f, k)).physical
+        norms.append(l2_norm(SpectralField(f.grid, phys=pak() - apk)))
+    return norms
 
 
 # -- composed-symbol remainder ----------------------------------------------

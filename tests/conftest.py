@@ -1,7 +1,10 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
-from lpw import lp, paraproduct
+import lpw
 from lpw.grid import GridSpec
 from lpw.lp import build_partition
 from lpw.verify import verify_paraproduct
@@ -51,9 +54,12 @@ def _inline(transform, buf):
 @pytest.fixture
 def inline_transforms(monkeypatch):
     """A callable that, once called, makes every hand-off of a transform to
-    the helper thread (`_soon`, in each module that imports it) run inline
-    until the test ends: the reference the helper's results equal bit for bit."""
+    the helper thread (`_soon`, in every `lpw` module that binds it) run
+    inline until the test ends: the reference the helper's results equal bit
+    for bit."""
     def install():
-        for module in (lp, paraproduct):
-            monkeypatch.setattr(module, "_soon", _inline)
+        for info in pkgutil.iter_modules(lpw.__path__, "lpw."):
+            module = importlib.import_module(info.name)
+            if hasattr(module, "_soon"):
+                monkeypatch.setattr(module, "_soon", _inline)
     return install

@@ -447,7 +447,8 @@ def test_package_keeps_one_helper_thread():
         from lpw.lp import build_partition, flat_dyadic_field
         from lpw.paraproduct import all_pairs_shells, split, zone_estimate_reports
         from lpw.probe import equation_spec, run_probe
-        from lpw.symbols import multiplier
+        from lpw.psido import commutator_shell
+        from lpw.symbols import multiplier, resolve_symbol
         counts = []
         part = build_partition(GridSpec(2, 128))
         V, w = random_field(part.grid, 1), random_field(part.grid, 2)
@@ -462,6 +463,12 @@ def test_package_keeps_one_helper_thread():
         zone_estimate_reports(flat_dyadic_field(part, 3), flat_dyadic_field(part, 4), Q,
                               [10], params, part)
         counts.append(threading.active_count())
+        commutator_shell(resolve_symbol("sep:cos:0*pow:1"), part, flat_dyadic_field(part, 5),
+                         [10, 11, 12])
+        counts.append(threading.active_count())
+        u = random_field(GridSpec(2, 256), 6, ncomp=2)
+        equation_spec("ns", n=2).nonlinearity(u, u)
+        counts.append(threading.active_count())
         run_probe(equation_spec("ns", n=2), GridSpec(2, 256), seed=9)
         counts.append(threading.active_count())
         print(*counts)
@@ -469,7 +476,7 @@ def test_package_keeps_one_helper_thread():
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert [int(n) for n in proc.stdout.split()] == [2, 2, 2, 2]
+    assert [int(n) for n in proc.stdout.split()] == [2] * 6
 
 
 def test_import_starts_no_thread():

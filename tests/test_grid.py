@@ -329,6 +329,13 @@ class TestTransformCounts:
         # inverse each), whose difference the norm reads in physical space
         assert calls == {("ifftn", "_inverse"): 1 + 2 * 2, ("fftn", "_forward"): 1}
 
+    def test_commutator_of_a_multiplier_transforms_nothing(self, calls):
+        part = build_partition(GridSpec(1, 4096))
+        f = flat_dyadic_field(part, 8)
+        calls.clear()
+        assert commutator_shell(resolve_symbol("bilaplacian"), part, f, [10, 11]) == [0.0, 0.0]
+        assert calls == {}
+
 
 class TestNorms:
     def test_constant(self, grid2):

@@ -12,7 +12,7 @@ from lpw.lp import build_partition, shell_norms
 from lpw.probe import (_quadratic_term, cutoff_field, custom_equation,
                        dyadic_decay_report, equation_residual, equation_spec,
                        localize, manufactured_solution, run_probe)
-from lpw import psido
+from lpw import grid as grid_module, probe, psido
 from lpw.psido import fit_log2_slope
 from lpw.symbols import apply, grad_symbol, laplacian_symbol, resolve_symbol
 
@@ -140,6 +140,41 @@ class TestManufacture:
         finally:
             tracemalloc.stop()
         assert peak <= 18e6
+
+    @pytest.mark.parametrize("kind, dim, N", [("ns", 2, 64), ("ns", 2, 128),
+                                              ("biharmonic", 2, 64), ("gjms", 3, 32)])
+    def test_manufacture_bits_equal_the_inline_manufacture(self, inline_transforms,
+                                                           kind, dim, N):
+        # the padded Q u is transformed on the helper from 2^14 points:
+        # ns 2,64's 96^2 stays on the caller, 2,128 and gjms 3,32 do not
+        eq, g = equation_spec(kind, n=dim), GridSpec(dim, N)
+        got = manufactured_solution(eq, g, seed=5)
+        inline_transforms()
+        want = manufactured_solution(eq, g, seed=5)
+        assert got.iterations == want.iterations
+        assert got.u.coefficients.tobytes() == want.u.coefficients.tobytes()
+        assert got.residual == want.residual
+
+    def test_nonlinearity_hands_the_helper_the_padded_Q_u(self, monkeypatch):
+        g = GridSpec(2, 256)
+        eq = equation_spec("ns", n=2)
+        V, u = random_field(g, 3, ncomp=2), random_field(g, 4, ncomp=2)
+        handed = []
+
+        def recording(transform, buf):
+            transform(buf, out=buf)
+            handed.append((transform, buf.copy()))
+            return lambda: buf
+
+        monkeypatch.setattr(probe, "_soon", recording)
+        eq.nonlinearity(V, u)
+        stack = SpectralField(g, freq=np.concatenate(
+            [apply(eq.Q, u.component(c)).coefficients for c in range(u.ncomp)]))
+        assert len(handed) == 1
+        transform, samples = handed[0]
+        assert transform is grid_module._inverse
+        assert samples.shape == (4, 384, 384)
+        assert samples.tobytes() == padded_physical(stack).tobytes()
 
     def test_gjms_manufacture(self):
         g = GridSpec(3, 32)

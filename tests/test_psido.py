@@ -11,6 +11,7 @@ from lpw.probe import cutoff_field
 from lpw.psido import (CUTOFF, ap_shell_ratio, commutator_shell, commutator_symbol_remainder,
                        ellipticity_margin, fit_log2_slope, mapping_constant, split_elliptic)
 from lpw.smooth import ramp_up
+from lpw.verify import _commutator_test_symbols
 from lpw.symbols import (apply, grad_symbol, multiplication, multiplier, quantize_direct,
                          resolve_symbol, separable)
 
@@ -254,6 +255,18 @@ class TestShellCommutator:
         brute = lp_norm(project(part, apply(A, f), 10) - apply(A, project(part, f, 10)), 2)
         assert abs(val - brute) <= 1e-12 * max(brute, 1.0)
         assert val > 0.0
+
+    @pytest.mark.parametrize("ks", [list(range(10, 16)), []], ids=["shells", "none"])
+    def test_bits_equal_the_inline_commutator(self, inline_transforms, ks):
+        # each P_k(A f) is transformed on the helper at 2^16 points
+        part = build_partition(GridSpec(1, 1 << 16))
+        f = flat_dyadic_field(part, 4)
+        symbols = [A for _, A in _commutator_test_symbols()]
+        got = [commutator_shell(A, part, f, ks) for A in symbols]
+        inline_transforms()
+        want = [commutator_shell(A, part, f, ks) for A in symbols]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert [len(vals) for vals in got] == [len(ks)] * 3
 
     def test_order_one_slope(self):
         g = GridSpec(1, 1 << 14)
