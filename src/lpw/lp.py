@@ -23,7 +23,7 @@ import numpy as np
 
 from . import rng
 from .grid import (GridSpec, SpectralField, _check_exponent, _coefficient_norm, _inverse,
-                   _modulus, _modulus_norm, _soon, l2_norm, lp_norm)
+                   _modulus, _modulus_norm, _soon, l2_norm)
 from .smooth import ramp_down
 
 RING_LO = 3.0 / 5.0
@@ -174,6 +174,15 @@ def bernstein_ratio(f: SpectralField, j: int, p, q) -> float:
     Requires supp fhat inside the ball of radius 2^j; a lattice coefficient
     outside carrying more than 1e-12 of the energy is rejected.
     """
+    norm_q, bound = _bernstein_sides(f, j, p, q)
+    return norm_q / bound
+
+
+def _bernstein_sides(f: SpectralField, j: int, p, q) -> tuple:
+    """The two sides of the Bernstein inequality at radius 2^j: ||f||_q and
+    the dyadic bound 2^(n j (1/p - 1/q)) ||f||_p, both read from one modulus
+    of f's samples, which is dropped once they are read.  Runs the checks of
+    `bernstein_ratio` first."""
     if not (1 <= p <= math.inf and 1 <= q <= math.inf and p <= q):
         raise ValueError(f"need 1 <= p <= q <= inf, got p={p}, q={q}")
     c = f.coefficients
@@ -187,7 +196,8 @@ def bernstein_ratio(f: SpectralField, j: int, p, q) -> float:
     ip = 0.0 if p == math.inf else 1.0 / p
     iq = 0.0 if q == math.inf else 1.0 / q
     scale = 2.0 ** (f.grid.dim * j * (ip - iq))
-    return lp_norm(f, q) / (scale * lp_norm(f, p))
+    mod = f.modulus()
+    return _modulus_norm(mod, q), scale * _modulus_norm(mod, p)
 
 
 def shell_norms(part: LPPartition, f: SpectralField, rs=(), pairs=()) -> tuple:

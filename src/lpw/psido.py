@@ -16,7 +16,7 @@ from .grid import GridSpec, SpectralField, _forward, _inverse, _soon, center_dis
 from .lp import LPPartition, _on_support, profile_value, project, project_window, shell_norms
 from .smooth import ramp_down, ramp_up
 from . import symbols as sym_mod
-from .symbols import Symbol, _abs_xi, _masked_inverse, apply
+from .symbols import Symbol, _abs_xi, _apply_table, _masked_inverse, _separable_table, apply
 
 
 # -- shared slope fitting -------------------------------------------------
@@ -205,13 +205,24 @@ def split_elliptic(L: Symbol, grid: GridSpec) -> EllipticSplit:
 # -- shell estimates --------------------------------------------------------
 
 
-def ap_shell_ratio(A: Symbol, part: LPPartition, f: SpectralField, k: int) -> float:
-    """The L^2 ratio ||A P_k f||_2 / (2^{km} ||P_{k-1..k+1} f||_2); NaN when undefined."""
-    num = l2_norm(apply(A, project(part, f, k)))
-    den = 2.0 ** (k * A.order) * l2_norm(project_window(part, f, k - 1, k + 1))
-    if den == 0.0:
-        return math.nan
-    return num / den
+def ap_shell_ratios(symbols, part: LPPartition, f: SpectralField, ks) -> list:
+    """For each symbol A, the L^2 ratios ||A P_k f||_2 / (2^{km} ||P_{k-1..k+1} f||_2)
+    over the shells k in ks (NaN where the window is empty).
+
+    The loop over k is the outer one: each shell's projection and window
+    norm are formed once for every symbol, and one projection is alive at a
+    time.
+    """
+    symbols = list(symbols)
+    ratios = [[] for _ in symbols]
+    for k in ks:
+        pk = project(part, f, k)
+        window = l2_norm(project_window(part, f, k - 1, k + 1))
+        for A, out in zip(symbols, ratios):
+            num = l2_norm(apply(A, pk))
+            den = 2.0 ** (k * A.order) * window
+            out.append(math.nan if den == 0.0 else num / den)
+    return ratios
 
 
 def commutator_shell(A: Symbol, part: LPPartition, f: SpectralField, ks) -> list:
@@ -220,6 +231,7 @@ def commutator_shell(A: Symbol, part: LPPartition, f: SpectralField, ks) -> list
     The difference is taken in physical space, where the norm reads it.
     Frequency multipliers commute with ring projections identically, so the
     multiplier fast path returns exactly 0.0 without touching the field.
+    A's terms are evaluated on the lattice once, for f and every P_k f.
     Af's coefficients are taken once; P_{k+1}(Af) is gathered and its
     inverse transform handed to `_soon` before shell k is reduced, while
     A P_k f is formed here, so at most one shell is transformed ahead.
@@ -229,7 +241,9 @@ def commutator_shell(A: Symbol, part: LPPartition, f: SpectralField, ks) -> list
         raise ValueError(f"shell commutator needs 10 <= k <= jmax={part.jmax}, got {bad}")
     if A.is_multiplier:
         return [0.0 for _ in ks]
-    Af = apply(A, f)
+    table = _separable_table(A, f.grid)
+    coeffs = f.coefficients
+    Af = SpectralField(f.grid, phys=_apply_table(table, coeffs))
 
     def gather(k):
         """A handle on the samples of P_k(Af); an all-zero shell is its own samples."""
@@ -241,7 +255,7 @@ def commutator_shell(A: Symbol, part: LPPartition, f: SpectralField, ks) -> list
     for i, k in enumerate(ks):
         pak = ahead
         ahead = gather(ks[i + 1]) if i + 1 < len(ks) else None
-        apk = apply(A, project(part, f, k)).physical
+        apk = _apply_table(table, _on_support(part, coeffs, k, k))
         norms.append(l2_norm(SpectralField(f.grid, phys=pak() - apk)))
     return norms
 
@@ -310,11 +324,16 @@ def commutator_symbol_remainder(A: Symbol, grid: GridSpec, k: int) -> SymbolRema
 # -- mapping constants --------------------------------------------------------
 
 
-def mapping_constant(A: Symbol, part: LPPartition, f: SpectralField, pairs) -> list:
-    """Ratios ||A f||_{s-m,p} / ||f||_{s,p} of the dyadic smoothness norms,
-    one per (s, p) pair (NaN where ||f||_{s,p} = 0); f and A f are split once.
+def mapping_constants(symbols, part: LPPartition, f: SpectralField, pairs) -> list:
+    """For each symbol A, the ratios ||A f||_{s-m,p} / ||f||_{s,p} of the
+    dyadic smoothness norms, one per (s, p) pair (NaN where ||f||_{s,p} = 0).
+
+    f is split once for every symbol, and each A f once.
     """
     pairs = list(pairs)
     den = shell_norms(part, f, pairs=pairs)[1]
-    num = shell_norms(part, apply(A, f), pairs=[(s - A.order, p) for s, p in pairs])[1]
-    return [math.nan if d == 0.0 else n / d for n, d in zip(num, den)]
+    out = []
+    for A in symbols:
+        num = shell_norms(part, apply(A, f), pairs=[(s - A.order, p) for s, p in pairs])[1]
+        out.append([math.nan if d == 0.0 else n / d for n, d in zip(num, den)])
+    return out

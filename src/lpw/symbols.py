@@ -109,6 +109,35 @@ def _overflow_guard(sym: Symbol, grid: GridSpec) -> None:
         )
 
 
+def _separable_table(sym: Symbol, grid: GridSpec) -> list:
+    """The values (b_t(x), c_t(xi)) of each term of the separable symbol
+    `sym` on `grid`, each checked finite: the part of its application that
+    does not depend on the field, so a caller applying `sym` to several
+    fields evaluates it once."""
+    _overflow_guard(sym, grid)
+    table = []
+    for bx, cxi in sym.terms:
+        cv = _check_finite(np.asarray(cxi(*grid.xi_axes)), sym.name)
+        # 1/b at a zero of b is inf (nan for a complex b), rejected here
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bv = _check_finite(np.asarray(bx(*grid.x_axes)), sym.name)
+        table.append((bv, cv))
+    return table
+
+
+def _apply_table(table: list, c: np.ndarray) -> np.ndarray:
+    """Samples of sum_t b_t(x) (c_t(xi) c)(x), the separable symbol whose
+    `_separable_table` is `table` applied to the coefficients `c`: one inverse
+    transform per term, of c * c_t with its Nyquist modes cleared."""
+    out = np.zeros_like(c)
+    for bv, cv in table:
+        term = _clear_nyquist(c * cv)
+        term = _inverse(term, out=term)
+        term *= bv
+        out += term
+    return out
+
+
 def apply(sym: Symbol, f: SpectralField) -> SpectralField:
     """Apply the operator with symbol `sym` to `f` (pure; Nyquist cleared).
 
@@ -118,25 +147,14 @@ def apply(sym: Symbol, f: SpectralField) -> SpectralField:
     order, of entry (o, i) times component i, formed in one output array.
     """
     grid = f.grid
+    if sym.kind == "separable":
+        return SpectralField(grid, phys=_apply_table(_separable_table(sym, grid), f.coefficients))
     _overflow_guard(sym, grid)
     c = f.coefficients
 
     if sym.kind == "multiplier":
         vals = _check_finite(np.asarray(sym.xi_func(*grid.xi_axes)), sym.name)
         return SpectralField(grid, freq=_clear_nyquist(c * vals))
-
-    if sym.kind == "separable":
-        out = np.zeros_like(c)
-        for bx, cxi in sym.terms:
-            cv = _check_finite(np.asarray(cxi(*grid.xi_axes)), sym.name)
-            # 1/b at a zero of b is inf (nan for a complex b), rejected here
-            with np.errstate(divide="ignore", invalid="ignore"):
-                bv = _check_finite(np.asarray(bx(*grid.x_axes)), sym.name)
-            term = _clear_nyquist(c * cv)
-            term = _inverse(term, out=term)
-            term *= bv
-            out += term
-        return SpectralField(grid, phys=out)
 
     if sym.kind == "matrix_multiplier":
         rows = sym.matrix_func(grid)

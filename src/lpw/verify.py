@@ -12,12 +12,13 @@ import math
 import numpy as np
 
 from .exponents import RegularityParams, zone_branches, zone_transfers
-from .grid import GridSpec, _abs2, dealiased_product, l2_norm, lp_norm, random_field
-from .lp import (_shell_sum_fields, build_partition, bernstein_ratio, flat_dyadic_field,
+from .grid import (GridSpec, SpectralField, _abs2, dealiased_product, l2_norm, lp_norm,
+                   random_field)
+from .lp import (_bernstein_sides, _shell_sum_fields, build_partition, flat_dyadic_field,
                  project, shell_packet)
 from .paraproduct import all_pairs_shells, split, zone_estimate_reports
-from .psido import (ap_shell_ratio, commutator_shell, commutator_symbol_remainder,
-                    fit_log2_slope, mapping_constant)
+from .psido import (ap_shell_ratios, commutator_shell, commutator_symbol_remainder,
+                    fit_log2_slope, mapping_constants)
 from .symbols import multiplication, resolve_symbol
 from . import symbols as sym
 
@@ -32,10 +33,11 @@ def verify_partition(n: int = 2, N: int = 512, seed: int = 1) -> dict:
     part = build_partition(grid)
     deviation = part.partition_deviation()
     f = random_field(grid, seed, mean_zero=False)
-    total = project(part, f, 0)
+    total = project(part, f, 0).coefficients  # the sum, formed in place
     for j in range(1, part.jmax + 1):
-        total = total + project(part, f, j)
-    recon = l2_norm(total - f) / l2_norm(f)
+        total += project(part, f, j).coefficients
+    total -= f.coefficients
+    recon = l2_norm(SpectralField(grid, freq=total)) / l2_norm(f)
     return {
         "name": "partition-of-unity / reconstruction",
         "n": n, "N": N, "jmax": part.jmax,
@@ -61,8 +63,9 @@ def verify_bernstein(n: int = 2, N: int = 512, seed: int = 2) -> dict:
     ratios, consts = [], []
     for j in js:
         f = shell_packet(part, j, seed + j, coherent=True)
-        ratios.append(lp_norm(f, math.inf) / l2_norm(f))
-        consts.append(bernstein_ratio(f, j + 1, 2, math.inf))
+        sup, bound = _bernstein_sides(f, j + 1, 2, math.inf)
+        ratios.append(sup / l2_norm(f))
+        consts.append(sup / bound)
     fit = fit_log2_slope(js, ratios)
     spread = max(consts) / min(consts)
     target = n / 2.0
@@ -93,11 +96,10 @@ def verify_apbound(N: int = 8192, seed: int = 3) -> dict:
         raise ValueError(f"N={N} leaves only {len(ks)} shells from k=2; need >= 3")
     part = build_partition(grid)
     f = random_field(grid, seed)
+    symbols = [resolve_symbol(name) for name in _APBOUND_SYMBOLS]
     results = {}
     ok = True
-    for name in _APBOUND_SYMBOLS:
-        A = resolve_symbol(name)
-        vals = [ap_shell_ratio(A, part, f, k) for k in ks]
+    for name, vals in zip(_APBOUND_SYMBOLS, ap_shell_ratios(symbols, part, f, ks)):
         spread = max(vals) / min(vals)
         results[name] = {"ratios": vals, "spread": spread}
         ok = ok and spread <= 10.0
@@ -317,11 +319,10 @@ def verify_mapping(N: int = 4096, seed: int = 6) -> dict:
     part = build_partition(grid)
     f = random_field(grid, seed, radial_profile=lambda r: 1.0 / (1.0 + r))
     pairs = [(s, p) for s in (0.0, 0.5, 1.0, 2.0) for p in (1.5, 2.0, 3.0)]
+    symbols = [resolve_symbol(name) for name in _MAPPING_SYMBOLS]
     results = {}
     ok = True
-    for name in _MAPPING_SYMBOLS:
-        A = resolve_symbol(name)
-        consts = mapping_constant(A, part, f, pairs)
+    for name, consts in zip(_MAPPING_SYMBOLS, mapping_constants(symbols, part, f, pairs)):
         spread = max(consts) / min(consts)
         results[name] = {"constants": consts, "spread": spread}
         ok = ok and spread <= 10.0 and all(math.isfinite(c) for c in consts)

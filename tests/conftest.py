@@ -7,7 +7,7 @@ import pytest
 import lpw
 from lpw.grid import GridSpec
 from lpw.lp import build_partition
-from lpw.verify import verify_paraproduct
+from lpw.verify import verify_commutator, verify_paraproduct
 
 
 @pytest.fixture(scope="session")
@@ -43,6 +43,12 @@ def paraproduct_run():
             mp.setattr(np.fft, name, counted)
         report = verify_paraproduct()
     return report, len(transforms)
+
+
+@pytest.fixture(scope="session")
+def commutator_report():
+    """`verify_commutator()` at its defaults, run once for the whole suite."""
+    return verify_commutator()
 
 
 def _inline(transform, buf):

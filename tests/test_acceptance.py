@@ -18,18 +18,13 @@ from lpw.lp import build_partition
 from lpw.paraproduct import all_pairs_shell, product_shell, split
 from lpw.probe import equation_spec, run_probe
 from lpw.rng import unit_doubles_at
-from lpw.verify import verify_apbound, verify_bernstein, verify_commutator, verify_partition
+from lpw.verify import verify_apbound, verify_bernstein, verify_partition
 
 
 def _announce(num, name, passed, detail=""):
     status = "PASS" if passed else "FAIL"
     print(f"ACCEPTANCE {num:2d} {name}: {status}  {detail}")
     assert passed, f"criterion {num} ({name}) failed: {detail}"
-
-
-@pytest.fixture(scope="module")
-def commutator_report():
-    return verify_commutator()
 
 
 @pytest.fixture(scope="module")

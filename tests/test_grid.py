@@ -16,9 +16,9 @@ from lpw.lp import build_partition, flat_dyadic_field, shell_norms
 from lpw.paraproduct import (all_pairs_shell, all_pairs_shells, product_shell, split,
                              zone_estimate_report, zone_estimate_reports)
 from lpw.probe import equation_spec, run_probe
-from lpw.psido import commutator_shell, commutator_symbol_remainder, mapping_constant
+from lpw.psido import commutator_shell, commutator_symbol_remainder, mapping_constants
 from lpw.symbols import apply, multiplier, resolve_symbol
-from lpw.verify import verify_apbound, verify_partition
+from lpw.verify import verify_apbound, verify_mapping, verify_partition
 
 
 def mode(grid, xi, ncomp=1):
@@ -290,8 +290,19 @@ class TestTransformCounts:
     def test_mapping_splits_each_field_once(self, calls, part1):
         f = random_field(part1.grid, 7)
         pairs = [(s, p) for s in (0.0, 1.0) for p in (1.5, 3.0)]
-        assert len(mapping_constant(resolve_symbol("laplacian"), part1, f, pairs)) == 4
+        consts, = mapping_constants([resolve_symbol("laplacian")], part1, f, pairs)
+        assert len(consts) == 4
         assert calls == {("ifftn", "_inverse"): 2 * (part1.jmax + 1)}  # f and A f
+
+    def test_mapping_bundle_splits_f_once(self, calls):
+        # one split of f serves the four symbols and each A f is split once:
+        # (jmax + 1) * (1 + 4) inverses of 4,096 points (96 when f was split
+        # again for every symbol); each of the two separable symbols adds its
+        # apply's inverse and the forward transform A f's shells are gathered from
+        verify_mapping()
+        jmax = GridSpec(1, 4096).jmax
+        assert calls == {("ifftn", "_inverse"): (jmax + 1) * (1 + 4) + 2,
+                         ("fftn", "_forward"): 2}
 
     def test_partition_bundle_transforms_nothing(self, calls):
         # the fields are coefficients and the reconstruction error is an L^2

@@ -1,5 +1,6 @@
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from lpw.grid import GridSpec, SpectralField, grid_product, lp_norm, random_fiel
 from lpw.lp import build_partition, flat_dyadic_field, project, shell_norms
 from lpw import psido
 from lpw.probe import cutoff_field
-from lpw.psido import (CUTOFF, ap_shell_ratio, commutator_shell, commutator_symbol_remainder,
-                       ellipticity_margin, fit_log2_slope, mapping_constant, split_elliptic)
+from lpw.psido import (CUTOFF, ap_shell_ratios, commutator_shell, commutator_symbol_remainder,
+                       ellipticity_margin, fit_log2_slope, mapping_constants, split_elliptic)
 from lpw.smooth import ramp_up
 from lpw.verify import _commutator_test_symbols
 from lpw.symbols import (apply, grad_symbol, multiplication, multiplier, quantize_direct,
@@ -211,27 +212,28 @@ class TestShellRatio:
         A = resolve_symbol("fractional_laplacian:0.75")
         xi0 = 2**k  # ring center
         f = mode(part1.grid, (xi0,))
-        ratio = ap_shell_ratio(A, part1, f, k)
+        (ratio,), = ap_shell_ratios([A], part1, f, [k])
         assert (3.0 / 5.0) ** m - 1e-9 <= ratio <= (5.0 / 3.0) ** m + 1e-9
         assert abs(ratio - (xi0 / 2.0**k) ** m) <= 1e-9
 
     def test_identity_symbol(self, part1):
         A = multiplier(0.0, lambda *xis: np.ones(np.shape(abs2(*xis))), "id")
         f = random_field(part1.grid, 7)
-        ratio = ap_shell_ratio(A, part1, f, 4)
+        (ratio,), = ap_shell_ratios([A], part1, f, [4])
         assert ratio <= 1.0 + 1e-9
 
     def test_uniformity(self, part1):
         A = resolve_symbol("sep:twoplussin:0*pow:2")
         f = random_field(part1.grid, 8)
-        ratios = [ap_shell_ratio(A, part1, f, k) for k in range(2, part1.jmax)]
+        ratios, = ap_shell_ratios([A], part1, f, range(2, part1.jmax))
         assert max(ratios) / min(ratios) <= 10.0
 
     def test_zero_denominator_flagged(self, part1):
         c = np.zeros(part1.grid.shape, dtype=complex)
         c[1] = 1.0  # exact single mode at xi = 1
         f = SpectralField(part1.grid, freq=c)
-        assert math.isnan(ap_shell_ratio(resolve_symbol("laplacian"), part1, f, 5))
+        (ratio,), = ap_shell_ratios([resolve_symbol("laplacian")], part1, f, [5])
+        assert math.isnan(ratio)
 
 
 class TestShellCommutator:
@@ -267,6 +269,25 @@ class TestShellCommutator:
         want = [commutator_shell(A, part, f, ks) for A in symbols]
         assert np.array(got).tobytes() == np.array(want).tobytes()
         assert [len(vals) for vals in got] == [len(ks)] * 3
+
+    @pytest.mark.parametrize("ks", [[10], list(range(10, 15))], ids=["one", "five"])
+    def test_symbol_evaluated_once(self, ks):
+        # b(x) and c(xi) serve f and every P_k f (each was evaluated 6 times
+        # for 5 shells when every A P_k f evaluated them again)
+        seen = Counter()
+
+        def b(*xs):
+            seen["b"] += 1
+            return np.cos(xs[0])
+
+        def c(*xis):
+            seen["c"] += 1
+            return (1.0 + abs2(*xis)) ** 0.5
+
+        part = build_partition(GridSpec(1, 1 << 15))
+        f = flat_dyadic_field(part, 12)
+        assert len(commutator_shell(separable(1.0, [(b, c)], "counted"), part, f, ks)) == len(ks)
+        assert seen == {"b": 1, "c": 1}
 
     def test_order_one_slope(self):
         g = GridSpec(1, 1 << 14)
@@ -338,9 +359,10 @@ class TestMappingProperty:
     def test_constant_stability(self, grid1):
         part = build_partition(grid1)
         f = random_field(grid1, 16, radial_profile=lambda r: 1.0 / (1.0 + r))
-        for name in ("laplacian", "sep:cos:0*pow:1"):
-            A = resolve_symbol(name)
-            consts = mapping_constant(A, part, f, [(s, p) for s in (0.0, 1.0, 2.0)
-                                                   for p in (1.5, 2.0, 3.0)])
+        symbols = [resolve_symbol(name) for name in ("laplacian", "sep:cos:0*pow:1")]
+        pairs = [(s, p) for s in (0.0, 1.0, 2.0) for p in (1.5, 2.0, 3.0)]
+        per_symbol = mapping_constants(symbols, part, f, pairs)
+        assert [len(consts) for consts in per_symbol] == [len(pairs)] * len(symbols)
+        for consts in per_symbol:
             assert all(math.isfinite(c) for c in consts)
             assert max(consts) / min(consts) <= 10.0
