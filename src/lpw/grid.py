@@ -20,6 +20,7 @@ import contextvars
 import itertools
 import math
 import os
+import queue
 import threading
 from dataclasses import dataclass
 from functools import cached_property
@@ -258,15 +259,16 @@ def _inverse(coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.fft.ifftn(coeffs, axes=tuple(range(1, coeffs.ndim)), norm="forward", out=out)
 
 
-# One helper thread, made on first use, runs the transforms that `_soon` hands
-# it, in the order handed.  Each writes into an array the caller made, so every
-# array is allocated on the caller's thread: the C allocator keeps a memory pool
-# per thread, and one for the helper would hold freed arrays too.  pocketfft's
-# per-line scratch is made on the thread that transforms, so lines longer than
-# _HELPER_MAX_LINE stay on the caller, whose pool already holds that much.
+# One helper thread, started on the first hand-off with nothing to import,
+# serves a queue of the transforms `_soon` hands it, in order; `_one_ahead` is
+# the one rule for handing off a run of them.  Each writes into an array the
+# caller made: the C allocator keeps a memory pool per thread, and one for the
+# helper would hold freed arrays too.  pocketfft's per-line scratch is made on
+# the thread that transforms, so lines longer than _HELPER_MAX_LINE stay on
+# the caller, whose pool already holds that much.
 _HELPER_MIN_POINTS = 1 << 14  # below this many points per component the hand-off costs more
 _HELPER_MAX_LINE = 1 << 17
-_helper = None
+_helper = None  # the helper's job queue
 _helper_lock = threading.Lock()
 
 
@@ -277,6 +279,17 @@ def _forget_helper() -> None:
 
 
 os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _serve(jobs: queue.SimpleQueue) -> None:
+    """The helper: put each job's buffer, or what it raised, on its reply queue."""
+    while True:
+        run, transform, buf, reply = jobs.get()
+        try:
+            reply.put(run(transform, buf, buf))
+        except BaseException as exc:
+            reply.put(exc)
+        del run, transform, buf, reply  # no buffer is held while the next job is awaited
 
 
 def _soon(transform, buf: np.ndarray):
@@ -294,12 +307,33 @@ def _soon(transform, buf: np.ndarray):
     if buf[0].size < _HELPER_MIN_POINTS or max(buf.shape[1:]) > _HELPER_MAX_LINE:
         transform(buf, out=buf)
         return lambda: buf
+    reply = queue.SimpleQueue()
     with _helper_lock:
         if _helper is None:
-            from concurrent.futures import ThreadPoolExecutor
+            _helper = queue.SimpleQueue()
+            threading.Thread(target=_serve, args=(_helper,), name="lpw-transform",
+                             daemon=True).start()
+        _helper.put((contextvars.copy_context().run, transform, buf, reply))
 
-            _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="lpw-transform")
-        return _helper.submit(contextvars.copy_context().run, transform, buf, buf).result
+    def wait():
+        done = reply.get()
+        if isinstance(done, BaseException):
+            raise done
+        return done
+    return wait
+
+
+def _one_ahead(items):
+    """Yield `items` in order, taking item i + 1 before item i is yielded (one
+    `_soon` handle in flight while the caller uses the last); hold none once yielded."""
+    held = []
+    for item in items:
+        held.append(item)
+        del item
+        if len(held) == 2:
+            yield held.pop(0)
+    if held:
+        yield held.pop()
 
 
 # -- norms --------------------------------------------------------------

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import rng
 from .grid import (GridSpec, SpectralField, _check_exponent, _coefficient_norm, _inverse,
-                   _modulus, _modulus_norm, _soon, l2_norm)
+                   _modulus, _modulus_norm, _one_ahead, _soon, l2_norm)
 from .smooth import ramp_down
 
 RING_LO = 3.0 / 5.0
@@ -211,10 +211,9 @@ def shell_norms(part: LPPartition, f: SpectralField, rs=(), pairs=()) -> tuple:
     and the p = 2 square function has ||.||_2^2 = sum_j 4^(js) ||P_j f||_2^2.
     A shell is inverse-transformed only when a requested exponent is not 2,
     and never when it is empty: an empty shell's every norm is its L^2 norm,
-    0, and it adds nothing to a square function.  Shell j + 1 is gathered and
-    its transform handed to `_soon` before the wait for shell j's samples, so
-    at most one shell is transformed ahead of the one being reduced; the
-    reductions run in shell order, as they would without the hand-off.
+    0, and it adds nothing to a square function.  Each shell's transform is
+    handed to `_soon`, one shell ahead (`_one_ahead`); the reductions run in
+    shell order, as they would without the hand-off.
     """
     for r in rs:
         _check_exponent(r)
@@ -225,22 +224,16 @@ def shell_norms(part: LPPartition, f: SpectralField, rs=(), pairs=()) -> tuple:
     coeffs = f.coefficients
 
     def gather(j):
-        """Shell j's L^2 norm and, when samples are needed and the shell is
-        not empty, a handle on them."""
+        """j, shell j's L^2 norm and, if needed and not empty, a handle on its samples."""
         c = _on_support(part, coeffs, j, j)
         l2 = _coefficient_norm(c)  # read before c is transformed in place
-        return l2, _soon(_inverse, c) if transform and c.any() else None
+        return j, l2, _soon(_inverse, c) if transform and c.any() else None
 
     norms = np.zeros((len(rs), part.jmax + 1))
     caps, squares = [0.0] * len(pairs), [0.0] * len(pairs)
-    ahead = gather(0)
-    for j in range(part.jmax + 1):
-        l2, samples = ahead
-        ahead = gather(j + 1) if j < part.jmax else None
-        if samples is not None:
-            samples = samples()  # the handle, which also holds the buffer, is let go
-        mod = None if samples is None else _modulus(samples)
-        del samples  # the shell's samples are not held while it is reduced
+    for j, l2, samples in _one_ahead(map(gather, range(part.jmax + 1))):
+        mod = None if samples is None else _modulus(samples())
+        del samples  # neither the handle nor the shell's samples are held while it is reduced
         for i, r in enumerate(rs):
             norms[i, j] = l2 if r == 2 or mod is None else _modulus_norm(mod, r)
         for i, (s, p) in enumerate(pairs):

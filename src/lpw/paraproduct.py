@@ -28,8 +28,8 @@ import numpy as np
 
 from .exponents import RegularityParams, zone_branches, zone_transfers
 from .grid import (SpectralField, _forward, _inverse, _modulus, _modulus_norm, _norm,
-                   _pair_product_fine, _physical_at, _relattice, _soon, alias_free_size,
-                   dealiased_product, field_from_padded, padded_physical)
+                   _one_ahead, _pair_product_fine, _physical_at, _relattice, _soon,
+                   alias_free_size, dealiased_product, field_from_padded, padded_physical)
 from .lp import RING_HI, LPPartition, project, project_window, shell_norms
 from .symbols import Symbol, apply
 
@@ -210,8 +210,7 @@ def all_pairs_shells(V: SpectralField, w: SpectralField, ks, part: LPPartition) 
     One dealiased product on the 3/2 grid and one forward transform per
     pair, projected onto every k; each P_j w and each P_i V is padded once.
     Affordable only at small jmax.  Each pair's forward transform is handed
-    to `_soon` while the previous pair is projected and summed here, so at
-    most one pair is in flight; the pairs are summed in order.
+    to `_soon`, one pair ahead (`_one_ahead`); the pairs are summed in order.
     """
     if V.grid != w.grid:
         raise ValueError("grid mismatch")
@@ -219,22 +218,19 @@ def all_pairs_shells(V: SpectralField, w: SpectralField, ks, part: LPPartition) 
     w_fine = [padded_physical(project(part, w, j)) for j in shells]
     totals = [None] * len(ks)
 
+    # each product is formed in its second factor's buffer, and w_fine is reused
+    products = (_soon(_forward, _pair_product_fine(v_fine, wj.copy()))
+                for v_fine in (padded_physical(project(part, V, i)) for i in shells)
+                for wj in w_fine)
+
     def add(product):  # a handle on one pair's product coefficients
         pair = SpectralField(grid, freq=_relattice(product(), grid.points_per_axis))
         for n, k in enumerate(ks):
             term = project(part, pair, k)
             totals[n] = term if totals[n] is None else totals[n] + term
 
-    pending = None
-    for i in shells:
-        v_fine = padded_physical(project(part, V, i))
-        for wj in w_fine:
-            # the product is formed in its second factor's buffer, and wj is reused
-            ahead = _soon(_forward, _pair_product_fine(v_fine, wj.copy()))
-            if pending is not None:
-                add(pending)
-            pending = ahead
-    add(pending)
+    for product in _one_ahead(products):
+        add(product)  # the pair and its terms are let go before the next pair is formed
     return totals
 
 

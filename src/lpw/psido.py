@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, SpectralField, _forward, _inverse, _soon, center_distance, l2_norm
+from .grid import (GridSpec, SpectralField, _forward, _inverse, _one_ahead, _soon,
+                   center_distance, l2_norm)
 from .lp import LPPartition, _on_support, profile_value, project, project_window, shell_norms
 from .smooth import ramp_down, ramp_up
 from . import symbols as sym_mod
@@ -232,9 +233,9 @@ def commutator_shell(A: Symbol, part: LPPartition, f: SpectralField, ks) -> list
     Frequency multipliers commute with ring projections identically, so the
     multiplier fast path returns exactly 0.0 without touching the field.
     A's terms are evaluated on the lattice once, for f and every P_k f.
-    Af's coefficients are taken once; P_{k+1}(Af) is gathered and its
-    inverse transform handed to `_soon` before shell k is reduced, while
-    A P_k f is formed here, so at most one shell is transformed ahead.
+    Af's coefficients are taken once; each P_k(Af) is handed to `_soon` for
+    its inverse transform, one shell ahead (`_one_ahead`), while A P_k f is
+    formed here.
     """
     bad = [k for k in ks if not 10 <= k <= part.jmax]
     if bad:
@@ -246,15 +247,12 @@ def commutator_shell(A: Symbol, part: LPPartition, f: SpectralField, ks) -> list
     Af = SpectralField(f.grid, phys=_apply_table(table, coeffs))
 
     def gather(k):
-        """A handle on the samples of P_k(Af); an all-zero shell is its own samples."""
+        """k and a handle on P_k(Af)'s samples; an all-zero shell is its own samples."""
         c = _on_support(part, Af.coefficients, k, k)
-        return _soon(_inverse, c) if c.any() else lambda: c
+        return k, _soon(_inverse, c) if c.any() else lambda: c
 
     norms = []
-    ahead = gather(ks[0]) if ks else None
-    for i, k in enumerate(ks):
-        pak = ahead
-        ahead = gather(ks[i + 1]) if i + 1 < len(ks) else None
+    for k, pak in _one_ahead(map(gather, ks)):
         apk = _apply_table(table, _on_support(part, coeffs, k, k))
         norms.append(l2_norm(SpectralField(f.grid, phys=pak() - apk)))
     return norms

@@ -1,16 +1,21 @@
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
+import weakref
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lpw.grid import (GridSpec, SpectralField, _forward, _inverse, _pair_product_fine,
-                      dealiased_product, field_from_padded, grid_product, l2_norm, lp_norm,
-                      padded_physical, random_field)
+from lpw import grid as grid_module
+from lpw.grid import (GridSpec, SpectralField, _forward, _inverse, _one_ahead,
+                      _pair_product_fine, dealiased_product, field_from_padded, grid_product,
+                      l2_norm, lp_norm, padded_physical, random_field)
 from lpw.exponents import RegularityParams
 from lpw.lp import build_partition, flat_dyadic_field, shell_norms
 from lpw.paraproduct import (all_pairs_shell, all_pairs_shells, product_shell, split,
@@ -105,6 +110,81 @@ class TestTransforms:
                 assert np.array_equal(got, ref)
             else:
                 assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+class TestOneAhead:
+    """`_one_ahead`, the one look-ahead rule of every run of hand-offs."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    def test_yields_the_items_in_order(self, n):
+        assert list(_one_ahead(iter(range(n)))) == list(range(n))
+
+    def test_takes_the_next_item_before_yielding_one(self):
+        events = []
+
+        def items():
+            for i in range(4):
+                events.append(("take", i))
+                yield i
+
+        for i in _one_ahead(items()):
+            events.append(("use", i))
+        assert events == [("take", 0), ("take", 1), ("use", 0), ("take", 2), ("use", 1),
+                          ("take", 3), ("use", 2), ("use", 3)]
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_holds_no_yielded_item(self, n):
+        # the shell split lets each shell's samples go before it is reduced,
+        # and the oracle keeps one pair in flight: neither holds if the
+        # suspended iterator keeps what it yielded
+        class Item:
+            pass
+
+        ahead = _one_ahead(Item() for _ in range(n))
+        for _ in range(n):
+            item = next(ahead)
+            ref = weakref.ref(item)
+            del item
+            assert ref() is None
+        assert next(ahead, None) is None
+
+
+def test_concurrent_hand_offs_start_one_helper_and_reply_to_each_caller():
+    # four callers race to make the first hand-off under a short switch
+    # interval: one helper starts, and every caller gets back its own
+    # buffer, transformed as inline
+    src = str(Path(grid_module.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = """if True:
+        import sys, threading
+        import numpy as np
+        from lpw.grid import _inverse, _soon
+        sys.setswitchinterval(1e-6)
+        start, bad = threading.Barrier(4), []
+
+        def caller(seed):
+            rng = np.random.default_rng(seed)
+            start.wait()
+            for _ in range(25):
+                x = rng.standard_normal((1, 1 << 14)) + 0j
+                buf = x.copy()
+                got = _soon(_inverse, buf)()
+                if got is not buf or not np.array_equal(got, _inverse(x)):
+                    bad.append(seed)
+
+        callers = [threading.Thread(target=caller, args=(s,)) for s in range(4)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(60)
+        print(sum(t.is_alive() for t in callers), len(bad),
+              sum(t.name == "lpw-transform" for t in threading.enumerate()))
+    """
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0", "1"]
 
 
 class TestTransformCounts:

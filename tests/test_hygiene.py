@@ -181,14 +181,15 @@ def test_every_local_is_read():
     assert dead == []
 
 
-THREAD_MODULES = {"threading", "_thread", "concurrent", "concurrent.futures",
+THREAD_MODULES = {"threading", "_thread", "concurrent", "concurrent.futures", "queue", "_queue",
                   "multiprocessing", "multiprocessing.pool", "multiprocessing.dummy"}
 THREAD_STARTERS = {"Thread", "Timer", "ThreadPoolExecutor", "ThreadPool", "start_new_thread"}
 
 
 def test_only_grid_handles_threads():
     # grid's one helper thread, behind `_soon`, is the package's only
-    # thread: no other module imports a thread module or starts a thread
+    # thread: no other module imports a thread or queue module or starts a
+    # thread, so only grid builds a job queue
     found = []
     for mod, tree in MODULES.items():
         if mod == "grid":

@@ -7,18 +7,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lpw import grid as grid_module, paraproduct
+from lpw import grid as grid_module, lp, paraproduct, psido
 from lpw.exponents import RegularityParams
 from lpw.grid import (GridSpec, SpectralField, _pair_product_fine, _physical_at,
                       alias_free_size, dealiased_product, field_from_padded, lp_norm,
                       random_field)
-from lpw.lp import (build_partition, flat_dyadic_field, project, project_window, shell_packet,
-                    shell_sum_field)
+from lpw.lp import (build_partition, flat_dyadic_field, project, project_window, shell_norms,
+                    shell_packet, shell_sum_field)
 from lpw.paraproduct import (_window_band, _zone_grid, _zone_windows, all_pairs_shell,
                              all_pairs_shells, product_shell, split, zone_branches,
                              zone_estimate_report, zone_estimate_reports, zones)
 from lpw.probe import equation_spec, run_probe
-from lpw.symbols import multiplier
+from lpw.psido import commutator_shell
+from lpw.symbols import multiplier, resolve_symbol
 
 
 class TestZoneSets:
@@ -348,11 +349,18 @@ class TestHelperTransforms:
         inline_transforms()
         assert got == json.dumps(run_probe(eq, grid, seed=9).as_dict())
 
-    @pytest.mark.parametrize("transform,call", [
-        ("_inverse", lambda V, w, part: split(V, w, 5, part)),
-        ("_forward", lambda V, w, part: all_pairs_shells(V, w, [5], part)),
-    ], ids=["split", "oracle"])
-    def test_transform_error_reaches_the_caller(self, monkeypatch, transform, call):
+    @pytest.mark.parametrize("module,transform,grid,call", [
+        (paraproduct, "_inverse", GridSpec(2, 128), lambda V, w, part: split(V, w, 5, part)),
+        (paraproduct, "_forward", GridSpec(2, 128),
+         lambda V, w, part: all_pairs_shells(V, w, [5], part)),
+        (lp, "_inverse", GridSpec(2, 128), lambda V, w, part: shell_norms(part, V, [2.5])),
+        (psido, "_inverse", GridSpec(1, 1 << 14), lambda V, w, part: commutator_shell(
+            resolve_symbol("sep:cos:0*pow:1"), part, V, [10, 11])),
+    ], ids=["split", "oracle", "shell-norms", "commutator"])
+    def test_transform_error_reaches_the_caller(self, monkeypatch, module, transform, grid,
+                                                call):
+        # every call site that hands off a run of transforms does it through
+        # `_one_ahead`: the error of one in flight reaches the caller too
         class Boom(Exception):
             pass
 
@@ -362,9 +370,9 @@ class TestHelperTransforms:
             threads.append(threading.current_thread() is threading.main_thread())
             raise Boom
 
-        part = build_partition(GridSpec(2, 128))
+        part = build_partition(grid)
         V, w = random_field(part.grid, 47), random_field(part.grid, 48)
-        monkeypatch.setattr(paraproduct, transform, failing)
+        monkeypatch.setattr(module, transform, failing)
         with pytest.raises(Boom):
             call(V, w, part)
         assert threads and not any(threads)  # raised on the helper

@@ -1,7 +1,10 @@
 import dataclasses
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,6 +193,35 @@ class TestManufacture:
         # 20.4 MB traced when each product went to a fresh array, 9.5 MB when
         # the last iterate's nonlinearity lived on through the next one
         assert peak <= 9e6
+
+    def test_gjms_manufacture_in_a_fresh_process(self):
+        # the same pin where nothing was imported or handed off before the
+        # solve, so the helper thread starts inside the traced region: 9.52 MB
+        # when its start imported concurrent.futures and made an executor
+        src = str(Path(probe.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        code = """if True:
+            import sys, threading, tracemalloc
+            import numpy as np
+            from lpw.grid import GridSpec
+            from lpw.probe import equation_spec, manufactured_solution
+            g, eq = GridSpec(3, 32), equation_spec("gjms", n=3)
+            np.fft.fftn  # numpy.fft loads on first use, as in test_gjms_manufacture
+            tracemalloc.start()
+            sol = manufactured_solution(eq, g, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            print(sol.residual, peak, "concurrent.futures" in sys.modules,
+                  threading.active_count())
+        """
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        residual, peak, futures, threads = proc.stdout.split()
+        assert float(residual) <= 1e-10
+        assert int(peak) <= 9e6
+        assert futures == "False" and threads == "2"
 
     def test_non_contraction_reported(self):
         g = GridSpec(2, 64)
