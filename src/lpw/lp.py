@@ -174,20 +174,25 @@ def bernstein_ratio(f: SpectralField, j: int, p, q) -> float:
     Requires supp fhat inside the ball of radius 2^j; a lattice coefficient
     outside carrying more than 1e-12 of the energy is rejected.
     """
-    norm_q, bound = _bernstein_sides(f, j, p, q)
-    return norm_q / bound
+    scale = _bernstein_guard(f, j, p, q)[1]
+    mod = f.modulus()
+    return _modulus_norm(mod, q) / (scale * _modulus_norm(mod, p))
 
 
-def _bernstein_sides(f: SpectralField, j: int, p, q) -> tuple:
-    """The two sides of the Bernstein inequality at radius 2^j: ||f||_q and
-    the dyadic bound 2^(n j (1/p - 1/q)) ||f||_p, both read from one modulus
-    of f's samples, which is dropped once they are read.  Runs the checks of
-    `bernstein_ratio` first."""
+def _bernstein_guard(f: SpectralField, j: int, p, q) -> tuple:
+    """The checks of `bernstein_ratio`, read from f's coefficients: f's L^2
+    norm (their l^2 norm, by Parseval) and the bound's factor
+    2^(n j (1/p - 1/q)), which times ||f||_p is the bound at radius 2^j.
+
+    The coefficients outside the ball are gathered by `np.compress` over the
+    flattened lattice: the elements of `c[:, outside]`, in its order, so the
+    leak is summed alike, without numpy's boolean indexing over trailing
+    axes, which took several times as long."""
     if not (1 <= p <= math.inf and 1 <= q <= math.inf and p <= q):
         raise ValueError(f"need 1 <= p <= q <= inf, got p={p}, q={q}")
     c = f.coefficients
     outside = f.grid.xi_abs > 2.0**j
-    leak = _coefficient_norm(c[:, outside])
+    leak = _coefficient_norm(np.compress(outside.ravel(), c.reshape(len(c), -1), axis=1))
     total = _coefficient_norm(c)
     if total == 0:
         raise ValueError("zero field")
@@ -195,9 +200,7 @@ def _bernstein_sides(f: SpectralField, j: int, p, q) -> tuple:
         raise ValueError(f"frequency support exceeds ball of radius 2^{j} (leak {leak/total:.2e})")
     ip = 0.0 if p == math.inf else 1.0 / p
     iq = 0.0 if q == math.inf else 1.0 / q
-    scale = 2.0 ** (f.grid.dim * j * (ip - iq))
-    mod = f.modulus()
-    return _modulus_norm(mod, q), scale * _modulus_norm(mod, p)
+    return total, 2.0 ** (f.grid.dim * j * (ip - iq))
 
 
 def shell_norms(part: LPPartition, f: SpectralField, rs=(), pairs=()) -> tuple:

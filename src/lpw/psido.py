@@ -17,7 +17,8 @@ from .grid import (GridSpec, SpectralField, _forward, _inverse, _one_ahead, _soo
 from .lp import LPPartition, _on_support, profile_value, project, project_window, shell_norms
 from .smooth import ramp_down, ramp_up
 from . import symbols as sym_mod
-from .symbols import Symbol, _abs_xi, _apply_table, _masked_inverse, _separable_table, apply
+from .symbols import (Symbol, _abs_xi, _apply_table, _masked_inverse, _separable_table,
+                      _table_sum, _table_terms, apply)
 
 
 # -- shared slope fitting -------------------------------------------------
@@ -233,9 +234,11 @@ def commutator_shell(A: Symbol, part: LPPartition, f: SpectralField, ks) -> list
     Frequency multipliers commute with ring projections identically, so the
     multiplier fast path returns exactly 0.0 without touching the field.
     A's terms are evaluated on the lattice once, for f and every P_k f.
-    Af's coefficients are taken once; each P_k(Af) is handed to `_soon` for
-    its inverse transform, one shell ahead (`_one_ahead`), while A P_k f is
-    formed here.
+    Af's coefficients are taken once.  The inverse transforms of each shell,
+    those of A P_k f's terms and then P_k(Af)'s, are handed to `_soon` one
+    shell ahead (`_one_ahead`), while the shell before is finished here: its
+    terms are scaled by b_t(x) and summed in table order (`_table_sum`, as
+    `apply` sums them) and the difference is reduced.
     """
     bad = [k for k in ks if not 10 <= k <= part.jmax]
     if bad:
@@ -247,13 +250,15 @@ def commutator_shell(A: Symbol, part: LPPartition, f: SpectralField, ks) -> list
     Af = SpectralField(f.grid, phys=_apply_table(table, coeffs))
 
     def gather(k):
-        """k and a handle on P_k(Af)'s samples; an all-zero shell is its own samples."""
+        """Handles on the samples of A P_k f's terms and of P_k(Af); an
+        all-zero P_k(Af) is its own samples."""
+        terms = [_soon(_inverse, t) for t in _table_terms(table, _on_support(part, coeffs, k, k))]
         c = _on_support(part, Af.coefficients, k, k)
-        return k, _soon(_inverse, c) if c.any() else lambda: c
+        return terms, _soon(_inverse, c) if c.any() else lambda: c
 
     norms = []
-    for k, pak in _one_ahead(map(gather, ks)):
-        apk = _apply_table(table, _on_support(part, coeffs, k, k))
+    for terms, pak in _one_ahead(map(gather, ks)):
+        apk = _table_sum(table, (samples() for samples in terms))
         norms.append(l2_norm(SpectralField(f.grid, phys=pak() - apk)))
     return norms
 

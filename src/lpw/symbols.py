@@ -125,17 +125,35 @@ def _separable_table(sym: Symbol, grid: GridSpec) -> list:
     return table
 
 
-def _apply_table(table: list, c: np.ndarray) -> np.ndarray:
-    """Samples of sum_t b_t(x) (c_t(xi) c)(x), the separable symbol whose
-    `_separable_table` is `table` applied to the coefficients `c`: one inverse
-    transform per term, of c * c_t with its Nyquist modes cleared."""
-    out = np.zeros_like(c)
-    for bv, cv in table:
-        term = _clear_nyquist(c * cv)
-        term = _inverse(term, out=term)
+def _table_terms(table: list, c: np.ndarray):
+    """The coefficients of the terms of the separable symbol whose
+    `_separable_table` is `table`, applied to the coefficients `c`: for each
+    term, c * c_t with its Nyquist modes cleared, formed when it is taken."""
+    return (_clear_nyquist(c * cv) for _, cv in table)
+
+
+def _table_sum(table: list, samples) -> np.ndarray:
+    """sum_t b_t(x) s_t, in table order, where the iterator `samples` yields
+    the samples s_t of `table`'s terms in turn: each is scaled in place, and
+    the first holds the sum."""
+    out = None
+    for bv, _ in table:
+        term = next(samples)
         term *= bv
-        out += term
+        if out is None:
+            out = term
+            out += 0.0  # the sum's start: a term of -0.0 sums to +0.0
+        else:
+            out += term
+        del term  # the next term is taken with only the sum held
     return out
+
+
+def _apply_table(table: list, c: np.ndarray) -> np.ndarray:
+    """Samples of the separable symbol whose `_separable_table` is `table`
+    applied to the coefficients `c`: one inverse transform per term, in
+    place, with one term alive besides the sum."""
+    return _table_sum(table, map(lambda t: _inverse(t, out=t), _table_terms(table, c)))
 
 
 def apply(sym: Symbol, f: SpectralField) -> SpectralField:

@@ -12,9 +12,9 @@ import math
 import numpy as np
 
 from .exponents import RegularityParams, zone_branches, zone_transfers
-from .grid import (GridSpec, SpectralField, _abs2, dealiased_product, l2_norm, lp_norm,
-                   random_field)
-from .lp import (_bernstein_sides, _shell_sum_fields, build_partition, flat_dyadic_field,
+from .grid import (GridSpec, _abs2, _coefficient_norm, _inverse, _modulus, _modulus_norm,
+                   _one_ahead, _soon, dealiased_product, l2_norm, lp_norm, random_field)
+from .lp import (_bernstein_guard, _shell_sum_fields, build_partition, flat_dyadic_field,
                  project, shell_packet)
 from .paraproduct import all_pairs_shells, split, zone_estimate_reports
 from .psido import (ap_shell_ratios, commutator_shell, commutator_symbol_remainder,
@@ -33,11 +33,13 @@ def verify_partition(n: int = 2, N: int = 512, seed: int = 1) -> dict:
     part = build_partition(grid)
     deviation = part.partition_deviation()
     f = random_field(grid, seed, mean_zero=False)
-    total = project(part, f, 0).coefficients  # the sum, formed in place
-    for j in range(1, part.jmax + 1):
-        total += project(part, f, j).coefficients
-    total -= f.coefficients
-    recon = l2_norm(SpectralField(grid, freq=total)) / l2_norm(f)
+    c = f.coefficients.ravel()  # f is scalar
+    total = np.zeros_like(c)  # the sum of the projections, each added on its ring's support
+    for j in range(part.jmax + 1):
+        sites, values = part.support(j, j)
+        total[sites] += c[sites] * values
+    total -= c
+    recon = _coefficient_norm(total) / l2_norm(f)
     return {
         "name": "partition-of-unity / reconstruction",
         "n": n, "N": N, "jmax": part.jmax,
@@ -60,12 +62,21 @@ def verify_bernstein(n: int = 2, N: int = 512, seed: int = 2) -> dict:
         raise ValueError(f"N={N} has top shell {grid.jmax}, below the measured shell "
                          f"{js[-1]}; need N >= {2 ** (js[-1] + 1)}")
     part = build_partition(grid)
-    ratios, consts = [], []
-    for j in js:
+
+    def gather(j):
+        """Packet j's L^2 norm and bound factor, read by the guard, and a
+        handle on its samples, transformed in its own coefficient array."""
         f = shell_packet(part, j, seed + j, coherent=True)
-        sup, bound = _bernstein_sides(f, j + 1, 2, math.inf)
-        ratios.append(sup / l2_norm(f))
-        consts.append(sup / bound)
+        total, scale = _bernstein_guard(f, j + 1, 2, math.inf)
+        return total, scale, _soon(_inverse, f.coefficients)
+
+    ratios, consts = [], []
+    for total, scale, samples in _one_ahead(map(gather, js)):
+        mod = _modulus(samples())
+        del samples  # neither the handle nor the packet's samples are held while it is read
+        sup = _modulus_norm(mod, math.inf)
+        ratios.append(sup / total)
+        consts.append(sup / (scale * _modulus_norm(mod, 2)))
     fit = fit_log2_slope(js, ratios)
     spread = max(consts) / min(consts)
     target = n / 2.0

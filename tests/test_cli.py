@@ -449,6 +449,7 @@ def test_package_keeps_one_helper_thread():
         from lpw.probe import equation_spec, run_probe
         from lpw.psido import commutator_shell
         from lpw.symbols import multiplier, resolve_symbol
+        from lpw.verify import verify_bernstein
         counts = []
         part = build_partition(GridSpec(2, 128))
         V, w = random_field(part.grid, 1), random_field(part.grid, 2)
@@ -471,12 +472,14 @@ def test_package_keeps_one_helper_thread():
         counts.append(threading.active_count())
         run_probe(equation_spec("ns", n=2), GridSpec(2, 256), seed=9)
         counts.append(threading.active_count())
+        verify_bernstein()
+        counts.append(threading.active_count())
         print(*counts)
     """
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert [int(n) for n in proc.stdout.split()] == [2] * 6
+    assert [int(n) for n in proc.stdout.split()] == [2] * 7
 
 
 def test_import_starts_no_thread():

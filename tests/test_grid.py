@@ -23,7 +23,7 @@ from lpw.paraproduct import (all_pairs_shell, all_pairs_shells, product_shell, s
 from lpw.probe import equation_spec, run_probe
 from lpw.psido import commutator_shell, commutator_symbol_remainder, mapping_constants
 from lpw.symbols import apply, multiplier, resolve_symbol
-from lpw.verify import verify_apbound, verify_mapping, verify_partition
+from lpw.verify import verify_apbound, verify_bernstein, verify_mapping, verify_partition
 
 
 def mode(grid, xi, ncomp=1):
@@ -260,6 +260,12 @@ class TestTransformCounts:
         # each shell of w and of V padded once, one forward per pair
         n = part2.jmax + 1
         assert shapes == {("ifftn", fine): 2 * n, ("fftn", fine): n * n}
+
+    def test_bernstein_bundle(self, calls):
+        # one inverse per packet, in the packet's own array; its L^2 norm and
+        # leak come from the coefficients
+        verify_bernstein()
+        assert calls == {("ifftn", "_inverse"): 6}
 
     def test_separable_apply(self, calls):
         sym = resolve_symbol("sep:one*pow:2+twoplussin:0*ixi:1")

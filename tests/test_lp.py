@@ -18,6 +18,7 @@ from lpw.lp import (RING_HI, RING_LO, bernstein_ratio, build_partition,
 from lpw.probe import equation_spec, run_probe
 from lpw.psido import fit_log2_slope
 from lpw.rng import complex_samples
+from lpw.verify import verify_bernstein
 
 from test_grid import mode
 
@@ -251,6 +252,45 @@ class TestBernstein:
         f = mode(part2.grid, (20, 0))
         with pytest.raises(ValueError):
             bernstein_ratio(f, 3, 2, 4)
+
+    @staticmethod
+    def _two_component(grid, outside_comp, outside_amp):
+        """A 2-component field with both components on |xi| = 1, plus one
+        coefficient outside the ball of radius 8, in component outside_comp."""
+        c = np.zeros((2,) + grid.shape, dtype=complex)
+        c[:, 1, 0] = 1.0
+        c[outside_comp, 20, 0] = outside_amp
+        return SpectralField(grid, freq=c)
+
+    @pytest.mark.parametrize("comp", [0, 1])
+    def test_leak_in_either_component_rejected(self, part2, comp):
+        f = self._two_component(part2.grid, comp, 1e-3)
+        with pytest.raises(ValueError, match="exceeds ball of radius 2\\^3"):
+            bernstein_ratio(f, 3, 2, math.inf)
+
+    def test_leak_below_the_threshold_accepted(self, part2):
+        # the outside norm is 1e-14 of the total: ||c_in|| = sqrt(2)
+        f = self._two_component(part2.grid, 1, 1e-14 * math.sqrt(2.0))
+        assert bernstein_ratio(f, 3, 2, math.inf) > 0.0
+
+    def test_leak_gathered_in_lattice_order(self, monkeypatch, part2):
+        # the guard's flat gather takes the outside coefficients in the
+        # order c[:, outside] does, so the leak is summed alike
+        f = random_field(part2.grid, 63, ncomp=2)
+        summed = []
+        monkeypatch.setattr(lp, "_coefficient_norm",
+                            lambda c, _norm=lp._coefficient_norm: summed.append(c) or _norm(c))
+        with pytest.raises(ValueError, match="exceeds ball"):
+            bernstein_ratio(f, 3, 2, math.inf)
+        c = f.coefficients
+        assert np.array_equal(_bits(summed[0]), _bits(c[:, part2.grid.xi_abs > 8.0]))
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_bundle_equals_the_inline_bundle(self, inline_transforms, seed):
+        # each 512^2 packet is transformed on the helper, in its own array
+        got = json.dumps(verify_bernstein(seed=seed))
+        inline_transforms()
+        assert got == json.dumps(verify_bernstein(seed=seed))
 
     def test_random_ratio_bounded(self, part1):
         ratios = []

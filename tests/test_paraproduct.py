@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lpw import grid as grid_module, lp, paraproduct, psido
+from lpw import grid as grid_module, lp, paraproduct, psido, verify
 from lpw.exponents import RegularityParams
 from lpw.grid import (GridSpec, SpectralField, _pair_product_fine, _physical_at,
                       alias_free_size, dealiased_product, field_from_padded, lp_norm,
@@ -20,6 +20,7 @@ from lpw.paraproduct import (_window_band, _zone_grid, _zone_windows, all_pairs_
 from lpw.probe import equation_spec, run_probe
 from lpw.psido import commutator_shell
 from lpw.symbols import multiplier, resolve_symbol
+from lpw.verify import verify_bernstein
 
 
 class TestZoneSets:
@@ -356,7 +357,8 @@ class TestHelperTransforms:
         (lp, "_inverse", GridSpec(2, 128), lambda V, w, part: shell_norms(part, V, [2.5])),
         (psido, "_inverse", GridSpec(1, 1 << 14), lambda V, w, part: commutator_shell(
             resolve_symbol("sep:cos:0*pow:1"), part, V, [10, 11])),
-    ], ids=["split", "oracle", "shell-norms", "commutator"])
+        (verify, "_inverse", GridSpec(2, 16), lambda V, w, part: verify_bernstein()),
+    ], ids=["split", "oracle", "shell-norms", "commutator", "bernstein"])
     def test_transform_error_reaches_the_caller(self, monkeypatch, module, transform, grid,
                                                 call):
         # every call site that hands off a run of transforms does it through

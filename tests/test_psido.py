@@ -270,6 +270,20 @@ class TestShellCommutator:
         assert np.array(got).tobytes() == np.array(want).tobytes()
         assert [len(vals) for vals in got] == [len(ks)] * 3
 
+    def test_shell_transforms_handed_to_the_helper(self, monkeypatch):
+        # per shell, A P_k f's one term and P_k(A f); A f stays on the caller
+        handed = []
+
+        def recording(transform, buf, _soon=psido._soon):
+            handed.append(buf.shape)
+            return _soon(transform, buf)
+
+        part = build_partition(GridSpec(1, 1 << 16))
+        f = flat_dyadic_field(part, 13)
+        monkeypatch.setattr(psido, "_soon", recording)
+        commutator_shell(resolve_symbol("sep:cos:0*pow:1"), part, f, list(range(10, 15)))
+        assert handed == [(1, 1 << 16)] * 10
+
     @pytest.mark.parametrize("ks", [[10], list(range(10, 15))], ids=["one", "five"])
     def test_symbol_evaluated_once(self, ks):
         # b(x) and c(xi) serve f and every P_k f (each was evaluated 6 times
