@@ -4,7 +4,7 @@ Subcommands: `verify {partition,bernstein,apbound,commutator,paraproduct,
 mapping}`, `exponents`, `iterate`, `probe`.  Output is deterministic under a
 fixed seed (sorted-key JSON, shortest-roundtrip floats).  Exit codes: 0 all
 properties pass, 1 a measured property failed, 2 usage or hypothesis error
-(a path that cannot be read or written among them).
+(a path that cannot be read or written among them) or a run out of memory.
 """
 
 from __future__ import annotations
@@ -214,7 +214,7 @@ def main(argv=None) -> int:
     try:
         _check_parent(args.out)
         return args.fn(args)
-    except (KeyError, ValueError, OSError) as exc:
+    except (KeyError, ValueError, OSError, MemoryError) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True))
         return 2
 

@@ -422,15 +422,17 @@ def alias_free_size(N: int, b1: float, b2: float, K: float) -> int:
     return min(smallest, 3 * N // 2)
 
 
-def _relattice(coeffs: np.ndarray, n_out: int) -> np.ndarray:
+def _relattice(coeffs: np.ndarray, n_out: int, out: np.ndarray | None = None) -> np.ndarray:
     """Coefficients moved to the n_out-point lattice, exactly.
 
     Per axis, frequencies 0..h-1 sit first and -h..-1 last in both layouts,
     so the frequencies both lattices hold are 2^dim block copies; the rest
-    are zero.
+    are zero.  With `out`, the copies go there: it must be zero unless
+    n_out is at most coeffs' size, where the blocks fill it.
     """
     h = min(coeffs.shape[1], n_out) // 2
-    out = np.zeros((coeffs.shape[0],) + (n_out,) * (coeffs.ndim - 1), dtype=np.complex128)
+    if out is None:
+        out = np.zeros((coeffs.shape[0],) + (n_out,) * (coeffs.ndim - 1), dtype=np.complex128)
     for block in itertools.product((slice(0, h), slice(-h, None)), repeat=coeffs.ndim - 1):
         out[(slice(None),) + block] = coeffs[(slice(None),) + block]
     return out

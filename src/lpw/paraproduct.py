@@ -21,15 +21,17 @@ cover compares independent computations.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exponents import RegularityParams, zone_branches, zone_transfers
-from .grid import (SpectralField, _forward, _inverse, _modulus, _modulus_norm, _norm,
-                   _one_ahead, _pair_product_fine, _physical_at, _relattice, _soon,
-                   alias_free_size, dealiased_product, field_from_padded, padded_physical)
+from .grid import (SpectralField, _coefficient_norm, _forward, _inverse, _modulus,
+                   _modulus_norm, _norm, _one_ahead, _pair_product_fine, _physical_at,
+                   _relattice, _soon, alias_free_size, dealiased_product, field_from_padded,
+                   padded_physical)
 from .lp import RING_HI, LPPartition, project, project_window, shell_norms
 from .symbols import Symbol, apply
 
@@ -329,6 +331,50 @@ def _norm_pair(f: SpectralField, g: SpectralField, p) -> tuple:
     return _modulus_norm(_modulus(samples()), p), g_norm
 
 
+def _zone_norms(V: SpectralField, w: SpectralField, k: int, part: LPPartition,
+                p) -> tuple:
+    """The L^p norms of the zones I, II, III and IV of `split(V, w, k, part)`,
+    and its truncation flag.
+
+    A one-component V against several components of w is split one
+    component of w at a time, so no several-component zone is made, and each
+    split's four zones are reduced at once: at p = 2 their L^2 norms, read
+    from the coefficients, are combined over the components; otherwise their
+    squared sample moduli are summed in component order, one real array per
+    zone, and the L^p norms read from the square roots.  The zone fields are
+    not read again, so their nonzero coefficients are transformed in place,
+    each handed to `_soon`, one ahead (`_one_ahead`).  Otherwise the one
+    split's zones are read by `_norm_pair`.
+    """
+    if V.ncomp > 1 or w.ncomp == 1:
+        zs = split(V, w, k, part)
+        return _norm_pair(zs.I, zs.II, p) + _norm_pair(zs.III, zs.IV, p), zs.zones.truncated
+    # per zone: its components' L^2 norms, or the sum of their squared moduli
+    sums = [[] if p == 2 else None for _ in range(4)]
+    for c in range(w.ncomp):
+        zs = split(V, w.component(c), k, part)
+        coeffs = [f.coefficients for f in (zs.I, zs.II, zs.III, zs.IV)]
+        truncated = zs.zones.truncated
+        del zs
+        if p == 2:
+            for z, cz in enumerate(coeffs):
+                sums[z].append(_coefficient_norm(cz))
+            continue
+        nonzero = {z: cz for z, cz in enumerate(coeffs) if cz.any()}
+        del coeffs  # each zone's coefficients are held only until its samples are squared
+        samples = ((z, _soon(_inverse, nonzero.pop(z))) for z in list(nonzero))
+        for z, sz in _one_ahead(samples):
+            sq = np.abs(sz()[0])
+            del sz
+            np.square(sq, out=sq)
+            sums[z] = sq if sums[z] is None else np.add(sums[z], sq, out=sums[z])
+            del sq
+    if p == 2:
+        return tuple(math.hypot(*n) for n in sums), truncated
+    return tuple(0.0 if sq is None else _modulus_norm(np.sqrt(sq, out=sq), p)
+                 for sq in sums), truncated
+
+
 def _zone_reports(V: SpectralField, u: SpectralField, Q: Symbol, ks,
                   params: RegularityParams, part: LPPartition, du: np.ndarray,
                   c_rho: float) -> list:
@@ -343,9 +389,7 @@ def _zone_reports(V: SpectralField, u: SpectralField, Q: Symbol, ks,
     transfer_iii, transfer_iv = transfers[branch_iii], transfers[branch_iv]
 
     def report(k):  # a function, so each split's zone fields go before the next split
-        zs = split(V, w, k, part)
-        norm_i, norm_ii = _norm_pair(zs.I, zs.II, r)
-        norm_iii, norm_iv = _norm_pair(zs.III, zs.IV, r)
+        (norm_i, norm_ii, norm_iii, norm_iv), truncated = _zone_norms(V, w, k, part, r)
         scale = 2.0 ** (lift * k)
         tiny_tail = c_rho * 2.0 ** (-min(100.0 * k, 960.0))
         return ZoneEstimateReport(
@@ -364,7 +408,7 @@ def _zone_reports(V: SpectralField, u: SpectralField, Q: Symbol, ks,
                 scale * norm_iv,
                 delta * _weighted_sum(du, sigma, k - 20, part.jmax, k, transfer_iv)
                 + tiny_tail),
-            truncated=zs.zones.truncated,
+            truncated=truncated,
         )
 
     return [report(k) for k in ks]

@@ -19,9 +19,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .exponents import GainReport, RegularityParams, check_params, compute_gains
-from .grid import (GridSpec, SpectralField, _abs2, _inverse, _padded_size, _pair_product_fine,
-                   _relattice, _soon, field_from_padded, grid_product, l2_norm,
-                   padded_physical, random_field)
+from .grid import (GridSpec, SpectralField, _abs2, _forward, _inverse, _padded_size,
+                   _pair_product_fine, _relattice, _soon, field_from_padded, grid_product,
+                   l2_norm, padded_physical, random_field)
 from .iteration import (DecaySequence, IterationParams, convolution_majorant,
                         decay_bound, delta_cap, hypothesis_holds)
 from .lp import LPPartition, build_partition, shell_norms
@@ -74,19 +74,32 @@ def _quadratic_term(P: Symbol, Q: Symbol):
     """Dealiased (V, u) -> P(V Q u), with Q applied to each component of u.
 
     V contracts against each component's Q-output when the counts match
-    ((V.grad) u) and broadcasts otherwise.  The products are formed in
-    Q u's padded buffer and transformed back there; only a product wider
-    than its Q-output goes to a fresh array, so the shared padded V is
-    never written.  The padded Q u, in every shipped equation at least as
-    wide as V, is handed to `_soon` for its inverse transform while V is
-    padded here: the longer transform goes to the helper thread.
+    ((V.grad) u) and broadcasts otherwise.  Each Q-output is moved into its
+    rows of the padded Q u as soon as it is made, and dropped, so no coarse
+    stack of them is made.  The products are formed in Q u's padded buffer
+    and transformed back there; only a product wider than its Q-output goes
+    to a fresh array, so the shared padded V is never written.  The padded
+    Q u, in every shipped equation at least as wide as V, is handed to
+    `_soon` for its inverse transform while V is padded here: the longer
+    transform goes to the helper thread.  A one-component V against a
+    one-component u whose Q-output has several components (gjms: Lambda^3 u
+    against grad u) takes `_broadcast_products` instead.
     """
 
     def nonlinearity(V: SpectralField, u: SpectralField) -> SpectralField:
-        # the coarse stack is freed once moved to the 3/2 grid, before V is padded
-        pq = _soon(_inverse, _relattice(np.concatenate(
-            [apply(Q, u.component(c)).coefficients for c in range(u.ncomp)]),
-            _padded_size(u.grid.points_per_axis)))
+        grid, M = u.grid, _padded_size(u.grid.points_per_axis)
+        q = apply(Q, u.component(0)).coefficients
+        width = q.shape[0]
+        if V.ncomp == u.ncomp == 1 < width:
+            return apply(P, SpectralField(grid, freq=_broadcast_products(V, q, M)))
+        rows = np.zeros((u.ncomp * width,) + (M,) * grid.dim, dtype=np.complex128)
+        _relattice(q, M, out=rows[:width])
+        del q
+        for c in range(1, u.ncomp):
+            _relattice(apply(Q, u.component(c)).coefficients, M,
+                       out=rows[c * width:(c + 1) * width])
+        pq = _soon(_inverse, rows)
+        del rows
         pv = padded_physical(V)
         pq = pq()  # the handle, which also holds the buffer, is let go
         pq = pq.reshape((u.ncomp, -1) + pq.shape[1:])
@@ -94,11 +107,34 @@ def _quadratic_term(P: Symbol, Q: Symbol):
         del pv  # free the padded V before the transform back
         k = fine[0].shape[0]  # in place, the products fill each Q-output's leading k slots
         fine = (pq[:, :k] if k <= pq.shape[1] else np.stack(fine)).reshape((-1,) + pq.shape[2:])
-        coarse = field_from_padded(u.grid, fine)
+        coarse = field_from_padded(grid, fine)
         del fine, pq  # free the padded buffer before P is applied
         return apply(P, coarse)
 
     return nonlinearity
+
+
+def _broadcast_products(V: SpectralField, q: np.ndarray, M: int) -> np.ndarray:
+    """The coefficients of the dealiased products of the one-component V with
+    each component of the Q-output coefficients `q`, written over `q`.
+
+    One component at a time is padded to the M-point grid, multiplied in
+    place with V's samples as the first operand, transformed forward in
+    place and moved back into its row of `q`, whose coefficients are then no
+    longer read: one padded component is alive beside the padded V, never
+    the padded stack.  The first component's inverse transform is handed to
+    `_soon` while V is padded here.  The values equal the stacked product's
+    bit for bit.
+    """
+    pv = None
+    for row in range(q.shape[0]):
+        pw = _soon(_inverse, _relattice(q[row:row + 1], M))
+        if pv is None:
+            pv = padded_physical(V)
+        pw = _pair_product_fine(pv, pw())
+        _relattice(_forward(pw, out=pw), q.shape[-1], out=q[row:row + 1])
+        del pw  # each padded component goes before the next is made
+    return q
 
 
 def _ns_spec(n: int, s: float, p: float, amplitude: float) -> EquationSpec:

@@ -323,6 +323,19 @@ class TestProbeCommand:
         assert code == 2
         assert repr(spec) in json.loads(out)["error"]
 
+    def test_out_of_memory_exits_2(self, capsys, monkeypatch):
+        # numpy's MemoryError names the shape it could not allocate
+        message = ("Unable to allocate 6.75 GiB for an array with shape (1, 768, 768, 768) "
+                   "and data type complex128")
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "run_probe", out_of_memory)
+        code, out = run_cli(capsys, "probe", "--equation", "gjms", "--grid", "3,512")
+        assert code == 2
+        assert out == json.dumps({"error": message}, sort_keys=True) + "\n"
+
     def test_non_elliptic_L_exits_2_before_manufacture(self, capsys, monkeypatch):
         def unreachable(*args, **kwargs):
             raise AssertionError("manufacture ran on a non-elliptic L")

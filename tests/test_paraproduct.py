@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import threading
@@ -8,10 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lpw import grid as grid_module, lp, paraproduct, psido, verify
-from lpw.exponents import RegularityParams
-from lpw.grid import (GridSpec, SpectralField, _pair_product_fine, _physical_at,
-                      alias_free_size, dealiased_product, field_from_padded, lp_norm,
-                      random_field)
+from lpw.exponents import RegularityParams, zone_transfers
+from lpw.grid import (GridSpec, SpectralField, _modulus, _modulus_norm, _pair_product_fine,
+                      _physical_at, alias_free_size, dealiased_product, field_from_padded,
+                      lp_norm, random_field)
 from lpw.lp import (build_partition, flat_dyadic_field, project, project_window, shell_norms,
                     shell_packet, shell_sum_field)
 from lpw.paraproduct import (_window_band, _zone_grid, _zone_windows, all_pairs_shell,
@@ -19,7 +20,7 @@ from lpw.paraproduct import (_window_band, _zone_grid, _zone_windows, all_pairs_
                              zone_estimate_report, zone_estimate_reports, zones)
 from lpw.probe import equation_spec, run_probe
 from lpw.psido import commutator_shell
-from lpw.symbols import multiplier, resolve_symbol
+from lpw.symbols import apply, multiplier, resolve_symbol
 from lpw.verify import verify_bernstein
 
 
@@ -292,6 +293,69 @@ class TestZoneEstimates:
         for entry in d["zone"].values():
             assert set(entry) == {"lhs", "rhs", "constant"}
         assert rep.constants == tuple(d["zone"][z]["constant"] for z in ("I+II", "III", "IV"))
+
+
+def _unstreamed_zone_norms(V, w, k, part, r):
+    """The L^r norms of the zones of one split of V against every component
+    of w at once, read from the `_modulus` of their samples."""
+    zs = split(V, w, k, part)
+    return [_modulus_norm(_modulus(f.physical), r) for f in (zs.I, zs.II, zs.III, zs.IV)]
+
+
+class TestStreamedZoneReports:
+    """A one-component V against several components of w = Q u is split one
+    component of w at a time, its four zones reduced at once."""
+
+    @staticmethod
+    def _gjms(r):
+        # V = Lambda^3 u, scalar, against w = grad u at gjms 3,32
+        eq = equation_spec("gjms", n=3)
+        part = build_partition(GridSpec(3, 32))
+        u = random_field(part.grid, 53, radial_profile=lambda x: (1.0 + x) ** -3.0)
+        params = eq.gains.params.lifted()
+        if r is not None:
+            params = dataclasses.replace(params, r=r)
+        return eq, part, u, eq.coefficient(u), params
+
+    @pytest.mark.parametrize("r", [None, 2.0], ids=["gjms-r", "r=2"])
+    def test_gjms_reports_equal_the_unstreamed_zone_norms(self, r):
+        eq, part, u, V, params = self._gjms(r)
+        ks = (2, 3, 4)
+        reports = zone_estimate_reports(V, u, eq.Q, ks, params, part)
+        w = apply(eq.Q, u)
+        lift = zone_transfers(params)["r<q"]
+        for k, rep in zip(ks, reports):
+            n = _unstreamed_zone_norms(V, w, k, part, params.r)
+            scale = 2.0 ** (lift * k)
+            assert n[0] > 0.0
+            assert rep.low_zones.lhs == pytest.approx(scale * (n[0] + n[1]), rel=1e-12, abs=0)
+            assert rep.high_low.lhs == pytest.approx(scale * n[2], rel=1e-12, abs=0)
+            assert rep.high_high.lhs == pytest.approx(scale * n[3], rel=1e-12, abs=0)
+            assert rep.truncated == zones(k, part.jmax).truncated
+
+    @pytest.mark.parametrize("r", [1.5, 2.0])
+    def test_every_zone_equals_the_unstreamed_norm(self, r):
+        # at 2,128 and k = 6 zones I, II and III are nonzero
+        part = build_partition(GridSpec(2, 128))
+        V, w = random_field(part.grid, 54), random_field(part.grid, 55, ncomp=3)
+        got, truncated = paraproduct._zone_norms(V, w, 6, part, r)
+        want = _unstreamed_zone_norms(V, w, 6, part, r)
+        assert all(v > 0.0 for v in want[:3])
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+        assert truncated
+
+    def test_zone_reports_peak_memory(self):
+        # 10.49 MB traced when each split made the 3-component zones of w = grad u
+        eq, part, u, V, params = self._gjms(None)
+        norms, (c_rho,) = shell_norms(part, u, [params.r], [(params.sigma, params.r)])
+        paraproduct._zone_reports(V, u, eq.Q, (3, 4), params, part, norms[0], c_rho)
+        tracemalloc.start()
+        try:
+            paraproduct._zone_reports(V, u, eq.Q, (3, 4), params, part, norms[0], c_rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.2e6
 
 
 def _zone_bits(zs) -> bytes:
