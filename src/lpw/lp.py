@@ -12,6 +12,12 @@ supported in the ring 2^j*3/5 <= |xi| <= 2^j*5/3 for j < J.  The top shell
 absorbs the remaining resolvable band up to the lattice corner (it is the
 inhomogeneous tail projection); its nominal ring bound holds on the lattice
 for dim <= 2 and is clipped at the corner otherwise.
+
+Every reader of a support (projections, packets, profiles, the partition's
+own checks) walks it with `LPPartition.support`, one block of at most
+`rng._BLOCK` sites at a time, as `rng` draws and `build_partition` builds:
+besides its output, a reader makes nothing of full length.  Each step is
+elementwise, so the blocks change no bit.
 """
 
 from __future__ import annotations
@@ -72,27 +78,30 @@ class LPPartition:
     weight: np.ndarray       # value t of the lower shell's profile at each site
     starts: np.ndarray       # jmax + 2 offsets into sites, one segment per lower shell
 
-    def support(self, lo: int, hi: int) -> tuple:
-        """(sites, values) of the profile sum over shells lo..hi: one slice
-        of `sites`, with 1 - t on segment lo - 1, 1 on segments lo..hi-1 and
-        t on segment hi, which is how the dense sum of those profiles rounds
-        at each point (t + (1 - t) rounds to 1 for every t in [0, 1]).  Zero
-        off the returned sites."""
+    def support(self, lo: int, hi: int):
+        """The profile sum over shells lo..hi, as (sites, values) pieces of at
+        most `rng._BLOCK` sites: one slice of `sites` walked in order, with
+        1 - t on segment lo - 1, 1 on segments lo..hi-1 and t on segment hi,
+        which is how the dense sum of those profiles rounds at each point
+        (t + (1 - t) rounds to 1 for every t in [0, 1]).  Zero off the
+        yielded sites; each piece's values are its own array."""
         for j in (lo, hi):
             if not 0 <= j <= self.jmax:
                 raise ValueError(f"shell index {j} out of range [0, {self.jmax}]")
         a, b = self.starts[max(lo - 1, 0)], self.starts[hi + 1]
-        head, tail = self.starts[lo] - a, self.starts[hi] - a
-        values = self.weight[a:b].copy()
-        values[:head] = 1.0 - values[:head]
-        values[head:tail] = 1.0
-        return self.sites[a:b], values
+        for s in range(a, b, rng._BLOCK):
+            e = min(s + rng._BLOCK, b)
+            head, tail = max(self.starts[lo] - s, 0), max(self.starts[hi] - s, 0)
+            values = self.weight[s:e].copy()
+            np.subtract(1.0, values[:head], out=values[:head])
+            values[head:tail] = 1.0
+            yield self.sites[s:e], values
 
     def profile(self, j: int) -> np.ndarray:
         """Profile j on the whole lattice (built on demand)."""
-        sites, values = self.support(j, j)
         out = np.zeros(self.grid.npoints)
-        out[sites] = values
+        for sites, values in self.support(j, j):
+            out[sites] = values
         return out.reshape(self.grid.shape)
 
     @property
@@ -103,7 +112,7 @@ class LPPartition:
     def partition_deviation(self) -> float:
         """Max pointwise deviation of the profile sum from 1 on the lattice,
         all of which is the support of the whole sum."""
-        return float(np.max(np.abs(self.support(0, self.jmax)[1] - 1.0)))
+        return max(float(np.max(np.abs(values - 1.0))) for _, values in self.support(0, self.jmax))
 
 
 def build_partition(grid: GridSpec) -> LPPartition:
@@ -145,12 +154,13 @@ def build_partition(grid: GridSpec) -> LPPartition:
 
 def _on_support(part: LPPartition, coeffs: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """coeffs times the profile sum over shells lo..hi, formed at its support
-    only: the one gather and scatter behind every projection."""
-    sites, values = part.support(lo, hi)
+    only, one piece at a time: the one gather and scatter behind every
+    projection, whose only full-length array is its output."""
     flat = coeffs.reshape(coeffs.shape[0], -1)
     out = np.zeros(flat.shape, dtype=np.complex128)
-    for src, dst in zip(flat, out):
-        dst[sites] = src[sites] * values
+    for sites, values in part.support(lo, hi):
+        for src, dst in zip(flat, out):
+            dst[sites] = src[sites] * values
     return out.reshape(coeffs.shape)
 
 
@@ -184,15 +194,22 @@ def _bernstein_guard(f: SpectralField, j: int, p, q) -> tuple:
     norm (their l^2 norm, by Parseval) and the bound's factor
     2^(n j (1/p - 1/q)), which times ||f||_p is the bound at radius 2^j.
 
-    The coefficients outside the ball are gathered by `np.compress` over the
-    flattened lattice: the elements of `c[:, outside]`, in its order, so the
-    leak is summed alike, without numpy's boolean indexing over trailing
-    axes, which took several times as long."""
+    The outside of the ball is scanned one block of the lattice at a time.
+    When it holds no nonzero coefficient the leak is 0 and nothing is
+    gathered.  Otherwise the outside coefficients are gathered whole by
+    `np.compress` over the flattened lattice: the elements of
+    `c[:, outside]`, in its order, so the leak is summed alike, without
+    numpy's boolean indexing over trailing axes, which took several times as
+    long."""
     if not (1 <= p <= math.inf and 1 <= q <= math.inf and p <= q):
         raise ValueError(f"need 1 <= p <= q <= inf, got p={p}, q={q}")
     c = f.coefficients
-    outside = f.grid.xi_abs > 2.0**j
-    leak = _coefficient_norm(np.compress(outside.ravel(), c.reshape(len(c), -1), axis=1))
+    flat = c.reshape(len(c), -1)
+    r, radius = f.grid.xi_abs.ravel(), 2.0**j
+    blocks = (slice(lo, lo + rng._BLOCK) for lo in range(0, r.size, rng._BLOCK))
+    leak = 0.0
+    if any(np.compress(r[b] > radius, flat[:, b], axis=1).any() for b in blocks):
+        leak = _coefficient_norm(np.compress(r > radius, flat, axis=1))
     total = _coefficient_norm(c)
     if total == 0:
         raise ValueError("zero field")
@@ -270,18 +287,19 @@ def shell_packet(part: LPPartition, j: int, seed: int, coherent: bool = True) ->
     coherent=False draws generic complex amplitudes.
     """
     grid = part.grid
-    sites, values = part.support(j, j)
-    keep = (values != 0.0) & ~grid.nyquist_mask.ravel()[sites]
-    sites, values = sites[keep], values[keep]
-    # the counters of a whole-lattice draw (rng's layout), taken at the ring's sites only
-    ctr = 2 * sites
-    re = 2.0 * rng.unit_doubles_at(seed, ctr) - 1.0
-    if coherent:
-        raw = 1.0 + 0.5 * re  # amplitudes in [0.5, 1.5], zero phase
-    else:
-        raw = re + 1j * (2.0 * rng.unit_doubles_at(seed, ctr + 1) - 1.0)
+    nyquist = grid.nyquist_mask.ravel()
     c = np.zeros(grid.npoints, dtype=np.complex128)
-    c[sites] = raw * values
+    for sites, values in part.support(j, j):
+        keep = (values != 0.0) & ~nyquist[sites]
+        sites, values = sites[keep], values[keep]
+        # the counters of a whole-lattice draw (rng's layout), taken at the ring's sites only
+        ctr = 2 * sites
+        re = 2.0 * rng.unit_doubles_at(seed, ctr) - 1.0
+        if coherent:
+            raw = 1.0 + 0.5 * re  # amplitudes in [0.5, 1.5], zero phase
+        else:
+            raw = re + 1j * (2.0 * rng.unit_doubles_at(seed, ctr + 1) - 1.0)
+        c[sites] = raw * values
     return SpectralField(grid, freq=c.reshape(grid.shape))
 
 
@@ -302,13 +320,14 @@ def _shell_sum_fields(part: LPPartition, scales, seed: int, norm_ps) -> list:
         if scale == 0.0:
             continue
         pkt = shell_packet(part, j, seed + 101 * j, coherent=False)
-        sites = part.support(j, j)[0]
-        c = pkt.coefficients.reshape(-1)[sites]
         mod = pkt.modulus() if any(p != 2 for p in norm_ps) else None
-        for total, p in zip(totals, norm_ps):
-            nrm = l2_norm(pkt) if p == 2 else _modulus_norm(mod, p)
-            if nrm > 0:
-                total[sites] += (scale / nrm) * c
+        nrms = [l2_norm(pkt) if p == 2 else _modulus_norm(mod, p) for p in norm_ps]
+        flat = pkt.coefficients.reshape(-1)
+        for sites, _ in part.support(j, j):
+            c = flat[sites]
+            for total, nrm in zip(totals, nrms):
+                if nrm > 0:
+                    total[sites] += (scale / nrm) * c
     return [SpectralField(grid, freq=t.reshape((1,) + grid.shape)) for t in totals]
 
 

@@ -16,7 +16,7 @@ from .grid import (GridSpec, SpectralField, _forward, _inverse, _one_ahead, _soo
                    center_distance, l2_norm)
 from .lp import LPPartition, _on_support, profile_value, project, project_window, shell_norms
 from .smooth import ramp_down, ramp_up
-from . import symbols as sym_mod
+from . import rng, symbols as sym_mod
 from .symbols import (Symbol, _abs_xi, _apply_table, _masked_inverse, _separable_table,
                       _table_sum, _table_terms, apply)
 
@@ -78,29 +78,35 @@ def _symbol_floor(sym: Symbol, grid: GridSpec, r_min: float, shift: float,
                   x_mask=None) -> float:
     """inf |a(x, xi)| / (shift + |xi|)^m over lattice |xi| >= r_min, sampled x.
 
-    x is scanned on a coarse subgrid (optionally masked), in chunks that
-    bound the evaluated block to about 4M entries; multipliers skip the scan.
+    The lattice is scanned one block of `rng._BLOCK` points at a time, each
+    block's axis frequencies read at its flat indices; the floor is one
+    `np.min` over the blocks' minima, exact and NaN-propagating as one over
+    the whole set is.  x is scanned on a coarse subgrid (optionally masked),
+    in chunks that bound the evaluated block to about 4M entries; multipliers
+    skip the x scan.  0 when no lattice point qualifies.
     """
-    r = grid.xi_abs
-    keep = r >= r_min
-    xi_use = tuple(np.broadcast_to(a, grid.shape)[keep] for a in grid.xi_axes)
-    scale = (shift + r[keep]) ** sym.order
-
-    if sym.kind == "multiplier":
-        vals = np.abs(np.asarray(sym.xi_func(*xi_use)))
-        return float(np.min(vals / scale)) if vals.size else 0.0
-
-    pts = _x_sample_points(grid, x_mask)
-    if pts[0].size == 0:
-        raise ValueError("empty x sample")
-    best = math.inf
-    chunk = max(1, (1 << 22) // max(1, xi_use[0].size))
-    for start in range(0, pts[0].size, chunk):
-        xs = tuple(p[start:start + chunk, None] for p in pts)
+    multiplier = sym.kind == "multiplier"
+    if not multiplier:
+        pts = _x_sample_points(grid, x_mask)
+        if pts[0].size == 0:
+            raise ValueError("empty x sample")
+    r = grid.xi_abs.ravel()
+    axes = [a.ravel() for a in grid.xi_axes]
+    mins = []
+    for lo in range(0, r.size, rng._BLOCK):
+        idx = lo + np.flatnonzero(r[lo:lo + rng._BLOCK] >= r_min)
+        if idx.size == 0:
+            continue
+        scale = (shift + r[idx]) ** sym.order
+        xi_use = tuple(a[i] for a, i in zip(axes, np.unravel_index(idx, grid.shape)))
+        if multiplier:
+            mins.append(np.min(np.abs(np.asarray(sym.xi_func(*xi_use))) / scale))
+            continue
+        chunk = max(1, (1 << 22) // idx.size)
         xis = tuple(x[None, :] for x in xi_use)
-        vals = np.abs(sym.eval_xy(xs, xis))
-        best = min(best, float(np.min(vals / scale[None, :])))
-    return best
+        mins += [np.min(np.abs(sym.eval_xy(tuple(p[s:s + chunk, None] for p in pts), xis))
+                        / scale[None, :]) for s in range(0, pts[0].size, chunk)]
+    return float(np.min(mins)) if mins else 0.0
 
 
 def ellipticity_margin(sym: Symbol, grid: GridSpec, x_mask=None) -> float:

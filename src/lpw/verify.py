@@ -36,8 +36,8 @@ def verify_partition(n: int = 2, N: int = 512, seed: int = 1) -> dict:
     c = f.coefficients.ravel()  # f is scalar
     total = np.zeros_like(c)  # the sum of the projections, each added on its ring's support
     for j in range(part.jmax + 1):
-        sites, values = part.support(j, j)
-        total[sites] += c[sites] * values
+        for sites, values in part.support(j, j):
+            total[sites] += c[sites] * values
     total -= c
     recon = _coefficient_norm(total) / l2_norm(f)
     return {

@@ -6,7 +6,8 @@ imports a thread module or starts a thread.  Every public
 function and method is referenced, every defaulted parameter of a module-level
 function is passed by some call, and every dataclass field is read, by the
 package or the benchmark (`lpwbench/`): a test alone counts only for the few
-names in TEST_ONLY.  No function binds a local name that it never reads."""
+names in TEST_ONLY.  No function binds a local name that it never reads, and
+only `lp` reads the partition's storage."""
 
 import ast
 from pathlib import Path
@@ -205,4 +206,15 @@ def test_only_grid_handles_threads():
                 name = getattr(node.func, "id", getattr(node.func, "attr", None))
                 if name in THREAD_STARTERS:
                     found.append(f"{mod}: {name}() (line {node.lineno})")
+    assert found == []
+
+
+def test_only_lp_reads_the_partition_storage():
+    # `LPPartition.support` is the one walk over a support, block by block:
+    # no other module, in the package or the benchmark, reads the sorted
+    # sites, their weights or the segment offsets it walks
+    found = [f"{path.relative_to(ROOT)}: .{n.attr} (line {n.lineno})"
+             for d in ("src", "lpwbench") for path in sorted((ROOT / d).rglob("*.py"))
+             if path != SRC / "lp.py" for n in ast.walk(ast.parse(path.read_text()))
+             if isinstance(n, ast.Attribute) and n.attr in {"sites", "weight", "starts"}]
     assert found == []

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import signal
 import threading
 import time
@@ -18,7 +19,7 @@ from lpw.lp import (RING_HI, RING_LO, bernstein_ratio, build_partition,
 from lpw.probe import equation_spec, run_probe
 from lpw.psido import fit_log2_slope
 from lpw.rng import complex_samples
-from lpw.verify import verify_bernstein
+from lpw.verify import verify_bernstein, verify_partition
 
 from test_grid import mode
 
@@ -40,6 +41,29 @@ def _bits(a):
     """The raw bits of a float or complex array, so that equality also
     compares the signs of zeros."""
     return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _whole_support(part, lo, hi):
+    """(sites, values) of the profile sum over shells lo..hi as one slice of
+    the partition's storage: the reference its block walk reproduces."""
+    a, b = part.starts[max(lo - 1, 0)], part.starts[hi + 1]
+    head, tail = part.starts[lo] - a, part.starts[hi] - a
+    values = part.weight[a:b].copy()
+    values[:head] = 1.0 - values[:head]
+    values[head:tail] = 1.0
+    return part.sites[a:b], values
+
+
+def _traced_peak(fn, *args):
+    """The tracemalloc peak of fn(*args), after one untraced call that starts
+    the helper thread and fills the caches."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestPartition:
@@ -237,6 +261,56 @@ class TestShellPacket:
         assert calls == []
 
 
+class TestSupportBlocks:
+    """Every support reader walks `LPPartition.support` in pieces of at most
+    `rng._BLOCK` sites, with the bits of the whole-support reads."""
+
+    def test_projection_equals_the_whole_support_gather(self):
+        # a window over all but the lowest shells of 2^18 points spans 8 blocks
+        part = build_partition(GridSpec(1, 1 << 18))
+        sites, values = _whole_support(part, 5, 17)
+        assert sites.size > 6 * rng._BLOCK
+        coeffs = random_field(part.grid, 5, ncomp=2).coefficients
+        flat = coeffs.reshape(2, -1)
+        want = np.zeros_like(flat)
+        want[:, sites] = flat[:, sites] * values
+        got = lp._on_support(part, coeffs, 5, 17)
+        assert np.array_equal(_bits(got), _bits(want.reshape(coeffs.shape)))
+        assert all(s.size <= rng._BLOCK for s, _ in part.support(5, 17))
+
+    def test_projection_holds_only_its_output(self):
+        # 4 MiB of output and 0.88 MiB of pieces; 10.13 MiB in all when the
+        # support was read whole
+        part = build_partition(GridSpec(1, 1 << 18))
+        coeffs = random_field(part.grid, 6).coefficients
+        assert _traced_peak(lp._on_support, part, coeffs, 5, 17) <= coeffs.nbytes + (3 << 19)
+
+    @pytest.mark.parametrize("coherent", [True, False], ids=["coherent", "generic"])
+    def test_packet_equals_the_whole_support_draw(self, coherent):
+        # ring 7 of 512^2 has more than one block of sites
+        part = build_partition(GridSpec(2, 512))
+        grid = part.grid
+        sites, values = _whole_support(part, 7, 7)
+        assert sites.size > rng._BLOCK
+        keep = (values != 0.0) & ~grid.nyquist_mask.ravel()[sites]
+        sites, values = sites[keep], values[keep]
+        re = 2.0 * rng.unit_doubles_at(11, 2 * sites) - 1.0
+        raw = (1.0 + 0.5 * re if coherent
+               else re + 1j * (2.0 * rng.unit_doubles_at(11, 2 * sites + 1) - 1.0))
+        want = np.zeros(grid.npoints, dtype=np.complex128)
+        want[sites] = raw * values
+        got = shell_packet(part, 7, 11, coherent=coherent).coefficients
+        assert np.array_equal(_bits(got), _bits(want.reshape((1,) + grid.shape)))
+
+    @pytest.mark.parametrize("bundle,bound", [
+        # 22.77 and 22.44 MiB when each support was read whole
+        (verify_partition, 16 << 20),
+        (verify_bernstein, 19 << 20),
+    ], ids=["partition", "bernstein"])
+    def test_bundle_peak_memory(self, bundle, bound):
+        assert _traced_peak(bundle) <= bound
+
+
 class TestBernstein:
     def test_p_equals_q(self, part2):
         f = shell_packet(part2, 3, 1, coherent=False)
@@ -261,6 +335,28 @@ class TestBernstein:
         c[:, 1, 0] = 1.0
         c[outside_comp, 20, 0] = outside_amp
         return SpectralField(grid, freq=c)
+
+    @pytest.mark.parametrize("comp", [0, 1])
+    def test_leak_in_a_later_block_rejected(self, monkeypatch, comp):
+        # the outside is scanned block by block; a leak found in a later
+        # block, in either component, is gathered whole and reported alike
+        grid = GridSpec(2, 512)
+        c = np.zeros((2,) + grid.shape, dtype=complex)
+        c[:, 1, 0] = 1.0
+        c[comp, 300, 0] = 1e-3  # |xi| = 212, in the fifth of 8 blocks
+        summed = []
+        monkeypatch.setattr(lp, "_coefficient_norm",
+                            lambda c, _norm=lp._coefficient_norm: summed.append(c) or _norm(c))
+        ratio = 1e-3 / math.sqrt(2.0 + 1e-6)
+        with pytest.raises(ValueError, match=re.escape(
+                f"frequency support exceeds ball of radius 2^3 (leak {ratio:.2e})")):
+            bernstein_ratio(SpectralField(grid, freq=c), 3, 2, math.inf)
+        assert np.array_equal(summed[0], c[:, grid.xi_abs > 8.0])
+        # with no leak, nothing outside is gathered: only the total is summed
+        c[comp, 300, 0] = 0.0
+        summed.clear()
+        assert bernstein_ratio(SpectralField(grid, freq=c), 3, 2, math.inf) > 0.0
+        assert len(summed) == 1 and summed[0] is c
 
     @pytest.mark.parametrize("comp", [0, 1])
     def test_leak_in_either_component_rejected(self, part2, comp):
@@ -581,9 +677,15 @@ def test_support_storage_equals_dense_profiles(data):
     ref = _dense_profiles(grid)
     for j in range(J + 1):
         assert np.array_equal(_bits(part.profile(j)), _bits(ref[j])), j
+    block = data.draw(st.sampled_from((61, rng._BLOCK)))
     for lo in range(J + 1):
         for hi in range(lo, J + 1):
-            sites, values = part.support(lo, hi)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(rng, "_BLOCK", block)
+                pieces = list(part.support(lo, hi))
+            assert all(s.size <= block for s, _ in pieces)
+            sites = np.concatenate([s for s, _ in pieces])
+            values = np.concatenate([v for _, v in pieces])
             dense = np.zeros(grid.npoints)
             dense[sites] = values
             assert np.array_equal(_bits(dense), _bits(sum(ref[lo:hi + 1]).ravel())), (lo, hi)

@@ -53,6 +53,54 @@ class TestEllipticity:
         # restricted to the first shells above the cutoff the bound is 17/16
         assert (1.0 + 1.0 / 16.0) <= (1.0 + 4.0**2) / 4.0**2
 
+    @staticmethod
+    def _whole_lattice_floor(sym, grid, r_min, shift, x_mask=None):
+        """The floor from every qualifying lattice point at once, and every
+        sampled x at once: the reference the block scan reproduces."""
+        r = grid.xi_abs
+        keep = r >= r_min
+        xi_use = tuple(np.broadcast_to(a, grid.shape)[keep] for a in grid.xi_axes)
+        scale = (shift + r[keep]) ** sym.order
+        if sym.kind == "multiplier":
+            return float(np.min(np.abs(np.asarray(sym.xi_func(*xi_use))) / scale))
+        pts = psido._x_sample_points(grid, x_mask)
+        xs, xis = tuple(p[:, None] for p in pts), tuple(x[None, :] for x in xi_use)
+        vals = np.abs(sym.eval_xy(xs, xis))
+        return float(np.min(vals / scale[None, :]))
+
+    @pytest.mark.parametrize("block", [61, 1 << 15])
+    @pytest.mark.parametrize("name,dim,N,shift,ball", [
+        ("bilaplacian", 3, 64, 0.0, False),           # 262,144 points: 8 blocks
+        ("fractional_laplacian:0.75", 1, 4096, 1.0, False),
+        ("sep:twoplussin:0*pow:2", 2, 64, 0.0, True),  # masked x sample
+        ("sep:twoplussin:1*pow:2", 2, 256, 1.0, False),
+    ])
+    def test_block_scan_equals_the_whole_lattice_scan(self, monkeypatch, block, name, dim, N,
+                                                      shift, ball):
+        grid = GridSpec(dim, N)
+        A = resolve_symbol(name, dim)
+        mask = (lambda *xs: psido.center_distance(*xs) <= 1.0) if ball else None
+        want = self._whole_lattice_floor(A, grid, CUTOFF, shift, mask)
+        monkeypatch.setattr(psido.rng, "_BLOCK", block)
+        assert psido._symbol_floor(A, grid, CUTOFF, shift, mask) == want
+
+    @pytest.mark.parametrize("block", [61, 1 << 15])
+    def test_block_scan_propagates_nan(self, monkeypatch, block):
+        # one NaN, past the first of the 61-point blocks, makes the floor NaN, as np.min does
+        grid = GridSpec(2, 128)
+
+        def values(*xis):
+            out = abs2(*xis) + 0j
+            out[(xis[0] == 50.0) & (xis[1] == -3.0)] = np.nan
+            return out
+
+        clean = multiplier(2.0, lambda *xis: abs2(*xis) + 0j)
+        want = self._whole_lattice_floor(clean, grid, CUTOFF, 0.0)
+        assert math.isnan(self._whole_lattice_floor(multiplier(2.0, values), grid, CUTOFF, 0.0))
+        monkeypatch.setattr(psido.rng, "_BLOCK", block)
+        assert math.isnan(psido._symbol_floor(multiplier(2.0, values), grid, CUTOFF, 0.0))
+        assert psido._symbol_floor(clean, grid, CUTOFF, 0.0) == want
+
     def test_needs_positive_order(self, grid1):
         with pytest.raises(ValueError):
             ellipticity_margin(multiplication(lambda *xs: 1.0 + 0 * xs[0]), grid1)
