@@ -367,8 +367,9 @@ def l2_norm(f: SpectralField) -> float:
     site in the package does that.  Each reads a field that holds its
     coefficients when made (a projection, packet, random field or a sum of
     such), a field of samples read once (`psido.commutator_shell`), or a field
-    whose coefficients are cached before its one reading (`run_probe` applies
-    L to u_loc and pads V_loc in the nonlinearity before reading either).
+    whose coefficients are cached before its one reading (`run_probe` forms
+    those of u_loc and V_loc as soon as each is localized, before reading
+    either).
     """
     if f._freq is None:
         return _modulus_norm(f.modulus(), 2)

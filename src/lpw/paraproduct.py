@@ -33,7 +33,7 @@ from .grid import (SpectralField, _coefficient_norm, _forward, _inverse, _modulu
                    _relattice, _soon, alias_free_size, dealiased_product, field_from_padded,
                    padded_physical)
 from .lp import RING_HI, LPPartition, project, project_window, shell_norms
-from .symbols import Symbol, apply
+from .symbols import Symbol, _matrix_rows, apply
 
 
 @dataclass(frozen=True)
@@ -310,12 +310,13 @@ def zone_estimate_reports(V: SpectralField, u: SpectralField, Q: Symbol, ks,
                           params: RegularityParams, part: LPPartition) -> list:
     """One ZoneEstimateReport per shell k in ks.
 
-    w = Q u, delta = ||V||_q and the one split of u that gives du and c_rho
-    are made once and serve every k.
+    delta = ||V||_q and the one split of u that gives du and c_rho are made
+    once and serve every k, as w = Q u does unless `_zone_reports` forms it
+    one row at a time.
     """
     params = params.lifted()
     norms, (c_rho,) = shell_norms(part, u, [params.r], [(params.sigma, params.r)])
-    return _zone_reports(V, u, Q, ks, params, part, norms[0], c_rho)
+    return _zone_reports(V, u, Q, ks, params, part, norms[0], c_rho, _norm(V, params.q))
 
 
 def _norm_pair(f: SpectralField, g: SpectralField, p) -> tuple:
@@ -337,22 +338,32 @@ def _zone_norms(V: SpectralField, w: SpectralField, k: int, part: LPPartition,
     and its truncation flag.
 
     A one-component V against several components of w is split one
-    component of w at a time, so no several-component zone is made, and each
-    split's four zones are reduced at once: at p = 2 their L^2 norms, read
-    from the coefficients, are combined over the components; otherwise their
-    squared sample moduli are summed in component order, one real array per
-    zone, and the L^p norms read from the square roots.  The zone fields are
-    not read again, so their nonzero coefficients are transformed in place,
-    each handed to `_soon`, one ahead (`_one_ahead`).  Otherwise the one
-    split's zones are read by `_norm_pair`.
+    component of w at a time (`_streamed_zone_norms`), so no several-component
+    zone is made.  Otherwise the one split's zones are read by `_norm_pair`.
     """
     if V.ncomp > 1 or w.ncomp == 1:
         zs = split(V, w, k, part)
         return _norm_pair(zs.I, zs.II, p) + _norm_pair(zs.III, zs.IV, p), zs.zones.truncated
+    return _streamed_zone_norms(V, map(w.component, range(w.ncomp)), k, part, p)
+
+
+def _streamed_zone_norms(V: SpectralField, ws, k: int, part: LPPartition, p) -> tuple:
+    """`_zone_norms` for the one-component V split in turn against each
+    one-component field the iterator `ws` yields, as the components of one w.
+
+    Each field is let go once its split is made, before the next is taken,
+    and each split's four zones are reduced at once: at p = 2 their L^2
+    norms, read from the coefficients, are combined over the components;
+    otherwise their squared sample moduli are summed in component order, one
+    real array per zone, and the L^p norms read from the square roots.  The
+    zone fields are not read again, so their nonzero coefficients are
+    transformed in place, each handed to `_soon`, one ahead (`_one_ahead`).
+    """
     # per zone: its components' L^2 norms, or the sum of their squared moduli
     sums = [[] if p == 2 else None for _ in range(4)]
-    for c in range(w.ncomp):
-        zs = split(V, w.component(c), k, part)
+    for wc in ws:
+        zs = split(V, wc, k, part)
+        del wc  # the next component is formed with this one gone
         coeffs = [f.coefficients for f in (zs.I, zs.II, zs.III, zs.IV)]
         truncated = zs.zones.truncated
         del zs
@@ -377,19 +388,29 @@ def _zone_norms(V: SpectralField, w: SpectralField, k: int, part: LPPartition,
 
 def _zone_reports(V: SpectralField, u: SpectralField, Q: Symbol, ks,
                   params: RegularityParams, part: LPPartition, du: np.ndarray,
-                  c_rho: float) -> list:
+                  c_rho: float, delta: float) -> list:
     """`zone_estimate_reports` for lifted params, given du, the L^r norms of
-    u's shells, and c_rho = ||u||_{sigma,r} from a split the caller made."""
+    u's shells, and c_rho = ||u||_{sigma,r} from a split the caller made, and
+    delta = ||V||_q.
+
+    A one-component V against a matrix multiplier Q of several rows is split
+    against one row of Q u at a time (`_streamed_zone_norms`), each row
+    formed for its split by `apply`'s row step, so w = Q u is never whole.
+    Otherwise w is formed once and serves every k.
+    """
     sigma, r = params.sigma, params.r
-    w = apply(Q, u)
-    delta = _norm(V, params.q)
+    by_rows = (V.ncomp == 1 and Q.kind == "matrix_multiplier"
+               and len(Q.matrix_func(u.grid)) > 1)
+    w = None if by_rows else apply(Q, u)
     branch_iii, branch_iv = zone_branches(params)
     transfers = zone_transfers(params)
     lift = transfers["r<q"]  # the exponent of each left side's scale 2^(lift k)
     transfer_iii, transfer_iv = transfers[branch_iii], transfers[branch_iv]
 
     def report(k):  # a function, so each split's zone fields go before the next split
-        (norm_i, norm_ii, norm_iii, norm_iv), truncated = _zone_norms(V, w, k, part, r)
+        (norm_i, norm_ii, norm_iii, norm_iv), truncated = (
+            _streamed_zone_norms(V, _matrix_rows(Q, u), k, part, r) if by_rows
+            else _zone_norms(V, w, k, part, r))
         scale = 2.0 ** (lift * k)
         tiny_tail = c_rho * 2.0 ** (-min(100.0 * k, 960.0))
         return ZoneEstimateReport(

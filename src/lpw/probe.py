@@ -19,13 +19,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .exponents import GainReport, RegularityParams, check_params, compute_gains
-from .grid import (GridSpec, SpectralField, _abs2, _forward, _inverse, _padded_size,
+from .grid import (GridSpec, SpectralField, _abs2, _forward, _inverse, _norm, _padded_size,
                    _pair_product_fine, _relattice, _soon, field_from_padded, grid_product,
                    l2_norm, padded_physical, random_field)
 from .iteration import (DecaySequence, IterationParams, convolution_majorant,
                         decay_bound, delta_cap, hypothesis_holds)
 from .lp import LPPartition, build_partition, shell_norms
-from .paraproduct import _zone_reports, zone_estimate_reports
+from .paraproduct import _zone_reports
 from .psido import fit_log2_slope, split_elliptic
 from .smooth import ramp_down
 from . import symbols as sym
@@ -463,10 +463,17 @@ def run_probe(eq: EquationSpec, grid: GridSpec, rho: float = 0.75,
     part = build_partition(grid)
 
     sol = manufactured_solution(eq, grid, seed)
-    u_loc = localize(sol.u, rho)
+    # every later step reads the localized fields' coefficients only, so each
+    # is kept as a field of coefficients once they are formed
+    u_loc = SpectralField(grid, freq=localize(sol.u, rho).coefficients)
     # the coefficient is cut with the doubled-plateau window, clamped to the
     # admissible parameter range when 2*rho exceeds it
-    V_loc = localize(eq.coefficient(sol.u), min(2.0 * rho, math.pi / 4.0 * 0.999))
+    V_both = localize(eq.coefficient(sol.u), min(2.0 * rho, math.pi / 4.0 * 0.999))
+    V_loc = SpectralField(grid, freq=V_both.coefficients)
+    # delta = ||V_loc||_q, read with both representations held: from the
+    # coefficients at q = 2, from the samples otherwise
+    delta = _norm(V_both, gains.params.q)
+    del V_both
     residual = sol.residual
     del sol  # u and the forcing are not read again
 
@@ -480,10 +487,8 @@ def run_probe(eq: EquationSpec, grid: GridSpec, rho: float = 0.75,
         mainline[name] = shell_norms(part, fld, [r])[0][0].tolist()
         return fld
 
-    Lu = apply(eq.L, u_loc)  # first: caches u_loc's coefficients for the nonlinearity
     nl = eq.nonlinearity(V_loc, u_loc)
-    recon = piece("forcing_side", apply(B, Lu + nl))  # F_loc = L u_loc + nl
-    del Lu
+    recon = piece("forcing_side", apply(B, apply(eq.L, u_loc) + nl))  # F_loc = L u_loc + nl
     recon = recon - piece("main_term", apply(B, nl))
     del nl
     recon = recon - piece("ball_remainder", apply(B, apply(es.M, u_loc)))
@@ -495,7 +500,7 @@ def run_probe(eq: EquationSpec, grid: GridSpec, rho: float = 0.75,
     g2 = compute_gains(better) if check_params(better).ok else None
     # the one split of u_loc: the L^r norms for the mainline and the fit, the
     # L^r2 norms for the bootstrap recheck and, for a scalar equation, the
-    # zone reports' c_rho = ||u_loc||_{sigma,r}
+    # zone reports' du and c_rho = ||u_loc||_{sigma,r}
     u_norms, u_smooth = shell_norms(part, u_loc, [r] if g2 is None else [r, g2.params.r],
                                     [(sigma, r)] if eq.ncomp == 1 else [])
     u_seq = u_norms[0]
@@ -504,13 +509,12 @@ def run_probe(eq: EquationSpec, grid: GridSpec, rho: float = 0.75,
 
     zone_ks = list(range(max(5, part.jmax - 4), part.jmax))[:4]
     if eq.ncomp == 1:
-        zone_reports = _zone_reports(V_loc, u_loc, eq.Q, zone_ks, gains.params, part,
-                                     u_seq, u_smooth[0])
-    else:
-        zone_reports = zone_estimate_reports(V_loc, u_loc.component(0), eq.Q, zone_ks,
-                                             gains.params, part)
-
-    delta = zone_reports[0].delta  # ||V_loc||_q, as every zone report carries it
+        zone_u, du, c_rho = u_loc, u_seq, u_smooth[0]
+    else:  # a vector equation's zone reports read its first component, split on its own
+        zone_u = u_loc.component(0)
+        (du,), (c_rho,) = shell_norms(part, zone_u, [r], [(sigma, r)])
+    zone_reports = _zone_reports(V_loc, zone_u, eq.Q, zone_ks, gains.params, part, du,
+                                 c_rho, delta)
 
     decay = dyadic_decay_report(u_seq, r, sigma, window, part, gains.epsilon)
     a = DecaySequence(np.asarray(decay.a_k))

@@ -179,16 +179,40 @@ def apply(sym: Symbol, f: SpectralField) -> SpectralField:
         out = np.empty((len(rows),) + grid.shape, dtype=np.complex128)
         prod = np.empty(grid.shape, dtype=np.complex128)
         for o, row in enumerate(rows):
-            row = [_check_finite(np.asarray(e), sym.name) for e in row]
-            if len(row) != f.ncomp:
-                raise ValueError(f"symbol {sym.name!r} expects {len(row)} components, "
-                                 f"got {f.ncomp}")
-            dst = np.multiply(row[0], c[0], out=out[o])
-            for entry, ci in zip(row[1:], c[1:]):
-                dst += np.multiply(entry, ci, out=prod)
-        return SpectralField(grid, freq=_clear_nyquist(out))
+            _matrix_row(sym, row, c, out[o:o + 1], prod)
+        return SpectralField(grid, freq=out)
 
     raise ValueError(f"unknown symbol kind {sym.kind!r}")
+
+
+def _matrix_row(sym: Symbol, row, c: np.ndarray, out: np.ndarray,
+                prod: np.ndarray | None = None) -> np.ndarray:
+    """One output row of the matrix multiplier `sym` applied to the
+    coefficients `c`, written to the one-component array `out` with its
+    Nyquist modes cleared, and returned: the sum over input components i, in
+    order, of the row's entry i times c[i].  Each later term is formed in the
+    lattice-shaped `prod`, or in a fresh array without it.  `apply` forms
+    every row this way."""
+    row = [_check_finite(np.asarray(e), sym.name) for e in row]
+    if len(row) != c.shape[0]:
+        raise ValueError(f"symbol {sym.name!r} expects {len(row)} components, "
+                         f"got {c.shape[0]}")
+    dst = np.multiply(row[0], c[0], out=out[0])
+    for entry, ci in zip(row[1:], c[1:]):
+        dst += np.multiply(entry, ci, out=prod)
+    return _clear_nyquist(out)
+
+
+def _matrix_rows(sym: Symbol, f: SpectralField):
+    """The components of `apply(sym, f)` for the matrix multiplier `sym`, in
+    order, each a fresh one-component field formed by `apply`'s row step
+    when it is taken, so a caller that drops each before taking the next
+    holds one at a time.  The values equal `apply`'s bit for bit."""
+    _overflow_guard(sym, f.grid)
+    c = f.coefficients
+    for row in sym.matrix_func(f.grid):
+        yield SpectralField(f.grid, freq=_matrix_row(
+            sym, row, c, np.empty((1,) + f.grid.shape, dtype=np.complex128)))
 
 
 def quantize_direct(sym: Symbol, f: SpectralField) -> SpectralField:

@@ -315,13 +315,14 @@ class TestTransformCounts:
         assert calls == {("fftn", "_forward"): 10, ("ifftn", "_inverse"): 52}
 
     def test_probe_ns_reads_l2_shells_from_coefficients(self, calls):
-        # ns at n = 2 has r = 2 and a recheck r = 2: no shell of u_loc, of
-        # its first component or of the mainline fields is transformed (78
-        # inverses when they were).  The Picard solve takes no norm of its
-        # update (40 inverses when it took one per iterate).  The forcing's
-        # scale, each iterate's residual, the identity error and the four
-        # nonempty zone fields' L^2 norms read coefficients (37 inverses
-        # when they read samples)
+        # ns at n = 2 has r = 2: no shell of u_loc's first component or of
+        # the mainline fields is transformed (78 inverses when they were).
+        # Its recheck r is 2.1176 (`compute_gains`), so the one split of
+        # u_loc transforms its 8 shells once, for the recheck.  The Picard
+        # solve takes no norm of its update (40 inverses when it took one
+        # per iterate).  The forcing's scale, each iterate's residual, the
+        # identity error and the four nonempty zone fields' L^2 norms read
+        # coefficients (37 inverses when they read samples)
         run_probe(equation_spec("ns"), GridSpec(2, 256), seed=9)
         assert calls == {("fftn", "_forward"): 11, ("ifftn", "_inverse"): 27}
 

@@ -6,8 +6,9 @@ imports a thread module or starts a thread.  Every public
 function and method is referenced, every defaulted parameter of a module-level
 function is passed by some call, and every dataclass field is read, by the
 package or the benchmark (`lpwbench/`): a test alone counts only for the few
-names in TEST_ONLY.  No function binds a local name that it never reads, and
-only `lp` reads the partition's storage."""
+names in TEST_ONLY.  No function binds a local name that it never reads,
+only `lp` reads the partition's storage, and only `grid` reads or writes a
+field's representations."""
 
 import ast
 from pathlib import Path
@@ -217,4 +218,16 @@ def test_only_lp_reads_the_partition_storage():
              for d in ("src", "lpwbench") for path in sorted((ROOT / d).rglob("*.py"))
              if path != SRC / "lp.py" for n in ast.walk(ast.parse(path.read_text()))
              if isinstance(n, ast.Attribute) and n.attr in {"sites", "weight", "starts"}]
+    assert found == []
+
+
+def test_only_grid_reads_the_field_representations():
+    # a field holds a representation from when it is made or synced: no
+    # other module, in the package or the benchmark, reads or writes a
+    # SpectralField's `_phys` or `_freq`, so a field that should hold only
+    # its coefficients is made as one, never by clearing its samples
+    found = [f"{path.relative_to(ROOT)}: .{n.attr} (line {n.lineno})"
+             for d in ("src", "lpwbench") for path in sorted((ROOT / d).rglob("*.py"))
+             if path != SRC / "grid.py" for n in ast.walk(ast.parse(path.read_text()))
+             if isinstance(n, ast.Attribute) and n.attr in {"_phys", "_freq"}]
     assert found == []

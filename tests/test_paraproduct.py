@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from lpw import grid as grid_module, lp, paraproduct, psido, verify
 from lpw.exponents import RegularityParams, zone_transfers
-from lpw.grid import (GridSpec, SpectralField, _modulus, _modulus_norm, _pair_product_fine,
+from lpw.grid import (GridSpec, SpectralField, _modulus, _modulus_norm, _norm, _pair_product_fine,
                       _physical_at, alias_free_size, dealiased_product, field_from_padded,
                       lp_norm, random_field)
 from lpw.lp import (build_partition, flat_dyadic_field, project, project_window, shell_norms,
@@ -20,7 +20,7 @@ from lpw.paraproduct import (_window_band, _zone_grid, _zone_windows, all_pairs_
                              zone_estimate_report, zone_estimate_reports, zones)
 from lpw.probe import equation_spec, run_probe
 from lpw.psido import commutator_shell
-from lpw.symbols import apply, multiplier, resolve_symbol
+from lpw.symbols import _matrix_rows, apply, multiplier, resolve_symbol
 from lpw.verify import verify_bernstein
 
 
@@ -345,17 +345,27 @@ class TestStreamedZoneReports:
         assert truncated
 
     def test_zone_reports_peak_memory(self):
-        # 10.49 MB traced when each split made the 3-component zones of w = grad u
+        # 10.49 MB traced when each split made the 3-component zones of w =
+        # grad u, 5.91 MB when the whole w lived through the splits
         eq, part, u, V, params = self._gjms(None)
         norms, (c_rho,) = shell_norms(part, u, [params.r], [(params.sigma, params.r)])
-        paraproduct._zone_reports(V, u, eq.Q, (3, 4), params, part, norms[0], c_rho)
+        args = (V, u, eq.Q, (3, 4), params, part, norms[0], c_rho, _norm(V, params.q))
+        paraproduct._zone_reports(*args)
         tracemalloc.start()
         try:
-            paraproduct._zone_reports(V, u, eq.Q, (3, 4), params, part, norms[0], c_rho)
+            paraproduct._zone_reports(*args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 6.2e6
+        assert peak <= 5.1e6
+
+    def test_rows_equal_the_whole_gradient(self):
+        # each row of grad u, formed alone for its split, equals that
+        # component of apply(Q, u), bit for bit
+        eq, part, u, V, params = self._gjms(None)
+        rows = [w.coefficients.tobytes() for w in _matrix_rows(eq.Q, u)]
+        w = apply(eq.Q, u)
+        assert rows == [w.component(c).coefficients.tobytes() for c in range(w.ncomp)]
 
 
 def _zone_bits(zs) -> bytes:

@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lpw.grid import (GridSpec, SpectralField, field_from_padded, lp_norm, padded_physical,
-                      random_field)
+from lpw.grid import (GridSpec, SpectralField, _norm, field_from_padded, lp_norm,
+                      padded_physical, random_field)
 from lpw.lp import build_partition, shell_norms
 from lpw.probe import (_quadratic_term, cutoff_field, custom_equation,
                        dyadic_decay_report, equation_residual, equation_spec,
@@ -366,20 +366,44 @@ class TestRunProbe:
         for key in ("params", "gains", "a_k", "fit", "pass", "zone_reports"):
             assert key in d
 
-    def test_probe_peak_memory(self):
-        # each mainline field is reduced to its shells and added to the
-        # reconstruction as it is formed, then dropped, and the manufactured
-        # solution goes once it is localized (54.0 MB traced when all of
-        # them lived through the zone reports, 36.9 MB when the nonlinearity
-        # formed its products in fresh arrays)
-        eq = equation_spec("ns", n=2)
+    @staticmethod
+    def _traced_peak(kind):
+        eq = equation_spec(kind, n=2)
         tracemalloc.start()
         try:
             run_probe(eq, GridSpec(2, 256), seed=23)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 30e6
+
+    def test_probe_peak_memory(self):
+        # each mainline field is reduced to its shells and added to the
+        # reconstruction as it is formed, then dropped, the manufactured
+        # solution goes once it is localized, and the localized fields keep
+        # only their coefficients (54.0 MB traced when all of them lived
+        # through the zone reports, 36.9 MB when the nonlinearity formed its
+        # products in fresh arrays, 26.9 MB when u_loc and V_loc kept their
+        # samples and L u_loc lived through the nonlinearity)
+        assert self._traced_peak("ns") <= 21.6e6
+
+    def test_biharmonic_probe_peak_memory(self):
+        # 14.8 MB traced when u_loc and V_loc kept their samples and L u_loc
+        # lived through the nonlinearity
+        assert self._traced_peak("biharmonic") <= 13.4e6
+
+    @pytest.mark.parametrize("kind", ["ns", "biharmonic"])
+    def test_delta_read_with_both_representations(self, kind):
+        # delta = ||V_loc||_q at q = 2 is read from the coefficients, as the
+        # zone reports read it when V_loc held both representations; read
+        # from the samples alone, biharmonic's moved in the last digits
+        # (8.440651833067257e-06 -> 8.440651833067276e-06)
+        eq, grid, rho = equation_spec(kind, n=2), GridSpec(2, 256), 0.75
+        rep = run_probe(eq, grid, rho=rho, seed=9)
+        sol = manufactured_solution(eq, grid, seed=9)
+        V_loc = localize(eq.coefficient(sol.u), min(2.0 * rho, math.pi / 4.0 * 0.999))
+        V_loc.coefficients  # both representations held
+        assert rep.delta == _norm(V_loc, eq.gains.params.q)
+        assert all(z.delta == rep.delta for z in rep.zone_reports)
 
 
     def test_lower_bound_scanned_once_per_argument_set(self, monkeypatch):
