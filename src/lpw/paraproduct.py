@@ -16,7 +16,9 @@ report the implied constants.
 Each zone product runs on the smallest grid that is alias-free on ring k for
 its bands, as `grid.alias_free_size` gives it.  The references
 `product_shell` and `all_pairs_shell` keep the fixed 3/2 grid, so the exact
-cover compares independent computations.
+cover compares independent computations.  The all-pairs oracle forms every
+pair's product on that grid on its own, sums the products there in pair
+order and makes one forward transform of the sum per call.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exponents import RegularityParams, zone_branches, zone_transfers
-from .grid import (SpectralField, _coefficient_norm, _forward, _inverse, _modulus,
-                   _modulus_norm, _norm, _one_ahead, _pair_product_fine, _physical_at,
+from .grid import (SpectralField, _coefficient_norm, _inverse, _modulus, _modulus_norm,
+                   _norm, _one_ahead, _padded_size, _pair_product_fine, _physical_at,
                    _relattice, _soon, alias_free_size, dealiased_product, field_from_padded,
                    padded_physical)
 from .lp import RING_HI, LPPartition, project, project_window, shell_norms
@@ -209,31 +211,33 @@ def all_pairs_shells(V: SpectralField, w: SpectralField, ks, part: LPPartition) 
     """Brute-force oracle: for each k in ks, the sum over every index pair of
     P_k(P_i V P_j w).
 
-    One dealiased product on the 3/2 grid and one forward transform per
-    pair, projected onto every k; each P_j w and each P_i V is padded once.
-    Affordable only at small jmax.  Each pair's forward transform is handed
-    to `_soon`, one pair ahead (`_one_ahead`); the pairs are summed in order.
+    Each P_j w and each P_i V is padded once to the 3/2 grid, and every
+    pair's product is formed there on its own, P_i V first.  The transform
+    is linear, so the products are summed there in pair order, (0, 0),
+    (0, 1), ..., into one buffer, which is transformed forward once and
+    projected onto every k.  Affordable only at small jmax.  Each P_i V's
+    padding is handed to `_soon` for its inverse transform, one shell ahead
+    (`_one_ahead`), while the pairs of the shell before are summed here.
     """
     if V.grid != w.grid:
         raise ValueError("grid mismatch")
     grid, shells = V.grid, range(part.jmax + 1)
+    M = _padded_size(grid.points_per_axis)
     w_fine = [padded_physical(project(part, w, j)) for j in shells]
-    totals = [None] * len(ks)
-
-    # each product is formed in its second factor's buffer, and w_fine is reused
-    products = (_soon(_forward, _pair_product_fine(v_fine, wj.copy()))
-                for v_fine in (padded_physical(project(part, V, i)) for i in shells)
-                for wj in w_fine)
-
-    def add(product):  # a handle on one pair's product coefficients
-        pair = SpectralField(grid, freq=_relattice(product(), grid.points_per_axis))
-        for n, k in enumerate(ks):
-            term = project(part, pair, k)
-            totals[n] = term if totals[n] is None else totals[n] + term
-
-    for product in _one_ahead(products):
-        add(product)  # the pair and its terms are let go before the next pair is formed
-    return totals
+    v_fine = (_soon(_inverse, _relattice(project(part, V, i).coefficients, M)) for i in shells)
+    total = None
+    for vi in _one_ahead(v_fine):
+        vi = vi()
+        for wj in w_fine:  # each product is formed in a copy of its w padding
+            term = _pair_product_fine(vi, wj.copy())
+            if total is None:
+                total = term
+            else:
+                total += term
+            del term
+        del vi  # each padded P_i V is let go before the next one is waited for
+    pairs = field_from_padded(grid, total)
+    return [project(part, pairs, k) for k in ks]
 
 
 # -- zone estimates -----------------------------------------------------------

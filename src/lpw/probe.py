@@ -452,7 +452,12 @@ def run_probe(eq: EquationSpec, grid: GridSpec, rho: float = 0.75,
     gains = eq.gains
     sigma, r, theta = gains.params.sigma, gains.params.r, gains.theta
     window = (2, grid.jmax - 2)
-    _check_window(window, grid.jmax)
+    if window[1] - window[0] + 1 < 4:
+        # 4 shells need jmax = log2(N) - 1 >= window[0] + 5
+        raise ValueError(f"grid {grid.dim},{grid.points_per_axis} gives the decay window "
+                         f"{window}, shorter than 4 shells; the smallest grid whose window "
+                         f"(2, jmax - 2) spans 4 shells has {2 ** (window[0] + 6)} points "
+                         "per axis")
     if eq.amplitude == 0.0:
         raise ValueError(f"amplitude must be positive, got {eq.amplitude}: "
                          "a zero forcing leaves nothing to measure")

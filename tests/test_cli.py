@@ -371,16 +371,29 @@ class TestProbeCommand:
         assert code == 2
         assert "order-gap" in json.loads(out)["error"]
 
-    def test_short_window_exits_2_before_the_partition(self, capsys, monkeypatch):
+    @staticmethod
+    def _short_window_error(capsys, monkeypatch, equation, grid):
+        """The exit code and error of a probe whose grid is too coarse, with
+        the partition made unreachable."""
         def unreachable(*args, **kwargs):
             raise AssertionError("the partition was built for a window that is too short")
 
-        # at 4,64 the partition alone took 1.0 GB before the window was checked
         monkeypatch.setattr("lpw.probe.build_partition", unreachable)
-        code, out = run_cli(capsys, "probe", "--equation", "ns", "--grid", "4,64",
+        code, out = run_cli(capsys, "probe", "--equation", equation, "--grid", grid,
                             "--seed", "9")
-        assert code == 2
-        assert json.loads(out)["error"] == "window (2, 3) shorter than 4 shells"
+        return code, json.loads(out)["error"]
+
+    def test_short_window_exits_2_before_the_partition(self, capsys, monkeypatch):
+        # at 4,64 the partition alone took 1.0 GB before the window was checked
+        assert self._short_window_error(capsys, monkeypatch, "ns", "4,64") == (2, (
+            "grid 4,64 gives the decay window (2, 3), shorter than 4 shells; the smallest "
+            "grid whose window (2, jmax - 2) spans 4 shells has 256 points per axis"))
+
+    @pytest.mark.parametrize("grid, window", [("3,64", (2, 3)), ("3,128", (2, 4))])
+    def test_gjms_short_window_names_the_grid(self, capsys, monkeypatch, grid, window):
+        assert self._short_window_error(capsys, monkeypatch, "gjms", grid) == (2, (
+            f"grid {grid} gives the decay window {window}, shorter than 4 shells; the "
+            "smallest grid whose window (2, jmax - 2) spans 4 shells has 256 points per axis"))
 
     @pytest.mark.parametrize("flag, value", [
         ("--amplitude", "0"), ("--amplitude", "-0.01"), ("--amplitude", "nan"),

@@ -135,7 +135,7 @@ class TestOneAhead:
     @pytest.mark.parametrize("n", [1, 3])
     def test_holds_no_yielded_item(self, n):
         # the shell split lets each shell's samples go before it is reduced,
-        # and the oracle keeps one pair in flight: neither holds if the
+        # and the oracle keeps one padded P_i V in flight: neither holds if the
         # suspended iterator keeps what it yielded
         class Item:
             pass
@@ -257,9 +257,10 @@ class TestTransformCounts:
         assert shapes == {("ifftn", fine): 2, ("fftn", fine): 1}
         shapes.clear()
         all_pairs_shell(V, w, 3, part2)
-        # each shell of w and of V padded once, one forward per pair
+        # each shell of w and of V padded once, and the pair products summed
+        # there for one forward transform (n * n forwards when each pair had one)
         n = part2.jmax + 1
-        assert shapes == {("ifftn", fine): 2 * n, ("fftn", fine): n * n}
+        assert shapes == {("ifftn", fine): 2 * n, ("fftn", fine): 1}
 
     def test_bernstein_bundle(self, calls):
         # one inverse per packet, in the packet's own array; its L^2 norm and
@@ -293,13 +294,15 @@ class TestTransformCounts:
         assert calls == {("fftn", "_forward"): rows, ("ifftn", "_inverse"): 1 + rows}
 
     def test_oracle_shares_padding_across_shells(self, shapes, part1):
-        # ks = (5, 6, 7): each shell of w and of V padded once, one forward
-        # per pair, projected onto all three shells
+        # ks = (5, 6, 7): each shell of w and of V padded once, the pair
+        # products summed on the 3/2 grid and transformed forward once, and
+        # that one field projected onto all three shells (n * n forwards when
+        # each pair had one)
         V, w = random_field(part1.grid, 1), random_field(part1.grid, 2)
         shapes.clear()
         assert len(all_pairs_shells(V, w, (5, 6, 7), part1)) == 3
         n = part1.jmax + 1
-        assert shapes == {("ifftn", (384,)): 2 * n, ("fftn", (384,)): n * n}
+        assert shapes == {("ifftn", (384,)): 2 * n, ("fftn", (384,)): 1}
 
     def test_probe_skips_empty_shells(self, calls):
         # B M u_loc is zero (M = 0 for a multiplier L) and the parametrix's
@@ -412,8 +415,10 @@ class TestTransformCounts:
         # stability's 18 packets are inverse-transformed once for both cases
         # (351 when each case drew them again); the 4 and 3 HH columns of the
         # full zones at k = 10 and 11 are one product each (333 when each
-        # column made its own)
-        assert paraproduct_run[1] == 295
+        # column made its own); the all-pairs oracle sums its 64 pair
+        # products on the 3/2 grid for one forward transform (295 when each
+        # pair had its own)
+        assert paraproduct_run[1] == 232
 
     def test_flat_field_transforms_nothing(self, calls):
         # each packet's L^2 scale is read from its coefficients (jmax

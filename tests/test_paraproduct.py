@@ -12,7 +12,7 @@ from lpw import grid as grid_module, lp, paraproduct, psido, verify
 from lpw.exponents import RegularityParams, zone_transfers
 from lpw.grid import (GridSpec, SpectralField, _modulus, _modulus_norm, _norm, _pair_product_fine,
                       _physical_at, alias_free_size, dealiased_product, field_from_padded,
-                      lp_norm, random_field)
+                      lp_norm, padded_physical, random_field)
 from lpw.lp import (build_partition, flat_dyadic_field, project, project_window, shell_norms,
                     shell_packet, shell_sum_field)
 from lpw.paraproduct import (_window_band, _zone_grid, _zone_windows, all_pairs_shell,
@@ -109,10 +109,28 @@ class TestSplit:
             assert lp_norm(zs.total - brute, 2) <= 1e-10 * scale
 
     def test_shared_oracle_equals_per_shell_sums(self, part1):
-        # one pass over the pairs serves every k, bit for bit
+        # every pair's product on the 3/2 grid, P_i V first, summed there in
+        # pair order, one forward transform, projected onto each k: bit for bit
         V, w = random_field(part1.grid, 11), random_field(part1.grid, 12)
         ks = (5, 6, 7)
         shells = range(part1.jmax + 1)
+        fine = None
+        for i in shells:
+            for j in shells:
+                term = _pair_product_fine(padded_physical(project(part1, V, i)),
+                                          padded_physical(project(part1, w, j)))
+                fine = term if fine is None else fine + term
+        pairs = field_from_padded(part1.grid, fine)
+        for k, got in zip(ks, all_pairs_shells(V, w, ks, part1)):
+            assert np.array_equal(got.coefficients, project(part1, pairs, k).coefficients)
+
+    def test_shared_oracle_matches_per_pair_transforms(self, part1):
+        # the sum of every pair's own dealiased product, projected onto k, at
+        # the exact-cover bound
+        V, w = random_field(part1.grid, 11), random_field(part1.grid, 12)
+        ks = (5, 6, 7)
+        shells = range(part1.jmax + 1)
+        scale = lp_norm(V, 2) * lp_norm(w, math.inf)
         for k, got in zip(ks, all_pairs_shells(V, w, ks, part1)):
             total = None
             for i in shells:
@@ -120,7 +138,29 @@ class TestSplit:
                     term = project(part1, dealiased_product(project(part1, V, i),
                                                             project(part1, w, j)), k)
                     total = term if total is None else total + term
-            assert np.array_equal(got.coefficients, total.coefficients)
+            assert lp_norm(got - total, 2) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("dim, N, k, zone", [
+        (2, 128, 6, 1),   # LH's one rectangle
+        (1, 4096, 4, 3),  # HH's first window
+    ], ids=["LH", "HH"])
+    def test_cover_fails_without_one_window(self, monkeypatch, dim, N, k, zone):
+        # the exact cover against the oracle sees one rectangle dropped from
+        # the window table, by far more than its 1e-10 gate
+        part = build_partition(GridSpec(dim, N))
+        V, w = random_field(part.grid, 4), random_field(part.grid, 5)
+        gate = 1e-10 * lp_norm(V, 2) * lp_norm(w, math.inf)
+        brute = all_pairs_shells(V, w, [k], part)[0]
+        assert lp_norm(split(V, w, k, part).total - brute, 2) <= gate
+        windows = paraproduct._zone_windows
+
+        def dropping(*args):
+            table = [list(z) for z in windows(*args)]
+            del table[zone][0]
+            return tuple(table)
+
+        monkeypatch.setattr(paraproduct, "_zone_windows", dropping)
+        assert lp_norm(split(V, w, k, part).total - brute, 2) >= 1e4 * gate
 
     def test_low_coefficient_high_field_hits_one_zone(self):
         g = GridSpec(1, 1 << 13)
@@ -373,7 +413,7 @@ def _zone_bits(zs) -> bytes:
 
 
 class TestHelperTransforms:
-    """The split's padded V windows, the oracle's pair products and zones I
+    """The split's padded V windows, the oracle's padded V shells and zones I
     and III of the zone reports are transformed on grid's helper thread;
     every result equals the one with each transform run inline, bit for bit."""
 
@@ -426,7 +466,7 @@ class TestHelperTransforms:
 
     @pytest.mark.parametrize("module,transform,grid,call", [
         (paraproduct, "_inverse", GridSpec(2, 128), lambda V, w, part: split(V, w, 5, part)),
-        (paraproduct, "_forward", GridSpec(2, 128),
+        (paraproduct, "_inverse", GridSpec(2, 128),
          lambda V, w, part: all_pairs_shells(V, w, [5], part)),
         (lp, "_inverse", GridSpec(2, 128), lambda V, w, part: shell_norms(part, V, [2.5])),
         (psido, "_inverse", GridSpec(1, 1 << 14), lambda V, w, part: commutator_shell(
@@ -470,8 +510,9 @@ class TestHelperTransforms:
         assert threads == [not helper]
 
     def test_oracle_peak_memory(self):
-        # 6.17 MiB with each pair transformed inline; one 0.56 MiB pair in
-        # flight ahead makes 6.83, a second would pass the bound
+        # 6.19 MiB: the seven padded P_j w, the pair sum, one pair's product
+        # and two padded P_i V (one in flight ahead), 0.56 MiB each; 6.27
+        # when each pair's product was transformed on its own, one ahead
         part = build_partition(GridSpec(2, 128))
         V, w = random_field(part.grid, 49), random_field(part.grid, 50)
         all_pairs_shells(V, w, [5], part)  # the helper thread started
@@ -481,7 +522,7 @@ class TestHelperTransforms:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 6.9 * 2**20
+        assert peak <= 6.2 * 2**20
 
     def test_split_peak_memory(self):
         # 20.14 MiB, as when every padded window was transformed inline
