@@ -60,11 +60,12 @@ def _seed_arg(text: str) -> int:
 
 
 def _cmd_verify(args) -> int:
-    """Run one bundle; --n/--N are passed only when given, and only to a
-    bundle that takes them (any other use is a usage error)."""
+    """Run one bundle; --n/--N/--seed are passed only when given, so each
+    default is the bundle's own, and only to a bundle that takes them (any
+    other use is a usage error)."""
     fn = VERIFIERS[args.what]
-    kwargs = {"seed": args.seed}
-    for flag in ("n", "N"):
+    kwargs = {}
+    for flag in ("n", "N", "seed"):
         value = getattr(args, flag)
         if value is None:
             continue
@@ -165,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("what", choices=sorted(VERIFIERS))
     v.add_argument("--n", type=int, default=None)
     v.add_argument("--N", type=int, default=None)
-    v.add_argument("--seed", type=_seed_arg, default=1)
+    v.add_argument("--seed", type=_seed_arg, default=None)
     v.add_argument("--out", default=None)
     v.set_defaults(fn=_cmd_verify)
 

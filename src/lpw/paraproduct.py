@@ -323,51 +323,24 @@ def zone_estimate_reports(V: SpectralField, u: SpectralField, Q: Symbol, ks,
     return _zone_reports(V, u, Q, ks, params, part, norms[0], c_rho, _norm(V, params.q))
 
 
-def _norm_pair(f: SpectralField, g: SpectralField, p) -> tuple:
-    """(`_norm(f, p)`, `_norm(g, p)`) for fields that hold their coefficients.
+def _zone_norms(V: SpectralField, ws, k: int, part: LPPartition, p) -> tuple:
+    """The L^p norms of the zones I, II, III and IV of V against w, and the
+    truncation flag: V is split in turn against each field the iterable `ws`
+    yields, w whole or its rows, each let go before the next is taken.
 
-    When f's norm needs samples (p is not 2 and f is not zero), they are
-    formed by a transform handed to `_soon` while g's norm is taken here.
+    Each split's four zones are reduced at once: at p = 2 their L^2 norms,
+    read from the coefficients, are combined over the fields; otherwise the
+    squares of their sample moduli (`_modulus`) are summed in field order,
+    one real array per zone, and the L^p norms read from the square roots,
+    which give one field's moduli back bit for bit.  The zone fields are not
+    read again, so their nonzero coefficients are transformed in place, each
+    handed to `_soon`, one ahead (`_one_ahead`).
     """
-    if p == 2 or not f.coefficients.any():
-        return _norm(f, p), _norm(g, p)
-    samples = _soon(_inverse, f.coefficients.copy())
-    g_norm = _norm(g, p)
-    return _modulus_norm(_modulus(samples()), p), g_norm
-
-
-def _zone_norms(V: SpectralField, w: SpectralField, k: int, part: LPPartition,
-                p) -> tuple:
-    """The L^p norms of the zones I, II, III and IV of `split(V, w, k, part)`,
-    and its truncation flag.
-
-    A one-component V against several components of w is split one
-    component of w at a time (`_streamed_zone_norms`), so no several-component
-    zone is made.  Otherwise the one split's zones are read by `_norm_pair`.
-    """
-    if V.ncomp > 1 or w.ncomp == 1:
-        zs = split(V, w, k, part)
-        return _norm_pair(zs.I, zs.II, p) + _norm_pair(zs.III, zs.IV, p), zs.zones.truncated
-    return _streamed_zone_norms(V, map(w.component, range(w.ncomp)), k, part, p)
-
-
-def _streamed_zone_norms(V: SpectralField, ws, k: int, part: LPPartition, p) -> tuple:
-    """`_zone_norms` for the one-component V split in turn against each
-    one-component field the iterator `ws` yields, as the components of one w.
-
-    Each field is let go once its split is made, before the next is taken,
-    and each split's four zones are reduced at once: at p = 2 their L^2
-    norms, read from the coefficients, are combined over the components;
-    otherwise their squared sample moduli are summed in component order, one
-    real array per zone, and the L^p norms read from the square roots.  The
-    zone fields are not read again, so their nonzero coefficients are
-    transformed in place, each handed to `_soon`, one ahead (`_one_ahead`).
-    """
-    # per zone: its components' L^2 norms, or the sum of their squared moduli
+    # per zone: its fields' L^2 norms, or the sum of their squared moduli
     sums = [[] if p == 2 else None for _ in range(4)]
-    for wc in ws:
-        zs = split(V, wc, k, part)
-        del wc  # the next component is formed with this one gone
+    for w in ws:
+        zs = split(V, w, k, part)
+        del w  # a next row is formed with this one gone
         coeffs = [f.coefficients for f in (zs.I, zs.II, zs.III, zs.IV)]
         truncated = zs.zones.truncated
         del zs
@@ -379,7 +352,7 @@ def _streamed_zone_norms(V: SpectralField, ws, k: int, part: LPPartition, p) -> 
         del coeffs  # each zone's coefficients are held only until its samples are squared
         samples = ((z, _soon(_inverse, nonzero.pop(z))) for z in list(nonzero))
         for z, sz in _one_ahead(samples):
-            sq = np.abs(sz()[0])
+            sq = _modulus(sz())
             del sz
             np.square(sq, out=sq)
             sums[z] = sq if sums[z] is None else np.add(sums[z], sq, out=sums[z])
@@ -397,14 +370,13 @@ def _zone_reports(V: SpectralField, u: SpectralField, Q: Symbol, ks,
     u's shells, and c_rho = ||u||_{sigma,r} from a split the caller made, and
     delta = ||V||_q.
 
-    A one-component V against a matrix multiplier Q of several rows is split
-    against one row of Q u at a time (`_streamed_zone_norms`), each row
-    formed for its split by `apply`'s row step, so w = Q u is never whole.
-    Otherwise w is formed once and serves every k.
+    A one-component V against a matrix multiplier Q is split against one row
+    of w = Q u at a time (`_zone_norms`), each row formed for its split by
+    `apply`'s row step, so w is never whole.  Otherwise w is formed once and
+    serves every k.
     """
     sigma, r = params.sigma, params.r
-    by_rows = (V.ncomp == 1 and Q.kind == "matrix_multiplier"
-               and len(Q.matrix_func(u.grid)) > 1)
+    by_rows = V.ncomp == 1 and Q.kind == "matrix_multiplier"
     w = None if by_rows else apply(Q, u)
     branch_iii, branch_iv = zone_branches(params)
     transfers = zone_transfers(params)
@@ -412,9 +384,8 @@ def _zone_reports(V: SpectralField, u: SpectralField, Q: Symbol, ks,
     transfer_iii, transfer_iv = transfers[branch_iii], transfers[branch_iv]
 
     def report(k):  # a function, so each split's zone fields go before the next split
-        (norm_i, norm_ii, norm_iii, norm_iv), truncated = (
-            _streamed_zone_norms(V, _matrix_rows(Q, u), k, part, r) if by_rows
-            else _zone_norms(V, w, k, part, r))
+        (norm_i, norm_ii, norm_iii, norm_iv), truncated = _zone_norms(
+            V, _matrix_rows(Q, u) if by_rows else (w,), k, part, r)
         scale = 2.0 ** (lift * k)
         tiny_tail = c_rho * 2.0 ** (-min(100.0 * k, 960.0))
         return ZoneEstimateReport(

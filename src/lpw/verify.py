@@ -136,11 +136,11 @@ def verify_commutator(N: int = 65536, seed: int = 4) -> dict:
     at least three such shells for the slope fit to mean anything.
     """
     grid = GridSpec(1, N)
-    part = build_partition(grid)
-    f = flat_dyadic_field(part, seed)
-    ks = list(range(10, part.jmax))
+    ks = list(range(10, grid.jmax))
     if len(ks) < 3:
         raise ValueError(f"N={N} leaves only {len(ks)} shells above k=10; need >= 3")
+    part = build_partition(grid)
+    f = flat_dyadic_field(part, seed)
     ok = True
     slopes = {}
     for label, A in _commutator_test_symbols():

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lpw
-from lpw import cli
+from lpw import cli, verify
 from lpw.cli import _read_sequence, main
 
 
@@ -216,6 +217,29 @@ class TestVerifyCommand:
         code, out = run_cli(capsys, "verify", "commutator", "--N", "4096")
         assert code == 2
         assert "shells" in json.loads(out)["error"]
+
+    def test_commutator_rejects_n_before_the_partition(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the partition was built for too few shells")
+
+        monkeypatch.setattr(verify, "build_partition", unreachable)
+        with pytest.raises(ValueError, match="N=4096 leaves only 1 shells above k=10"):
+            verify.verify_commutator(N=4096)
+
+    @pytest.mark.parametrize("name", sorted(cli.VERIFIERS))
+    def test_seed_is_passed_only_when_given(self, capsys, monkeypatch, name):
+        # without --seed each bundle runs at its own default seed
+        calls = []
+
+        def stub(**kwargs):
+            calls.append(kwargs)
+            return {"passed": True}
+
+        stub.__signature__ = inspect.signature(cli.VERIFIERS[name])
+        monkeypatch.setitem(cli.VERIFIERS, name, stub)
+        assert run_cli(capsys, "verify", name)[0] == 0
+        assert run_cli(capsys, "verify", name, "--seed", "3")[0] == 0
+        assert calls == [{}, {"seed": 3}]
 
     @pytest.mark.parametrize("N", ["16", "32"])
     def test_apbound_needs_enough_shells(self, capsys, N):

@@ -342,9 +342,15 @@ def _unstreamed_zone_norms(V, w, k, part, r):
     return [_modulus_norm(_modulus(f.physical), r) for f in (zs.I, zs.II, zs.III, zs.IV)]
 
 
+def _equal_norms(got, want, r) -> bool:
+    """Exact at r != 2, where both sides are read from the same sample
+    moduli; at r = 2 `_zone_norms` reads each zone from its coefficients."""
+    return got == want if r != 2 else got == pytest.approx(want, rel=1e-12, abs=0)
+
+
 class TestStreamedZoneReports:
-    """A one-component V against several components of w = Q u is split one
-    component of w at a time, its four zones reduced at once."""
+    """One split of V against each field `_zone_norms` is fed, w whole or
+    its rows, and the four zones of each split reduced at once."""
 
     @staticmethod
     def _gjms(r):
@@ -368,21 +374,25 @@ class TestStreamedZoneReports:
             n = _unstreamed_zone_norms(V, w, k, part, params.r)
             scale = 2.0 ** (lift * k)
             assert n[0] > 0.0
-            assert rep.low_zones.lhs == pytest.approx(scale * (n[0] + n[1]), rel=1e-12, abs=0)
-            assert rep.high_low.lhs == pytest.approx(scale * n[2], rel=1e-12, abs=0)
-            assert rep.high_high.lhs == pytest.approx(scale * n[3], rel=1e-12, abs=0)
+            got = (rep.low_zones.lhs, rep.high_low.lhs, rep.high_high.lhs)
+            want = (scale * (n[0] + n[1]), scale * n[2], scale * n[3])
+            assert _equal_norms(got, want, params.r)
             assert rep.truncated == zones(k, part.jmax).truncated
 
-    @pytest.mark.parametrize("r", [1.5, 2.0])
+    @pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
     def test_every_zone_equals_the_unstreamed_norm(self, r):
-        # at 2,128 and k = 6 zones I, II and III are nonzero
+        # at 2,128 and k = 6 zones I, II and III are nonzero; fed a
+        # one-component w whole, a three-component w whole (three-component
+        # zones) and its components in turn
         part = build_partition(GridSpec(2, 128))
-        V, w = random_field(part.grid, 54), random_field(part.grid, 55, ncomp=3)
-        got, truncated = paraproduct._zone_norms(V, w, 6, part, r)
-        want = _unstreamed_zone_norms(V, w, 6, part, r)
-        assert all(v > 0.0 for v in want[:3])
-        assert got == pytest.approx(want, rel=1e-12, abs=0)
-        assert truncated
+        V = random_field(part.grid, 54)
+        w1, w3 = random_field(part.grid, 55), random_field(part.grid, 56, ncomp=3)
+        for w, ws in ((w1, (w1,)), (w3, (w3,)), (w3, map(w3.component, range(3)))):
+            got, truncated = paraproduct._zone_norms(V, ws, 6, part, r)
+            want = _unstreamed_zone_norms(V, w, 6, part, r)
+            assert all(v > 0.0 for v in want[:3])
+            assert _equal_norms(got, tuple(want), r)
+            assert truncated
 
     def test_zone_reports_peak_memory(self):
         # 10.49 MB traced when each split made the 3-component zones of w =

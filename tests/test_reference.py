@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from lpw import cli
 from lpw.grid import GridSpec
 from lpw.probe import equation_spec, run_probe
 from lpw.verify import VERIFIERS
@@ -67,8 +68,10 @@ def _check(name: str, report: dict) -> None:
 
 
 @pytest.mark.parametrize("bundle", ["partition", "bernstein", "apbound", "mapping"])
-def test_verify_bundle_matches_reference(bundle):
-    _check(f"verify_{bundle}", VERIFIERS[bundle]())
+def test_verify_bundle_matches_reference(capsys, bundle):
+    # as `lpw verify <bundle>` prints it, so the command's defaults are the bundle's
+    assert cli.main(["verify", bundle]) == 0
+    _check(f"verify_{bundle}", json.loads(capsys.readouterr().out))
 
 
 def test_verify_commutator_matches_reference(commutator_report):
