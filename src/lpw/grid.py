@@ -5,8 +5,13 @@ Conventions (used consistently by every module):
 * Domain is the torus [0, 2pi)^n sampled at x_i = 2*pi*i/N per axis.
 * Frequencies are the integer lattice in numpy FFT layout,
   xi_axis in {0, 1, ..., N/2-1, -N/2, ..., -1}.
-* Coefficients are true Fourier coefficients, c_xi = fftn(f) / N^n, so that
-  f(x) = sum_xi c_xi exp(i x.xi).
+* Fields are real: samples are float64 arrays.  Coefficients are true
+  Fourier coefficients, c_xi = fftn(f) / N^n, so that
+  f(x) = sum_xi c_xi exp(i x.xi); they are complex and kept on the full
+  N-lattice in that layout, Hermitian modulo N: c_(-xi) = conj(c_xi).
+* Transforms are real-to-complex (`_forward`, numpy's rfftn) and back
+  (`_inverse`, irfftn), which read and write the half spectrum, last-axis
+  frequencies 0..N/2; the other half is its mirror.
 * L^p norms are taken with respect to the normalized (probability) measure on
   the torus: ||f||_p = (mean |f|^p)^(1/p).  With this pairing Parseval is
   exact: ||f||_2 equals the plain l^2 norm of the coefficients, which is how
@@ -102,6 +107,19 @@ class GridSpec:
         return center_distance(*self.x_axes)
 
 
+def _real(value, what: str):
+    """`value` as a real array (or number), unchanged when it is not complex;
+    a nonzero imaginary part, which the real field path would drop, raises
+    ValueError naming `what` and its largest |imaginary part|."""
+    if not np.iscomplexobj(value):
+        return value
+    imag = np.max(np.abs(np.imag(value)), initial=0.0)
+    if imag != 0.0:
+        raise ValueError(f"{what} must be real: imaginary part up to {imag:.3g} "
+                         f"(fields are real)")
+    return np.real(value)
+
+
 def _abs2(*axes) -> np.ndarray:
     """|xi|^2, the sum of the squared frequency components `axes` in order,
     as a fresh array of their broadcast shape: the one place it is written."""
@@ -141,13 +159,15 @@ def center_distance(*xs) -> np.ndarray:
 
 
 class SpectralField:
-    """Complex field on a GridSpec with lazily synced dual representations.
+    """Real field on a GridSpec with lazily synced dual representations:
+    float64 samples and complex coefficients, Hermitian on the full lattice.
 
-    Arrays have shape (ncomp, *grid.shape).  Fields are immutable by
-    convention: operations return fresh instances and never write into the
-    arrays of their inputs.  Representation sync is cached on first use; a
-    representation synced from an all-zero one is zeros, made without a
-    transform.
+    Arrays have shape (ncomp, *grid.shape).  Samples with a nonzero
+    imaginary part are rejected, and so is a non-real scalar factor.  Fields
+    are immutable by convention: operations return fresh instances and never
+    write into the arrays of their inputs.  Representation sync is cached on
+    first use; a representation synced from an all-zero one is zeros, made
+    without a transform.
     """
 
     __slots__ = ("grid", "ncomp", "_phys", "_freq")
@@ -156,16 +176,16 @@ class SpectralField:
         if phys is None and freq is None:
             raise ValueError("need at least one representation")
         self.grid = grid
-        self._phys = None if phys is None else self._check(grid, phys)
-        self._freq = None if freq is None else self._check(grid, freq)
+        self._phys = None if phys is None else self._check(grid, _real(phys, "samples"))
+        self._freq = None if freq is None else self._check(grid, freq, np.complex128)
         self.ncomp = (self._phys if self._phys is not None else self._freq).shape[0]
         if self._phys is not None and self._freq is not None:
             if self._phys.shape != self._freq.shape:
                 raise ValueError("representation shapes disagree")
 
     @staticmethod
-    def _check(grid, arr) -> np.ndarray:
-        arr = np.asarray(arr, dtype=np.complex128)
+    def _check(grid, arr, dtype=np.float64) -> np.ndarray:
+        arr = np.asarray(arr, dtype=dtype)
         if arr.shape == grid.shape:
             arr = arr[np.newaxis, ...]
         if arr.shape[1:] != grid.shape or arr.ndim != grid.dim + 1:
@@ -179,13 +199,15 @@ class SpectralField:
     @property
     def physical(self) -> np.ndarray:
         if self._phys is None:
-            self._phys = _inverse(self._freq) if self._freq.any() else np.zeros_like(self._freq)
+            self._phys = (_inverse(self._freq) if self._freq.any()
+                          else np.zeros(self._freq.shape))
         return self._phys
 
     @property
     def coefficients(self) -> np.ndarray:
         if self._freq is None:
-            self._freq = _forward(self._phys) if self._phys.any() else np.zeros_like(self._phys)
+            self._freq = (_forward(self._phys) if self._phys.any()
+                          else np.zeros(self._phys.shape, complex))
         return self._freq
 
     def component(self, c: int) -> "SpectralField":
@@ -226,6 +248,7 @@ class SpectralField:
     def __mul__(self, scalar):
         if isinstance(scalar, SpectralField):
             raise TypeError("use dealiased_product / grid_product for field products")
+        scalar = _real(scalar, f"scalar factor {scalar!r}")
         if self._freq is not None:
             return SpectralField(self.grid, freq=self._freq * scalar)
         return SpectralField(self.grid, phys=self._phys * scalar)
@@ -238,34 +261,171 @@ class SpectralField:
 
 # -- transforms ---------------------------------------------------------
 #
-# Every transform in the package goes through _forward and _inverse.  Axis 0
-# is a batch (components, sample points); all later axes are transformed.
+# Every transform of a field goes through _forward and _inverse, one numpy
+# call each; `_remainder_max` in psido, whose symbol samples are not
+# Hermitian, takes the complex pair _complex_forward and _complex_inverse.
+# Axis 0 is a batch (components, sample points); all later axes are
+# transformed.
 
 
 def _forward(phys: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Fourier coefficients: fftn over the spatial axes / their point count.
+    """Fourier coefficients of the real samples `phys`: rfftn over the
+    spatial axes / their point count, scaled inside the transform
+    (norm="forward").
 
-    The transform scales inside its axis passes (norm="forward"), so no pass
-    over the output follows; on 2^a lattices the values equal fftn(phys) / N^n
-    bit for bit.  With `out` (which may be `phys` itself) every axis pass
-    writes there, so no intermediate array is made.
+    By default, or with `out` of phys's shape, the full lattice: the half
+    spectrum is written into its last-axis frequencies 0..N/2 and the rest
+    is its mirror (`_mirror`).  With `out` whose last axis has N/2 + 1
+    entries, the half spectrum alone.
     """
-    return np.fft.fftn(phys, axes=tuple(range(1, phys.ndim)), norm="forward", out=out)
+    n = phys.shape[-1]
+    if out is None:
+        out = np.empty(phys.shape, dtype=np.complex128)
+    half = out if out.shape[-1] != n else out[..., :n // 2 + 1]
+    np.fft.rfftn(phys, axes=tuple(range(1, phys.ndim)), norm="forward", out=half)
+    if half is not out:
+        _mirror(out)
+    return out
 
 
 def _inverse(coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Physical samples: ifftn over the spatial axes * their point count,
-    unscaled under norm="forward"; `out` as for `_forward`."""
-    return np.fft.ifftn(coeffs, axes=tuple(range(1, coeffs.ndim)), norm="forward", out=out)
+    """Real samples of the coefficients `coeffs`: irfftn over the spatial
+    axes * their point count (unscaled under norm="forward"), which reads
+    only the half spectrum, last-axis frequencies 0..N/2.
+
+    `coeffs` is the full lattice, or, with `out` (the samples, which set the
+    lattice), the half spectrum of out's lattice, whose last axis may stop
+    short: irfftn pads it with zeros.
+    """
+    n = coeffs.shape[-1] if out is None else out.shape[-1]
+    return np.fft.irfftn(coeffs[..., :n // 2 + 1], s=coeffs.shape[1:-1] + (n,),
+                         axes=tuple(range(1, coeffs.ndim)), norm="forward", out=out)
+
+
+def _complex_forward(a: np.ndarray) -> np.ndarray:
+    """fftn over the spatial axes / their point count, for complex samples
+    that no field holds."""
+    return np.fft.fftn(a, axes=tuple(range(1, a.ndim)), norm="forward")
+
+
+def _complex_inverse(c: np.ndarray) -> np.ndarray:
+    """ifftn over the spatial axes * their point count: `_complex_forward` undone."""
+    return np.fft.ifftn(c, axes=tuple(range(1, c.ndim)), norm="forward")
+
+
+def _negated(n: int, m: int, h: int) -> tuple:
+    """Per axis, (dst, src) slice pairs: the frequencies -h..h-1 in the
+    n-point FFT layout (dst) and their negatives -xi in the m-point one (src),
+    for h <= n/2, m/2.  Three basic slices, the last two reversed."""
+    return ((slice(0, 1), slice(0, 1)), (slice(1, h), slice(m - 1, m - h, -1)),
+            (slice(n - h, n), slice(h, 0, -1)))
+
+
+def _blocks(per_axis: list):
+    """Every (dst, src) index pair over the leading spatial axes of arrays
+    with a component axis first and the last axis left open: one slice pair
+    from per_axis[i] on leading axis i."""
+    for combo in itertools.product(*per_axis):
+        yield ((slice(None),) + tuple(d for d, _ in combo),
+               (slice(None),) + tuple(s for _, s in combo))
+
+
+def _mirror(c: np.ndarray, planes: bool = False) -> np.ndarray:
+    """Write the entries of the full-lattice coefficients `c` at last-axis
+    frequencies -(N/2 - 1)..-1 as the conjugates of their mirrors, c_(-xi),
+    in place, one block copy per leading-axis block.
+
+    With `planes`, the last-axis 0 and -N/2 planes, each its own mirror
+    image, are made Hermitian among themselves the same way, axis by axis,
+    down to the self-mirrored points, whose imaginary parts are zeroed.
+    Returns `c`.
+    """
+    n = c.shape[-1]
+    h = n // 2
+    lead = [_negated(a, a, a // 2) for a in c.shape[1:-1]]
+    for dst, src in _blocks(lead):
+        np.conjugate(c[src + (slice(h - 1, 0, -1),)], out=c[dst + (slice(h + 1, n),)])
+    if planes:
+        for p in (0, h):
+            plane = c[..., p]
+            if plane.ndim > 1:
+                _mirror(plane, planes=True)
+            else:
+                plane.imag = 0.0
+    return c
+
+
+def _pad_half(c: np.ndarray, m: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The half spectrum, on the m-point lattice, of the full-lattice
+    coefficients `c`, moved there exactly and cut after last-axis frequency
+    h, where h is half the smaller lattice: `_inverse` pads the rest of the
+    last axis with zeros inside its one call, and its intermediates are no
+    larger than this array.  The frequencies both lattices hold are block
+    copies; the rest are zero.  With `out` the copies go there, and it must
+    be zero.
+
+    On a coarser or equal lattice its Nyquist slots take c's frequency -h.
+    On a finer one, each of c's Nyquist planes (frequency -N/2 on some axis)
+    is split evenly between -N/2 and +N/2 there, so the samples are real and
+    read c's own values back at c's sample points.
+    """
+    n, h = c.shape[-1], min(c.shape[-1], m) // 2
+    if out is None:
+        out = np.zeros(_padded_shape(c.shape[0], n, m, c.ndim - 1), dtype=np.complex128)
+    same = ((slice(0, h), slice(0, h)), (slice(m - h, m), slice(n - h, n)))
+    for dst, src in _blocks([same] * (c.ndim - 2)):
+        out[dst + (slice(0, h),)] = c[src + (slice(0, h),)]
+        out[dst + (h,)] = c[src + (n - h,)]
+    if m > n:
+        out[..., h] *= 0.5
+        for ax in range(1, c.ndim - 1):
+            low = out[(slice(None),) * ax + (m - h,)]
+            low *= 0.5
+            out[(slice(None),) * ax + (h,)] = low
+    return out
+
+
+def _padded_shape(ncomp: int, n: int, m: int, dim: int) -> tuple:
+    """The shape of `_pad_half`'s output for ncomp components moved from the
+    n-point to the m-point lattice in dim dimensions."""
+    return (ncomp,) + (m,) * (dim - 1) + (min(n, m) // 2 + 1,)
+
+
+def _gather_half(half: np.ndarray, n: int) -> np.ndarray:
+    """The full n-lattice coefficients of the real samples whose half
+    spectrum on an m-point lattice is `half`: frequencies -h..h-1, where h is
+    half the smaller lattice, are block copies of the half spectrum or
+    conjugates of its mirrored blocks; the rest are zero.
+
+    Each slot at frequency -h on the last axis takes the m-lattice
+    coefficient there: the conjugate of +h with the other axes negated when
+    m > n, and the m-lattice's own Nyquist column otherwise.  So a product
+    truncated from a finer grid keeps that grid's values at -N/2, which are
+    not Hermitian there; its samples read their Hermitian part.
+    """
+    m = 2 * (half.shape[-1] - 1)
+    h = min(m, n) // 2
+    shape = (half.shape[0],) + (n,) * (half.ndim - 1)
+    out = np.empty(shape, np.complex128) if m >= n else np.zeros(shape, np.complex128)
+    same = ((slice(0, h), slice(0, h)), (slice(n - h, n), slice(m - h, m)))
+    for dst, src in _blocks([same] * (half.ndim - 2)):
+        out[dst + (slice(0, h),)] = half[src + (slice(0, h),)]
+        if m <= n:
+            out[dst + (n - h,)] = half[src + (h,)]
+    lo = n - h + (m <= n)  # the first last-axis slot read from a mirror
+    for dst, src in _blocks([_negated(n, m, h)] * (half.ndim - 2)):
+        np.conjugate(half[src + (slice(n - lo, 0, -1),)], out=out[dst + (slice(lo, n),)])
+    return out
 
 
 # One helper thread, started on the first hand-off with nothing to import,
 # serves a queue of the transforms `_soon` hands it, in order; `_one_ahead` is
 # the one rule for handing off a run of them.  Each writes into an array the
 # caller made: the C allocator keeps a memory pool per thread, and one for the
-# helper would hold freed arrays too.  pocketfft's per-line scratch is made on
-# the thread that transforms, so lines longer than _HELPER_MAX_LINE stay on
-# the caller, whose pool already holds that much.
+# helper would hold freed arrays too.  pocketfft's per-line scratch, and
+# irfftn's complex intermediate over each leading axis of a 2-D or 3-D
+# lattice, are made on the thread that transforms, so lines longer than
+# _HELPER_MAX_LINE stay on the caller, whose pool already holds that much.
 _HELPER_MIN_POINTS = 1 << 14  # below this many points per component the hand-off costs more
 _HELPER_MAX_LINE = 1 << 17
 _helper = None  # the helper's job queue
@@ -282,38 +442,39 @@ os.register_at_fork(after_in_child=_forget_helper)
 
 
 def _serve(jobs: queue.SimpleQueue) -> None:
-    """The helper: put each job's buffer, or what it raised, on its reply queue."""
+    """The helper: put each job's output, or what it raised, on its reply queue."""
     while True:
-        run, transform, buf, reply = jobs.get()
+        run, transform, src, out, reply = jobs.get()
         try:
-            reply.put(run(transform, buf, buf))
+            reply.put(run(transform, src, out=out))
         except BaseException as exc:
             reply.put(exc)
-        del run, transform, buf, reply  # no buffer is held while the next job is awaited
+        del run, transform, src, out, reply  # no array is held while the next job is awaited
 
 
-def _soon(transform, buf: np.ndarray):
-    """Start `transform(buf, out=buf)`, `transform` being `_forward` or
+def _soon(transform, src: np.ndarray, out: np.ndarray):
+    """Start `transform(src, out=out)`, `transform` being `_forward` or
     `_inverse`, and return a handle: a callable with no arguments that waits
-    for it and returns `buf`, or raises what the transform raised.
+    for it and returns `out`, or raises what the transform raised.
 
-    `buf` is an array the caller made and does not touch until the handle
-    returns.  From 2^14 lattice points per component, on lines of at most
-    2^17 points, the transform runs on the helper thread, under the caller's
-    `np.errstate`, so the caller can do something else meanwhile; otherwise
-    it runs here, at once.
+    `src` and `out` are arrays the caller made and does not touch until the
+    handle returns; the caller makes `out`, since a real transform cannot
+    run in place.  From 2^14 lattice points per component, on lines of at
+    most 2^17 points, the transform runs on the helper thread, under the
+    caller's `np.errstate`, so the caller can do something else meanwhile;
+    otherwise it runs here, at once.
     """
     global _helper
-    if buf[0].size < _HELPER_MIN_POINTS or max(buf.shape[1:]) > _HELPER_MAX_LINE:
-        transform(buf, out=buf)
-        return lambda: buf
+    if out[0].size < _HELPER_MIN_POINTS or max(out.shape[1:]) > _HELPER_MAX_LINE:
+        transform(src, out=out)
+        return lambda: out
     reply = queue.SimpleQueue()
     with _helper_lock:
         if _helper is None:
             _helper = queue.SimpleQueue()
             threading.Thread(target=_serve, args=(_helper,), name="lpw-transform",
                              daemon=True).start()
-        _helper.put((contextvars.copy_context().run, transform, buf, reply))
+        _helper.put((contextvars.copy_context().run, transform, src, out, reply))
 
     def wait():
         done = reply.get()
@@ -321,6 +482,28 @@ def _soon(transform, buf: np.ndarray):
             raise done
         return done
     return wait
+
+
+def _samples_soon(c: np.ndarray, M: int | None = None):
+    """A `_soon` handle on the samples of the full-lattice coefficients `c`,
+    on their own lattice or, with M, on the M-point one (as `_physical_at`),
+    written into an array made here.  The transform is handed a copy of the
+    half spectrum it reads, so a caller that lets `c` go frees it at once."""
+    n = c.shape[-1] if M is None else M
+    src = c[..., :n // 2 + 1].copy() if M is None else _pad_half(c, M)
+    return _soon(_inverse, src, np.empty((c.shape[0],) + (n,) * (c.ndim - 1)))
+
+
+def _beside(handle, src: np.ndarray, out: np.ndarray) -> tuple:
+    """Run `_inverse(src, out=out)` here and wait for the hand-off `handle`:
+    beside it on a 1-D lattice, after it on a lattice of more axes, where
+    each inverse makes complex intermediates (irfftn) that two in flight
+    would hold at once.  Returns the handle's output and `out`."""
+    if out.ndim > 2:
+        done = handle()
+        return done, _inverse(src, out=out)
+    _inverse(src, out=out)
+    return handle(), out
 
 
 def _one_ahead(items):
@@ -385,6 +568,17 @@ def _coefficient_norm(c: np.ndarray) -> float:
     return math.sqrt(np.einsum("i,i->", x, x))
 
 
+def _half_norm(half: np.ndarray) -> float:
+    """The plain l^2 norm of the Hermitian full-lattice coefficients whose
+    half spectrum (last-axis frequencies 0..N/2) is `half`: the columns 0
+    and N/2 are their own mirrors, and each other column counts twice.  Sums
+    of squares are numpy's own reductions, as in `_coefficient_norm`."""
+    h, axes = half.shape[-1] - 1, "abcde"[:half.ndim]
+    sq = [sum(np.einsum(f"{axes},{axes}->", part, part) for part in (c.real, c.imag))
+          for c in (half[..., ::h], half[..., 1:h])]
+    return math.sqrt(sq[0] + 2.0 * sq[1])
+
+
 def _norm(f: SpectralField, p) -> float:
     """L^p norm for an exponent known only at run time: `l2_norm` at p = 2,
     `lp_norm` otherwise."""
@@ -423,29 +617,14 @@ def alias_free_size(N: int, b1: float, b2: float, K: float) -> int:
     return min(smallest, 3 * N // 2)
 
 
-def _relattice(coeffs: np.ndarray, n_out: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Coefficients moved to the n_out-point lattice, exactly.
+def _physical_at(c: np.ndarray, M: int) -> np.ndarray:
+    """Physical samples, on the M-point lattice, of the field whose
+    full-lattice coefficients are `c`; exact when its band is below M/2.
 
-    Per axis, frequencies 0..h-1 sit first and -h..-1 last in both layouts,
-    so the frequencies both lattices hold are 2^dim block copies; the rest
-    are zero.  With `out`, the copies go there: it must be zero unless
-    n_out is at most coeffs' size, where the blocks fill it.
+    The half spectrum is written on the M lattice (`_pad_half`) and
+    transformed back; `c` is never written.
     """
-    h = min(coeffs.shape[1], n_out) // 2
-    if out is None:
-        out = np.zeros((coeffs.shape[0],) + (n_out,) * (coeffs.ndim - 1), dtype=np.complex128)
-    for block in itertools.product((slice(0, h), slice(-h, None)), repeat=coeffs.ndim - 1):
-        out[(slice(None),) + block] = coeffs[(slice(None),) + block]
-    return out
-
-
-def _physical_at(f: SpectralField, M: int) -> np.ndarray:
-    """Physical samples of `f` on the M-point lattice; exact when f's band is below M/2.
-
-    The fresh lattice copy is transformed in place; f's own arrays are never written.
-    """
-    buf = _relattice(f.coefficients, M)
-    return _inverse(buf, out=buf)
+    return _inverse(_pad_half(c, M), out=np.empty((c.shape[0],) + (M,) * (c.ndim - 1)))
 
 
 def _padded_size(N: int) -> int:
@@ -455,16 +634,16 @@ def _padded_size(N: int) -> int:
 
 def padded_physical(f: SpectralField) -> np.ndarray:
     """Physical samples of `f` on the 3/2 grid."""
-    return _physical_at(f, _padded_size(f.grid.points_per_axis))
+    return _physical_at(f.coefficients, _padded_size(f.grid.points_per_axis))
 
 
 def field_from_padded(grid: GridSpec, fine: np.ndarray) -> SpectralField:
-    """Truncate fine-grid physical samples back to coefficients on `grid`.
-
-    The forward transform runs in place, so `fine` (a complex array the
-    caller no longer reads) holds the fine-grid coefficients afterwards.
-    """
-    return SpectralField(grid, freq=_relattice(_forward(fine, out=fine), grid.points_per_axis))
+    """Truncate fine-grid physical samples back to coefficients on `grid`:
+    the half spectrum on the fine lattice, gathered onto `grid`'s full
+    lattice (`_gather_half`).  `fine` is not written."""
+    M = fine.shape[-1]
+    half = _forward(fine, out=np.empty(fine.shape[:-1] + (M // 2 + 1,), dtype=np.complex128))
+    return SpectralField(grid, freq=_gather_half(half, grid.points_per_axis))
 
 
 def _pair_product_fine(pv: np.ndarray, pw: np.ndarray) -> np.ndarray:
@@ -473,9 +652,9 @@ def _pair_product_fine(pv: np.ndarray, pw: np.ndarray) -> np.ndarray:
     Matching multi-component inputs contract over components (dot), summed
     into slot 0 in component order; a scalar against anything broadcasts.  A
     product wider than `pw` goes to a fresh array.  `pv` is never written and
-    stays the first operand: the complex multiply is not bitwise commutative.
-    The result equals `pv * pw` (or its `np.sum` over axis 0) bit for bit on
-    any array of more than one element, so on every lattice.
+    stays the first operand.  The result equals `pv * pw` (or its `np.sum`
+    over axis 0) bit for bit on any array of more than one element, so on
+    every lattice.
     """
     if pv.shape[0] > pw.shape[0]:
         return pv * pw
@@ -530,14 +709,17 @@ def random_field(
     radial_profile=None,
     mean_zero: bool = True,
 ) -> SpectralField:
-    """Seeded random field, reproducible irrespective of chunking.
+    """Seeded real random field, reproducible irrespective of chunking.
 
     Coefficients are drawn by the counter-based generator in `lpw.rng` in
     row-major lattice order (component-major), optionally multiplied by a
-    radial profile(|xi|) and restricted to |xi| <= band.  Nyquist modes are
-    always cleared.  The draw is the only full-size array made: every step
-    writes into it, and the profile is evaluated on one block of the
-    lattice's |xi| at a time, so it must act pointwise.
+    radial profile(|xi|) and restricted to |xi| <= band, and then made
+    Hermitian in place (`_mirror`): the entries at last-axis frequencies
+    1..N/2-1 keep their draws and the mirrored ones take their conjugates;
+    the last-axis 0 and -N/2 planes are made Hermitian among themselves.
+    Nyquist modes are always cleared.  The draw is the only full-size array
+    made: every step writes into it, and the profile is evaluated on one
+    block of the lattice's |xi| at a time, so it must act pointwise.
     """
     c = rng.complex_samples(seed, ncomp * grid.npoints).reshape((ncomp,) + grid.shape)
     if radial_profile is not None or band is not None:
@@ -549,6 +731,7 @@ def random_field(
                 cb *= radial_profile(rb)
             if band is not None:
                 np.copyto(cb, 0.0, where=rb > band)
+    _mirror(c, planes=True)
     _clear_nyquist(c)
     if mean_zero:
         c[(slice(None),) + (0,) * grid.dim] = 0.0

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .grid import (GridSpec, SpectralField, _check_exponent, _coefficient_norm, _inverse,
-                   _modulus, _modulus_norm, _one_ahead, _soon, l2_norm)
+from .grid import (GridSpec, SpectralField, _check_exponent, _coefficient_norm, _half_norm,
+                   _inverse, _mirror, _modulus, _modulus_norm, _one_ahead, _soon, l2_norm)
 from .smooth import ramp_down
 
 RING_LO = 3.0 / 5.0
@@ -152,16 +152,26 @@ def build_partition(grid: GridSpec) -> LPPartition:
     return LPPartition(grid, J, sites, weight[sites], starts)
 
 
-def _on_support(part: LPPartition, coeffs: np.ndarray, lo: int, hi: int) -> np.ndarray:
+def _on_support(part: LPPartition, coeffs: np.ndarray, lo: int, hi: int,
+                half: bool = False) -> np.ndarray:
     """coeffs times the profile sum over shells lo..hi, formed at its support
     only, one piece at a time: the one gather and scatter behind every
-    projection, whose only full-length array is its output."""
+    projection, whose only full-length array is its output.  With `half`,
+    only the half spectrum (last-axis frequencies 0..N/2) is formed, which is
+    all an inverse transform reads."""
+    n = coeffs.shape[-1]
     flat = coeffs.reshape(coeffs.shape[0], -1)
-    out = np.zeros(flat.shape, dtype=np.complex128)
+    shape = coeffs.shape[:-1] + ((n // 2 + 1,) if half else (n,))
+    out = np.zeros((len(flat), math.prod(shape[1:])), dtype=np.complex128)
     for sites, values in part.support(lo, hi):
+        put = sites
+        if half:
+            keep = sites % n <= n // 2
+            sites, values = sites[keep], values[keep]
+            put = sites - (sites // n) * (n - n // 2 - 1)  # the flat index on the half lattice
         for src, dst in zip(flat, out):
-            dst[sites] = src[sites] * values
-    return out.reshape(coeffs.shape)
+            dst[put] = src[sites] * values
+    return out.reshape(shape)
 
 
 def project(part: LPPartition, f: SpectralField, j: int) -> SpectralField:
@@ -227,9 +237,10 @@ def shell_norms(part: LPPartition, f: SpectralField, rs=(), pairs=()) -> tuple:
 
         ||f||_{s,p} = (||P_cap f||_p^p + || (sum_j 2^(2js) |P_j f|^2)^(1/2) ||_p^p)^(1/p).
 
-    Exponent 2 is read from the shell's coefficients (`_coefficient_norm`),
-    and the p = 2 square function has ||.||_2^2 = sum_j 4^(js) ||P_j f||_2^2.
-    A shell is inverse-transformed only when a requested exponent is not 2,
+    Each shell is gathered as its half spectrum, which is all its inverse
+    transform reads.  Exponent 2 is read from it (`_half_norm`), and the
+    p = 2 square function has ||.||_2^2 = sum_j 4^(js) ||P_j f||_2^2.  A
+    shell is inverse-transformed only when a requested exponent is not 2,
     and never when it is empty: an empty shell's every norm is its L^2 norm,
     0, and it adds nothing to a square function.  Each shell's transform is
     handed to `_soon`, one shell ahead (`_one_ahead`); the reductions run in
@@ -244,10 +255,13 @@ def shell_norms(part: LPPartition, f: SpectralField, rs=(), pairs=()) -> tuple:
     coeffs = f.coefficients
 
     def gather(j):
-        """j, shell j's L^2 norm and, if needed and not empty, a handle on its samples."""
-        c = _on_support(part, coeffs, j, j)
-        l2 = _coefficient_norm(c)  # read before c is transformed in place
-        return j, l2, _soon(_inverse, c) if transform and c.any() else None
+        """j, shell j's L^2 norm and, if needed and not empty, a handle on its samples,
+        both read from its half spectrum."""
+        c = _on_support(part, coeffs, j, j, half=True)
+        l2 = _half_norm(c)
+        if not (transform and c.any()):
+            return j, l2, None
+        return j, l2, _soon(_inverse, c, np.empty((len(c),) + f.grid.shape))
 
     norms = np.zeros((len(rs), part.jmax + 1))
     caps, squares = [0.0] * len(pairs), [0.0] * len(pairs)
@@ -263,6 +277,7 @@ def shell_norms(part: LPPartition, f: SpectralField, rs=(), pairs=()) -> tuple:
                 squares[i] = squares[i] + (4.0 ** (j * s)) * l2 * l2
             elif mod is not None:
                 squares[i] = squares[i] + (4.0 ** (j * s)) * mod * mod
+        del mod  # no modulus is held while the shell after next is gathered
     smoothness = []
     for cap, sq, (_, p) in zip(caps, squares, pairs):
         if p == 2:
@@ -280,17 +295,21 @@ def shell_norms(part: LPPartition, f: SpectralField, rs=(), pairs=()) -> tuple:
 
 
 def shell_packet(part: LPPartition, j: int, seed: int, coherent: bool = True) -> SpectralField:
-    """Scalar field supported on ring j.
+    """Real scalar field supported on ring j.
 
-    coherent=True draws nonnegative random amplitudes with aligned phases —
-    a focusing packet extremal for the dyadic norm-growth inequalities.
-    coherent=False draws generic complex amplitudes.
+    coherent=True draws nonnegative random amplitudes with zero phase, a
+    cosine sum sum_xi a_xi cos(x.xi) — a focusing packet extremal for the
+    dyadic norm-growth inequalities.  coherent=False draws generic complex
+    amplitudes.  Only the ring's sites with last-axis frequency 0..N/2 are
+    drawn, with the counters of a whole-lattice draw; the coefficients are
+    then made Hermitian in place, as `random_field`'s are (`_mirror`).
     """
     grid = part.grid
     nyquist = grid.nyquist_mask.ravel()
+    N = grid.points_per_axis
     c = np.zeros(grid.npoints, dtype=np.complex128)
     for sites, values in part.support(j, j):
-        keep = (values != 0.0) & ~nyquist[sites]
+        keep = (values != 0.0) & ~nyquist[sites] & (sites % N <= N // 2)
         sites, values = sites[keep], values[keep]
         # the counters of a whole-lattice draw (rng's layout), taken at the ring's sites only
         ctr = 2 * sites
@@ -300,7 +319,7 @@ def shell_packet(part: LPPartition, j: int, seed: int, coherent: bool = True) ->
         else:
             raw = re + 1j * (2.0 * rng.unit_doubles_at(seed, ctr + 1) - 1.0)
         c[sites] = raw * values
-    return SpectralField(grid, freq=c.reshape(grid.shape))
+    return SpectralField(grid, freq=_mirror(c.reshape((1,) + grid.shape), planes=True))
 
 
 def _shell_sum_fields(part: LPPartition, scales, seed: int, norm_ps) -> list:

@@ -30,10 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exponents import RegularityParams, zone_branches, zone_transfers
-from .grid import (SpectralField, _coefficient_norm, _inverse, _modulus, _modulus_norm,
-                   _norm, _one_ahead, _padded_size, _pair_product_fine, _physical_at,
-                   _relattice, _soon, alias_free_size, dealiased_product, field_from_padded,
-                   padded_physical)
+from .grid import (SpectralField, _beside, _coefficient_norm, _modulus, _modulus_norm, _norm,
+                   _one_ahead, _pad_half, _padded_size, _pair_product_fine, _samples_soon,
+                   alias_free_size, dealiased_product, field_from_padded, padded_physical)
 from .lp import RING_HI, LPPartition, project, project_window, shell_norms
 from .symbols import Symbol, _matrix_rows, apply
 
@@ -155,7 +154,9 @@ def split(V: SpectralField, w: SpectralField, k: int, part: LPPartition) -> Zone
     product outlives HH.
 
     Each new product's padded V window is handed to `_soon` for its inverse
-    transform while the w window is gathered and padded here.
+    transform while the w window is gathered and padded here; the w window
+    is transformed here beside it on a 1-D lattice and after it on more
+    axes (`_beside`).
     """
     if V.grid != w.grid:
         raise ValueError("grid mismatch")
@@ -173,10 +174,10 @@ def split(V: SpectralField, w: SpectralField, k: int, part: LPPartition) -> Zone
             lo_v, hi_v, lo_w, hi_w, M = key
             term = kept.pop(key, None)
             if term is None:
-                pv = _soon(_inverse,
-                           _relattice(project_window(part, V, lo_v, hi_v).coefficients, M))
-                pw = _physical_at(project_window(part, w, lo_w, hi_w), M)
-                term = _pair_product_fine(pv(), pw)
+                pv = _samples_soon(project_window(part, V, lo_v, hi_v).coefficients, M)
+                pw = _pad_half(project_window(part, w, lo_w, hi_w).coefficients, M)
+                pv, pw = _beside(pv, pw, np.empty((w.ncomp,) + (M,) * grid.dim))
+                term = _pair_product_fine(pv, pw)
                 del pv, pw
             uses[key] -= 1
             if uses[key]:
@@ -224,7 +225,7 @@ def all_pairs_shells(V: SpectralField, w: SpectralField, ks, part: LPPartition) 
     grid, shells = V.grid, range(part.jmax + 1)
     M = _padded_size(grid.points_per_axis)
     w_fine = [padded_physical(project(part, w, j)) for j in shells]
-    v_fine = (_soon(_inverse, _relattice(project(part, V, i).coefficients, M)) for i in shells)
+    v_fine = (_samples_soon(project(part, V, i).coefficients, M) for i in shells)
     total = None
     for vi in _one_ahead(v_fine):
         vi = vi()
@@ -333,8 +334,9 @@ def _zone_norms(V: SpectralField, ws, k: int, part: LPPartition, p) -> tuple:
     squares of their sample moduli (`_modulus`) are summed in field order,
     one real array per zone, and the L^p norms read from the square roots,
     which give one field's moduli back bit for bit.  The zone fields are not
-    read again, so their nonzero coefficients are transformed in place, each
-    handed to `_soon`, one ahead (`_one_ahead`).
+    read again, so each nonzero zone's half spectrum is handed to `_soon`
+    for its inverse transform, one ahead (`_one_ahead`), and its
+    coefficients are let go.
     """
     # per zone: its fields' L^2 norms, or the sum of their squared moduli
     sums = [[] if p == 2 else None for _ in range(4)]
@@ -350,7 +352,7 @@ def _zone_norms(V: SpectralField, ws, k: int, part: LPPartition, p) -> tuple:
             continue
         nonzero = {z: cz for z, cz in enumerate(coeffs) if cz.any()}
         del coeffs  # each zone's coefficients are held only until its samples are squared
-        samples = ((z, _soon(_inverse, nonzero.pop(z))) for z in list(nonzero))
+        samples = ((z, _samples_soon(nonzero.pop(z))) for z in list(nonzero))
         for z, sz in _one_ahead(samples):
             sq = _modulus(sz())
             del sz

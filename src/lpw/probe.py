@@ -19,9 +19,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .exponents import GainReport, RegularityParams, check_params, compute_gains
-from .grid import (GridSpec, SpectralField, _abs2, _forward, _inverse, _norm, _padded_size,
-                   _pair_product_fine, _relattice, _soon, field_from_padded, grid_product,
-                   l2_norm, padded_physical, random_field)
+from .grid import (GridSpec, SpectralField, _abs2, _beside, _forward, _gather_half, _inverse,
+                   _norm, _pad_half, _padded_shape, _padded_size, _pair_product_fine,
+                   _samples_soon, field_from_padded, grid_product, l2_norm, random_field)
 from .iteration import (DecaySequence, IterationParams, convolution_majorant,
                         decay_bound, delta_cap, hypothesis_holds)
 from .lp import LPPartition, build_partition, shell_norms
@@ -29,7 +29,7 @@ from .paraproduct import _zone_reports
 from .psido import fit_log2_slope, split_elliptic
 from .smooth import ramp_down
 from . import symbols as sym
-from .symbols import Symbol, apply
+from .symbols import Symbol, _matrix_rows, apply
 
 
 # -- equations ---------------------------------------------------------------
@@ -75,33 +75,35 @@ def _quadratic_term(P: Symbol, Q: Symbol):
 
     V contracts against each component's Q-output when the counts match
     ((V.grad) u) and broadcasts otherwise.  Each Q-output is moved into its
-    rows of the padded Q u as soon as it is made, and dropped, so no coarse
-    stack of them is made.  The products are formed in Q u's padded buffer
-    and transformed back there; only a product wider than its Q-output goes
-    to a fresh array, so the shared padded V is never written.  The padded
-    Q u, in every shipped equation at least as wide as V, is handed to
-    `_soon` for its inverse transform while V is padded here: the longer
-    transform goes to the helper thread.  A one-component V against a
-    one-component u whose Q-output has several components (gjms: Lambda^3 u
-    against grad u) takes `_broadcast_products` instead.
+    rows of the padded Q u, a half spectrum, as soon as it is made, and
+    dropped, so no coarse stack of them is made.  The products are formed in
+    the padded Q u's samples; only a product wider than its Q-output goes to
+    a fresh array, so the shared padded V is never written.  V's padding is
+    handed to `_soon` for its inverse transform while Q u is padded here;
+    the padded Q u is transformed here once V's is done, so the two
+    transforms' intermediates are never alive at once on a 2-D or 3-D
+    lattice (`_beside`).  A one-component V against a one-component u and a
+    matrix multiplier Q (gjms: Lambda^3 u against grad u) takes
+    `_broadcast_products` instead.
     """
 
     def nonlinearity(V: SpectralField, u: SpectralField) -> SpectralField:
         grid, M = u.grid, _padded_size(u.grid.points_per_axis)
-        q = apply(Q, u.component(0)).coefficients
-        width = q.shape[0]
-        if V.ncomp == u.ncomp == 1 < width:
-            return apply(P, SpectralField(grid, freq=_broadcast_products(V, q, M)))
-        rows = np.zeros((u.ncomp * width,) + (M,) * grid.dim, dtype=np.complex128)
-        _relattice(q, M, out=rows[:width])
-        del q
-        for c in range(1, u.ncomp):
-            _relattice(apply(Q, u.component(c)).coefficients, M,
-                       out=rows[c * width:(c + 1) * width])
-        pq = _soon(_inverse, rows)
+        if V.ncomp == u.ncomp == 1 and Q.kind == "matrix_multiplier":
+            return apply(P, SpectralField(grid, freq=_broadcast_products(
+                V, _matrix_rows(Q, u), M)))
+        pv = _samples_soon(V.coefficients, M)
+        rows = None
+        for c in range(u.ncomp):
+            q = apply(Q, u.component(c)).coefficients
+            width = q.shape[0]
+            if rows is None:
+                rows = np.zeros(_padded_shape(u.ncomp * width, grid.points_per_axis, M,
+                                              grid.dim), dtype=np.complex128)
+            _pad_half(q, M, out=rows[c * width:(c + 1) * width])
+            del q
+        pv, pq = _beside(pv, rows, np.empty((len(rows),) + (M,) * grid.dim))
         del rows
-        pv = padded_physical(V)
-        pq = pq()  # the handle, which also holds the buffer, is let go
         pq = pq.reshape((u.ncomp, -1) + pq.shape[1:])
         fine = [_pair_product_fine(pv, w) for w in pq]
         del pv  # free the padded V before the transform back
@@ -114,27 +116,34 @@ def _quadratic_term(P: Symbol, Q: Symbol):
     return nonlinearity
 
 
-def _broadcast_products(V: SpectralField, q: np.ndarray, M: int) -> np.ndarray:
+def _broadcast_products(V: SpectralField, rows, M: int) -> np.ndarray:
     """The coefficients of the dealiased products of the one-component V with
-    each component of the Q-output coefficients `q`, written over `q`.
+    each one-component field the iterator `rows` yields, stacked in order.
 
-    One component at a time is padded to the M-point grid, multiplied in
-    place with V's samples as the first operand, transformed forward in
-    place and moved back into its row of `q`, whose coefficients are then no
-    longer read: one padded component is alive beside the padded V, never
-    the padded stack.  The first component's inverse transform is handed to
-    `_soon` while V is padded here.  The values equal the stacked product's
-    bit for bit.
+    One row at a time is padded to the M-point grid, let go, transformed,
+    multiplied in place with V's samples as the first operand and
+    transformed forward, and its product's coefficients kept: one padded row
+    is alive beside the padded V, never the padded stack, and no row is
+    formed before its turn.  V's padding is handed to `_soon` while the
+    first row is formed, and that row is transformed once V's is done
+    (`_beside`).  The values equal the stacked product's bit for bit.
     """
-    pv = None
-    for row in range(q.shape[0]):
-        pw = _soon(_inverse, _relattice(q[row:row + 1], M))
-        if pv is None:
-            pv = padded_physical(V)
-        pw = _pair_product_fine(pv, pw())
-        _relattice(_forward(pw, out=pw), q.shape[-1], out=q[row:row + 1])
-        del pw  # each padded component goes before the next is made
-    return q
+    pv, products = _samples_soon(V.coefficients, M), []
+    for row in rows:
+        half = _pad_half(row.coefficients, M)
+        del row  # each row's coefficients go before its transform
+        pw = np.empty((1,) + (M,) * V.grid.dim)
+        if products:
+            _inverse(half, out=pw)
+        else:
+            pv, pw = _beside(pv, half, pw)
+        del half
+        pw = _forward(_pair_product_fine(pv, pw),
+                      out=np.empty(pw.shape[:-1] + (M // 2 + 1,), dtype=np.complex128))
+        products.append(_gather_half(pw, V.grid.points_per_axis))
+        del pw  # each padded product goes before the next row is made
+    del pv
+    return np.concatenate(products)
 
 
 def _ns_spec(n: int, s: float, p: float, amplitude: float) -> EquationSpec:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (GridSpec, SpectralField, _forward, _inverse, _one_ahead, _soon,
-                   center_distance, l2_norm)
+from .grid import (GridSpec, SpectralField, _complex_forward, _complex_inverse, _one_ahead,
+                   _real, _samples_soon, center_distance, l2_norm)
 from .lp import LPPartition, _on_support, profile_value, project, project_window, shell_norms
 from .smooth import ramp_down, ramp_up
 from . import rng, symbols as sym_mod
@@ -191,7 +191,7 @@ def split_elliptic(L: Symbol, grid: GridSpec) -> EllipticSplit:
         center = (np.pi,) * grid.dim
         e_terms, m_terms = [], []
         for bx, cxi in L.terms:
-            b_c = complex(np.asarray(bx(*center)))
+            b_c = float(_real(np.asarray(bx(*center)), f"x part of symbol {L.name!r}"))
 
             def b_glued(*xs, _bx=bx, _bc=b_c):
                 ww = _ball_window(*xs)
@@ -257,10 +257,10 @@ def commutator_shell(A: Symbol, part: LPPartition, f: SpectralField, ks) -> list
 
     def gather(k):
         """Handles on the samples of A P_k f's terms and of P_k(Af); an
-        all-zero P_k(Af) is its own samples."""
-        terms = [_soon(_inverse, t) for t in _table_terms(table, _on_support(part, coeffs, k, k))]
+        all-zero P_k(Af) has zero samples, made without a transform."""
+        terms = [_samples_soon(t) for t in _table_terms(table, _on_support(part, coeffs, k, k))]
         c = _on_support(part, Af.coefficients, k, k)
-        return terms, _soon(_inverse, c) if c.any() else lambda: c
+        return terms, _samples_soon(c) if c.any() else lambda: np.zeros(c.shape)
 
     norms = []
     for terms, pak in _one_ahead(map(gather, ks)):
@@ -300,10 +300,10 @@ def _remainder_max(A: Symbol, grid: GridSpec, k: int, ts: np.ndarray) -> np.ndar
         xis = (tcol,) + tuple(np.zeros_like(tcol) for _ in range(grid.dim - 1))
         a_vals = np.asarray(A.eval_xy(xs, xis), dtype=np.complex128)
         a_vals = np.broadcast_to(a_vals, (t.size,) + grid.shape)
-        ahat = _forward(a_vals)
+        ahat = _complex_forward(a_vals)
         shifted = _abs_xi(tcol + grid.xi_axes[0], *grid.xi_axes[1:])  # |xi + t e1|
         phi = profile_value(k, shifted) - profile_value(k, np.abs(tcol))
-        rho = _inverse(phi * ahat)
+        rho = _complex_inverse(phi * ahat)
         mags.append(np.abs(rho).reshape(t.size, -1).max(axis=1))
     return np.concatenate(mags)
 

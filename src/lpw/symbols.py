@@ -10,7 +10,10 @@ operator b(x) is the one-term separable symbol b(x) * 1.  The direct
 quantization sum, O(M^2) in the lattice size M, is kept only as the
 correctness oracle at small N.  Nyquist modes are cleared on every
 application, on the output by slicing (the asymmetric mode breaks reality
-symmetry under differentiation).
+symmetry under differentiation).  Fields are real, so a separable symbol's
+x parts must be real-valued (ValueError names one that is not); every
+shipped symbol has c(x, -xi) = conj c(x, xi) and so maps real fields to
+real fields.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, SpectralField, _abs2, _clear_nyquist, _inverse, center_distance
+from .grid import (GridSpec, SpectralField, _abs2, _clear_nyquist, _inverse, _real,
+                   center_distance)
 from .smooth import ramp_down
 
 _LOG_DOUBLE_MAX = 700.0  # ln(1.8e308), overflow guard for |xi|^m
@@ -111,16 +115,18 @@ def _overflow_guard(sym: Symbol, grid: GridSpec) -> None:
 
 def _separable_table(sym: Symbol, grid: GridSpec) -> list:
     """The values (b_t(x), c_t(xi)) of each term of the separable symbol
-    `sym` on `grid`, each checked finite: the part of its application that
+    `sym` on `grid`, each checked finite, and b_t checked real (a complex
+    b_t would make the field complex): the part of its application that
     does not depend on the field, so a caller applying `sym` to several
     fields evaluates it once."""
     _overflow_guard(sym, grid)
     table = []
     for bx, cxi in sym.terms:
         cv = _check_finite(np.asarray(cxi(*grid.xi_axes)), sym.name)
-        # 1/b at a zero of b is inf (nan for a complex b), rejected here
+        # 1/b at a zero of b is inf, rejected here
         with np.errstate(divide="ignore", invalid="ignore"):
-            bv = _check_finite(np.asarray(bx(*grid.x_axes)), sym.name)
+            bv = _real(np.asarray(bx(*grid.x_axes)), f"x part of symbol {sym.name!r}")
+            bv = _check_finite(bv, sym.name)
         table.append((bv, cv))
     return table
 
@@ -151,9 +157,9 @@ def _table_sum(table: list, samples) -> np.ndarray:
 
 def _apply_table(table: list, c: np.ndarray) -> np.ndarray:
     """Samples of the separable symbol whose `_separable_table` is `table`
-    applied to the coefficients `c`: one inverse transform per term, in
-    place, with one term alive besides the sum."""
-    return _table_sum(table, map(lambda t: _inverse(t, out=t), _table_terms(table, c)))
+    applied to the coefficients `c`: one inverse transform per term, with
+    one term's coefficients and samples alive besides the sum."""
+    return _table_sum(table, map(_inverse, _table_terms(table, c)))
 
 
 def apply(sym: Symbol, f: SpectralField) -> SpectralField:
@@ -220,6 +226,9 @@ def quantize_direct(sym: Symbol, f: SpectralField) -> SpectralField:
 
     Produces the same result as any fast path (same math, different
     association), so it can certify multiplier / separable applications.
+    The sum is complex; its imaginary part above 1e-12 of the samples' l^2
+    norm means `sym` does not map real fields to real fields, and raises
+    ValueError.  The real part is returned.
     """
     grid = f.grid
     _overflow_guard(sym, grid)
@@ -242,7 +251,11 @@ def quantize_direct(sym: Symbol, f: SpectralField) -> SpectralField:
         kernel = sym.eval_xy(xs, xis) * np.exp(1j * phase)
         _check_finite(kernel, sym.name)
         out += np.einsum("xk,ck->cx", kernel, chat[:, sl])
-    return SpectralField(grid, phys=out.reshape((f.ncomp,) + grid.shape))
+    imag, norm = np.linalg.norm(out.imag), np.linalg.norm(out)
+    if imag > 1e-12 * norm:
+        raise ValueError(f"symbol {sym.name!r} does not map real fields to real fields: "
+                         f"imaginary part {imag / norm:.3g} of the samples' l2 norm")
+    return SpectralField(grid, phys=np.ascontiguousarray(out.real).reshape((f.ncomp,) + grid.shape))
 
 
 # -- built-in symbols -----------------------------------------------------

@@ -12,8 +12,8 @@ import math
 import numpy as np
 
 from .exponents import RegularityParams, zone_branches, zone_transfers
-from .grid import (GridSpec, _abs2, _coefficient_norm, _inverse, _modulus, _modulus_norm,
-                   _one_ahead, _soon, dealiased_product, l2_norm, lp_norm, random_field)
+from .grid import (GridSpec, _abs2, _coefficient_norm, _modulus_norm, dealiased_product,
+                   l2_norm, lp_norm, random_field)
 from .lp import (_bernstein_guard, _shell_sum_fields, build_partition, flat_dyadic_field,
                  project, shell_packet)
 from .paraproduct import all_pairs_shells, split, zone_estimate_reports
@@ -62,18 +62,15 @@ def verify_bernstein(n: int = 2, N: int = 512, seed: int = 2) -> dict:
         raise ValueError(f"N={N} has top shell {grid.jmax}, below the measured shell "
                          f"{js[-1]}; need N >= {2 ** (js[-1] + 1)}")
     part = build_partition(grid)
-
-    def gather(j):
-        """Packet j's L^2 norm and bound factor, read by the guard, and a
-        handle on its samples, transformed in its own coefficient array."""
+    ratios, consts = [], []
+    for j in js:
+        # the guard reads the packet's L^2 norm and bound factor from its
+        # coefficients; its samples are transformed here, on the caller,
+        # whose memory pool already holds the transform's intermediates
         f = shell_packet(part, j, seed + j, coherent=True)
         total, scale = _bernstein_guard(f, j + 1, 2, math.inf)
-        return total, scale, _soon(_inverse, f.coefficients)
-
-    ratios, consts = [], []
-    for total, scale, samples in _one_ahead(map(gather, js)):
-        mod = _modulus(samples())
-        del samples  # neither the handle nor the packet's samples are held while it is read
+        mod = f.modulus()
+        del f  # neither the packet nor its samples are held while the next is drawn
         sup = _modulus_norm(mod, math.inf)
         ratios.append(sup / total)
         consts.append(sup / (scale * _modulus_norm(mod, 2)))

@@ -10,6 +10,11 @@ from lpw.lp import build_partition
 from lpw.verify import verify_commutator, verify_paraproduct
 
 
+# the numpy.fft entry points `grid` calls: the real pair for fields and the
+# complex pair for symbol samples
+TRANSFORMS = ("rfftn", "irfftn", "fftn", "ifftn")
+
+
 @pytest.fixture(scope="session")
 def grid2():
     return GridSpec(2, 64)
@@ -36,7 +41,7 @@ def paraproduct_run():
     its report and the number of transforms it made."""
     transforms = []
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("fftn", "ifftn"):
+        for name in TRANSFORMS:
             def counted(*args, _fn=getattr(np.fft, name), **kwargs):
                 transforms.append(1)
                 return _fn(*args, **kwargs)
@@ -51,10 +56,10 @@ def commutator_report():
     return verify_commutator()
 
 
-def _inline(transform, buf):
+def _inline(transform, src, out):
     """`grid._soon` without the helper thread: the transform runs at once."""
-    transform(buf, out=buf)
-    return lambda: buf
+    transform(src, out=out)
+    return lambda: out
 
 
 @pytest.fixture

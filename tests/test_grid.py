@@ -25,14 +25,51 @@ from lpw.psido import commutator_shell, commutator_symbol_remainder, mapping_con
 from lpw.symbols import apply, multiplier, resolve_symbol
 from lpw.verify import verify_apbound, verify_bernstein, verify_mapping, verify_partition
 
+from conftest import TRANSFORMS
 
-def mode(grid, xi, ncomp=1):
-    """Pure lattice mode exp(i x.xi)."""
+
+def _phase(grid, xi):
+    """x.xi on the grid."""
     phase = np.zeros(grid.shape)
     for ax, k in enumerate(xi):
         phase = phase + k * np.broadcast_to(grid.x_axes[ax], grid.shape)
-    vals = np.exp(1j * phase)
-    return SpectralField(grid, phys=np.stack([vals] * ncomp))
+    return phase
+
+
+def mode(grid, xi, ncomp=1):
+    """The real lattice mode cos(x.xi): coefficient 1/2 at xi and at -xi."""
+    return SpectralField(grid, phys=np.stack([np.cos(_phase(grid, xi))] * ncomp))
+
+
+def unimodular(grid, xi):
+    """The two-component field (cos(x.xi), sin(x.xi)), of modulus 1 everywhere."""
+    phase = _phase(grid, xi)
+    return SpectralField(grid, phys=np.stack([np.cos(phase), np.sin(phase)]))
+
+
+def negated(c):
+    """The coefficients c at -xi (mod N) on every spatial axis."""
+    for ax in range(1, c.ndim):
+        c = np.roll(np.flip(c, axis=ax), 1, axis=ax)
+    return c
+
+
+def hermitian(c):
+    """The draw convention, from its definition: each lattice point and its
+    mirror -xi are decided by the first axis, from the last, on which the
+    index is neither 0 nor N/2 (index 1..N/2-1 keeps its value, N/2+1..N-1
+    takes the conjugate of its mirror's); a point with every index 0 or N/2
+    is its own mirror and keeps its real part."""
+    sign = np.zeros(c.shape[1:], dtype=int)
+    for ax in reversed(range(c.ndim - 1)):
+        i = np.indices(c.shape[1:])[ax]
+        n = c.shape[ax + 1]
+        here = np.where((i >= 1) & (i < n // 2), 1, np.where(i > n // 2, -1, 0))
+        sign = np.where(sign == 0, here, sign)
+    out = c.copy()
+    out[:, sign < 0] = np.conj(negated(c))[:, sign < 0]
+    out[:, sign == 0] = c[:, sign == 0].real
+    return out
 
 
 class TestGridSpec:
@@ -77,11 +114,12 @@ class TestTransforms:
         assert np.abs(c).max() < 1e-14
 
     def test_pure_mode_single_coefficient(self, grid2):
+        # cos(x_0) is one coefficient 1/2 at xi = (1, 0) and its mirror (-1, 0)
         f = mode(grid2, (1, 0))
         c = f.coefficients[0]
-        assert abs(c[1, 0] - 1.0) < 1e-13
+        assert abs(c[1, 0] - 0.5) < 1e-13 and abs(c[-1, 0] - 0.5) < 1e-13
         mask = np.ones(grid2.shape, dtype=bool)
-        mask[1, 0] = False
+        mask[1, 0] = mask[-1, 0] = False
         assert np.abs(c[mask]).max() < 1e-13
 
     def test_roundtrip_identity(self, grid2):
@@ -95,21 +133,32 @@ class TestTransforms:
                                          (96,), (48, 48), (24, 24, 24),   # 3 * 2^a
                                          (80,), (40, 40), (20, 20, 20)])  # 5 * 2^a
     def test_scaling_equals_a_separate_pass(self, ncomp, lattice):
-        # fftn / N^n and ifftn * N^n, scaled inside the transform instead;
-        # only where 1/N^n is inexact may the last digits move
-        x = np.random.default_rng(len(lattice)).standard_normal((2 * ncomp,) + lattice)
-        x = x[:ncomp] + 1j * x[ncomp:]
-        axes, n = tuple(range(1, x.ndim)), math.prod(lattice)
+        # rfftn / N^n and irfftn * N^n, scaled inside the transform instead;
+        # only where 1/N^n is inexact may the last digits move.  The forward
+        # transform's full lattice is the half spectrum and its mirror.
+        x = np.random.default_rng(len(lattice)).standard_normal((ncomp,) + lattice)
+        axes, n, h = tuple(range(1, x.ndim)), math.prod(lattice), lattice[-1] // 2
         exact = all(N & (N - 1) == 0 for N in lattice)
-        for fn, ref in ((_forward, np.fft.fftn(x, axes=axes) / n),
-                        (_inverse, np.fft.ifftn(x, axes=axes) * n)):
-            buf = x.copy()
-            got, in_place = fn(x), fn(buf, out=buf)
-            assert in_place is buf and np.array_equal(in_place, got)
-            if exact:
-                assert np.array_equal(got, ref)
-            else:
-                assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+        half = np.fft.rfftn(x, axes=axes) / n
+        coeffs = _forward(x)
+        assert np.array_equal(coeffs[..., :h + 1], half) if exact else \
+            np.abs(coeffs[..., :h + 1] - half).max() <= 1e-15 * np.abs(half).max()
+        # the mirror is exact off the last-axis 0 and -N/2 planes, which the
+        # transform fills on its own (Hermitian to roundoff)
+        inner = (slice(None),) * (x.ndim - 1) + (slice(1, h),)
+        assert np.array_equal(coeffs[inner], np.conj(negated(coeffs))[inner])
+        assert np.abs(coeffs - np.conj(negated(coeffs))).max() <= 1e-15 * np.abs(half).max()
+        assert np.abs(coeffs - np.fft.fftn(x, axes=axes) / n).max() <= 1e-15 * np.abs(half).max()
+        buf = np.empty_like(coeffs)
+        assert _forward(x, out=buf) is buf and np.array_equal(buf, coeffs)
+        samples = np.fft.irfftn(coeffs[..., :h + 1], s=lattice, axes=axes) * n
+        got, out = _inverse(coeffs), np.empty(x.shape)
+        assert got.dtype == np.float64 and _inverse(coeffs, out=out) is out
+        assert np.array_equal(out, got)
+        if exact:
+            assert np.array_equal(got, samples)
+        else:
+            assert np.abs(got - samples).max() <= 1e-15 * np.abs(samples).max()
 
 
 class TestOneAhead:
@@ -159,7 +208,7 @@ def test_concurrent_hand_offs_start_one_helper_and_reply_to_each_caller():
     code = """if True:
         import sys, threading
         import numpy as np
-        from lpw.grid import _inverse, _soon
+        from lpw.grid import _forward, _inverse, _soon
         sys.setswitchinterval(1e-6)
         start, bad = threading.Barrier(4), []
 
@@ -167,10 +216,10 @@ def test_concurrent_hand_offs_start_one_helper_and_reply_to_each_caller():
             rng = np.random.default_rng(seed)
             start.wait()
             for _ in range(25):
-                x = rng.standard_normal((1, 1 << 14)) + 0j
-                buf = x.copy()
-                got = _soon(_inverse, buf)()
-                if got is not buf or not np.array_equal(got, _inverse(x)):
+                c = _forward(rng.standard_normal((1, 1 << 14)))
+                out = np.empty((1, 1 << 14))
+                got = _soon(_inverse, c, out)()
+                if got is not out or not np.array_equal(got, _inverse(c)):
                     bad.append(seed)
 
         callers = [threading.Thread(target=caller, args=(s,)) for s in range(4)]
@@ -190,14 +239,16 @@ def test_concurrent_hand_offs_start_one_helper_and_reply_to_each_caller():
 class TestTransformCounts:
     """Transforms of small fixed workloads, pinned so an extra pass fails.
 
-    Each call is keyed by (transform, calling function): every transform
-    goes through grid._forward or grid._inverse.
+    Each call is keyed by (transform, calling function): every transform of
+    a field goes through grid._forward (rfftn) or grid._inverse (irfftn), and
+    the symbol remainder's through grid._complex_forward (fftn) and
+    grid._complex_inverse (ifftn).
     """
 
     @pytest.fixture
     def calls(self, monkeypatch):
         seen = Counter()
-        for name in ("fftn", "ifftn"):
+        for name in TRANSFORMS:
             def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
                 seen[_name, sys._getframe(1).f_code.co_name] += 1
                 return _fn(*args, **kwargs)
@@ -206,18 +257,20 @@ class TestTransformCounts:
 
     @pytest.fixture
     def shapes(self, monkeypatch):
+        # keyed by the lattice transformed: irfftn's output, the others' input
         seen = Counter()
-        for name in ("fftn", "ifftn"):
+        for name in TRANSFORMS:
             def counted(a, *args, _fn=getattr(np.fft, name), _name=name, **kwargs):
-                seen[_name, a.shape[1:]] += 1
-                return _fn(a, *args, **kwargs)
+                out = _fn(a, *args, **kwargs)
+                seen[_name, (out if _name == "irfftn" else a).shape[1:]] += 1
+                return out
             monkeypatch.setattr(np.fft, name, counted)
         return seen
 
     def test_split(self, calls, grid2, part2):
         # LL only (k+6 > jmax leaves the corner and HH empty, k < 6 leaves LH/HL empty)
         split(random_field(grid2, 1), random_field(grid2, 2), 3, part2)
-        assert calls == {("fftn", "_forward"): 1, ("ifftn", "_inverse"): 2}
+        assert calls == {("rfftn", "_forward"): 1, ("irfftn", "_inverse"): 2}
 
     def test_split_zone_grids(self, shapes):
         # N = 2^18, k = 10: LL, its corner and HH reach the top shell (band
@@ -230,8 +283,8 @@ class TestTransformCounts:
         shapes.clear()
         split(V, w, 10, part)
         big, small = (5 << 16,), (1 << 15,)
-        assert shapes == {("ifftn", big): 4, ("fftn", big): 1 + 1,
-                          ("ifftn", small): 2 + 2, ("fftn", small): 1 + 1}
+        assert shapes == {("irfftn", big): 4, ("rfftn", big): 1 + 1,
+                          ("irfftn", small): 2 + 2, ("rfftn", small): 1 + 1}
 
     def test_split_merges_high_high_columns(self, shapes):
         # N = 2^20, k = 10: the HH columns 16..19 share the V window [16, 19],
@@ -242,43 +295,43 @@ class TestTransformCounts:
         shapes.clear()
         split(V, w, 10, part)
         hh = (5 << 18,)
-        assert shapes[("ifftn", hh)] == 2 and shapes[("fftn", hh)] == 1
+        assert shapes[("irfftn", hh)] == 2 and shapes[("rfftn", hh)] == 1
 
     def test_split_top_shell_keeps_three_halves_grid(self, shapes, grid2, part2):
         # at k = jmax the band rule asks for 2N; the 3/2 grid is already exact
         V, w = random_field(grid2, 1), random_field(grid2, 2)
         split(V, w, part2.jmax, part2)
-        assert shapes == {("ifftn", (96, 96)): 2, ("fftn", (96, 96)): 1}
+        assert shapes == {("irfftn", (96, 96)): 2, ("rfftn", (96, 96)): 1}
 
     def test_oracles_keep_three_halves_grid(self, shapes, grid2, part2):
         V, w = random_field(grid2, 1), random_field(grid2, 2)
         fine = (96, 96)
         product_shell(V, w, 3, part2)
-        assert shapes == {("ifftn", fine): 2, ("fftn", fine): 1}
+        assert shapes == {("irfftn", fine): 2, ("rfftn", fine): 1}
         shapes.clear()
         all_pairs_shell(V, w, 3, part2)
         # each shell of w and of V padded once, and the pair products summed
         # there for one forward transform (n * n forwards when each pair had one)
         n = part2.jmax + 1
-        assert shapes == {("ifftn", fine): 2 * n, ("fftn", fine): 1}
+        assert shapes == {("irfftn", fine): 2 * n, ("rfftn", fine): 1}
 
     def test_bernstein_bundle(self, calls):
         # one inverse per packet, in the packet's own array; its L^2 norm and
         # leak come from the coefficients
         verify_bernstein()
-        assert calls == {("ifftn", "_inverse"): 6}
+        assert calls == {("irfftn", "_inverse"): 6}
 
     def test_separable_apply(self, calls):
         sym = resolve_symbol("sep:one*pow:2+twoplussin:0*ixi:1")
         apply(sym, random_field(GridSpec(2, 16), 3))
-        assert calls == {("ifftn", "_inverse"): 2}
+        assert calls == {("irfftn", "_inverse"): 2}
 
     def test_ns_nonlinearity(self, calls):
         g = GridSpec(2, 64)
         u = random_field(g, 4, ncomp=2)
         eq = equation_spec("ns", n=2)
         eq.nonlinearity(u, u)
-        assert calls == {("fftn", "_forward"): 1, ("ifftn", "_inverse"): 2}
+        assert calls == {("rfftn", "_forward"): 1, ("irfftn", "_inverse"): 2}
 
     @pytest.mark.parametrize("kind, dim, N", [("biharmonic", 2, 64), ("gjms", 3, 16)])
     def test_scalar_coefficient_nonlinearities(self, calls, kind, dim, N):
@@ -291,7 +344,7 @@ class TestTransformCounts:
         calls.clear()
         eq.nonlinearity(V, u)
         rows = dim if kind == "gjms" else 1
-        assert calls == {("fftn", "_forward"): rows, ("ifftn", "_inverse"): 1 + rows}
+        assert calls == {("rfftn", "_forward"): rows, ("irfftn", "_inverse"): 1 + rows}
 
     def test_oracle_shares_padding_across_shells(self, shapes, part1):
         # ks = (5, 6, 7): each shell of w and of V padded once, the pair
@@ -302,7 +355,7 @@ class TestTransformCounts:
         shapes.clear()
         assert len(all_pairs_shells(V, w, (5, 6, 7), part1)) == 3
         n = part1.jmax + 1
-        assert shapes == {("ifftn", (384,)): 2 * n, ("fftn", (384,)): 1}
+        assert shapes == {("irfftn", (384,)): 2 * n, ("rfftn", (384,)): 1}
 
     def test_probe_skips_empty_shells(self, calls):
         # B M u_loc is zero (M = 0 for a multiplier L) and the parametrix's
@@ -315,7 +368,7 @@ class TestTransformCounts:
         # the identity error read coefficients (57 inverses when they read
         # samples)
         run_probe(equation_spec("biharmonic"), GridSpec(2, 256), seed=9)
-        assert calls == {("fftn", "_forward"): 10, ("ifftn", "_inverse"): 52}
+        assert calls == {("rfftn", "_forward"): 10, ("irfftn", "_inverse"): 52}
 
     def test_probe_ns_reads_l2_shells_from_coefficients(self, calls):
         # ns at n = 2 has r = 2: no shell of u_loc's first component or of
@@ -327,7 +380,7 @@ class TestTransformCounts:
         # identity error and the four nonempty zone fields' L^2 norms read
         # coefficients (37 inverses when they read samples)
         run_probe(equation_spec("ns"), GridSpec(2, 256), seed=9)
-        assert calls == {("fftn", "_forward"): 11, ("ifftn", "_inverse"): 27}
+        assert calls == {("rfftn", "_forward"): 11, ("irfftn", "_inverse"): 27}
 
     def test_l2_sequence_transforms_nothing(self, calls, part2):
         f = random_field(part2.grid, 3, ncomp=2)  # coefficients only
@@ -348,11 +401,11 @@ class TestTransformCounts:
         # same split's coefficients
         f = random_field(part1.grid, 4)
         assert len(shell_norms(part1, f, pairs=[(0.5, 2.0), (1.0, 3.0), (0.0, 2.0)])[1]) == 3
-        assert calls == {("ifftn", "_inverse"): part1.jmax + 1}
+        assert calls == {("irfftn", "_inverse"): part1.jmax + 1}
 
     def test_symbol_remainder(self, calls):
         commutator_symbol_remainder(resolve_symbol("sep:cos:0*pow:1"), GridSpec(1, 64), 3)
-        assert calls == {("fftn", "_forward"): 3, ("ifftn", "_inverse"): 3}
+        assert calls == {("fftn", "_complex_forward"): 3, ("ifftn", "_complex_inverse"): 3}
 
     def test_zone_report_splits_u_once(self, calls, part1):
         # one split of u (jmax + 1 inverses) serves both du and c_rho
@@ -364,8 +417,8 @@ class TestTransformCounts:
         # split at k=3 pads the 2 LL windows and transforms 1 product back;
         # the L^r norm of zone I takes 1 inverse, ||V||_q (q = 2, read from
         # the coefficients) and the three empty zones (II, III and IV) none
-        assert calls == {("fftn", "_forward"): 1,
-                         ("ifftn", "_inverse"): 2 + 1 + part1.jmax + 1}
+        assert calls == {("rfftn", "_forward"): 1,
+                         ("irfftn", "_inverse"): 2 + 1 + part1.jmax + 1}
 
     def test_zone_reports_share_one_pass(self, calls, part1):
         # w = Q u, ||V||_q and the split of u serve both shells
@@ -377,15 +430,15 @@ class TestTransformCounts:
         # split at k=3: LL only (2 inverse, 1 forward); at k=6: LL, LH and HL
         # (6 inverse, 3 forward); the norms of the 1 + 3 nonempty zones,
         # u's split; ||V||_q (q = 2) transforms nothing
-        assert calls == {("fftn", "_forward"): 1 + 3,
-                         ("ifftn", "_inverse"): 2 + 6 + 1 + 3 + part1.jmax + 1}
+        assert calls == {("rfftn", "_forward"): 1 + 3,
+                         ("irfftn", "_inverse"): 2 + 6 + 1 + 3 + part1.jmax + 1}
 
     def test_mapping_splits_each_field_once(self, calls, part1):
         f = random_field(part1.grid, 7)
         pairs = [(s, p) for s in (0.0, 1.0) for p in (1.5, 3.0)]
         consts, = mapping_constants([resolve_symbol("laplacian")], part1, f, pairs)
         assert len(consts) == 4
-        assert calls == {("ifftn", "_inverse"): 2 * (part1.jmax + 1)}  # f and A f
+        assert calls == {("irfftn", "_inverse"): 2 * (part1.jmax + 1)}  # f and A f
 
     def test_mapping_bundle_splits_f_once(self, calls):
         # one split of f serves the four symbols and each A f is split once:
@@ -394,8 +447,8 @@ class TestTransformCounts:
         # apply's inverse and the forward transform A f's shells are gathered from
         verify_mapping()
         jmax = GridSpec(1, 4096).jmax
-        assert calls == {("ifftn", "_inverse"): (jmax + 1) * (1 + 4) + 2,
-                         ("fftn", "_forward"): 2}
+        assert calls == {("irfftn", "_inverse"): (jmax + 1) * (1 + 4) + 2,
+                         ("rfftn", "_forward"): 2}
 
     def test_partition_bundle_transforms_nothing(self, calls):
         # the fields are coefficients and the reconstruction error is an L^2
@@ -407,7 +460,7 @@ class TestTransformCounts:
         # every ratio is L^2: only the separable symbol's apply transforms,
         # once per shell (100 inverses when each norm read samples)
         verify_apbound()
-        assert calls == {("ifftn", "_inverse"): 10}
+        assert calls == {("irfftn", "_inverse"): 10}
 
     def test_paraproduct_bundle(self, paraproduct_run):
         # one padded product V w per grid, projected onto each of its shells
@@ -433,7 +486,7 @@ class TestTransformCounts:
         commutator_shell(resolve_symbol("sep:cos:0*pow:1"), part, f, [10, 11])
         # A f once (1 inverse, 1 forward); per shell A P_k f and P_k A f (1
         # inverse each), whose difference the norm reads in physical space
-        assert calls == {("ifftn", "_inverse"): 1 + 2 * 2, ("fftn", "_forward"): 1}
+        assert calls == {("irfftn", "_inverse"): 1 + 2 * 2, ("rfftn", "_forward"): 1}
 
     def test_commutator_of_a_multiplier_transforms_nothing(self, calls):
         part = build_partition(GridSpec(1, 4096))
@@ -450,7 +503,7 @@ class TestNorms:
             assert abs(lp_norm(f, p) - 2.5) < 1e-13
 
     def test_unimodular(self, grid2):
-        f = mode(grid2, (3, -2))
+        f = unimodular(grid2, (3, -2))
         for p in (1, 2, 4, math.inf):
             assert abs(lp_norm(f, p) - 1.0) < 1e-12
 
@@ -475,7 +528,7 @@ class TestNorms:
         g = SpectralField(grid, phys=None if held == "coefficients" else f.physical,
                           freq=None if held == "samples" else f.coefficients)
         refuse = mock.Mock(side_effect=AssertionError("transform"))
-        with mock.patch.object(np.fft, "fftn", refuse), mock.patch.object(np.fft, "ifftn", refuse):
+        with mock.patch.multiple(np.fft, **{name: refuse for name in TRANSFORMS}):
             got = l2_norm(g)
         assert abs(got - want) <= 1e-13 * want if want > 0.0 else got == 0.0
 
@@ -486,7 +539,7 @@ class TestNorms:
     def test_nan_p_rejected_before_any_transform(self, grid2):
         f = random_field(grid2, 1)
         refuse = mock.Mock(side_effect=AssertionError("transform"))
-        with mock.patch.object(np.fft, "ifftn", refuse):
+        with mock.patch.object(np.fft, "irfftn", refuse):
             with pytest.raises(ValueError, match="p must be >= 1"):
                 lp_norm(f, math.nan)
 
@@ -499,8 +552,9 @@ class TestProducts:
         assert lp_norm(g - f, 2) <= 1e-12 * lp_norm(f, 2)
 
     def test_mode_addition(self, grid2):
+        # cos a.x cos b.x = (cos (a + b).x + cos (a - b).x) / 2
         f = dealiased_product(mode(grid2, (3, 1)), mode(grid2, (-1, 4)))
-        expect = mode(grid2, (2, 5))
+        expect = 0.5 * (mode(grid2, (2, 5)) + mode(grid2, (4, -3)))
         assert lp_norm(f - expect, 2) <= 1e-12
 
     def test_convolution_oracle(self):
@@ -533,8 +587,8 @@ class TestProducts:
         g = GridSpec(1, 32)
         m = mode(g, (5,))
         sq = dealiased_product(m, m)
-        cube = dealiased_product(sq, m)
-        assert lp_norm(cube - mode(g, (15,)), 2) <= 1e-12
+        cube = dealiased_product(sq, m)  # cos^3 t = (3 cos t + cos 3t) / 4
+        assert lp_norm(cube - (0.75 * m + 0.25 * mode(g, (15,))), 2) <= 1e-12
 
     def test_grid_mismatch(self):
         with pytest.raises(ValueError):
@@ -581,13 +635,15 @@ class TestProducts:
             assert np.shares_memory(got, pw)
 
     def test_padding_writes_no_input_array(self, grid2):
-        # padding transforms a fresh buffer in place; the way back transforms
-        # the padded buffer itself, which no caller reads again
+        # padding writes a fresh half spectrum and transforms it into fresh
+        # samples; the way back writes a fresh half spectrum too
         f = random_field(grid2, 16, ncomp=2)
         c = f.coefficients.copy()
         fine = padded_physical(f)
-        assert np.array_equal(f.coefficients, c)
+        assert fine.dtype == np.float64 and np.array_equal(f.coefficients, c)
+        kept = fine.copy()
         back = field_from_padded(grid2, fine)
+        assert np.array_equal(fine, kept)
         assert np.abs(back.coefficients - c).max() <= 1e-14
 
     def test_dealiased_product_peak_memory(self):

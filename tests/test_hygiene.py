@@ -7,8 +7,8 @@ function and method is referenced, every defaulted parameter of a module-level
 function is passed by some call, and every dataclass field is read, by the
 package or the benchmark (`lpwbench/`): a test alone counts only for the few
 names in TEST_ONLY.  No function binds a local name that it never reads,
-only `lp` reads the partition's storage, and only `grid` reads or writes a
-field's representations."""
+only `lp` reads the partition's storage, only `grid` reads or writes a
+field's representations, and only `grid` calls numpy.fft."""
 
 import ast
 from pathlib import Path
@@ -231,3 +231,23 @@ def test_only_grid_reads_the_field_representations():
              if path != SRC / "grid.py" for n in ast.walk(ast.parse(path.read_text()))
              if isinstance(n, ast.Attribute) and n.attr in {"_phys", "_freq"}]
     assert found == []
+
+
+def test_only_grid_calls_numpy_fft():
+    # one transform path: `grid._forward`/`_inverse` for fields and the
+    # complex pair for symbol samples; no other module reaches numpy.fft,
+    # by attribute (np.fft, numpy.fft) or by import
+    found = []
+    for mod, tree in MODULES.items():
+        if mod == "grid":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "fft":
+                found.append(f"{mod}: .fft (line {node.lineno})")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("fft"):
+                found.append(f"{mod}: from {node.module} (line {node.lineno})")
+            elif isinstance(node, ast.Import):
+                found += [f"{mod}: import {a.name}" for a in node.names if "fft" in a.name]
+    assert found == []
+    assert any(isinstance(n, ast.Attribute) and n.attr == "fft"
+               for n in ast.walk(MODULES["grid"]))

@@ -21,7 +21,7 @@ from lpw.psido import fit_log2_slope
 from lpw.rng import complex_samples
 from lpw.verify import verify_bernstein, verify_partition
 
-from test_grid import mode
+from test_grid import hermitian, mode
 
 
 def _dense_profiles(grid):
@@ -217,6 +217,7 @@ class TestShellPacket:
             for coherent in (True, False):
                 c = (1.0 + 0.5 * raw.real if coherent else raw) * profiles[j]
                 c[:, grid.nyquist_mask] = 0.0
+                c = hermitian(c)
                 got = shell_packet(part, j, 9, coherent=coherent)
                 assert np.array_equal(got.coefficients, c), (j, coherent)
 
@@ -234,7 +235,7 @@ class TestShellPacket:
                 raw = complex_samples(seed + 101 * j, grid.npoints).reshape(grid.shape)
                 c = raw * profiles[j]
                 c[grid.nyquist_mask] = 0.0
-                pkt = SpectralField(grid, freq=c)
+                pkt = SpectralField(grid, freq=hermitian(c[np.newaxis]))
                 nrm = l2_norm(pkt) if norm_p == 2 else lp_norm(pkt, norm_p)
                 total += (scale / nrm) * pkt.coefficients
             return total
@@ -252,7 +253,7 @@ class TestShellPacket:
         part = build_partition(GridSpec(1, 4096))
         scales = {j: 2.0 ** -j for j in range(1, part.jmax + 1)}
         calls = []
-        monkeypatch.setattr(np.fft, "ifftn", lambda *a, _f=np.fft.ifftn, **k: calls.append(1)
+        monkeypatch.setattr(np.fft, "irfftn", lambda *a, _f=np.fft.irfftn, **k: calls.append(1)
                             or _f(*a, **k))
         lp._shell_sum_fields(part, scales, 4, (2.0, 3.0, 1.5))
         assert len(calls) == len(scales)
@@ -300,7 +301,7 @@ class TestSupportBlocks:
         want = np.zeros(grid.npoints, dtype=np.complex128)
         want[sites] = raw * values
         got = shell_packet(part, 7, 11, coherent=coherent).coefficients
-        assert np.array_equal(_bits(got), _bits(want.reshape((1,) + grid.shape)))
+        assert np.array_equal(_bits(got), _bits(hermitian(want.reshape((1,) + grid.shape))))
 
     @pytest.mark.parametrize("bundle,bound", [
         # 22.77 and 22.44 MiB when each support was read whole
@@ -317,10 +318,11 @@ class TestBernstein:
         assert abs(bernstein_ratio(f, 4, 2, 2) - 1.0) <= 1e-12
 
     def test_pure_mode(self, part2):
+        # cos(5 x_0): ||f||_inf = 1 and ||f||_2 = 1/sqrt(2)
         j, n = 3, part2.grid.dim
         f = mode(part2.grid, (5, 0))  # |xi| = 5 <= 2^3
         ratio = bernstein_ratio(f, j, 2, math.inf)
-        assert abs(ratio - 2.0 ** (-n * j / 2.0)) <= 1e-10
+        assert abs(ratio - math.sqrt(2.0) * 2.0 ** (-n * j / 2.0)) <= 1e-10
 
     def test_support_violation_rejected(self, part2):
         f = mode(part2.grid, (20, 0))
@@ -512,10 +514,10 @@ class TestPipelinedSplit:
         # shells from j = 8 hold over 180 modes of 1e306, whose sum overflows
         part = build_partition(GridSpec(1, 1 << 16))
         c = np.zeros((1, part.grid.npoints), dtype=complex)
-        c[0, 1:2000] = 1e306
+        c[0, 1:2000] = c[0, -1999:] = 1e306
         f = SpectralField(part.grid, freq=c)
         with np.errstate(over="raise", invalid="raise"):
-            with pytest.raises(FloatingPointError, match="ifft"):
+            with pytest.raises(FloatingPointError, match="irfft"):
                 shell_norms(part, f, [math.inf])
 
     def test_forked_child_starts_its_own_helper(self):

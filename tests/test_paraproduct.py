@@ -12,7 +12,7 @@ from lpw import grid as grid_module, lp, paraproduct, psido, verify
 from lpw.exponents import RegularityParams, zone_transfers
 from lpw.grid import (GridSpec, SpectralField, _modulus, _modulus_norm, _norm, _pair_product_fine,
                       _physical_at, alias_free_size, dealiased_product, field_from_padded,
-                      lp_norm, padded_physical, random_field)
+                      l2_norm, lp_norm, padded_physical, random_field)
 from lpw.lp import (build_partition, flat_dyadic_field, project, project_window, shell_norms,
                     shell_packet, shell_sum_field)
 from lpw.paraproduct import (_window_band, _zone_grid, _zone_windows, all_pairs_shell,
@@ -79,8 +79,9 @@ def _per_column_zones(V, w, k, part):
         total = np.zeros((1,) + part.grid.shape, dtype=complex)
         for sign, lo_v, hi_v, lo_w, hi_w in windows:
             M = _zone_grid(part, hi_v, hi_w, k)
-            fine = _pair_product_fine(_physical_at(project_window(part, V, lo_v, hi_v), M),
-                                      _physical_at(project_window(part, w, lo_w, hi_w), M))
+            fine = _pair_product_fine(
+                _physical_at(project_window(part, V, lo_v, hi_v).coefficients, M),
+                _physical_at(project_window(part, w, lo_w, hi_w).coefficients, M))
             total += sign * field_from_padded(part.grid, fine).coefficients
         out.append(project(part, SpectralField(part.grid, freq=total), k).coefficients)
     return out
@@ -235,7 +236,8 @@ class TestAliasFreeGrid:
         rule = alias_free_size(_UNCAPPED, _window_band(part, hi_v), _window_band(part, hi_w),
                                _window_band(part, k))
         assert M == rule or (k == part.jmax and M == 3 * N // 2 < rule)
-        fine = _pair_product_fine(_physical_at(V, M), _physical_at(w, M))
+        fine = _pair_product_fine(_physical_at(V.coefficients, M),
+                                  _physical_at(w.coefficients, M))
         got = project(part, field_from_padded(part.grid, fine), k)
         full = dealiased_product(V, w)  # on the fixed 3/2 grid
         ref = project(part, full, k)
@@ -337,14 +339,18 @@ class TestZoneEstimates:
 
 def _unstreamed_zone_norms(V, w, k, part, r):
     """The L^r norms of the zones of one split of V against every component
-    of w at once, read from the `_modulus` of their samples."""
+    of w at once, read from the `_modulus` of their samples; at r = 2 from
+    their coefficients, as `_zone_norms` reads them.  A product keeps the
+    finer grid's coefficients at frequency -N/2, which are not Hermitian, and
+    its samples read only their Hermitian part."""
     zs = split(V, w, k, part)
-    return [_modulus_norm(_modulus(f.physical), r) for f in (zs.I, zs.II, zs.III, zs.IV)]
+    return [l2_norm(f) if r == 2 else _modulus_norm(_modulus(f.physical), r)
+            for f in (zs.I, zs.II, zs.III, zs.IV)]
 
 
 def _equal_norms(got, want, r) -> bool:
     """Exact at r != 2, where both sides are read from the same sample
-    moduli; at r = 2 `_zone_norms` reads each zone from its coefficients."""
+    moduli; at r = 2 `_zone_norms` combines the fields' coefficient norms."""
     return got == want if r != 2 else got == pytest.approx(want, rel=1e-12, abs=0)
 
 
@@ -474,34 +480,38 @@ class TestHelperTransforms:
         inline_transforms()
         assert got == json.dumps(run_probe(eq, grid, seed=9).as_dict())
 
-    @pytest.mark.parametrize("module,transform,grid,call", [
-        (paraproduct, "_inverse", GridSpec(2, 128), lambda V, w, part: split(V, w, 5, part)),
-        (paraproduct, "_inverse", GridSpec(2, 128),
-         lambda V, w, part: all_pairs_shells(V, w, [5], part)),
-        (lp, "_inverse", GridSpec(2, 128), lambda V, w, part: shell_norms(part, V, [2.5])),
-        (psido, "_inverse", GridSpec(1, 1 << 14), lambda V, w, part: commutator_shell(
+    @pytest.mark.parametrize("module,grid,call", [
+        (grid_module, GridSpec(2, 128), lambda V, w, part: split(V, w, 5, part)),
+        (grid_module, GridSpec(1, 1 << 16), lambda V, w, part: split(V, w, 10, part)),
+        (grid_module, GridSpec(2, 128), lambda V, w, part: all_pairs_shells(V, w, [5], part)),
+        (lp, GridSpec(2, 128), lambda V, w, part: shell_norms(part, V, [2.5])),
+        (grid_module, GridSpec(2, 128),
+         lambda V, w, part: paraproduct._zone_norms(V, (w,), 5, part, 2.5)),
+        (grid_module, GridSpec(1, 1 << 14), lambda V, w, part: commutator_shell(
             resolve_symbol("sep:cos:0*pow:1"), part, V, [10, 11])),
-        (verify, "_inverse", GridSpec(2, 16), lambda V, w, part: verify_bernstein()),
-    ], ids=["split", "oracle", "shell-norms", "commutator", "bernstein"])
-    def test_transform_error_reaches_the_caller(self, monkeypatch, module, transform, grid,
-                                                call):
+    ], ids=["split", "split-1d", "oracle", "shell-norms", "zone-norms", "commutator"])
+    def test_transform_error_reaches_the_caller(self, monkeypatch, module, grid, call):
         # every call site that hands off a run of transforms does it through
-        # `_one_ahead`: the error of one in flight reaches the caller too
+        # `_one_ahead` or `_beside`: the error of one in flight on the helper
+        # reaches the caller too; the caller's own transforms run
         class Boom(Exception):
             pass
 
         threads = []
 
-        def failing(buf, out=None):
-            threads.append(threading.current_thread() is threading.main_thread())
+        def failing(src, out=None, _inverse=grid_module._inverse):
+            on_caller = threading.current_thread() is threading.main_thread()
+            threads.append(on_caller)
+            if on_caller:
+                return _inverse(src, out=out)
             raise Boom
 
         part = build_partition(grid)
         V, w = random_field(part.grid, 47), random_field(part.grid, 48)
-        monkeypatch.setattr(module, transform, failing)
+        monkeypatch.setattr(module, "_inverse", failing)
         with pytest.raises(Boom):
             call(V, w, part)
-        assert threads and not any(threads)  # raised on the helper
+        assert False in threads  # raised on the helper
         monkeypatch.undo()
         assert call(V, w, part) is not None
 
@@ -512,11 +522,12 @@ class TestHelperTransforms:
         # benchmark's peak memory by 13 %
         threads = []
 
-        def recording(buf, out=None):
+        def recording(src, out=None):
             threads.append(threading.current_thread() is threading.main_thread())
-            return buf
+            return out
 
-        grid_module._soon(recording, np.zeros((1, points), dtype=complex))()
+        grid_module._soon(recording, np.zeros((1, points // 2 + 1), dtype=complex),
+                          np.empty((1, points)))()
         assert threads == [not helper]
 
     def test_oracle_peak_memory(self):

@@ -158,26 +158,26 @@ class TestManufacture:
         assert got.u.coefficients.tobytes() == want.u.coefficients.tobytes()
         assert got.residual == want.residual
 
-    def test_nonlinearity_hands_the_helper_the_padded_Q_u(self, monkeypatch):
+    def test_nonlinearity_hands_the_helper_the_padded_V(self, monkeypatch):
+        # V's padding goes to the helper while Q u is padded on the caller,
+        # which transforms it once V's is done
         g = GridSpec(2, 256)
         eq = equation_spec("ns", n=2)
         V, u = random_field(g, 3, ncomp=2), random_field(g, 4, ncomp=2)
         handed = []
 
-        def recording(transform, buf):
-            transform(buf, out=buf)
-            handed.append((transform, buf.copy()))
-            return lambda: buf
+        def recording(transform, src, out, _soon=grid_module._soon):
+            handed.append(transform)
+            done = _soon(transform, src, out)
+            return lambda: handed.append(done().copy()) or handed[-1]
 
-        monkeypatch.setattr(probe, "_soon", recording)
-        eq.nonlinearity(V, u)
-        stack = SpectralField(g, freq=np.concatenate(
-            [apply(eq.Q, u.component(c)).coefficients for c in range(u.ncomp)]))
-        assert len(handed) == 1
-        transform, samples = handed[0]
-        assert transform is grid_module._inverse
-        assert samples.shape == (4, 384, 384)
-        assert samples.tobytes() == padded_physical(stack).tobytes()
+        monkeypatch.setattr(grid_module, "_soon", recording)
+        got = eq.nonlinearity(V, u)
+        monkeypatch.undo()
+        assert len(handed) == 2 and handed[0] is grid_module._inverse
+        assert handed[1].shape == (2, 384, 384)
+        assert handed[1].tobytes() == padded_physical(V).tobytes()
+        assert got.coefficients.tobytes() == eq.nonlinearity(V, u).coefficients.tobytes()
 
     def test_gjms_manufacture(self):
         g = GridSpec(3, 32)
