@@ -12,10 +12,14 @@ Conventions (used consistently by every module):
 * Transforms are real-to-complex (`_forward`, numpy's rfftn) and back
   (`_inverse`, irfftn), which read and write the half spectrum, last-axis
   frequencies 0..N/2; the other half is its mirror.
+* A product truncated from a finer grid (`field_from_padded`) keeps that
+  grid's coefficients at frequency -N/2, which are not Hermitian there.  Its
+  samples read the half spectrum alone (`_inverse`), so at -N/2 its
+  coefficients and its samples differ; every norm reads what the samples do.
 * L^p norms are taken with respect to the normalized (probability) measure on
   the torus: ||f||_p = (mean |f|^p)^(1/p).  With this pairing Parseval is
-  exact: ||f||_2 equals the plain l^2 norm of the coefficients, which is how
-  `l2_norm` reads it without a transform.
+  exact: ||f||_2 equals the l^2 norm of the coefficients the samples read,
+  which is how `l2_norm` reads it without a transform (`_half_norm`).
 * Fields may be vector valued; arrays carry a leading component axis.
 """
 
@@ -117,7 +121,8 @@ def _real(value, what: str):
     if imag != 0.0:
         raise ValueError(f"{what} must be real: imaginary part up to {imag:.3g} "
                          f"(fields are real)")
-    return np.real(value)
+    real = np.real(value)
+    return np.ascontiguousarray(real) if np.ndim(real) else real
 
 
 def _abs2(*axes) -> np.ndarray:
@@ -273,19 +278,15 @@ def _forward(phys: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     spatial axes / their point count, scaled inside the transform
     (norm="forward").
 
-    By default, or with `out` of phys's shape, the full lattice: the half
-    spectrum is written into its last-axis frequencies 0..N/2 and the rest
-    is its mirror (`_mirror`).  With `out` whose last axis has N/2 + 1
-    entries, the half spectrum alone.
+    By default the full lattice: the half spectrum is written into its
+    last-axis frequencies 0..N/2 and the rest is its mirror (`_mirror`).
+    With `out`, whose last axis has N/2 + 1 entries, the half spectrum alone.
     """
-    n = phys.shape[-1]
-    if out is None:
-        out = np.empty(phys.shape, dtype=np.complex128)
-    half = out if out.shape[-1] != n else out[..., :n // 2 + 1]
-    np.fft.rfftn(phys, axes=tuple(range(1, phys.ndim)), norm="forward", out=half)
-    if half is not out:
-        _mirror(out)
-    return out
+    if out is not None:
+        return np.fft.rfftn(phys, axes=tuple(range(1, phys.ndim)), norm="forward", out=out)
+    full = np.empty(phys.shape, dtype=np.complex128)
+    _forward(phys, out=full[..., :phys.shape[-1] // 2 + 1])
+    return _mirror(full)
 
 
 def _inverse(coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -401,7 +402,8 @@ def _gather_half(half: np.ndarray, n: int) -> np.ndarray:
     coefficient there: the conjugate of +h with the other axes negated when
     m > n, and the m-lattice's own Nyquist column otherwise.  So a product
     truncated from a finer grid keeps that grid's values at -N/2, which are
-    not Hermitian there; its samples read their Hermitian part.
+    not Hermitian there; its samples, and its L^2 norm, read only its half
+    spectrum (`_inverse`, `_half_norm`).
     """
     m = 2 * (half.shape[-1] - 1)
     h = min(m, n) // 2
@@ -543,20 +545,20 @@ def lp_norm(f: SpectralField, p) -> float:
 def l2_norm(f: SpectralField) -> float:
     """L^2 norm with normalized measure.
 
-    When f holds its coefficients this is their plain l^2 norm over every
-    component (Parseval), with no transform; otherwise it is read from the
-    samples.  The two readings differ at roundoff, so one field read before
-    and after its coefficients are cached can disagree with itself.  No call
-    site in the package does that.  Each reads a field that holds its
-    coefficients when made (a projection, packet, random field or a sum of
-    such), a field of samples read once (`psido.commutator_shell`), or a field
-    whose coefficients are cached before its one reading (`run_probe` forms
-    those of u_loc and V_loc as soon as each is localized, before reading
-    either).
+    When f holds its coefficients this is read from them with no transform,
+    from the half spectrum its samples read (`_half_norm`, Parseval);
+    otherwise it is read from the samples.  The two readings differ at
+    roundoff, so one field read before and after its coefficients are cached
+    can disagree with itself in its last digits.  No call site in the
+    package does that.  Each reads a field that holds its coefficients when
+    made (a projection, packet, random field or a sum of such), a field of
+    samples read once (`psido.commutator_shell`), or a field whose
+    coefficients are cached before its one reading (`run_probe` forms those
+    of u_loc and V_loc as soon as each is localized, before reading either).
     """
     if f._freq is None:
         return _modulus_norm(f.modulus(), 2)
-    return _coefficient_norm(f._freq)
+    return _half_norm(f._freq[..., :f.grid.points_per_axis // 2 + 1])
 
 
 def _coefficient_norm(c: np.ndarray) -> float:
@@ -569,13 +571,21 @@ def _coefficient_norm(c: np.ndarray) -> float:
 
 
 def _half_norm(half: np.ndarray) -> float:
-    """The plain l^2 norm of the Hermitian full-lattice coefficients whose
-    half spectrum (last-axis frequencies 0..N/2) is `half`: the columns 0
-    and N/2 are their own mirrors, and each other column counts twice.  Sums
-    of squares are numpy's own reductions, as in `_coefficient_norm`."""
+    """The L^2 norm, with normalized measure, of the real samples whose half
+    spectrum (last-axis frequencies 0..N/2) is `half`, read as `_inverse`
+    reads it: each column 1..N/2-1 counts twice, for itself and its mirror,
+    and the columns 0 and N/2, each its own mirror image, count by their
+    Hermitian part over the other axes, which is themselves when the
+    coefficients are Hermitian.  Sums of squares are numpy's own
+    reductions, as in `_coefficient_norm`."""
     h, axes = half.shape[-1] - 1, "abcde"[:half.ndim]
+    ends, lead = half[..., ::h], tuple(range(1, half.ndim - 1))
+    herm = np.roll(np.flip(ends, lead), 1, lead)  # a fresh array: ends at -xi, modulo N
+    np.conjugate(herm, out=herm)
+    herm += ends
+    herm *= 0.5
     sq = [sum(np.einsum(f"{axes},{axes}->", part, part) for part in (c.real, c.imag))
-          for c in (half[..., ::h], half[..., 1:h])]
+          for c in (herm, half[..., 1:h])]
     return math.sqrt(sq[0] + 2.0 * sq[1])
 
 

@@ -30,9 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exponents import RegularityParams, zone_branches, zone_transfers
-from .grid import (SpectralField, _beside, _coefficient_norm, _modulus, _modulus_norm, _norm,
-                   _one_ahead, _pad_half, _padded_size, _pair_product_fine, _samples_soon,
-                   alias_free_size, dealiased_product, field_from_padded, padded_physical)
+from .grid import (SpectralField, _beside, _modulus, _modulus_norm, _norm, _one_ahead,
+                   _pad_half, _padded_size, _pair_product_fine, _samples_soon, alias_free_size,
+                   dealiased_product, field_from_padded, l2_norm, padded_physical)
 from .lp import RING_HI, LPPartition, project, project_window, shell_norms
 from .symbols import Symbol, _matrix_rows, apply
 
@@ -330,26 +330,26 @@ def _zone_norms(V: SpectralField, ws, k: int, part: LPPartition, p) -> tuple:
     yields, w whole or its rows, each let go before the next is taken.
 
     Each split's four zones are reduced at once: at p = 2 their L^2 norms,
-    read from the coefficients, are combined over the fields; otherwise the
-    squares of their sample moduli (`_modulus`) are summed in field order,
-    one real array per zone, and the L^p norms read from the square roots,
-    which give one field's moduli back bit for bit.  The zone fields are not
-    read again, so each nonzero zone's half spectrum is handed to `_soon`
-    for its inverse transform, one ahead (`_one_ahead`), and its
-    coefficients are let go.
+    read from the coefficients (`l2_norm`), are combined over the fields;
+    otherwise the squares of their sample moduli (`_modulus`) are summed in
+    field order, one real array per zone, and the L^p norms read from the
+    square roots, which give one field's moduli back bit for bit.  The zone
+    fields are not read again, so each nonzero zone's half spectrum is
+    handed to `_soon` for its inverse transform, one ahead (`_one_ahead`),
+    and its coefficients are let go.
     """
     # per zone: its fields' L^2 norms, or the sum of their squared moduli
     sums = [[] if p == 2 else None for _ in range(4)]
     for w in ws:
         zs = split(V, w, k, part)
         del w  # a next row is formed with this one gone
-        coeffs = [f.coefficients for f in (zs.I, zs.II, zs.III, zs.IV)]
         truncated = zs.zones.truncated
-        del zs
         if p == 2:
-            for z, cz in enumerate(coeffs):
-                sums[z].append(_coefficient_norm(cz))
+            for z, f in enumerate((zs.I, zs.II, zs.III, zs.IV)):
+                sums[z].append(l2_norm(f))
             continue
+        coeffs = [f.coefficients for f in (zs.I, zs.II, zs.III, zs.IV)]
+        del zs
         nonzero = {z: cz for z, cz in enumerate(coeffs) if cz.any()}
         del coeffs  # each zone's coefficients are held only until its samples are squared
         samples = ((z, _samples_soon(nonzero.pop(z))) for z in list(nonzero))

@@ -19,9 +19,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .exponents import GainReport, RegularityParams, check_params, compute_gains
-from .grid import (GridSpec, SpectralField, _abs2, _beside, _forward, _gather_half, _inverse,
-                   _norm, _pad_half, _padded_shape, _padded_size, _pair_product_fine,
-                   _samples_soon, field_from_padded, grid_product, l2_norm, random_field)
+from .grid import (GridSpec, SpectralField, _abs2, _beside, _inverse, _norm, _pad_half,
+                   _padded_shape, _padded_size, _pair_product_fine, _samples_soon,
+                   field_from_padded, grid_product, l2_norm, random_field)
 from .iteration import (DecaySequence, IterationParams, convolution_majorant,
                         decay_bound, delta_cap, hypothesis_holds)
 from .lp import LPPartition, build_partition, shell_norms
@@ -122,9 +122,9 @@ def _broadcast_products(V: SpectralField, rows, M: int) -> np.ndarray:
 
     One row at a time is padded to the M-point grid, let go, transformed,
     multiplied in place with V's samples as the first operand and
-    transformed forward, and its product's coefficients kept: one padded row
-    is alive beside the padded V, never the padded stack, and no row is
-    formed before its turn.  V's padding is handed to `_soon` while the
+    truncated back (`field_from_padded`), and its product's coefficients
+    kept: one padded row is alive beside the padded V, never the padded
+    stack, and no row is formed before its turn.  V's padding is handed to `_soon` while the
     first row is formed, and that row is transformed once V's is done
     (`_beside`).  The values equal the stacked product's bit for bit.
     """
@@ -138,9 +138,7 @@ def _broadcast_products(V: SpectralField, rows, M: int) -> np.ndarray:
         else:
             pv, pw = _beside(pv, half, pw)
         del half
-        pw = _forward(_pair_product_fine(pv, pw),
-                      out=np.empty(pw.shape[:-1] + (M // 2 + 1,), dtype=np.complex128))
-        products.append(_gather_half(pw, V.grid.points_per_axis))
+        products.append(field_from_padded(V.grid, _pair_product_fine(pv, pw)).coefficients)
         del pw  # each padded product goes before the next row is made
     del pv
     return np.concatenate(products)

@@ -12,7 +12,7 @@ from lpw import grid as grid_module, lp, paraproduct, psido, verify
 from lpw.exponents import RegularityParams, zone_transfers
 from lpw.grid import (GridSpec, SpectralField, _modulus, _modulus_norm, _norm, _pair_product_fine,
                       _physical_at, alias_free_size, dealiased_product, field_from_padded,
-                      l2_norm, lp_norm, padded_physical, random_field)
+                      lp_norm, padded_physical, random_field)
 from lpw.lp import (build_partition, flat_dyadic_field, project, project_window, shell_norms,
                     shell_packet, shell_sum_field)
 from lpw.paraproduct import (_window_band, _zone_grid, _zone_windows, all_pairs_shell,
@@ -339,18 +339,14 @@ class TestZoneEstimates:
 
 def _unstreamed_zone_norms(V, w, k, part, r):
     """The L^r norms of the zones of one split of V against every component
-    of w at once, read from the `_modulus` of their samples; at r = 2 from
-    their coefficients, as `_zone_norms` reads them.  A product keeps the
-    finer grid's coefficients at frequency -N/2, which are not Hermitian, and
-    its samples read only their Hermitian part."""
+    of w at once, read from the `_modulus` of their samples."""
     zs = split(V, w, k, part)
-    return [l2_norm(f) if r == 2 else _modulus_norm(_modulus(f.physical), r)
-            for f in (zs.I, zs.II, zs.III, zs.IV)]
+    return [_modulus_norm(_modulus(f.physical), r) for f in (zs.I, zs.II, zs.III, zs.IV)]
 
 
 def _equal_norms(got, want, r) -> bool:
     """Exact at r != 2, where both sides are read from the same sample
-    moduli; at r = 2 `_zone_norms` combines the fields' coefficient norms."""
+    moduli; at r = 2 `_zone_norms` reads each zone from its coefficients."""
     return got == want if r != 2 else got == pytest.approx(want, rel=1e-12, abs=0)
 
 

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lpw import rng
-from lpw.grid import GridSpec, SpectralField, padded_physical, random_field
-from lpw.lp import build_partition, flat_dyadic_field, shell_packet, shell_sum_field
+from lpw.grid import (GridSpec, SpectralField, dealiased_product, l2_norm, lp_norm, padded_physical,
+                      random_field)
+from lpw.lp import (build_partition, flat_dyadic_field, project, shell_norms, shell_packet,
+                    shell_sum_field)
 from lpw.probe import equation_spec, smooth_forcing
 from lpw.psido import commutator_shell, split_elliptic
 from lpw.symbols import apply, multiplication, multiplier, quantize_direct, separable
@@ -151,3 +153,20 @@ def test_padding_splits_the_nyquist_planes_evenly():
     fine = padded_physical(f)
     assert fine.shape == (1, 48, 48) and fine.dtype == np.float64
     assert np.abs(fine[:, ::3, ::3] - f.physical[:, ::2, ::2]).max() <= 1e-13
+
+
+@pytest.mark.parametrize("dim,N", [(1, 64), (2, 128), (3, 32)])
+def test_product_coefficients_read_the_norm_of_its_samples(dim, N):
+    # a product truncated from the 3/2 grid keeps that grid's coefficients at
+    # -N/2, which are not Hermitian there; the L^2 norms read from its
+    # coefficients, whole and of its top shell, are those of its samples
+    part = build_partition(GridSpec(dim, N))
+    V, w = random_field(part.grid, 60, ncomp=3), random_field(part.grid, 61, ncomp=3)
+    f = dealiased_product(V, w)
+    c = f.coefficients
+    assert not np.array_equal(c, np.conj(negated(c)))
+    assert l2_norm(f) == pytest.approx(lp_norm(f, 2), rel=1e-13, abs=0)
+    top = project(part, f, part.jmax)
+    (norms,) = shell_norms(part, f, [2.0])[0]
+    assert norms[-1] == pytest.approx(lp_norm(top, 2), rel=1e-13, abs=0)
+    assert l2_norm(top) == pytest.approx(lp_norm(top, 2), rel=1e-13, abs=0)
