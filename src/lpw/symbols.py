@@ -255,7 +255,8 @@ def quantize_direct(sym: Symbol, f: SpectralField) -> SpectralField:
     if imag > 1e-12 * norm:
         raise ValueError(f"symbol {sym.name!r} does not map real fields to real fields: "
                          f"imaginary part {imag / norm:.3g} of the samples' l2 norm")
-    return SpectralField(grid, phys=out.real.reshape((f.ncomp,) + grid.shape))
+    # the imaginary part is roundoff, not zero, so it is dropped here, into an array of its own
+    return SpectralField(grid, phys=np.ascontiguousarray(out.real).reshape((f.ncomp,) + grid.shape))
 
 
 # -- built-in symbols -----------------------------------------------------

@@ -105,8 +105,10 @@ class TestRejectsComplexInput:
         grid = GridSpec(1, 32)
         with pytest.raises(ValueError, match=r"samples must be real: imaginary part up to 0\.5"):
             SpectralField(grid, phys=np.full(grid.shape, 1.0 + 0.5j))
-        f = SpectralField(grid, phys=np.full(grid.shape, 2.0 + 0j))  # a zero imaginary part
+        z = np.full(grid.shape, 2.0 + 0j)  # a zero imaginary part
+        f = SpectralField(grid, phys=z)
         assert f.physical.dtype == np.float64 and (f.physical == 2.0).all()
+        assert f.physical.flags.c_contiguous and not np.shares_memory(f.physical, z)
 
     def test_non_real_scalar(self):
         f = random_field(GridSpec(1, 32), 1)
@@ -138,7 +140,7 @@ class TestRejectsComplexInput:
         with pytest.raises(ValueError, match="'times_i' does not map real fields"):
             quantize_direct(multiplier(0.0, lambda *xis: 1j + 0.0 * xis[0], "times_i"), f)
         out = quantize_direct(multiplier(2.0, lambda *xis: xis[0] ** 2, "xi2"), f)
-        assert out.physical.dtype == np.float64
+        assert out.physical.dtype == np.float64 and out.physical.flags.c_contiguous
 
 
 def test_padding_splits_the_nyquist_planes_evenly():
