@@ -124,9 +124,10 @@ def _broadcast_products(V: SpectralField, rows, M: int) -> np.ndarray:
     multiplied in place with V's samples as the first operand and
     truncated back (`field_from_padded`), and its product's coefficients
     kept: one padded row is alive beside the padded V, never the padded
-    stack, and no row is formed before its turn.  V's padding is handed to `_soon` while the
-    first row is formed, and that row is transformed once V's is done
-    (`_beside`).  The values equal the stacked product's bit for bit.
+    stack, and no row is formed before its turn.  V's padding is handed to
+    `_soon` while the first row is formed, and that row is transformed once
+    V's is done (`_beside`).  The values equal the stacked product's bit for
+    bit.
     """
     pv, products = _samples_soon(V.coefficients, M), []
     for row in rows:
