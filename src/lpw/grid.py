@@ -496,18 +496,6 @@ def _samples_soon(c: np.ndarray, M: int | None = None):
     return _soon(_inverse, src, np.empty((c.shape[0],) + (n,) * (c.ndim - 1)))
 
 
-def _beside(handle, src: np.ndarray, out: np.ndarray) -> tuple:
-    """Run `_inverse(src, out=out)` here and wait for the hand-off `handle`:
-    beside it on a 1-D lattice, after it on a lattice of more axes, where
-    each inverse makes complex intermediates (irfftn) that two in flight
-    would hold at once.  Returns the handle's output and `out`."""
-    if out.ndim > 2:
-        done = handle()
-        return done, _inverse(src, out=out)
-    _inverse(src, out=out)
-    return handle(), out
-
-
 def _one_ahead(items):
     """Yield `items` in order, taking item i + 1 before item i is yielded (one
     `_soon` handle in flight while the caller uses the last); hold none once yielded."""

@@ -30,9 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exponents import RegularityParams, zone_branches, zone_transfers
-from .grid import (SpectralField, _beside, _modulus, _modulus_norm, _norm, _one_ahead,
-                   _pad_half, _padded_size, _pair_product_fine, _samples_soon, alias_free_size,
-                   dealiased_product, field_from_padded, l2_norm, padded_physical)
+from .grid import (SpectralField, _inverse, _modulus, _modulus_norm, _norm, _pad_half,
+                   _pair_product_fine, _samples_soon, alias_free_size, dealiased_product,
+                   field_from_padded, l2_norm, padded_physical)
 from .lp import RING_HI, LPPartition, project, project_window, shell_norms
 from .symbols import Symbol, _matrix_rows, apply
 
@@ -156,7 +156,8 @@ def split(V: SpectralField, w: SpectralField, k: int, part: LPPartition) -> Zone
     Each new product's padded V window is handed to `_soon` for its inverse
     transform while the w window is gathered and padded here; the w window
     is transformed here beside it on a 1-D lattice and after it on more
-    axes (`_beside`).
+    axes, where each inverse makes complex intermediates (irfftn) that two
+    in flight would hold at once.
     """
     if V.grid != w.grid:
         raise ValueError("grid mismatch")
@@ -175,8 +176,15 @@ def split(V: SpectralField, w: SpectralField, k: int, part: LPPartition) -> Zone
             term = kept.pop(key, None)
             if term is None:
                 pv = _samples_soon(project_window(part, V, lo_v, hi_v).coefficients, M)
-                pw = _pad_half(project_window(part, w, lo_w, hi_w).coefficients, M)
-                pv, pw = _beside(pv, pw, np.empty((w.ncomp,) + (M,) * grid.dim))
+                half = _pad_half(project_window(part, w, lo_w, hi_w).coefficients, M)
+                pw = np.empty((w.ncomp,) + (M,) * grid.dim)
+                if grid.dim > 1:
+                    pv = pv()
+                    _inverse(half, out=pw)
+                else:
+                    _inverse(half, out=pw)
+                    pv = pv()
+                del half
                 term = _pair_product_fine(pv, pw)
                 del pv, pw
             uses[key] -= 1
@@ -216,19 +224,15 @@ def all_pairs_shells(V: SpectralField, w: SpectralField, ks, part: LPPartition) 
     pair's product is formed there on its own, P_i V first.  The transform
     is linear, so the products are summed there in pair order, (0, 0),
     (0, 1), ..., into one buffer, which is transformed forward once and
-    projected onto every k.  Affordable only at small jmax.  Each P_i V's
-    padding is handed to `_soon` for its inverse transform, one shell ahead
-    (`_one_ahead`), while the pairs of the shell before are summed here.
+    projected onto every k.  Affordable only at small jmax.
     """
     if V.grid != w.grid:
         raise ValueError("grid mismatch")
     grid, shells = V.grid, range(part.jmax + 1)
-    M = _padded_size(grid.points_per_axis)
     w_fine = [padded_physical(project(part, w, j)) for j in shells]
-    v_fine = (_samples_soon(project(part, V, i).coefficients, M) for i in shells)
     total = None
-    for vi in _one_ahead(v_fine):
-        vi = vi()
+    for i in shells:
+        vi = padded_physical(project(part, V, i))
         for wj in w_fine:  # each product is formed in a copy of its w padding
             term = _pair_product_fine(vi, wj.copy())
             if total is None:
@@ -236,7 +240,7 @@ def all_pairs_shells(V: SpectralField, w: SpectralField, ks, part: LPPartition) 
             else:
                 total += term
             del term
-        del vi  # each padded P_i V is let go before the next one is waited for
+        del vi  # each padded P_i V is let go before the next one is made
     pairs = field_from_padded(grid, total)
     return [project(part, pairs, k) for k in ks]
 
@@ -334,9 +338,8 @@ def _zone_norms(V: SpectralField, ws, k: int, part: LPPartition, p) -> tuple:
     otherwise the squares of their sample moduli (`_modulus`) are summed in
     field order, one real array per zone, and the L^p norms read from the
     square roots, which give one field's moduli back bit for bit.  The zone
-    fields are not read again, so each nonzero zone's half spectrum is
-    handed to `_soon` for its inverse transform, one ahead (`_one_ahead`),
-    and its coefficients are let go.
+    fields are not read again, so each nonzero zone is inverse-transformed in
+    turn and its coefficients are let go before the next zone's transform.
     """
     # per zone: its fields' L^2 norms, or the sum of their squared moduli
     sums = [[] if p == 2 else None for _ in range(4)]
@@ -352,10 +355,8 @@ def _zone_norms(V: SpectralField, ws, k: int, part: LPPartition, p) -> tuple:
         del zs
         nonzero = {z: cz for z, cz in enumerate(coeffs) if cz.any()}
         del coeffs  # each zone's coefficients are held only until its samples are squared
-        samples = ((z, _samples_soon(nonzero.pop(z))) for z in list(nonzero))
-        for z, sz in _one_ahead(samples):
-            sq = _modulus(sz())
-            del sz
+        for z in list(nonzero):
+            sq = _modulus(_inverse(nonzero.pop(z)))
             np.square(sq, out=sq)
             sums[z] = sq if sums[z] is None else np.add(sums[z], sq, out=sums[z])
             del sq

@@ -19,9 +19,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .exponents import GainReport, RegularityParams, check_params, compute_gains
-from .grid import (GridSpec, SpectralField, _abs2, _beside, _inverse, _norm, _pad_half,
-                   _padded_shape, _padded_size, _pair_product_fine, _samples_soon,
-                   field_from_padded, grid_product, l2_norm, random_field)
+from .grid import (GridSpec, SpectralField, _abs2, _inverse, _norm, _pad_half, _padded_shape,
+                   _padded_size, _pair_product_fine, field_from_padded, grid_product, l2_norm,
+                   padded_physical, random_field)
 from .iteration import (DecaySequence, IterationParams, convolution_majorant,
                         decay_bound, delta_cap, hypothesis_holds)
 from .lp import LPPartition, build_partition, shell_norms
@@ -78,13 +78,9 @@ def _quadratic_term(P: Symbol, Q: Symbol):
     rows of the padded Q u, a half spectrum, as soon as it is made, and
     dropped, so no coarse stack of them is made.  The products are formed in
     the padded Q u's samples; only a product wider than its Q-output goes to
-    a fresh array, so the shared padded V is never written.  V's padding is
-    handed to `_soon` for its inverse transform while Q u is padded here;
-    the padded Q u is transformed here once V's is done, so the two
-    transforms' intermediates are never alive at once on a 2-D or 3-D
-    lattice (`_beside`).  A one-component V against a one-component u and a
-    matrix multiplier Q (gjms: Lambda^3 u against grad u) takes
-    `_broadcast_products` instead.
+    a fresh array, so the shared padded V is never written.  A one-component
+    V against a one-component u and a matrix multiplier Q (gjms: Lambda^3 u
+    against grad u) takes `_broadcast_products` instead.
     """
 
     def nonlinearity(V: SpectralField, u: SpectralField) -> SpectralField:
@@ -92,7 +88,7 @@ def _quadratic_term(P: Symbol, Q: Symbol):
         if V.ncomp == u.ncomp == 1 and Q.kind == "matrix_multiplier":
             return apply(P, SpectralField(grid, freq=_broadcast_products(
                 V, _matrix_rows(Q, u), M)))
-        pv = _samples_soon(V.coefficients, M)
+        pv = padded_physical(V)
         rows = None
         for c in range(u.ncomp):
             q = apply(Q, u.component(c)).coefficients
@@ -102,7 +98,7 @@ def _quadratic_term(P: Symbol, Q: Symbol):
                                               grid.dim), dtype=np.complex128)
             _pad_half(q, M, out=rows[c * width:(c + 1) * width])
             del q
-        pv, pq = _beside(pv, rows, np.empty((len(rows),) + (M,) * grid.dim))
+        pq = _inverse(rows, out=np.empty((len(rows),) + (M,) * grid.dim))
         del rows
         pq = pq.reshape((u.ncomp, -1) + pq.shape[1:])
         fine = [_pair_product_fine(pv, w) for w in pq]
@@ -124,20 +120,14 @@ def _broadcast_products(V: SpectralField, rows, M: int) -> np.ndarray:
     multiplied in place with V's samples as the first operand and
     truncated back (`field_from_padded`), and its product's coefficients
     kept: one padded row is alive beside the padded V, never the padded
-    stack, and no row is formed before its turn.  V's padding is handed to
-    `_soon` while the first row is formed, and that row is transformed once
-    V's is done (`_beside`).  The values equal the stacked product's bit for
-    bit.
+    stack, and no row is formed before its turn.  The values equal the
+    stacked product's bit for bit.
     """
-    pv, products = _samples_soon(V.coefficients, M), []
+    pv, products = padded_physical(V), []
     for row in rows:
         half = _pad_half(row.coefficients, M)
         del row  # each row's coefficients go before its transform
-        pw = np.empty((1,) + (M,) * V.grid.dim)
-        if products:
-            _inverse(half, out=pw)
-        else:
-            pv, pw = _beside(pv, half, pw)
+        pw = _inverse(half, out=np.empty((1,) + (M,) * V.grid.dim))
         del half
         products.append(field_from_padded(V.grid, _pair_product_fine(pv, pw)).coefficients)
         del pw  # each padded product goes before the next row is made

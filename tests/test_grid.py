@@ -184,8 +184,8 @@ class TestOneAhead:
     @pytest.mark.parametrize("n", [1, 3])
     def test_holds_no_yielded_item(self, n):
         # the shell split lets each shell's samples go before it is reduced,
-        # and the oracle keeps one padded P_i V in flight: neither holds if the
-        # suspended iterator keeps what it yielded
+        # and the shell commutator keeps one shell's transforms in flight:
+        # neither holds if the suspended iterator keeps what it yielded
         class Item:
             pass
 

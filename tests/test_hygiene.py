@@ -2,7 +2,8 @@
 
 Every name in `lpw.__all__` resolves, no module imports a name it never uses,
 and every module-level private function is referenced somewhere.  Only `grid`
-imports a thread module or starts a thread.  Every public
+imports a thread module or starts a thread, and only three functions hand it
+transforms.  Every public
 function and method is referenced, every defaulted parameter of a module-level
 function is passed by some call, and every dataclass field is read, by the
 package or the benchmark (`lpwbench/`): a test alone counts only for the few
@@ -208,6 +209,17 @@ def test_only_grid_handles_threads():
                 if name in THREAD_STARTERS:
                     found.append(f"{mod}: {name}() (line {node.lineno})")
     assert found == []
+
+
+def test_three_functions_hand_off_transforms():
+    # the shell split, the zone split and the shell commutator each earn the
+    # helper by overlapping its transform with their own work; every other
+    # transform runs on the caller
+    found = {f"{mod}.{fn.name}" for mod, tree in MODULES.items() for fn in tree.body
+             if isinstance(fn, ast.FunctionDef) and mod != "grid"
+             and any(isinstance(n, ast.Name) and n.id in ("_soon", "_samples_soon")
+                     for n in ast.walk(fn))}
+    assert found == {"lp.shell_norms", "paraproduct.split", "psido.commutator_shell"}
 
 
 def test_only_lp_reads_the_partition_storage():

@@ -9,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lpw.grid import (GridSpec, SpectralField, _norm, field_from_padded, lp_norm,
-                      padded_physical, random_field)
-from lpw.lp import build_partition, shell_norms
+from lpw.grid import (GridSpec, SpectralField, _norm, _pair_product_fine, field_from_padded,
+                      lp_norm, padded_physical, random_field)
+from lpw.lp import build_partition, project, shell_norms
+from lpw.paraproduct import all_pairs_shells
 from lpw.probe import (_quadratic_term, cutoff_field, custom_equation,
                        dyadic_decay_report, equation_residual, equation_spec,
                        localize, manufactured_solution, run_probe)
@@ -144,40 +145,36 @@ class TestManufacture:
             tracemalloc.stop()
         assert peak <= 18e6
 
-    @pytest.mark.parametrize("kind, dim, N", [("ns", 2, 64), ("ns", 2, 128),
-                                              ("biharmonic", 2, 64), ("gjms", 3, 32)])
-    def test_manufacture_bits_equal_the_inline_manufacture(self, inline_transforms,
-                                                           kind, dim, N):
-        # the padded Q u is transformed on the helper from 2^14 points:
-        # ns 2,64's 96^2 stays on the caller, 2,128 and gjms 3,32 do not
-        eq, g = equation_spec(kind, n=dim), GridSpec(dim, N)
-        got = manufactured_solution(eq, g, seed=5)
-        inline_transforms()
-        want = manufactured_solution(eq, g, seed=5)
-        assert got.iterations == want.iterations
-        assert got.u.coefficients.tobytes() == want.u.coefficients.tobytes()
-        assert got.residual == want.residual
-
-    def test_nonlinearity_hands_the_helper_the_padded_V(self, monkeypatch):
-        # V's padding goes to the helper while Q u is padded on the caller,
-        # which transforms it once V's is done
-        g = GridSpec(2, 256)
-        eq = equation_spec("ns", n=2)
-        V, u = random_field(g, 3, ncomp=2), random_field(g, 4, ncomp=2)
+    def test_nonlinearity_and_oracle_make_no_hand_off(self, monkeypatch):
+        # their padded transforms run on the caller: the ns 2,256 and gjms
+        # 3,32 nonlinearities equal the reference's bits, and the all-pairs
+        # oracle at 2,128 the per-pair sum of its fine products
         handed = []
 
         def recording(transform, src, out, _soon=grid_module._soon):
-            handed.append(transform)
-            done = _soon(transform, src, out)
-            return lambda: handed.append(done().copy()) or handed[-1]
+            handed.append(out.shape)
+            return _soon(transform, src, out)
 
         monkeypatch.setattr(grid_module, "_soon", recording)
-        got = eq.nonlinearity(V, u)
-        monkeypatch.undo()
-        assert len(handed) == 2 and handed[0] is grid_module._inverse
-        assert handed[1].shape == (2, 384, 384)
-        assert handed[1].tobytes() == padded_physical(V).tobytes()
-        assert got.coefficients.tobytes() == eq.nonlinearity(V, u).coefficients.tobytes()
+        for kind, dim, N, ncomp in (("ns", 2, 256, 2), ("gjms", 3, 32, 1)):
+            eq, g = equation_spec(kind, n=dim), GridSpec(dim, N)
+            V, u = random_field(g, 3, ncomp=ncomp), random_field(g, 4, ncomp=ncomp)
+            got = eq.nonlinearity(V, u).coefficients
+            want = reference_nonlinearity(eq.P, eq.Q)(V, u).coefficients
+            assert got.tobytes() == want.tobytes()
+        part = build_partition(GridSpec(2, 128))
+        V, w = random_field(part.grid, 43), random_field(part.grid, 44)
+        got = all_pairs_shells(V, w, [5], part)[0].coefficients
+        shells = range(part.jmax + 1)
+        fine = None
+        for i in shells:
+            for j in shells:
+                term = _pair_product_fine(padded_physical(project(part, V, i)),
+                                          padded_physical(project(part, w, j)))
+                fine = term if fine is None else fine + term
+        want = project(part, field_from_padded(part.grid, fine), 5).coefficients
+        assert got.tobytes() == want.tobytes()
+        assert handed == []
 
     def test_gjms_manufacture(self):
         g = GridSpec(3, 32)
@@ -196,10 +193,11 @@ class TestManufacture:
         assert peak <= 7.0e6
 
     def test_gjms_manufacture_in_a_fresh_process(self):
-        # the same pin where nothing was imported or handed off before the
-        # solve, so the helper thread starts inside the traced region: 9.52 MB
-        # when its start imported concurrent.futures and made an executor,
-        # 8.93 MB with the padded components of grad u made at once (6.96 MB)
+        # the same pin where nothing ran before the solve, which starts no
+        # thread: 9.52 MB when the helper thread started inside the traced
+        # region and its start imported concurrent.futures and made an
+        # executor, 8.93 MB with the padded components of grad u made at once
+        # (6.96 MB)
         src = str(Path(probe.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p)}
@@ -223,7 +221,7 @@ class TestManufacture:
         residual, peak, futures, threads = proc.stdout.split()
         assert float(residual) <= 1e-10
         assert int(peak) <= 7.0e6
-        assert futures == "False" and threads == "2"
+        assert futures == "False" and threads == "1"
 
     def test_non_contraction_reported(self):
         g = GridSpec(2, 64)
