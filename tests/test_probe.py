@@ -194,10 +194,9 @@ class TestManufacture:
 
     def test_gjms_manufacture_in_a_fresh_process(self):
         # the same pin where nothing ran before the solve, which starts no
-        # thread: 9.52 MB when the helper thread started inside the traced
-        # region and its start imported concurrent.futures and made an
+        # thread (6.59 MB): 9.52 MB when the helper thread started inside the
+        # traced region and its start imported concurrent.futures and made an
         # executor, 8.93 MB with the padded components of grad u made at once
-        # (6.96 MB)
         src = str(Path(probe.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p)}
